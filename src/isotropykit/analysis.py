@@ -25,6 +25,8 @@ import numpy as np
 
 from isotropykit.classical_bases import boehler_scalars
 from isotropykit.lin3 import (
+    _OFF_PAIRS,
+    _SYM_PAIRS,
     DegenerateConfigurationError,
     TensorSystem,
     conjugate,
@@ -52,9 +54,6 @@ __all__ = [
     "spectral_values_fn",
     "verify_isotropy",
 ]
-
-_SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_SKEW_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def seeded_system(n_sym: int, n_nonsym: int, n_vec: int, *, skew: bool = False,
@@ -151,7 +150,7 @@ def ambient_chart(system0: TensorSystem):
                 nonsym.append(base + coords.reshape(3, 3))
             elif kind == "skew":
                 m = base.copy()
-                for c, (i, j) in zip(coords, _SKEW_PAIRS):
+                for c, (i, j) in zip(coords, _OFF_PAIRS):
                     m[i, j] += c
                     m[j, i] -= c
                 nonsym.append(m)
@@ -320,11 +319,10 @@ class Claim:
     tolerance: float | None
     comparator: str = "le"  # "le": value <= tol passes; "ge": value >= tol
     seed: int = 0
-    runtime: float = 0.0
 
     @classmethod
     def check(cls, claim_id, description, value, tolerance, comparator="le",
-              seed=0, runtime=0.0):
+              seed=0):
         if comparator == "le":
             ok = value <= tolerance
         elif comparator == "ge":
@@ -334,10 +332,10 @@ class Claim:
         else:
             raise ValueError(f"unknown comparator {comparator!r}")
         return cls(claim_id, description, "pass" if ok else "fail",
-                   value, tolerance, comparator, seed, runtime)
+                   value, tolerance, comparator, seed)
 
-    def to_dict(self, include_runtime: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "id": self.claim_id,
             "description": self.description,
             "status": self.status,
@@ -346,10 +344,6 @@ class Claim:
             "comparator": self.comparator,
             "seed": self.seed,
         }
-        # runtime varies across runs; serialized reports must be byte-identical
-        if include_runtime:
-            out["runtime"] = self.runtime
-        return out
 
 
 @dataclass
@@ -374,7 +368,7 @@ class VerificationReport:
     def sorted_claims(self):
         return sorted(self.claims, key=lambda c: c.claim_id)
 
-    def to_dict(self, version: str, include_runtime: bool = False) -> dict:
+    def to_dict(self, version: str) -> dict:
         return {
             "version": 1,
             "tool_version": version,
@@ -382,5 +376,5 @@ class VerificationReport:
             "seed": self.seed,
             "trials": self.trials,
             "configuration": self.configuration,
-            "claims": [c.to_dict(include_runtime) for c in self.sorted_claims()],
+            "claims": [c.to_dict() for c in self.sorted_claims()],
         }

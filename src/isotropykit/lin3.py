@@ -13,7 +13,6 @@ trusting the caller.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,10 @@ __all__ = [
 ]
 
 _EYE = np.eye(3)
+# upper-triangle index pairs of a 3x3 tensor: strictly off-diagonal (the
+# independent entries of a skew tensor) and with the diagonal (symmetric)
+_OFF_PAIRS = ((0, 1), (0, 2), (1, 2))
+_SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 class DegenerateInputError(ValueError):
@@ -91,96 +94,7 @@ def rotation_matrix(x, tol: float = 1e-12) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigendecomposition
-
-
-def _analytic_eigvals(a):
-    # trigonometric (Cardano) eigenvalues of a symmetric 3x3, descending
-    q = np.trace(a) / 3.0
-    p1 = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
-    p2 = (a[0, 0] - q) ** 2 + (a[1, 1] - q) ** 2 + (a[2, 2] - q) ** 2 + 2.0 * p1
-    if p2 <= 0.0:
-        return np.array([q, q, q])
-    p = math.sqrt(p2 / 6.0)
-    b = (a - q * _EYE) / p
-    r = np.linalg.det(b) / 2.0
-    r = min(1.0, max(-1.0, r))  # roundoff can push r slightly outside [-1, 1]
-    phi = math.acos(r) / 3.0
-    lam1 = q + 2.0 * p * math.cos(phi)
-    lam3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    lam2 = 3.0 * q - lam1 - lam3
-    return np.array([lam1, lam2, lam3])
-
-
-def _largest_row_cross(b):
-    # best-conditioned null direction of a (near-)singular symmetric matrix
-    c01 = np.cross(b[0], b[1])
-    c02 = np.cross(b[0], b[2])
-    c12 = np.cross(b[1], b[2])
-    cands = (c01, c02, c12)
-    norms = [np.linalg.norm(c) for c in cands]
-    k = int(np.argmax(norms))
-    return cands[k], norms[k]
-
-
-def _orthogonal_pair(w):
-    k = int(np.argmin(np.abs(w)))
-    p = np.cross(w, _EYE[k])
-    p /= np.linalg.norm(p)
-    return p, np.cross(w, p)
-
-
-def _initial_basis(a, lams):
-    scale = 1.0 + np.abs(lams).max()
-    if lams[0] - lams[2] <= 1e-14 * scale:
-        return _EYE.copy()
-    # isolate the eigenvalue with the larger gap: its eigenvector is well
-    # conditioned; the remaining pair comes from a 2x2 rotation in its
-    # orthogonal complement
-    iso = 0 if (lams[0] - lams[1]) >= (lams[1] - lams[2]) else 2
-    w, wn = _largest_row_cross(a - lams[iso] * _EYE)
-    if wn <= 1e-30:
-        return _EYE.copy()
-    w = w / wn
-    p, q = _orthogonal_pair(w)
-    apq = p @ a @ q
-    theta = 0.5 * math.atan2(2.0 * apq, p @ a @ p - q @ a @ q)
-    y1 = math.cos(theta) * p + math.sin(theta) * q
-    y2 = -math.sin(theta) * p + math.cos(theta) * q
-    if y1 @ a @ y1 < y2 @ a @ y2:
-        y1, y2 = y2, y1
-    v = np.empty((3, 3))
-    rest = [i for i in range(3) if i != iso]
-    v[iso] = w
-    v[rest[0]] = y1
-    v[rest[1]] = y2
-    return v
-
-
-def _jacobi_refine(a, v, max_sweeps=10):
-    # polish an approximate eigenbasis: annihilate off-diagonal entries of
-    # V A V^T with Givens rotations acting on the rows of V
-    for _ in range(max_sweeps):
-        b = v @ a @ v.T
-        off = max(abs(b[0, 1]), abs(b[0, 2]), abs(b[1, 2]))
-        if off <= 1e-15 * (1.0 + np.abs(np.diag(b)).max()):
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            avp = a @ v[p]
-            app = v[p] @ avp
-            apq = v[q] @ avp
-            aqq = v[q] @ a @ v[q]
-            if abs(apq) <= 1e-18 * (abs(app) + abs(aqq) + 1e-30):
-                continue
-            tau = (aqq - app) / (2.0 * apq)
-            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            vp = c * v[p] - s * v[q]
-            vq = s * v[p] + c * v[q]
-            v[p], v[q] = vp, vq
-    lams = np.array([v[i] @ a @ v[i] for i in range(3)])
-    return lams, v
+# symmetric eigendecomposition and singular value decomposition
 
 
 def _fix_sign_convention(v):
@@ -220,112 +134,37 @@ def eig_sym(a, tol_rel: float = 1e-8):
 
     The triad is right-handed with ``v[2] = cross(v[0], v[1])`` and the sign
     of ``v[0]``, ``v[1]`` fixed so their largest-magnitude component is
-    positive.  Closed-form (trigonometric) eigenvalues seed the basis, which
-    a few Jacobi cleanup sweeps then push to machine-level off-diagonal
-    residual, so the reconstruction ``sum(lams[i] * outer(v[i], v[i]))``
-    matches ``a`` to ~1e-15 * (1 + ||a||).
+    positive.  The factorization is LAPACK's (``numpy.linalg.eigh``), which
+    scales internally, so the reconstruction
+    ``sum(lams[i] * outer(v[i], v[i]))`` matches ``a`` to ~1e-15 * ||a|| at
+    every representable scale.
     """
     a = sym_matrix(a)
     if tol_rel <= 0.0:
         raise ValueError("tol_rel must be positive")
-    lams0 = _analytic_eigvals(a)
-    v = _initial_basis(a, lams0)
-    lams, v = _jacobi_refine(a, v)
-    order = np.argsort(-lams, kind="stable")
-    lams = lams[order]
-    v = v[order]
+    lams, w = np.linalg.eigh(a)
+    lams = lams[::-1].copy()
+    v = w.T[::-1].copy()
     _fix_sign_convention(v)
     return lams, v, _degeneracy_groups(lams, tol_rel)
-
-
-# ---------------------------------------------------------------------------
-# singular value decomposition
-
-
-def _two_sided_rotations(m):
-    # 2x2 rotations (l, r) with l @ m @ r diagonal:
-    # a first rotation symmetrizes m, a Jacobi rotation then diagonalizes it
-    a, b = m[0]
-    c, d = m[1]
-    psi = math.atan2(b - c, a + d)
-    cp, sp = math.cos(psi), math.sin(psi)
-    rpsi = np.array([[cp, -sp], [sp, cp]])
-    ms = rpsi @ m
-    theta = 0.5 * math.atan2(2.0 * ms[0, 1], ms[0, 0] - ms[1, 1])
-    ct, st = math.cos(theta), math.sin(theta)
-    rth = np.array([[ct, -st], [st, ct]])
-    return rth.T @ rpsi, rth
-
-
-def _kogbetliantz_refine(f, v, u, max_sweeps=12):
-    # drive the off-diagonal of B = V F U^T to machine level with two-sided
-    # plane rotations, keeping both triads exactly rotated (never rescaled)
-    for _ in range(max_sweeps):
-        b = v @ f @ u.T
-        off = max(abs(b[0, 1]), abs(b[1, 0]), abs(b[0, 2]),
-                  abs(b[2, 0]), abs(b[1, 2]), abs(b[2, 1]))
-        if off <= 1e-15 * (1.0 + np.abs(b).max()):
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            blk = np.array([[b[p, p], b[p, q]], [b[q, p], b[q, q]]])
-            left, right = _two_sided_rotations(blk)
-            v[[p, q]] = left @ v[[p, q]]
-            u[[p, q]] = right.T @ u[[p, q]]
-            b = v @ f @ u.T
-    return v, u
 
 
 def svd3(f):
     """Singular value decomposition of a 3x3 tensor.
 
     Returns ``(sv, v, u)`` with singular values descending and >= 0 and
-    ``f == sum(sv[i] * outer(v[i], u[i]))`` to ~1e-15 * (1 + ||f||).  The
-    rows of ``v`` are unit eigenvectors of ``f f^T`` (right-handed, same sign
-    convention as :func:`eig_sym`); the rows of ``u`` are the matching unit
-    eigenvectors of ``f^T f`` with signs slaved to the reconstruction, so
-    ``u`` is right-handed only when ``det f >= 0``.
+    ``f == sum(sv[i] * outer(v[i], u[i]))`` to ~1e-15 * ||f||.  The rows of
+    ``v`` are the left singular vectors (right-handed, same sign convention
+    as :func:`eig_sym`); the rows of ``u`` are the matching right singular
+    vectors with signs slaved to the reconstruction, so ``u`` is
+    right-handed only when ``det f >= 0``.  The factorization is LAPACK's
+    (``numpy.linalg.svd``) applied to ``f`` itself, never to ``f f^T``, so
+    small singular values keep their relative accuracy.
     """
     f = mat3(f)
-    gram = sym_matrix(f @ f.T, tol=1e-9)
-    lams, v, _ = eig_sym(gram)
-    sv = np.sqrt(np.clip(lams, 0.0, None))
-    scale = 1.0 + float(np.abs(f).max())
-    u = np.zeros((3, 3))
-    have = []
-    # right triad from normalized F^T v, dropping rows whose direction is
-    # noise (tiny singular value) or nearly dependent on an accepted row
-    # (clustered tiny singular values: the squared-spectrum eigenvectors
-    # lose them, and plane rotations cannot repair a non-orthonormal start)
-    for i in range(3):
-        cand = f.T @ v[i]
-        n = np.linalg.norm(cand)
-        if n <= 1e-12 * scale:
-            continue
-        cand = cand / n
-        for _ in range(2):  # re-orthogonalize twice to kill cancellation noise
-            for j in have:
-                cand = cand - (cand @ u[j]) * u[j]
-        n2 = np.linalg.norm(cand)
-        if n2 > 1e-3:
-            u[i] = cand / n2
-            have.append(i)
-    missing = [i for i in range(3) if i not in have]
-    if len(missing) == 3:
-        u = _EYE.copy()
-    elif len(missing) == 2:
-        p, q = _orthogonal_pair(u[have[0]])
-        u[missing[0]], u[missing[1]] = p, q
-    elif len(missing) == 1:
-        u[missing[0]] = np.cross(u[have[0]], u[have[1]])
-        u[missing[0]] /= np.linalg.norm(u[missing[0]])
-    v, u = _kogbetliantz_refine(f, v, u)
-    sv = np.array([v[i] @ f @ u[i] for i in range(3)])
-    for i in range(3):
-        if sv[i] < 0.0:
-            sv[i] = -sv[i]
-            u[i] = -u[i]
-    order = np.argsort(-sv, kind="stable")
-    sv, v, u = sv[order], v[order], u[order]
+    left, sv, right_t = np.linalg.svd(f)
+    v = left.T.copy()
+    u = right_t.copy()
     flipped = _fix_sign_convention(v)
     for i in range(3):
         if flipped[i]:

@@ -27,12 +27,14 @@ verification; they never touch frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from isotropykit.lin3 import (
+    _EYE,
+    _OFF_PAIRS,
     DegenerateConfigurationError,
     TensorSystem,
     eig_sym,
@@ -57,29 +59,13 @@ __all__ = [
     "ti_invariants",
 ]
 
-_EYE = np.eye(3)
-_OFF = ((0, 1), (0, 2), (1, 2))
 
-
-def _with_vec(system: TensorSystem, idx: int, new: np.ndarray) -> TensorSystem:
-    vecs = list(system.vecs)
-    vecs[idx] = new
-    return TensorSystem(system.sym, system.nonsym, system.nonsym_skew,
-                        tuple(vecs), system.vec_unit)
-
-
-def _with_sym(system: TensorSystem, idx: int, new: np.ndarray) -> TensorSystem:
-    sym = list(system.sym)
-    sym[idx] = new
-    return TensorSystem(tuple(sym), system.nonsym, system.nonsym_skew,
-                        system.vecs, system.vec_unit)
-
-
-def _with_nonsym(system: TensorSystem, idx: int, new: np.ndarray) -> TensorSystem:
-    nonsym = list(system.nonsym)
-    nonsym[idx] = new
-    return TensorSystem(system.sym, tuple(nonsym), system.nonsym_skew,
-                        system.vecs, system.vec_unit)
+def _with_arg(system: TensorSystem, kind: str, idx: int, new: np.ndarray) -> TensorSystem:
+    """``system`` with argument ``idx`` of class ``kind`` (``"vecs"``,
+    ``"sym"`` or ``"nonsym"``) replaced by ``new``."""
+    args = list(getattr(system, kind))
+    args[idx] = new
+    return replace(system, **{kind: tuple(args)})
 
 
 def _rotated(triad: np.ndarray, i: int, j: int, theta: float) -> np.ndarray:
@@ -115,7 +101,7 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
         h = 1e-5 * (1.0 + lam)
 
     def w_at(lam_, v1_):
-        return float(W(_with_vec(system, which, lam_ * v1_)))
+        return float(W(_with_arg(system, "vecs", which, lam_ * v1_)))
 
     if d_lam is not None:
         dlam = float(d_lam(lam, v1))
@@ -150,7 +136,7 @@ def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
     lams, v, _ = eig_sym(v_arg)
     if gap_min is None:
         gap_min = 1e-6 * (1.0 + np.linalg.norm(v_arg))
-    for i, j in _OFF:
+    for i, j in _OFF_PAIRS:
         if lams[i] - lams[j] <= gap_min:
             raise DegenerateConfigurationError(
                 f"eigenvalues {i + 1} and {j + 1} coalesce "
@@ -160,7 +146,7 @@ def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
 
     def w_at(lams_, v_):
         m = sum(lams_[i] * np.outer(v_[i], v_[i]) for i in range(3))
-        return float(W(_with_sym(system, which, m)))
+        return float(W(_with_arg(system, "sym", which, m)))
 
     if d_lams is not None:
         dlam = np.asarray(d_lams(lams, v), dtype=float)
@@ -172,9 +158,9 @@ def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
             lm[i] -= h
             dlam[i] = (w_at(lp, v) - w_at(lm, v)) / (2.0 * h)
     out = sum(dlam[i] * np.outer(v[i], v[i]) for i in range(3))
-    for i, j in _OFF:
-        if d_frame is not None:
-            r = np.asarray(d_frame(lams, v), dtype=float)
+    r = None if d_frame is None else np.asarray(d_frame(lams, v), dtype=float)
+    for i, j in _OFF_PAIRS:
+        if r is not None:
             anti = float(r[i, j] - r[j, i])
         else:
             # derivative along the (i, j) plane rotation of the triad equals
@@ -201,7 +187,7 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
     sv, v, u = svd3(f_arg)
     if gap_min is None:
         gap_min = 1e-6 * (1.0 + np.linalg.norm(f_arg))
-    for i, j in _OFF:
+    for i, j in _OFF_PAIRS:
         if sv[i] - sv[j] <= gap_min:
             raise DegenerateConfigurationError(
                 f"singular values {i + 1} and {j + 1} coalesce "
@@ -211,7 +197,7 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
 
     def w_at(sv_, v_, u_):
         m = sum(sv_[i] * np.outer(v_[i], u_[i]) for i in range(3))
-        return float(W(_with_nonsym(system, which, m)))
+        return float(W(_with_arg(system, "nonsym", which, m)))
 
     if d_lams is not None:
         dlam = np.asarray(d_lams(sv, v, u), dtype=float)
@@ -223,15 +209,15 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
             sm[i] -= h
             dlam[i] = (w_at(sp, v, u) - w_at(sm, v, u)) / (2.0 * h)
     out = sum(dlam[i] * np.outer(v[i], u[i]) for i in range(3))
-    for i, j in _OFF:
-        if d_v_frame is not None:
-            rv = np.asarray(d_v_frame(sv, v, u), dtype=float)
+    rv = None if d_v_frame is None else np.asarray(d_v_frame(sv, v, u), dtype=float)
+    ru = None if d_u_frame is None else np.asarray(d_u_frame(sv, v, u), dtype=float)
+    for i, j in _OFF_PAIRS:
+        if rv is not None:
             anti_v = float(rv[i, j] - rv[j, i])
         else:
             anti_v = (w_at(sv, _rotated(v, i, j, h), u)
                       - w_at(sv, _rotated(v, i, j, -h), u)) / (2.0 * h)
-        if d_u_frame is not None:
-            ru = np.asarray(d_u_frame(sv, v, u), dtype=float)
+        if ru is not None:
             anti_u = float(ru[i, j] - ru[j, i])
         else:
             anti_u = (w_at(sv, v, _rotated(u, i, j, h))
@@ -254,8 +240,8 @@ def fd_grad_vector(W, system, which=0, h=None):
     for k in range(3):
         step = np.zeros(3)
         step[k] = h
-        g[k] = (float(W(_with_vec(system, which, a + step)))
-                - float(W(_with_vec(system, which, a - step)))) / (2.0 * h)
+        g[k] = (float(W(_with_arg(system, "vecs", which, a + step)))
+                - float(W(_with_arg(system, "vecs", which, a - step)))) / (2.0 * h)
     return g
 
 
@@ -268,8 +254,8 @@ def fd_grad_sym_tensor(W, system, which=0, h=None):
         for j in range(i, 3):
             e = np.zeros((3, 3))
             e[i, j] = e[j, i] = 1.0
-            d = (float(W(_with_sym(system, which, v_arg + h * e)))
-                 - float(W(_with_sym(system, which, v_arg - h * e)))) / (2.0 * h)
+            d = (float(W(_with_arg(system, "sym", which, v_arg + h * e)))
+                 - float(W(_with_arg(system, "sym", which, v_arg - h * e)))) / (2.0 * h)
             # dW = tr(G dV): a symmetric off-diagonal probe picks up 2 G_ij
             if i == j:
                 g[i, i] = d
@@ -287,8 +273,9 @@ def fd_grad_nonsym_tensor(W, system, which=0, h=None):
         for j in range(3):
             e = np.zeros((3, 3))
             e[i, j] = 1.0
-            g[i, j] = (float(W(_with_nonsym(system, which, f_arg + h * e)))
-                       - float(W(_with_nonsym(system, which, f_arg - h * e)))) / (2.0 * h)
+            wp = float(W(_with_arg(system, "nonsym", which, f_arg + h * e)))
+            wm = float(W(_with_arg(system, "nonsym", which, f_arg - h * e)))
+            g[i, j] = (wp - wm) / (2.0 * h)
     return g
 
 
@@ -397,14 +384,15 @@ def hyperelastic_stress(model: HyperelasticModel, c_mat, a) -> HyperelasticStres
     their coefficients agree term by term.
     """
     c_mat = sym_matrix(c_mat)
-    lams, _, _ = eig_sym(c_mat)
-    if lams[2] <= 0.0:
-        raise ValueError("C must be symmetric positive-definite")
     a = np.asarray(a, dtype=float)
     n = np.linalg.norm(a)
     if abs(n - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
     a = a / n
+    frame = build_frame(
+        TensorSystem(sym=(c_mat,), vecs=(a,), vec_unit=(True,)))
+    if frame.lambdas[2] <= 0.0:
+        raise ValueError("C must be symmetric positive-definite")
     l_mat = np.outer(a, a)
     inv = ti_invariants(c_mat, l_mat)
     w1, w2, w3, w4, w5 = np.asarray(model.partials(inv), dtype=float)
@@ -419,8 +407,6 @@ def hyperelastic_stress(model: HyperelasticModel, c_mat, a) -> HyperelasticStres
     s_pot = 0.5 * (s_pot + s_pot.T)
     s_rep = 0.5 * (s_rep + s_rep.T)
     residual = float(np.linalg.norm(s_pot - s_rep))
-    frame = build_frame(
-        TensorSystem(sym=(c_mat,), vecs=(a,), vec_unit=(True,)))
     coeff_pot = project_tensor(s_pot, frame, "sym6").values
     coeff_rep = project_tensor(s_rep, frame, "sym6").values
     coeff_max_diff = float(np.abs(np.array(coeff_pot) - np.array(coeff_rep)).max())

@@ -22,7 +22,14 @@ from isotropykit.classical_bases import (
     smith_sym_tensors,
     smith_vectors,
 )
-from isotropykit.lin3 import TensorSystem, eig_sym, haar_rotation, tensor_system
+from isotropykit.lin3 import (
+    _EYE,
+    _OFF_PAIRS,
+    TensorSystem,
+    eig_sym,
+    haar_rotation,
+    tensor_system,
+)
 from isotropykit.spectral_frame import (
     SpectralFrame,
     SpectralInvariants,
@@ -51,9 +58,6 @@ __all__ = [
     "reconstruct_vector",
     "regauge_frame",
 ]
-
-_EYE = np.eye(3)
-_OFF = ((0, 1), (0, 2), (1, 2))
 
 _KIND_LABELS = {
     "vector3": ("g1", "g2", "g3"),
@@ -104,11 +108,11 @@ def generator_basis(frame: SpectralFrame, kind: str) -> GeneratorBasis:
         elems = tuple(v[i].copy() for i in range(3))
     elif kind == "sym6":
         elems = tuple(np.outer(v[i], v[i]) for i in range(3)) + tuple(
-            np.outer(v[i], v[j]) + np.outer(v[j], v[i]) for i, j in _OFF)
+            np.outer(v[i], v[j]) + np.outer(v[j], v[i]) for i, j in _OFF_PAIRS)
     elif kind == "full9":
         elems = tuple(np.outer(v[i], v[j]) for i in range(3) for j in range(3))
     elif kind == "skew3":
-        elems = tuple(np.outer(v[i], v[j]) - np.outer(v[j], v[i]) for i, j in _OFF)
+        elems = tuple(np.outer(v[i], v[j]) - np.outer(v[j], v[i]) for i, j in _OFF_PAIRS)
     elif kind == "svd9":
         if frame.u is None:
             raise ValueError("svd9 basis needs an SVD frame")
@@ -143,7 +147,7 @@ def project_tensor(g, frame: SpectralFrame, kind: str) -> Coefficients:
             raise ValueError("sym6 projection needs a symmetric tensor")
         comps = v @ g @ v.T
         vals = tuple(float(comps[i, i]) for i in range(3)) + tuple(
-            float(0.5 * (comps[i, j] + comps[j, i])) for i, j in _OFF)
+            float(0.5 * (comps[i, j] + comps[j, i])) for i, j in _OFF_PAIRS)
     elif kind == "full9":
         comps = v @ g @ v.T
         vals = tuple(float(comps[i, j]) for i in range(3) for j in range(3))
@@ -151,7 +155,7 @@ def project_tensor(g, frame: SpectralFrame, kind: str) -> Coefficients:
         if np.abs(g + g.T).max() > 1e-12 * scale:
             raise ValueError("skew3 projection needs a skew tensor")
         comps = v @ g @ v.T
-        vals = tuple(float(0.5 * (comps[i, j] - comps[j, i])) for i, j in _OFF)
+        vals = tuple(float(0.5 * (comps[i, j] - comps[j, i])) for i, j in _OFF_PAIRS)
     elif kind == "svd9":
         if frame.u is None:
             raise ValueError("svd9 projection needs an SVD frame")
@@ -204,7 +208,7 @@ def expand_classical(item_label: str, system: TensorSystem, frame: SpectralFrame
             return Coefficients("vector3", tuple(float(x) for x in value))
         comps = np.asarray(value)
         vals = tuple(float(comps[i, i]) for i in range(3)) + tuple(
-            float(0.5 * (comps[i, j] + comps[j, i])) for i, j in _OFF)
+            float(0.5 * (comps[i, j] + comps[j, i])) for i, j in _OFF_PAIRS)
         return Coefficients("sym6", vals)
     raise KeyError(f"unknown classical item {item_label!r}")
 
@@ -236,7 +240,7 @@ def check_coaxiality(g_fn, v_mat, tol: float = 1e-10) -> CoaxialityCheck:
     residual = float(np.linalg.norm(v_mat @ g - g @ v_mat))
     _, vecs, _ = eig_sym(0.5 * (v_mat + v_mat.T))
     comps = vecs @ g @ vecs.T
-    offdiag = float(max(abs(comps[i, j]) for i, j in _OFF))
+    offdiag = float(max(abs(comps[i, j]) for i, j in _OFF_PAIRS))
     return CoaxialityCheck(residual, offdiag, tol)
 
 

@@ -28,8 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from isotropykit.lin3 import (
+    _EYE,
+    _OFF_PAIRS,
+    _SYM_PAIRS,
     DegenerateInputError,
     TensorSystem,
+    _degeneracy_groups,
     eig_sym,
     svd3,
     tensor_system,
@@ -46,9 +50,6 @@ __all__ = [
     "rebuild_system",
 ]
 
-_EYE = np.eye(3)
-_SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_SKEW_PAIRS = ((0, 1), (0, 2), (1, 2))
 _ALL_PAIRS = tuple((i, j) for i in range(3) for j in range(3))
 
 
@@ -233,16 +234,7 @@ def build_svd_frame(system: TensorSystem, tol_rel: float = 1e-8,
     sv, v, u = svd3(h)
     if gauge == "equivariant":
         v, u = _apply_equivariant_gauge(system, "svd", v, u)
-    thr = tol_rel * (1.0 + sv[0])
-    groups, cur = [], [0]
-    for i in (1, 2):
-        if sv[i - 1] - sv[i] <= thr:
-            cur.append(i)
-        else:
-            groups.append(tuple(cur))
-            cur = [i]
-    groups.append(tuple(cur))
-    return _frozen_frame("svd", sv, v, u, tuple(groups), 0)
+    return _frozen_frame("svd", sv, v, u, _degeneracy_groups(sv, tol_rel), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +251,7 @@ def _full_entries(name, comps, mixed=False):
 
 
 def _skew_entries(name, comps):
-    return [(f"{name}[{i + 1},{j + 1}]", comps[i, j]) for i, j in _SKEW_PAIRS]
+    return [(f"{name}[{i + 1},{j + 1}]", comps[i, j]) for i, j in _OFF_PAIRS]
 
 
 def extract_invariants(system: TensorSystem, frame: SpectralFrame) -> SpectralInvariants:
@@ -390,7 +382,7 @@ def rebuild_system(inv: SpectralInvariants, frame: SpectralFrame | None = None) 
     def skew_from(name):
         return sum(data[f"{name}[{i + 1},{j + 1}]"]
                    * (np.outer(v[i], v[j]) - np.outer(v[j], v[i]))
-                   for i, j in _SKEW_PAIRS)
+                   for i, j in _OFF_PAIRS)
 
     def vec_from(name):
         return sum(data[f"{name}[{i + 1}]"] * v[i] for i in range(3))

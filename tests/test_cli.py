@@ -67,6 +67,19 @@ class TestExitCodes:
         }))
         assert main(["verify", "reconstruction", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"version": 1, "vecs": [[1.0, 0.0, 0.0]]},
+        {"version": 1, "nonsym": [[[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]},
+        {"version": 1, "vecs": [{"unit": True}]},
+        {"version": 1, "nonsym": {"matrix": [[1.0, 0.0, 0.0]] * 3}},
+    ], ids=["bare-vector", "bare-matrix", "vector-without-v", "nonsym-not-a-list"])
+    def test_malformed_entries_rejected(self, tmp_path, capsys, doc):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "isotropy", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "sys.json"
         path.write_text(json.dumps({"version": 2, "sym": []}))

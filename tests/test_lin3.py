@@ -163,6 +163,57 @@ class TestSvd3:
         np.testing.assert_allclose(u @ u.T, np.eye(3), atol=1e-14)
 
 
+SCALES = [10.0**k for k in range(-150, 151)]
+
+
+def triad_defect(t, right_handed):
+    """Largest deviation from an orthonormal (right-handed) triad; NaN-safe."""
+    defect = np.abs(t @ t.T - np.eye(3)).max()
+    if right_handed:
+        defect = max(defect, np.abs(np.cross(t[0], t[1]) - t[2]).max())
+    return defect if np.all(np.isfinite(t)) else np.inf
+
+
+class TestScaleRobustness:
+    """Residuals are relative to ||A|| itself, so no absolute floor can hide
+    a wrong factorization at tiny scales or an overflow at huge ones."""
+
+    def test_eig_sym_over_double_range(self):
+        rng = np.random.default_rng(61)
+        mats = [random_sym(rng) for _ in range(3)]
+        bad = []
+        for c in SCALES:
+            for m in mats:
+                a = c * m
+                lams, v, _ = eig_sym(a)
+                rebuilt = sum(lams[i] * np.outer(v[i], v[i]) for i in range(3))
+                res = np.linalg.norm(a - rebuilt) / np.linalg.norm(a)
+                ok = (np.all(np.isfinite(lams)) and lams[0] >= lams[1] >= lams[2]
+                      and res <= 1e-14 and triad_defect(v, True) <= 1e-14)
+                if not ok:
+                    bad.append((c, res))
+        assert not bad, f"failing scales (scale, relative residual): {bad[:5]}"
+
+    def test_svd3_over_double_range(self):
+        rng = np.random.default_rng(67)
+        mats = [rng.standard_normal((3, 3)) for _ in range(3)]
+        if np.linalg.det(mats[0]) > 0:
+            mats[0][0] = -mats[0][0]  # one reflection: u is left-handed
+        bad = []
+        for c in SCALES:
+            for m in mats:
+                f = c * m
+                sv, v, u = svd3(f)
+                rebuilt = sum(sv[i] * np.outer(v[i], u[i]) for i in range(3))
+                res = np.linalg.norm(f - rebuilt) / np.linalg.norm(f)
+                ok = (np.all(np.isfinite(sv)) and sv[0] >= sv[1] >= sv[2] >= 0.0
+                      and res <= 1e-14 and triad_defect(v, True) <= 1e-14
+                      and triad_defect(u, False) <= 1e-14)
+                if not ok:
+                    bad.append((c, res))
+        assert not bad, f"failing scales (scale, relative residual): {bad[:5]}"
+
+
 class TestHaarRotation:
     def test_is_rotation(self):
         rng = np.random.default_rng(41)
