@@ -293,7 +293,7 @@ def compare_bases(N: int, M: int, P: int, *, skew: bool = False,
     if M == 0 or skew:
         basis = boehler_scalars(N, M, P)
         classical_count = len(basis)
-        classical_rank = jacobian_rank(basis.items, system0,
+        classical_rank = jacobian_rank(basis.evaluate, system0,
                                        config=config, seed=seed).rank
         spans = classical_rank == spectral_report.rank
     return BasisComparison(

@@ -1,47 +1,229 @@
 """Classical Boehler/Smith functional bases as numeric evaluators.
 
 These are the comparison targets for every reduction claim: the classical
-scalar invariant list for symmetric tensors, vectors, and skew tensors, and
-the Smith generator lists for vector- and symmetric-tensor-valued isotropic
-functions.  Items are enumerated (never counted by closed form) in the order
-the classical lists state them, each with a stable label so reports are
-diffable across runs.
+scalar invariants of symmetric tensors, skew tensors and vectors, and the Smith
+generators of vector- and symmetric-tensor-valued isotropic functions, listed
+(never counted by closed form) in the stated order.  Each item is its label.
 
 Label grammar
 -------------
-``tr(X)``            trace of a matrix product, e.g. ``tr(A1^2*A2)``
-``a1.X.a2``          sandwich ``a1 . X a2``; composite middles are
-                     parenthesized, e.g. ``a1.(A1*W1).a1``
-``sym(X)``           ``X + X^T``  (also used for dyads: ``sym(a1xa2)``)
-``comm(X,Y)``        ``X Y - Y X``
-``anti(X,Y)``        ``X Y + Y X``
-``alt(a1,a2)``       ``a1 (x) a2 - a2 (x) a1``
-``a1xa1``            dyad ``a1 (x) a1``
+A label is parsed into its item's evaluator.  Operands: ``A1, A2, ...``
+symmetric tensors, ``W1, ...`` skew tensors, ``a1, ...`` vectors and ``I`` the
+identity.  Operators from loosest to tightest, all left-associative
+(parentheses group): ``X-Y`` difference; ``uxv`` the dyad ``u (x) v``; ``X.Y``
+or ``X*Y`` matrix product (``a1.a2`` is a dot product); ``X^n`` the n-th power.
+Functions: ``tr(X)`` trace, ``sym(X) = X + X^T``, ``comm(X,Y) = XY - YX``,
+``anti(X,Y) = XY + YX`` and ``alt(u,v) = u (x) v - v (x) u``.
 
-The classical lists cover symmetric tensors, *skew* tensors, and vectors;
-general non-symmetric tensors have no classical counterpart here.  The
+General non-symmetric tensors have no classical counterpart here.  The
 scalar list includes ``tr(Ai*Aj)``: the two-symmetric-tensor list is
 incomplete without it and the skew-extended list states it explicitly.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+import re
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from isotropykit.lin3 import TensorSystem
+from isotropykit.lin3 import _EYE, TensorSystem
 
-__all__ = [
-    "BasisItem",
-    "ClassicalScalarBasis",
-    "ClassicalTensorBasis",
-    "ClassicalVectorBasis",
-    "boehler_scalars",
-    "smith_sym_tensors",
-    "smith_vectors",
-]
+__all__ = ["BasisItem", "ClassicalScalarBasis", "ClassicalTensorBasis",
+           "ClassicalVectorBasis", "boehler_scalars", "smith_sym_tensors",
+           "smith_vectors"]
+
+# One template per line, ``label|loops``: ``i, j, k`` run over the symmetric
+# tensors, ``p, q, r`` over the skew tensors and ``m, n`` over the vectors;
+# letters joined by ``<`` increase strictly; loops nest in the order written.
+_BOEHLER = """
+a{m}.a{m}|m
+a{m}.a{n}|m<n
+tr(A{i})|i
+tr(A{i}^2)|i
+tr(A{i}^3)|i
+tr(A{i}*A{j})|i<j
+tr(A{i}^2*A{j})|i<j
+tr(A{i}*A{j}^2)|i<j
+tr(A{i}^2*A{j}^2)|i<j
+tr(A{i}*A{j}*A{k})|i<j<k
+tr(W{p}^2)|p
+tr(W{p}*W{q})|p<q
+tr(W{p}*W{q}*W{r})|p<q<r
+a{m}.A{i}.a{m}|m,i
+a{m}.A{i}^2.a{m}|m,i
+a{m}.(A{i}*A{j}).a{m}|m,i<j
+a{m}.A{i}.a{n}|m<n,i
+a{m}.A{i}^2.a{n}|m<n,i
+a{m}.(A{i}*A{j}-A{j}*A{i}).a{n}|m<n,i<j
+a{m}.W{p}^2.a{m}|m,p
+a{m}.(W{p}*W{q}).a{m}|m,p<q
+a{m}.(W{p}^2*W{q}).a{m}|m,p<q
+a{m}.(W{p}*W{q}^2).a{m}|m,p<q
+a{m}.W{p}.a{n}|m<n,p
+a{m}.W{p}^2.a{n}|m<n,p
+a{m}.(W{p}*W{q}-W{q}*W{p}).a{n}|m<n,p<q
+tr(A{i}*W{p}^2)|i,p
+tr(A{i}^2*W{p}^2)|i,p
+tr(A{i}^2*W{p}^2*A{i}*W{p})|i,p
+tr(A{i}*W{p}*W{q})|i,p<q
+tr(A{i}*W{p}*W{q}^2)|i,p<q
+tr(A{i}*W{p}^2*W{q})|i,p<q
+tr(A{i}*A{j}*W{p})|i<j,p
+tr(A{i}*W{p}^2*A{j}*W{p})|i<j,p
+tr(A{i}*A{j}^2*W{p})|i<j,p
+tr(A{i}^2*A{j}*W{p})|i<j,p
+a{m}.(A{i}*W{p}).a{m}|m,i,p
+a{m}.(W{p}*A{i}*W{p}^2).a{m}|m,i,p
+a{m}.(A{i}^2*W{p}).a{m}|m,i,p
+a{m}.(A{i}*W{p}-W{p}*A{i}).a{n}|m<n,i,p
+"""
+_SMITH_VECTORS = """
+a{m}|m
+A{i}.a{m}|i,m
+A{i}^2.a{m}|i,m
+(A{i}*A{j}-A{j}*A{i}).a{m}|i<j,m
+W{p}.a{m}|p,m
+W{p}^2.a{m}|p,m
+(W{p}*W{q}-W{q}*W{p}).a{m}|p<q,m
+(A{i}*W{p}-W{p}*A{i}).a{m}|i,p,m
+"""
+_SMITH_TENSORS = """
+I|
+A{i}|i
+A{i}^2|i
+sym(A{i}*A{j})|i<j
+sym(A{i}^2*A{j})|i<j
+sym(A{i}*A{j}^2)|i<j
+a{m}xa{m}|m
+sym(a{m}xa{n})|m<n
+sym(a{m}xA{i}.a{m})|m,i
+sym(a{m}xA{i}^2.a{m})|m,i
+comm(A{i},alt(a{m},a{n}))|i,m<n
+W{p}^2|p
+sym(W{p}*W{q})|p<q
+comm(W{p},W{q}^2)|p<q
+comm(W{p}^2,W{q})|p<q
+comm(A{i},W{p})|i,p
+W{p}*A{i}*W{p}|p,i
+comm(A{i}^2,W{p})|i,p
+W{p}*A{i}*W{p}^2-W{p}^2*A{i}*W{p}|p,i
+W{p}.a{m}xW{p}.a{m}|p,m
+sym(a{m}xW{p}.a{m})|m,p
+sym(W{p}.a{m}xW{p}^2.a{m})|p,m
+anti(W{p},alt(a{m},a{n}))|p,m<n
+"""
+
+
+def _expand(table: str, N: int, M: int, P: int):
+    """Yield the labels of a template table, in table order."""
+    if min(N, M, P) < 0:
+        raise ValueError("counts must be non-negative")
+    count = dict.fromkeys("ijk", N) | dict.fromkeys("pqr", M) | dict.fromkeys("mn", P)
+    for line in table.split():
+        template, _, loops = line.partition("|")
+        groups = [group.split("<") for group in loops.split(",")] if loops else []
+        ranges = [itertools.combinations(range(count[g[0]]), len(g)) for g in groups]
+        for combo in itertools.product(*ranges):
+            index = {letter: k + 1 for group, ks in zip(groups, combo)
+                     for letter, k in zip(group, ks)}
+            yield template.format(**index)
+
+
+# any other character is a token of its own, which no rule accepts
+_TOKEN = re.compile(r"(?:tr|sym|comm|anti|alt)?\(|[AWa][1-9]\d*|\^[1-9]\d*|.")
+_LEVELS = ((("-",), "sub"), (("x",), "outer"), ((".", "*"), "mul"))  # loosest first
+# functions (and bare parentheses) in terms of operators; ``emit`` returns a slot
+_FUNCTIONS = {
+    "": lambda emit, x: x,
+    "tr": lambda emit, x: emit("tr", x),
+    "sym": lambda emit, x: emit("sym", x),
+    "comm": lambda emit, x, y: emit("sub", emit("mul", x, y), emit("mul", y, x)),
+    "anti": lambda emit, x, y: emit("add", emit("mul", x, y), emit("mul", y, x)),
+    "alt": lambda emit, x, y: emit("sub", emit("outer", x, y), emit("outer", y, x)),
+}
+_OPERANDS = {"A": 0, "W": 1, "a": 2, "I": 3}  # the first slots of every program
+_OPS = {"mul": operator.matmul, "add": operator.add, "sub": operator.sub,
+        "outer": np.outer, "tr": np.trace, "sym": lambda x: x + x.T}
+# an item returns a float, a fresh array or an exactly symmetric tensor
+_FINISH = {"scalar": float, "vector": np.array, "sym_tensor": lambda m: 0.5 * (m + m.T)}
+
+
+class _Program:
+    """Labels of one kind parsed into one straight-line program of steps
+    ``(fn, slot, slot or None)``, one per distinct subterm, so a subterm that
+    several labels share (``A1^2``, ``A1.a1``) is computed once per call."""
+
+    def __init__(self, labels, kind):
+        self._steps, self._slots = [], {}
+        self._finish = _FINISH[kind]
+        self._outputs = [self._parse(label) for label in labels]
+
+    def __call__(self, system):
+        values = [system.sym, system.nonsym, system.vecs, _EYE]
+        for fn, a, b in self._steps:
+            values.append(fn(values[a]) if b is None else fn(values[a], values[b]))
+        return [self._finish(values[k]) for k in self._outputs]
+
+    def first(self, system):
+        return self(system)[0]
+
+    def _emit(self, op, *args):
+        """Slot of ``op`` on the slots ``args`` (of an operand: on its number)."""
+        key = (op, *args)
+        if key not in self._slots:
+            if op in _OPERANDS:
+                step = (operator.itemgetter(*args), _OPERANDS[op], None)
+            else:
+                step = (_OPS[op], *args, None)[:3]  # unary ops: second slot None
+            self._steps.append(step)
+            self._slots[key] = len(_OPERANDS) + len(self._steps) - 1
+        return self._slots[key]
+
+    def _parse(self, label):
+        tokens = _TOKEN.findall(label) + [""]
+        pos = 0
+
+        def take(pattern=".+"):
+            nonlocal pos
+            if not re.fullmatch(pattern, tokens[pos]):
+                raise ValueError(f"malformed basis label {label!r} at token {pos}")
+            pos += 1
+            return tokens[pos - 1]
+
+        def binary(level):
+            if level == len(_LEVELS):  # tightest: an operand and its power
+                slot = base = operand()
+                if tokens[pos].startswith("^"):
+                    for _ in range(int(take(r"\^[1-9]\d*")[1:]) - 1):
+                        slot = self._emit("mul", slot, base)
+                return slot
+            symbols, op = _LEVELS[level]
+            slot = binary(level + 1)
+            while tokens[pos] in symbols:
+                take()
+                slot = self._emit(op, slot, binary(level + 1))
+            return slot
+
+        def operand():
+            token = take(r"\w*\(|[AWa][1-9]\d*|I")
+            if token.endswith("("):
+                args = [binary(0)]
+                while tokens[pos] == ",":
+                    take()
+                    args.append(binary(0))
+                take(r"\)")
+                return _FUNCTIONS[token[:-1]](self._emit, *args)
+            if token == "I":
+                return _OPERANDS["I"]
+            return self._emit(token[0], int(token[1:]) - 1)
+
+        slot = binary(0)
+        take("")  # the end of the label
+        return slot
 
 
 @dataclass(frozen=True)
@@ -52,15 +234,18 @@ class BasisItem:
 
 
 class _Basis:
-    def __init__(self, n_sym, n_skew, n_vec, items):
-        self.n_sym = n_sym
-        self.n_skew = n_skew
-        self.n_vec = n_vec
-        self.items = tuple(items)
-        by_label = {item.label: item for item in self.items}
-        if len(by_label) != len(self.items):
+    """An ordered classical list; each subclass sets its item ``kind``.  Each
+    item's evaluator is its label compiled on its own."""
+
+    def __init__(self, n_sym, n_skew, n_vec, labels):
+        self.n_sym, self.n_skew, self.n_vec = n_sym, n_skew, n_vec
+        self.items = tuple(
+            BasisItem(label, self.kind, _Program([label], self.kind).first)
+            for label in labels)
+        self._by_label = {item.label: item for item in self.items}
+        if len(self._by_label) != len(self.items):
             raise AssertionError("duplicate basis labels")
-        self._by_label = by_label
+        self._program = _Program(self.labels(), self.kind)
 
     def __len__(self):
         return len(self.items)
@@ -79,425 +264,37 @@ class _Basis:
             raise ValueError("classical bases cover skew tensors only")
 
     def evaluate(self, system: TensorSystem):
+        """All items: a float array for a scalar list, else a list of arrays."""
         self.check_system(system)
-        return [item.fn(system) for item in self.items]
+        values = self._program(system)
+        return np.array(values) if self.kind == "scalar" else values
 
 
 class ClassicalScalarBasis(_Basis):
-    """Ordered scalar invariant list with one evaluator per item."""
-
-    def evaluate(self, system):
-        return np.array(super().evaluate(system))
+    """Ordered scalar invariant list."""
+    kind = "scalar"
 
 
 class ClassicalVectorBasis(_Basis):
     """Ordered generator-vector list for vector-valued isotropic functions."""
+    kind = "vector"
 
 
 class ClassicalTensorBasis(_Basis):
-    """Ordered symmetric generator-tensor list; every item is emitted exactly
-    symmetric."""
-
-
-def _chain(*ms):
-    out = ms[0]
-    for m in ms[1:]:
-        out = out @ m
-    return out
-
-
-def _tr(*ms):
-    return float(np.trace(_chain(*ms)))
-
-
-def _exact_sym(m):
-    return 0.5 * (m + m.T)
+    """Ordered symmetric generator-tensor list; every item is exactly symmetric."""
+    kind = "sym_tensor"
 
 
 def boehler_scalars(N: int, M_skew: int, P: int) -> ClassicalScalarBasis:
-    """Classical scalar invariants of N symmetric tensors, M skew tensors and
-    P vectors, enumerated in the stated order."""
-    if min(N, M_skew, P) < 0:
-        raise ValueError("counts must be non-negative")
-    items = []
-    add = items.append
-    A = lambda s, i: s.sym[i]
-    W = lambda s, p: s.nonsym[p]
-    a = lambda s, m: s.vecs[m]
-
-    for al in range(P):
-        add(BasisItem(f"a{al+1}.a{al+1}", "scalar",
-                      lambda s, al=al: float(a(s, al) @ a(s, al))))
-    for al in range(P):
-        for be in range(al + 1, P):
-            add(BasisItem(f"a{al+1}.a{be+1}", "scalar",
-                          lambda s, al=al, be=be: float(a(s, al) @ a(s, be))))
-    for i in range(N):
-        add(BasisItem(f"tr(A{i+1})", "scalar", lambda s, i=i: _tr(A(s, i))))
-    for i in range(N):
-        add(BasisItem(f"tr(A{i+1}^2)", "scalar", lambda s, i=i: _tr(A(s, i), A(s, i))))
-    for i in range(N):
-        add(BasisItem(f"tr(A{i+1}^3)", "scalar",
-                      lambda s, i=i: _tr(A(s, i), A(s, i), A(s, i))))
-    for i in range(N):
-        for j in range(i + 1, N):
-            add(BasisItem(f"tr(A{i+1}*A{j+1})", "scalar",
-                          lambda s, i=i, j=j: _tr(A(s, i), A(s, j))))
-    for i in range(N):
-        for j in range(i + 1, N):
-            add(BasisItem(f"tr(A{i+1}^2*A{j+1})", "scalar",
-                          lambda s, i=i, j=j: _tr(A(s, i), A(s, i), A(s, j))))
-    for i in range(N):
-        for j in range(i + 1, N):
-            add(BasisItem(f"tr(A{i+1}*A{j+1}^2)", "scalar",
-                          lambda s, i=i, j=j: _tr(A(s, i), A(s, j), A(s, j))))
-    for i in range(N):
-        for j in range(i + 1, N):
-            add(BasisItem(f"tr(A{i+1}^2*A{j+1}^2)", "scalar",
-                          lambda s, i=i, j=j: _tr(A(s, i), A(s, i), A(s, j), A(s, j))))
-    for i in range(N):
-        for j in range(i + 1, N):
-            for k in range(j + 1, N):
-                add(BasisItem(f"tr(A{i+1}*A{j+1}*A{k+1})", "scalar",
-                              lambda s, i=i, j=j, k=k: _tr(A(s, i), A(s, j), A(s, k))))
-    for p in range(M_skew):
-        add(BasisItem(f"tr(W{p+1}^2)", "scalar", lambda s, p=p: _tr(W(s, p), W(s, p))))
-    for p in range(M_skew):
-        for q in range(p + 1, M_skew):
-            add(BasisItem(f"tr(W{p+1}*W{q+1})", "scalar",
-                          lambda s, p=p, q=q: _tr(W(s, p), W(s, q))))
-    for p in range(M_skew):
-        for q in range(p + 1, M_skew):
-            for r in range(q + 1, M_skew):
-                add(BasisItem(f"tr(W{p+1}*W{q+1}*W{r+1})", "scalar",
-                              lambda s, p=p, q=q, r=r: _tr(W(s, p), W(s, q), W(s, r))))
-    for al in range(P):
-        for i in range(N):
-            add(BasisItem(f"a{al+1}.A{i+1}.a{al+1}", "scalar",
-                          lambda s, al=al, i=i: float(a(s, al) @ A(s, i) @ a(s, al))))
-    for al in range(P):
-        for i in range(N):
-            add(BasisItem(f"a{al+1}.A{i+1}^2.a{al+1}", "scalar",
-                          lambda s, al=al, i=i:
-                          float(a(s, al) @ _chain(A(s, i), A(s, i)) @ a(s, al))))
-    for al in range(P):
-        for i in range(N):
-            for j in range(i + 1, N):
-                add(BasisItem(f"a{al+1}.(A{i+1}*A{j+1}).a{al+1}", "scalar",
-                              lambda s, al=al, i=i, j=j:
-                              float(a(s, al) @ _chain(A(s, i), A(s, j)) @ a(s, al))))
-    for al in range(P):
-        for be in range(al + 1, P):
-            for i in range(N):
-                add(BasisItem(f"a{al+1}.A{i+1}.a{be+1}", "scalar",
-                              lambda s, al=al, be=be, i=i:
-                              float(a(s, al) @ A(s, i) @ a(s, be))))
-    for al in range(P):
-        for be in range(al + 1, P):
-            for i in range(N):
-                add(BasisItem(f"a{al+1}.A{i+1}^2.a{be+1}", "scalar",
-                              lambda s, al=al, be=be, i=i:
-                              float(a(s, al) @ _chain(A(s, i), A(s, i)) @ a(s, be))))
-    for al in range(P):
-        for be in range(al + 1, P):
-            for i in range(N):
-                for j in range(i + 1, N):
-                    add(BasisItem(
-                        f"a{al+1}.(A{i+1}*A{j+1}-A{j+1}*A{i+1}).a{be+1}", "scalar",
-                        lambda s, al=al, be=be, i=i, j=j:
-                        float(a(s, al) @ (_chain(A(s, i), A(s, j))
-                                          - _chain(A(s, j), A(s, i))) @ a(s, be))))
-    for al in range(P):
-        for p in range(M_skew):
-            add(BasisItem(f"a{al+1}.W{p+1}^2.a{al+1}", "scalar",
-                          lambda s, al=al, p=p:
-                          float(a(s, al) @ _chain(W(s, p), W(s, p)) @ a(s, al))))
-    for al in range(P):
-        for p in range(M_skew):
-            for q in range(p + 1, M_skew):
-                add(BasisItem(f"a{al+1}.(W{p+1}*W{q+1}).a{al+1}", "scalar",
-                              lambda s, al=al, p=p, q=q:
-                              float(a(s, al) @ _chain(W(s, p), W(s, q)) @ a(s, al))))
-    for al in range(P):
-        for p in range(M_skew):
-            for q in range(p + 1, M_skew):
-                add(BasisItem(f"a{al+1}.(W{p+1}^2*W{q+1}).a{al+1}", "scalar",
-                              lambda s, al=al, p=p, q=q:
-                              float(a(s, al) @ _chain(W(s, p), W(s, p), W(s, q)) @ a(s, al))))
-    for al in range(P):
-        for p in range(M_skew):
-            for q in range(p + 1, M_skew):
-                add(BasisItem(f"a{al+1}.(W{p+1}*W{q+1}^2).a{al+1}", "scalar",
-                              lambda s, al=al, p=p, q=q:
-                              float(a(s, al) @ _chain(W(s, p), W(s, q), W(s, q)) @ a(s, al))))
-    for al in range(P):
-        for be in range(al + 1, P):
-            for p in range(M_skew):
-                add(BasisItem(f"a{al+1}.W{p+1}.a{be+1}", "scalar",
-                              lambda s, al=al, be=be, p=p:
-                              float(a(s, al) @ W(s, p) @ a(s, be))))
-    for al in range(P):
-        for be in range(al + 1, P):
-            for p in range(M_skew):
-                add(BasisItem(f"a{al+1}.W{p+1}^2.a{be+1}", "scalar",
-                              lambda s, al=al, be=be, p=p:
-                              float(a(s, al) @ _chain(W(s, p), W(s, p)) @ a(s, be))))
-    for al in range(P):
-        for be in range(al + 1, P):
-            for p in range(M_skew):
-                for q in range(p + 1, M_skew):
-                    add(BasisItem(
-                        f"a{al+1}.(W{p+1}*W{q+1}-W{q+1}*W{p+1}).a{be+1}", "scalar",
-                        lambda s, al=al, be=be, p=p, q=q:
-                        float(a(s, al) @ (_chain(W(s, p), W(s, q))
-                                          - _chain(W(s, q), W(s, p))) @ a(s, be))))
-    for i in range(N):
-        for p in range(M_skew):
-            add(BasisItem(f"tr(A{i+1}*W{p+1}^2)", "scalar",
-                          lambda s, i=i, p=p: _tr(A(s, i), W(s, p), W(s, p))))
-    for i in range(N):
-        for p in range(M_skew):
-            add(BasisItem(f"tr(A{i+1}^2*W{p+1}^2)", "scalar",
-                          lambda s, i=i, p=p: _tr(A(s, i), A(s, i), W(s, p), W(s, p))))
-    for i in range(N):
-        for p in range(M_skew):
-            add(BasisItem(f"tr(A{i+1}^2*W{p+1}^2*A{i+1}*W{p+1})", "scalar",
-                          lambda s, i=i, p=p:
-                          _tr(A(s, i), A(s, i), W(s, p), W(s, p), A(s, i), W(s, p))))
-    for i in range(N):
-        for p in range(M_skew):
-            for q in range(p + 1, M_skew):
-                add(BasisItem(f"tr(A{i+1}*W{p+1}*W{q+1})", "scalar",
-                              lambda s, i=i, p=p, q=q: _tr(A(s, i), W(s, p), W(s, q))))
-    for i in range(N):
-        for p in range(M_skew):
-            for q in range(p + 1, M_skew):
-                add(BasisItem(f"tr(A{i+1}*W{p+1}*W{q+1}^2)", "scalar",
-                              lambda s, i=i, p=p, q=q:
-                              _tr(A(s, i), W(s, p), W(s, q), W(s, q))))
-    for i in range(N):
-        for p in range(M_skew):
-            for q in range(p + 1, M_skew):
-                add(BasisItem(f"tr(A{i+1}*W{p+1}^2*W{q+1})", "scalar",
-                              lambda s, i=i, p=p, q=q:
-                              _tr(A(s, i), W(s, p), W(s, p), W(s, q))))
-    for i in range(N):
-        for j in range(i + 1, N):
-            for p in range(M_skew):
-                add(BasisItem(f"tr(A{i+1}*A{j+1}*W{p+1})", "scalar",
-                              lambda s, i=i, j=j, p=p: _tr(A(s, i), A(s, j), W(s, p))))
-    for i in range(N):
-        for j in range(i + 1, N):
-            for p in range(M_skew):
-                add(BasisItem(f"tr(A{i+1}*W{p+1}^2*A{j+1}*W{p+1})", "scalar",
-                              lambda s, i=i, j=j, p=p:
-                              _tr(A(s, i), W(s, p), W(s, p), A(s, j), W(s, p))))
-    for i in range(N):
-        for j in range(i + 1, N):
-            for p in range(M_skew):
-                add(BasisItem(f"tr(A{i+1}*A{j+1}^2*W{p+1})", "scalar",
-                              lambda s, i=i, j=j, p=p:
-                              _tr(A(s, i), A(s, j), A(s, j), W(s, p))))
-    for i in range(N):
-        for j in range(i + 1, N):
-            for p in range(M_skew):
-                add(BasisItem(f"tr(A{i+1}^2*A{j+1}*W{p+1})", "scalar",
-                              lambda s, i=i, j=j, p=p:
-                              _tr(A(s, i), A(s, i), A(s, j), W(s, p))))
-    for al in range(P):
-        for i in range(N):
-            for p in range(M_skew):
-                add(BasisItem(f"a{al+1}.(A{i+1}*W{p+1}).a{al+1}", "scalar",
-                              lambda s, al=al, i=i, p=p:
-                              float(a(s, al) @ _chain(A(s, i), W(s, p)) @ a(s, al))))
-    for al in range(P):
-        for i in range(N):
-            for p in range(M_skew):
-                add(BasisItem(f"a{al+1}.(W{p+1}*A{i+1}*W{p+1}^2).a{al+1}", "scalar",
-                              lambda s, al=al, i=i, p=p:
-                              float(a(s, al) @ _chain(W(s, p), A(s, i), W(s, p), W(s, p))
-                                    @ a(s, al))))
-    for al in range(P):
-        for i in range(N):
-            for p in range(M_skew):
-                add(BasisItem(f"a{al+1}.(A{i+1}^2*W{p+1}).a{al+1}", "scalar",
-                              lambda s, al=al, i=i, p=p:
-                              float(a(s, al) @ _chain(A(s, i), A(s, i), W(s, p))
-                                    @ a(s, al))))
-    for al in range(P):
-        for be in range(al + 1, P):
-            for i in range(N):
-                for p in range(M_skew):
-                    add(BasisItem(
-                        f"a{al+1}.(A{i+1}*W{p+1}-W{p+1}*A{i+1}).a{be+1}", "scalar",
-                        lambda s, al=al, be=be, i=i, p=p:
-                        float(a(s, al) @ (_chain(A(s, i), W(s, p))
-                                          - _chain(W(s, p), A(s, i))) @ a(s, be))))
-    return ClassicalScalarBasis(N, M_skew, P, items)
+    """Scalar invariants of N symmetric, M skew tensors and P vectors."""
+    return ClassicalScalarBasis(N, M_skew, P, _expand(_BOEHLER, N, M_skew, P))
 
 
 def smith_vectors(N: int, M_skew: int, P: int) -> ClassicalVectorBasis:
     """Smith generator vectors, in the stated order."""
-    if min(N, M_skew, P) < 0:
-        raise ValueError("counts must be non-negative")
-    items = []
-    add = items.append
-    A = lambda s, i: s.sym[i]
-    W = lambda s, p: s.nonsym[p]
-    a = lambda s, m: s.vecs[m]
-
-    for m in range(P):
-        add(BasisItem(f"a{m+1}", "vector", lambda s, m=m: np.array(a(s, m))))
-    for i in range(N):
-        for m in range(P):
-            add(BasisItem(f"A{i+1}.a{m+1}", "vector",
-                          lambda s, i=i, m=m: A(s, i) @ a(s, m)))
-    for i in range(N):
-        for m in range(P):
-            add(BasisItem(f"A{i+1}^2.a{m+1}", "vector",
-                          lambda s, i=i, m=m: _chain(A(s, i), A(s, i)) @ a(s, m)))
-    for i in range(N):
-        for j in range(i + 1, N):
-            for m in range(P):
-                add(BasisItem(f"(A{i+1}*A{j+1}-A{j+1}*A{i+1}).a{m+1}", "vector",
-                              lambda s, i=i, j=j, m=m:
-                              (_chain(A(s, i), A(s, j))
-                               - _chain(A(s, j), A(s, i))) @ a(s, m)))
-    for p in range(M_skew):
-        for m in range(P):
-            add(BasisItem(f"W{p+1}.a{m+1}", "vector",
-                          lambda s, p=p, m=m: W(s, p) @ a(s, m)))
-    for p in range(M_skew):
-        for m in range(P):
-            add(BasisItem(f"W{p+1}^2.a{m+1}", "vector",
-                          lambda s, p=p, m=m: _chain(W(s, p), W(s, p)) @ a(s, m)))
-    for p in range(M_skew):
-        for q in range(p + 1, M_skew):
-            for m in range(P):
-                add(BasisItem(f"(W{p+1}*W{q+1}-W{q+1}*W{p+1}).a{m+1}", "vector",
-                              lambda s, p=p, q=q, m=m:
-                              (_chain(W(s, p), W(s, q))
-                               - _chain(W(s, q), W(s, p))) @ a(s, m)))
-    for i in range(N):
-        for p in range(M_skew):
-            for m in range(P):
-                add(BasisItem(f"(A{i+1}*W{p+1}-W{p+1}*A{i+1}).a{m+1}", "vector",
-                              lambda s, i=i, p=p, m=m:
-                              (_chain(A(s, i), W(s, p))
-                               - _chain(W(s, p), A(s, i))) @ a(s, m)))
-    return ClassicalVectorBasis(N, M_skew, P, items)
+    return ClassicalVectorBasis(N, M_skew, P, _expand(_SMITH_VECTORS, N, M_skew, P))
 
 
 def smith_sym_tensors(N: int, M_skew: int, P: int) -> ClassicalTensorBasis:
-    """Smith symmetric generator tensors, in the stated order; every item is
-    returned exactly symmetric."""
-    if min(N, M_skew, P) < 0:
-        raise ValueError("counts must be non-negative")
-    items = []
-    A = lambda s, i: s.sym[i]
-    W = lambda s, p: s.nonsym[p]
-    a = lambda s, m: s.vecs[m]
-
-    def add(label, fn):
-        items.append(BasisItem(label, "sym_tensor",
-                               lambda s, fn=fn: _exact_sym(fn(s))))
-
-    add("I", lambda s: np.eye(3))
-    for i in range(N):
-        add(f"A{i+1}", lambda s, i=i: A(s, i))
-    for i in range(N):
-        add(f"A{i+1}^2", lambda s, i=i: _chain(A(s, i), A(s, i)))
-    for i in range(N):
-        for j in range(i + 1, N):
-            add(f"sym(A{i+1}*A{j+1})",
-                lambda s, i=i, j=j: _chain(A(s, i), A(s, j)) + _chain(A(s, j), A(s, i)))
-    for i in range(N):
-        for j in range(i + 1, N):
-            add(f"sym(A{i+1}^2*A{j+1})",
-                lambda s, i=i, j=j: _chain(A(s, i), A(s, i), A(s, j))
-                + _chain(A(s, j), A(s, i), A(s, i)))
-    for i in range(N):
-        for j in range(i + 1, N):
-            add(f"sym(A{i+1}*A{j+1}^2)",
-                lambda s, i=i, j=j: _chain(A(s, i), A(s, j), A(s, j))
-                + _chain(A(s, j), A(s, j), A(s, i)))
-    for m in range(P):
-        add(f"a{m+1}xa{m+1}", lambda s, m=m: np.outer(a(s, m), a(s, m)))
-    for m in range(P):
-        for n in range(m + 1, P):
-            add(f"sym(a{m+1}xa{n+1})",
-                lambda s, m=m, n=n: np.outer(a(s, m), a(s, n)) + np.outer(a(s, n), a(s, m)))
-    for m in range(P):
-        for i in range(N):
-            add(f"sym(a{m+1}xA{i+1}.a{m+1})",
-                lambda s, m=m, i=i: np.outer(a(s, m), A(s, i) @ a(s, m))
-                + np.outer(A(s, i) @ a(s, m), a(s, m)))
-    for m in range(P):
-        for i in range(N):
-            add(f"sym(a{m+1}xA{i+1}^2.a{m+1})",
-                lambda s, m=m, i=i: np.outer(a(s, m), _chain(A(s, i), A(s, i)) @ a(s, m))
-                + np.outer(_chain(A(s, i), A(s, i)) @ a(s, m), a(s, m)))
-    for i in range(N):
-        for m in range(P):
-            for n in range(m + 1, P):
-                def alt_comm(s, i=i, m=m, n=n):
-                    alt = np.outer(a(s, m), a(s, n)) - np.outer(a(s, n), a(s, m))
-                    return A(s, i) @ alt - alt @ A(s, i)
-                add(f"comm(A{i+1},alt(a{m+1},a{n+1}))", alt_comm)
-    for p in range(M_skew):
-        add(f"W{p+1}^2", lambda s, p=p: _chain(W(s, p), W(s, p)))
-    for p in range(M_skew):
-        for q in range(p + 1, M_skew):
-            add(f"sym(W{p+1}*W{q+1})",
-                lambda s, p=p, q=q: _chain(W(s, p), W(s, q)) + _chain(W(s, q), W(s, p)))
-    for p in range(M_skew):
-        for q in range(p + 1, M_skew):
-            add(f"comm(W{p+1},W{q+1}^2)",
-                lambda s, p=p, q=q: _chain(W(s, p), W(s, q), W(s, q))
-                - _chain(W(s, q), W(s, q), W(s, p)))
-    for p in range(M_skew):
-        for q in range(p + 1, M_skew):
-            add(f"comm(W{p+1}^2,W{q+1})",
-                lambda s, p=p, q=q: _chain(W(s, p), W(s, p), W(s, q))
-                - _chain(W(s, q), W(s, p), W(s, p)))
-    for i in range(N):
-        for p in range(M_skew):
-            add(f"comm(A{i+1},W{p+1})",
-                lambda s, i=i, p=p: _chain(A(s, i), W(s, p)) - _chain(W(s, p), A(s, i)))
-    for p in range(M_skew):
-        for i in range(N):
-            add(f"W{p+1}*A{i+1}*W{p+1}",
-                lambda s, p=p, i=i: _chain(W(s, p), A(s, i), W(s, p)))
-    for i in range(N):
-        for p in range(M_skew):
-            add(f"comm(A{i+1}^2,W{p+1})",
-                lambda s, i=i, p=p: _chain(A(s, i), A(s, i), W(s, p))
-                - _chain(W(s, p), A(s, i), A(s, i)))
-    for p in range(M_skew):
-        for i in range(N):
-            add(f"W{p+1}*A{i+1}*W{p+1}^2-W{p+1}^2*A{i+1}*W{p+1}",
-                lambda s, p=p, i=i: _chain(W(s, p), A(s, i), W(s, p), W(s, p))
-                - _chain(W(s, p), W(s, p), A(s, i), W(s, p)))
-    for p in range(M_skew):
-        for m in range(P):
-            add(f"W{p+1}.a{m+1}xW{p+1}.a{m+1}",
-                lambda s, p=p, m=m: np.outer(W(s, p) @ a(s, m), W(s, p) @ a(s, m)))
-    for m in range(P):
-        for p in range(M_skew):
-            add(f"sym(a{m+1}xW{p+1}.a{m+1})",
-                lambda s, m=m, p=p: np.outer(a(s, m), W(s, p) @ a(s, m))
-                + np.outer(W(s, p) @ a(s, m), a(s, m)))
-    for p in range(M_skew):
-        for m in range(P):
-            add(f"sym(W{p+1}.a{m+1}xW{p+1}^2.a{m+1})",
-                lambda s, p=p, m=m:
-                np.outer(W(s, p) @ a(s, m), _chain(W(s, p), W(s, p)) @ a(s, m))
-                + np.outer(_chain(W(s, p), W(s, p)) @ a(s, m), W(s, p) @ a(s, m)))
-    for p in range(M_skew):
-        for m in range(P):
-            for n in range(m + 1, P):
-                def alt_anti(s, p=p, m=m, n=n):
-                    alt = np.outer(a(s, m), a(s, n)) - np.outer(a(s, n), a(s, m))
-                    return W(s, p) @ alt + alt @ W(s, p)
-                add(f"anti(W{p+1},alt(a{m+1},a{n+1}))", alt_anti)
-    return ClassicalTensorBasis(N, M_skew, P, items)
+    """Smith symmetric generator tensors, in the stated order."""
+    return ClassicalTensorBasis(N, M_skew, P, _expand(_SMITH_TENSORS, N, M_skew, P))

@@ -99,6 +99,14 @@ def _entry_list(data, key, field):
     return entries
 
 
+def _flags(entries, key, flag):
+    # an absent flag is false; a present one must be a JSON boolean
+    values = [e.get(flag, False) for e in entries]
+    if not all(isinstance(v, bool) for v in values):
+        raise ValueError(f'"{flag}" in "{key}" entries must be true or false')
+    return values
+
+
 def load_system_file(path: str):
     """Parse and validate a version-1 system file (JSON)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -115,9 +123,9 @@ def load_system_file(path: str):
     return tensor_system(
         sym=sym,
         nonsym=[e["matrix"] for e in nonsym_entries],
-        skew=[bool(e.get("skew", False)) for e in nonsym_entries],
+        skew=_flags(nonsym_entries, "nonsym", "skew"),
         vecs=[e["v"] for e in vec_entries],
-        unit=[bool(e.get("unit", False)) for e in vec_entries])
+        unit=_flags(vec_entries, "vecs", "unit"))
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +140,32 @@ def _add_check(report, claim_id, description, value, tolerance,
     return claim
 
 
-def _isotropy_sweep(values_fn, conjugated, base):
-    # max normalized deviation per component over pre-drawn rotations
-    worst = np.zeros_like(np.asarray(base, dtype=float))
-    for _, rot_sys in conjugated:
-        vals = np.asarray(values_fn(rot_sys), dtype=float)
-        worst = np.maximum(worst, np.abs(vals - base) / (1.0 + np.abs(base)))
+def _isotropy_sweep(values_fn, conjugated, base, act=lambda q, g: g):
+    # max over the pre-drawn rotations of ||g1 - act(q, g0)|| / (1 + ||g0||)
+    # per item, where ``base`` stacks the items' values g0 at the unrotated
+    # system and ``act`` rotates that stack
+    base = np.asarray(base, dtype=float)
+    if not len(base):
+        return np.zeros(0)
+    norms = lambda x: np.linalg.norm(x.reshape(len(x), -1), axis=1)
+    scale = 1.0 + norms(base)
+    worst = np.zeros(len(base))
+    for q, rot_sys in conjugated:
+        diff = np.asarray(values_fn(rot_sys), dtype=float) - act(q, base)
+        worst = np.maximum(worst, norms(diff) / scale)
     return worst
+
+
+# claim-id word, description and rotation action (on a stack of item values)
+# for each kind of classical item
+_CLASSICAL_ISOTROPY = {
+    "scalar": ("scalar", "classical scalar invariant under rotation",
+               lambda q, g: g),
+    "vector": ("vector", "classical generator vector equivariance",
+               lambda q, g: g @ q.T),
+    "sym_tensor": ("tensor", "classical generator tensor equivariance",
+                   lambda q, g: q @ g @ q.T),
+}
 
 
 def run_isotropy(seed: int, trials: int, tol: float | None,
@@ -169,36 +196,13 @@ def run_isotropy(seed: int, trials: int, tol: float | None,
         conjugated = [(q, conjugate(q, sys0)) for q in rotations]
         if scalars is not None:
             n, m, p = sys0.shape()
-            base = scalars.evaluate(sys0)
-            worst = _isotropy_sweep(scalars.evaluate, conjugated, base)
-            for item, dev in zip(scalars.items, worst):
-                _add_check(report, f"isotropy/classical-scalar/{tag}/{item.label}",
-                           "classical scalar invariant under rotation",
-                           dev, tol, seed=seed)
-            vectors = smith_vectors(n, m, p)
-            base_v = vectors.evaluate(sys0)
-            worst_v = np.zeros(len(vectors))
-            for q, rot_sys in conjugated:
-                vals = vectors.evaluate(rot_sys)
-                for k, (g0, g1) in enumerate(zip(base_v, vals)):
-                    dev = np.linalg.norm(g1 - q @ g0) / (1.0 + np.linalg.norm(g0))
-                    worst_v[k] = max(worst_v[k], dev)
-            for item, dev in zip(vectors.items, worst_v):
-                _add_check(report, f"isotropy/classical-vector/{tag}/{item.label}",
-                           "classical generator vector equivariance",
-                           dev, tol, seed=seed)
-            tensors = smith_sym_tensors(n, m, p)
-            base_t = tensors.evaluate(sys0)
-            worst_t = np.zeros(len(tensors))
-            for q, rot_sys in conjugated:
-                vals = tensors.evaluate(rot_sys)
-                for k, (g0, g1) in enumerate(zip(base_t, vals)):
-                    dev = np.linalg.norm(g1 - q @ g0 @ q.T) / (1.0 + np.linalg.norm(g0))
-                    worst_t[k] = max(worst_t[k], dev)
-            for item, dev in zip(tensors.items, worst_t):
-                _add_check(report, f"isotropy/classical-tensor/{tag}/{item.label}",
-                           "classical generator tensor equivariance",
-                           dev, tol, seed=seed)
+            for basis in (scalars, smith_vectors(n, m, p), smith_sym_tensors(n, m, p)):
+                word, description, act = _CLASSICAL_ISOTROPY[basis.kind]
+                worst = _isotropy_sweep(basis.evaluate, conjugated,
+                                        basis.evaluate(sys0), act)
+                for item, dev in zip(basis.items, worst):
+                    _add_check(report, f"isotropy/classical-{word}/{tag}/{item.label}",
+                               description, dev, tol, seed=seed)
         frame = build_frame(sys0)
         if not frame.is_degenerate:
             values_fn = lambda s: extract_invariants(s, build_frame(s)).values()
@@ -358,7 +362,7 @@ def run_rank(seed: int, trials: int, tol: float | None, system=None,
         line = f"spectral rank {rep.rank} / {rep.n_invariants} items"
         if (m == 0 or skew) and not svd_variant:
             basis = boehler_scalars(n, m, p)
-            crep = jacobian_rank(basis.items, system, seed=seed)
+            crep = jacobian_rank(basis.evaluate, system, seed=seed)
             _add_check(report, "rank/classical",
                        f"classical rank (expected {expected}, {len(basis)} items)",
                        crep.rank, expected, comparator="eq", seed=seed)
@@ -388,7 +392,7 @@ def run_rank(seed: int, trials: int, tol: float | None, system=None,
             _add_check(report, cid,
                        f"spectral rank for {tag} (count {count})",
                        rep_rank, expected, comparator="eq", seed=seed)
-    boe = jacobian_rank(boehler_scalars(2, 0, 0).items,
+    boe = jacobian_rank(boehler_scalars(2, 0, 0).evaluate,
                         seeded_system(2, 0, 0, seed=seed), seed=seed)
     _add_check(report, "rank/boehler-redundancy",
                "classical list for two symmetric tensors: 10 items, rank 9",

@@ -49,7 +49,10 @@ class DegenerateConfigurationError(ValueError):
 
 
 def _as_array(x, shape, name):
-    a = np.asarray(x, dtype=float)
+    try:
+        a = np.asarray(x, dtype=float)
+    except TypeError:
+        raise ValueError(f"{name} entries must be numbers") from None
     if a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -97,6 +100,14 @@ def rotation_matrix(x, tol: float = 1e-12) -> np.ndarray:
 # symmetric eigendecomposition and singular value decomposition
 
 
+def _cross(a, b):
+    # 3-vector cross product; same arithmetic as np.cross without its
+    # axis handling, which dominates the cost at this size
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
 def _fix_sign_convention(v):
     # largest-magnitude component of the first two vectors made positive
     # (first such component on ties); the third completes a right-handed triad
@@ -106,7 +117,7 @@ def _fix_sign_convention(v):
         if v[i][k] < 0.0:
             v[i] = -v[i]
             flipped[i] = True
-    w = np.cross(v[0], v[1])
+    w = _cross(v[0], v[1])
     flipped[2] = bool(w @ v[2] < 0.0)
     v[2] = w / np.linalg.norm(w)
     return flipped

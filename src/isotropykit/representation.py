@@ -13,6 +13,7 @@ at degenerate eigenvalues).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -175,11 +176,16 @@ def reconstruct_tensor(coeffs: Coefficients, frame: SpectralFrame) -> np.ndarray
 # spectral re-evaluation of classical items
 
 
+@functools.lru_cache(maxsize=16)
+def _classical_bases(n: int, m: int, p: int):
+    # building a basis compiles every label, and one expansion needs one item
+    return boehler_scalars(n, m, p), smith_vectors(n, m, p), smith_sym_tensors(n, m, p)
+
+
 def _classical_bases_for(system: TensorSystem):
     if system.n_nonsym and not all(system.nonsym_skew):
         raise ValueError("classical bases cover symmetric + skew + vector systems")
-    n, m, p = system.n_sym, system.n_nonsym, system.n_vec
-    return boehler_scalars(n, m, p), smith_vectors(n, m, p), smith_sym_tensors(n, m, p)
+    return _classical_bases(*system.shape())
 
 
 def expand_classical(item_label: str, system: TensorSystem, frame: SpectralFrame):

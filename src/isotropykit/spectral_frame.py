@@ -33,6 +33,7 @@ from isotropykit.lin3 import (
     _SYM_PAIRS,
     DegenerateInputError,
     TensorSystem,
+    _cross,
     _degeneracy_groups,
     eig_sym,
     svd3,
@@ -118,9 +119,9 @@ def frame_completion(v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (the best-conditioned choice), ``v3 = v1 x v2``.
     """
     k = int(np.argmin(np.abs(v1)))
-    v2 = np.cross(v1, _EYE[k])
+    v2 = _cross(v1, _EYE[k])
     v2 /= np.linalg.norm(v2)
-    return v2, np.cross(v1, v2)
+    return v2, _cross(v1, v2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Classical basis enumeration: counts, values, isotropy/equivariance."""
 
+import itertools
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from isotropykit.lin3 import conjugate, haar_rotation, tensor_system
 from isotropykit.classical_bases import (
+    _Program,
     boehler_scalars,
     smith_sym_tensors,
     smith_vectors,
@@ -120,3 +126,45 @@ class TestTensorEnumeration:
             for g0, g1 in zip(base, rot):
                 scale = 1.0 + np.linalg.norm(g0)
                 assert np.linalg.norm(g1 - q @ g0 @ q.T) <= 1e-9 * scale
+
+
+# the three (3,3,3) lists with their values on one seeded system (3 symmetric,
+# 3 skew tensors, 3 vectors), recorded from the hand-written per-item
+# evaluators that the label parser replaced
+GOLDEN = json.loads((Path(__file__).parent / "data" / "classical_3_3_3.json").read_text())
+BUILDERS = {"scalar": boehler_scalars, "vector": smith_vectors,
+            "sym_tensor": smith_sym_tensors}
+
+
+class TestGoldenLists:
+    def test_every_list_is_the_filtered_golden_list(self):
+        for n, m, p in itertools.product(range(4), repeat=3):
+            bound = {"A": n, "W": m, "a": p}
+            for kind, make in BUILDERS.items():
+                expected = [label for label, _ in GOLDEN[kind]
+                            if all(int(k) <= bound[name]
+                                   for name, k in re.findall(r"([AWa])(\d+)", label))]
+                assert list(make(n, m, p).labels()) == expected, (kind, n, m, p)
+
+    def test_values_match_golden(self):
+        sys0 = tensor_system(sym=GOLDEN["system"]["sym"], nonsym=GOLDEN["system"]["skew"],
+                             skew=[True] * 3, vecs=GOLDEN["system"]["vecs"])
+        for kind, make in BUILDERS.items():
+            basis = make(3, 3, 3)
+            for item, value, (label, ref) in zip(basis.items, basis.evaluate(sys0),
+                                                 GOLDEN[kind]):
+                assert item.label == label
+                ref = np.asarray(ref)
+                for got in (value, item.fn(sys0)):
+                    err = np.linalg.norm(np.asarray(got) - ref)
+                    assert err <= 1e-12 * np.linalg.norm(ref), label
+
+    @pytest.mark.parametrize("label", ["tr(A1", "A1+A2", "A0", "a1.", "tr(A1))",
+                                       "B1", "A1^0", "A1 A2", ""])
+    def test_malformed_label_rejected(self, label):
+        with pytest.raises(ValueError, match="malformed basis label"):
+            _Program([label], "scalar")
+
+    def test_function_arity_checked(self):
+        with pytest.raises(TypeError):
+            _Program(["comm(A1)"], "scalar")

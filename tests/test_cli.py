@@ -80,6 +80,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["frame"], ["verify", "isotropy"]],
+                             ids=["frame", "verify"])
+    @pytest.mark.parametrize("doc", [
+        {"version": 1, "nonsym": [{"matrix": {"a": 1}}]},
+        {"version": 1, "sym": [{"a": 1}]},
+        {"version": 1, "sym": [np.eye(3).tolist()],
+         "vecs": [{"v": [1.0, 0.0, 0.0], "unit": "false"}]},
+        {"version": 1, "nonsym": [{"matrix": [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                                              [0.0, 0.0, 0.0]], "skew": 1}]},
+    ], ids=["object-matrix", "object-sym", "string-unit-flag", "number-skew-flag"])
+    def test_malformed_values_rejected(self, tmp_path, capsys, doc, command):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        assert main(command + ["--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "sys.json"
         path.write_text(json.dumps({"version": 2, "sym": []}))
