@@ -19,16 +19,17 @@ component lists reach rank ``3P - 2``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from isotropykit.classical_bases import boehler_scalars
 from isotropykit.lin3 import (
-    _OFF_PAIRS,
-    _SYM_PAIRS,
+    _EYE,
     DegenerateConfigurationError,
     TensorSystem,
+    _degeneracy_groups,
     conjugate,
     eig_sym,
     haar_rotation,
@@ -36,7 +37,13 @@ from isotropykit.lin3 import (
     tensor_system,
 )
 from isotropykit.spectral_frame import (
+    _FULL,
+    _SKEW,
+    _SYM,
+    _VEC,
+    _decode,
     build_frame,
+    build_svd_frame,
     extract_invariants,
     frame_completion,
     irreducible_count,
@@ -117,51 +124,36 @@ def ambient_chart(system0: TensorSystem):
     directions and are renormalized, so their coordinates contribute exactly
     2 to the ambient dimension.
     """
-    blocks = []
-    for a in system0.sym:
-        blocks.append(("sym", np.array(a)))
-    for h, is_skew in zip(system0.nonsym, system0.nonsym_skew):
-        blocks.append(("skew" if is_skew else "gen", np.array(h)))
+    # (argument class, code, base); unit vectors have no code
+    blocks = [("sym", _SYM, np.array(a)) for a in system0.sym]
+    blocks += [("nonsym", _SKEW if is_skew else _FULL, np.array(h))
+               for h, is_skew in zip(system0.nonsym, system0.nonsym_skew)]
     for x, is_unit in zip(system0.vecs, system0.vec_unit):
         if is_unit:
             t1, t2 = frame_completion(np.array(x) / np.linalg.norm(x))
-            blocks.append(("unit", (np.array(x), t1, t2)))
+            blocks.append(("vecs", None, (np.array(x), t1, t2)))
         else:
-            blocks.append(("vec", np.array(x)))
-    sizes = {"sym": 6, "gen": 9, "skew": 3, "vec": 3, "unit": 2}
-    dim = sum(sizes[k] for k, _ in blocks)
+            blocks.append(("vecs", _VEC, np.array(x)))
+    sizes = [2 if code is None else code.size for _, code, _ in blocks]
+    dim = sum(sizes)
 
     def to_system(theta):
         theta = np.asarray(theta, dtype=float)
         pos = 0
-        sym, nonsym, vecs = [], [], []
-        for kind, base in blocks:
-            take = sizes[kind]
+        args = {"sym": [], "nonsym": [], "vecs": []}
+        for (cls, code, base), take in zip(blocks, sizes):
             coords = theta[pos:pos + take]
             pos += take
-            if kind == "sym":
-                m = base.copy()
-                for c, (i, j) in zip(coords, _SYM_PAIRS):
-                    m[i, j] += c
-                    if i != j:
-                        m[j, i] += c
-                sym.append(m)
-            elif kind == "gen":
-                nonsym.append(base + coords.reshape(3, 3))
-            elif kind == "skew":
-                m = base.copy()
-                for c, (i, j) in zip(coords, _OFF_PAIRS):
-                    m[i, j] += c
-                    m[j, i] -= c
-                nonsym.append(m)
-            elif kind == "vec":
-                vecs.append(base + coords)
+            if code is not None:
+                # the identity frame makes the perturbation the coordinates
+                # themselves, bit for bit
+                args[cls].append(base + _decode(coords, code, _EYE))
             else:
                 x0, t1, t2 = base
                 x = x0 + coords[0] * t1 + coords[1] * t2
-                vecs.append(x / np.linalg.norm(x))
-        return TensorSystem(tuple(sym), tuple(nonsym), system0.nonsym_skew,
-                            tuple(vecs), system0.vec_unit)
+                args[cls].append(x / np.linalg.norm(x))
+        return TensorSystem(tuple(args["sym"]), tuple(args["nonsym"]), system0.nonsym_skew,
+                            tuple(args["vecs"]), system0.vec_unit)
 
     return dim, to_system
 
@@ -185,15 +177,11 @@ def _check_generic(system: TensorSystem):
     # the frame source must stay away from coalescence for the chart-composed
     # invariant functions to be smooth
     if system.n_sym >= 1:
-        lams, _, _ = eig_sym(system.sym[0])
-        scale = 1.0 + np.abs(lams).max()
-        gaps = (lams[0] - lams[1], lams[1] - lams[2])
-        if min(gaps) <= 1e-6 * scale:
+        if len(eig_sym(system.sym[0], 1e-6)[2]) < 3:
             raise DegenerateConfigurationError(
                 "frame tensor has coalescent eigenvalues; rank would drop spuriously")
     elif system.n_nonsym >= 1:
-        sv, _, _ = svd3(system.nonsym[0])
-        if min(sv[0] - sv[1], sv[1] - sv[2]) <= 1e-6 * (1.0 + sv[0]):
+        if len(_degeneracy_groups(svd3(system.nonsym[0])[0], 1e-6)) < 3:
             raise DegenerateConfigurationError(
                 "frame tensor has coalescent singular values")
     elif system.n_vec >= 1:
@@ -201,9 +189,14 @@ def _check_generic(system: TensorSystem):
             raise DegenerateConfigurationError("frame vector is (near) zero")
 
 
-def jacobian_rank(invariants, system0: TensorSystem, h: float = 1e-6,
-                  threshold_scale: float = 1e-7, config: str = "",
-                  seed: int = 0, check_generic: bool = True) -> RankReport:
+# central-difference step in chart coordinates, and the relative singular-value
+# threshold of the rank (scaled by sqrt of the larger Jacobian dimension)
+_FD_STEP = 1e-6
+_RANK_THRESHOLD = 1e-7
+
+
+def jacobian_rank(invariants, system0: TensorSystem, config: str = "",
+                  seed: int = 0) -> RankReport:
     """Numerical rank of an invariant list at ``system0``.
 
     ``invariants`` is either a callable mapping a system to a value vector or
@@ -212,8 +205,7 @@ def jacobian_rank(invariants, system0: TensorSystem, h: float = 1e-6,
     at a point whose rotation orbit is three-dimensional (see the module
     docstring for when a list can legitimately exceed it).
     """
-    if check_generic:
-        _check_generic(system0)
+    _check_generic(system0)
     if callable(invariants):
         values_fn = invariants
     else:
@@ -224,16 +216,13 @@ def jacobian_rank(invariants, system0: TensorSystem, h: float = 1e-6,
     jac = np.zeros((n, dim))
     for k in range(dim):
         step = np.zeros(dim)
-        step[k] = h
+        step[k] = _FD_STEP
         plus = np.asarray(values_fn(to_system(step)), dtype=float)
         minus = np.asarray(values_fn(to_system(-step)), dtype=float)
-        jac[:, k] = (plus - minus) / (2.0 * h)
-    if n == 0 or dim == 0:
-        sv = np.zeros(0)
-    else:
-        sv = np.linalg.svd(jac, compute_uv=False)
+        jac[:, k] = (plus - minus) / (2.0 * _FD_STEP)
+    sv = np.linalg.svd(jac, compute_uv=False) if n and dim else np.zeros(0)
     if sv.size and sv[0] > 0.0:
-        threshold = sv[0] * threshold_scale * np.sqrt(max(jac.shape))
+        threshold = sv[0] * _RANK_THRESHOLD * np.sqrt(max(jac.shape))
         rank = int(np.sum(sv > threshold))
     else:
         threshold = 0.0
@@ -241,13 +230,12 @@ def jacobian_rank(invariants, system0: TensorSystem, h: float = 1e-6,
     return RankReport(config=config, ambient_dim=dim, n_invariants=n,
                       singular_values=tuple(float(s) for s in sv), rank=rank,
                       expected_rank=min(n, max(dim - 3, 0)), threshold=float(threshold),
-                      seed=seed, step=h)
+                      seed=seed, step=_FD_STEP)
 
 
 def spectral_values_fn(svd_variant: bool = False):
     """Invariant-vector evaluator for the spectral list (frame rebuilt per
     call, so the chart composition stays smooth at generic points)."""
-    from isotropykit.spectral_frame import build_svd_frame
 
     def values(system):
         frame = build_svd_frame(system) if svd_variant else build_frame(system)
@@ -308,6 +296,9 @@ def compare_bases(N: int, M: int, P: int, *, skew: bool = False,
 # claim-level reporting
 
 
+_COMPARATORS = {"le": operator.le, "ge": operator.ge, "eq": operator.eq}
+
+
 @dataclass
 class Claim:
     """One verified statement: value compared against a tolerance."""
@@ -323,14 +314,9 @@ class Claim:
     @classmethod
     def check(cls, claim_id, description, value, tolerance, comparator="le",
               seed=0):
-        if comparator == "le":
-            ok = value <= tolerance
-        elif comparator == "ge":
-            ok = value >= tolerance
-        elif comparator == "eq":
-            ok = value == tolerance
-        else:
+        if comparator not in _COMPARATORS:
             raise ValueError(f"unknown comparator {comparator!r}")
+        ok = _COMPARATORS[comparator](value, tolerance)
         return cls(claim_id, description, "pass" if ok else "fail",
                    value, tolerance, comparator, seed)
 

@@ -22,6 +22,7 @@ incomplete without it and the skew-extended list states it explicitly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import re
@@ -226,6 +227,13 @@ class _Program:
         return slot
 
 
+@functools.lru_cache(maxsize=4096)
+def _item_program(label, kind):
+    # compiled on an item's first call: a basis evaluates its items through
+    # its shared program, and few items are ever evaluated alone
+    return _Program([label], kind)
+
+
 @dataclass(frozen=True)
 class BasisItem:
     label: str
@@ -240,7 +248,8 @@ class _Basis:
     def __init__(self, n_sym, n_skew, n_vec, labels):
         self.n_sym, self.n_skew, self.n_vec = n_sym, n_skew, n_vec
         self.items = tuple(
-            BasisItem(label, self.kind, _Program([label], self.kind).first)
+            BasisItem(label, self.kind, lambda system, label=label:
+                      _item_program(label, self.kind).first(system))
             for label in labels)
         self._by_label = {item.label: item for item in self.items}
         if len(self._by_label) != len(self.items):

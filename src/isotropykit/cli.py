@@ -19,6 +19,7 @@ shortest round-trip formatting).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -32,6 +33,7 @@ from isotropykit.analysis import (
     jacobian_rank,
     seeded_system,
     spectral_values_fn,
+    verify_isotropy,
 )
 from isotropykit.classical_bases import (
     boehler_scalars,
@@ -39,8 +41,6 @@ from isotropykit.classical_bases import (
     smith_vectors,
 )
 from isotropykit.lin3 import (
-    DegenerateConfigurationError,
-    DegenerateInputError,
     conjugate,
     eig_sym,
     haar_rotation,
@@ -243,25 +243,23 @@ def run_reconstruction(seed: int, trials: int, tol: float | None,
             ("N0M2P1", seeded_system(0, 2, 1, seed=seed)),
             ("N0M0P2", seeded_system(0, 0, 2, seed=seed)),
         ]
-    for tag, sys0 in configs:
-        frame = build_frame(sys0)
+
+    def residuals(sys0, frame):
+        # of each argument rebuilt from the frame and the invariants
         back = rebuild_system(extract_invariants(sys0, frame), frame)
-        args = list(sys0.sym) + list(sys0.nonsym) + list(sys0.vecs)
-        rebuilt = list(back.sym) + list(back.nonsym) + list(back.vecs)
-        for k, (orig, new) in enumerate(zip(args, rebuilt)):
-            res = np.linalg.norm(orig - new) / (1.0 + np.linalg.norm(orig))
+        return [np.linalg.norm(orig - new) / (1.0 + np.linalg.norm(orig))
+                for orig, new in zip(sys0.sym + sys0.nonsym + sys0.vecs,
+                                     back.sym + back.nonsym + back.vecs)]
+
+    for tag, sys0 in configs:
+        for k, res in enumerate(residuals(sys0, build_frame(sys0))):
             _add_check(report, f"reconstruction/{tag}/arg{k}",
                        "argument rebuilt from frame + invariants",
                        res, tol, seed=seed)
         if sys0.n_nonsym >= 1:
-            sframe = build_svd_frame(sys0)
-            back = rebuild_system(extract_invariants(sys0, sframe), sframe)
-            res = max(np.linalg.norm(o - n2) / (1.0 + np.linalg.norm(o))
-                      for o, n2 in zip(args, list(back.sym) + list(back.nonsym)
-                                       + list(back.vecs)))
             _add_check(report, f"reconstruction/{tag}/svd-variant",
                        "argument rebuilt through the SVD frame",
-                       res, tol, seed=seed)
+                       max(residuals(sys0, build_svd_frame(sys0))), tol, seed=seed)
     # factorization self-residuals
     worst_eig = worst_svd = 0.0
     for _ in range(trials):
@@ -320,16 +318,11 @@ def run_reconstruction(seed: int, trials: int, tol: float | None,
 
 
 def _rank_configs():
-    out = []
-    for n in range(4):
-        for m in range(4):
-            for p in range(4):
-                if not 1 <= n + m + p <= 3:
-                    continue
-                for skew in ((False, True) if m else (False,)):
-                    for unit in ((False, True) if p else (False,)):
-                        out.append((n, m, p, skew, unit))
-    return out
+    # every (N, M, P) with 1 <= N + M + P <= 3, with each applicable flag
+    return [(n, m, p, skew, unit)
+            for n, m, p in itertools.product(range(4), repeat=3) if 1 <= n + m + p <= 3
+            for skew in ((False, True) if m else (False,))
+            for unit in ((False, True) if p else (False,))]
 
 
 def run_rank(seed: int, trials: int, tol: float | None, system=None,
@@ -493,35 +486,19 @@ def run_gradients(seed: int, trials: int, tol: float | None) -> VerificationRepo
     # gradient equivariance
     sys0 = tensor_system(sym=[sys_s.sym[0]], vecs=[rng.standard_normal(3)])
     w_v = lambda s: float(s.vecs[0] @ s.sym[0] @ s.vecs[0]) ** 2
-    g0 = grad_vector(w_v, sys0)
-    dev = 0.0
-    for _ in range(20):
-        q = haar_rotation(rng)
-        g1 = grad_vector(w_v, conjugate(q, sys0))
-        dev = max(dev, float(np.linalg.norm(g1 - q @ g0) / (1.0 + np.linalg.norm(g0))))
+    dev = verify_isotropy(lambda s: grad_vector(w_v, s), "vector", sys0, 20, rng)
     _add_check(report, "gradients/equivariance/vector",
                "rotated arguments give rotated gradient", dev, 1e-8, seed=seed)
     w_s = lambda s: float(np.trace(s.sym[0] @ s.sym[0])) \
         + float(s.vecs[0] @ s.sym[0] @ s.vecs[0])
-    g0 = grad_sym_tensor(w_s, sys0)
-    dev = 0.0
-    for _ in range(20):
-        q = haar_rotation(rng)
-        g1 = grad_sym_tensor(w_s, conjugate(q, sys0))
-        dev = max(dev, float(np.linalg.norm(g1 - q @ g0 @ q.T)
-                             / (1.0 + np.linalg.norm(g0))))
+    dev = verify_isotropy(lambda s: grad_sym_tensor(w_s, s), "sym_tensor", sys0, 20, rng)
     _add_check(report, "gradients/equivariance/sym",
                "rotated arguments give conjugated gradient",
                dev, 1e-8, seed=seed)
     w_f = lambda s: float(np.sum(s.nonsym[0] ** 2)) ** 2
     sys_f2 = tensor_system(nonsym=[rng.standard_normal((3, 3))])
-    g0 = grad_nonsym_tensor(w_f, sys_f2)
-    dev = 0.0
-    for _ in range(20):
-        q = haar_rotation(rng)
-        g1 = grad_nonsym_tensor(w_f, conjugate(q, sys_f2))
-        dev = max(dev, float(np.linalg.norm(g1 - q @ g0 @ q.T)
-                             / (1.0 + np.linalg.norm(g0))))
+    dev = verify_isotropy(lambda s: grad_nonsym_tensor(w_f, s), "full_tensor", sys_f2,
+                          20, rng)
     _add_check(report, "gradients/equivariance/nonsym",
                "rotated arguments give conjugated gradient",
                dev, 1e-8, seed=seed)
@@ -756,13 +733,8 @@ def cmd_counts(args) -> int:
     skew, unit, svd = args.skew, args.unit_vectors, args.svd
     spectral = irreducible_count(n, m, p, skew_nonsym=skew,
                                  all_vectors_unit=unit, svd_variant=svd)
-    flags = []
-    if skew:
-        flags.append("skew")
-    if unit:
-        flags.append("unit vectors")
-    if svd:
-        flags.append("svd variant")
+    flags = [word for word, on in (("skew", skew), ("unit vectors", unit),
+                                   ("svd variant", svd)) if on]
     print(f"configuration: N={n} symmetric, M={m} non-symmetric, P={p} vectors"
           + (f" ({', '.join(flags)})" if flags else ""))
     print(f"spectral scalar invariants:    {spectral}")
@@ -822,11 +794,7 @@ def cmd_verify(args) -> int:
 
 def cmd_frame(args) -> int:
     system = load_system_file(args.input)
-    try:
-        frame = build_svd_frame(system) if args.svd else build_frame(system)
-    except DegenerateInputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    frame = build_svd_frame(system) if args.svd else build_frame(system)
     inv = extract_invariants(system, frame)
     kind_word = {"sym_tensor": "eigenvalues", "gram": "gram eigenvalues",
                  "vector": "squared length", "svd": "singular values"}[frame.kind]
@@ -908,8 +876,8 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "frame":
             return cmd_frame(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            DegenerateConfigurationError) as err:
+    # every input error, a degenerate frame argument included, is a ValueError
+    except (ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -32,8 +32,17 @@ from isotropykit.lin3 import (
     tensor_system,
 )
 from isotropykit.spectral_frame import (
+    _FULL,
+    _MIXED,
+    _SKEW,
+    _SYM,
+    _VEC,
     SpectralFrame,
     SpectralInvariants,
+    _Code,
+    _decode,
+    _encode,
+    _labels,
     build_frame,
     extract_invariants,
     rebuild_system,
@@ -60,13 +69,19 @@ __all__ = [
     "regauge_frame",
 ]
 
-_KIND_LABELS = {
-    "vector3": ("g1", "g2", "g3"),
-    "sym6": ("t11", "t22", "t33", "t12", "t13", "t23"),
-    "full9": ("t11", "t12", "t13", "t21", "t22", "t23", "t31", "t32", "t33"),
-    "skew3": ("w12", "w13", "w23"),
-    "svd9": ("h11", "h12", "h13", "h21", "h22", "h23", "h31", "h32", "h33"),
+# the frame code of each kind; ``sym6`` keeps its diagonal-first slot order
+_KIND_CODES = {
+    "vector3": _VEC,
+    "sym6": _Code(((0, 0), (1, 1), (2, 2)) + _OFF_PAIRS, 1.0),
+    "full9": _FULL,
+    "skew3": _SKEW,
+    "svd9": _MIXED,
 }
+# a slot is labeled by its kind's letter and its frame indices (``t12``)
+_KIND_LABELS = {
+    kind: tuple(letter + "".join(str(k + 1) for k in pair) for pair in _KIND_CODES[kind].pairs)
+    for kind, letter in (("vector3", "g"), ("sym6", "t"), ("full9", "t"), ("skew3", "w"),
+                         ("svd9", "h"))}
 
 
 @dataclass(frozen=True)
@@ -94,43 +109,37 @@ class GeneratorBasis:
 
     def gram_matrix(self) -> np.ndarray:
         """Frobenius Gram matrix of the elements (full rank iff independent)."""
-        n = len(self.elements)
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                g[i, j] = np.sum(self.elements[i] * self.elements[j])
-        return g
+        flat = np.array([e.ravel() for e in self.elements])
+        return flat @ flat.T
+
+
+def _frame_code(frame: SpectralFrame, kind: str, what: str):
+    # the code of ``kind`` and its right-hand triad (``u`` for mixed dyads)
+    if kind not in _KIND_CODES:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    if kind == "svd9" and frame.u is None:
+        raise ValueError(f"svd9 {what} needs an SVD frame")
+    return _KIND_CODES[kind], frame.u if kind == "svd9" else None
+
+
+def _coefficients(kind: str, x, v, r=None) -> Coefficients:
+    x = np.asarray(x, dtype=float)
+    return Coefficients(kind, tuple(float(c) for c in _encode(x, _KIND_CODES[kind], v, r)))
 
 
 def generator_basis(frame: SpectralFrame, kind: str) -> GeneratorBasis:
-    v = frame.v
-    labels = _KIND_LABELS[kind]
-    if kind == "vector3":
-        elems = tuple(v[i].copy() for i in range(3))
-    elif kind == "sym6":
-        elems = tuple(np.outer(v[i], v[i]) for i in range(3)) + tuple(
-            np.outer(v[i], v[j]) + np.outer(v[j], v[i]) for i, j in _OFF_PAIRS)
-    elif kind == "full9":
-        elems = tuple(np.outer(v[i], v[j]) for i in range(3) for j in range(3))
-    elif kind == "skew3":
-        elems = tuple(np.outer(v[i], v[j]) - np.outer(v[j], v[i]) for i, j in _OFF_PAIRS)
-    elif kind == "svd9":
-        if frame.u is None:
-            raise ValueError("svd9 basis needs an SVD frame")
-        elems = tuple(np.outer(v[i], frame.u[j]) for i in range(3) for j in range(3))
-    else:
-        raise ValueError(f"unknown basis kind {kind!r}")
-    return GeneratorBasis(kind, frame, labels, elems)
+    code, r = _frame_code(frame, kind, "basis")
+    elems = tuple(_decode(unit, code, frame.v, r) for unit in np.eye(code.size))
+    return GeneratorBasis(kind, frame, _KIND_LABELS[kind], elems)
 
 
 def project_vector(g, frame: SpectralFrame) -> Coefficients:
     """Coefficients of a vector over the frame triad: ``g_i = g . v_i``."""
-    g = np.asarray(g, dtype=float)
-    return Coefficients("vector3", tuple(float(g @ frame.v[i]) for i in range(3)))
+    return _coefficients("vector3", g, frame.v)
 
 
 def reconstruct_vector(coeffs: Coefficients, frame: SpectralFrame) -> np.ndarray:
-    return sum(c * frame.v[i] for i, c in enumerate(coeffs.values))
+    return _decode(coeffs.values, _VEC, frame.v)
 
 
 def project_tensor(g, frame: SpectralFrame, kind: str) -> Coefficients:
@@ -141,35 +150,19 @@ def project_tensor(g, frame: SpectralFrame, kind: str) -> Coefficients:
     dyads ``v_i (x) u_j`` of an SVD frame.
     """
     g = np.asarray(g, dtype=float)
-    v = frame.v
-    scale = 1.0 + np.abs(g).max()
-    if kind == "sym6":
-        if np.abs(g - g.T).max() > 1e-12 * scale:
-            raise ValueError("sym6 projection needs a symmetric tensor")
-        comps = v @ g @ v.T
-        vals = tuple(float(comps[i, i]) for i in range(3)) + tuple(
-            float(0.5 * (comps[i, j] + comps[j, i])) for i, j in _OFF_PAIRS)
-    elif kind == "full9":
-        comps = v @ g @ v.T
-        vals = tuple(float(comps[i, j]) for i in range(3) for j in range(3))
-    elif kind == "skew3":
-        if np.abs(g + g.T).max() > 1e-12 * scale:
-            raise ValueError("skew3 projection needs a skew tensor")
-        comps = v @ g @ v.T
-        vals = tuple(float(0.5 * (comps[i, j] - comps[j, i])) for i, j in _OFF_PAIRS)
-    elif kind == "svd9":
-        if frame.u is None:
-            raise ValueError("svd9 projection needs an SVD frame")
-        comps = v @ g @ frame.u.T
-        vals = tuple(float(comps[i, j]) for i in range(3) for j in range(3))
-    else:
+    if kind == "vector3":
         raise ValueError(f"unknown projection kind {kind!r}")
-    return Coefficients(kind, vals)
+    code, r = _frame_code(frame, kind, "projection")
+    if code.mirror is not None and \
+            np.abs(g - code.mirror * g.T).max() > 1e-12 * (1.0 + np.abs(g).max()):
+        word = "symmetric" if code.mirror > 0 else "skew"
+        raise ValueError(f"{kind} projection needs a {word} tensor")
+    return _coefficients(kind, g, frame.v, r)
 
 
 def reconstruct_tensor(coeffs: Coefficients, frame: SpectralFrame) -> np.ndarray:
-    basis = generator_basis(frame, coeffs.kind)
-    return sum(c * e for c, e in zip(coeffs.values, basis.elements))
+    code, r = _frame_code(frame, coeffs.kind, "basis")
+    return _decode(coeffs.values, code, frame.v, r)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +203,8 @@ def expand_classical(item_label: str, system: TensorSystem, frame: SpectralFrame
         value = item.fn(comp)
         if item.kind == "scalar":
             return float(value)
-        if item.kind == "vector":
-            return Coefficients("vector3", tuple(float(x) for x in value))
-        comps = np.asarray(value)
-        vals = tuple(float(comps[i, i]) for i in range(3)) + tuple(
-            float(0.5 * (comps[i, j] + comps[j, i])) for i, j in _OFF_PAIRS)
-        return Coefficients("sym6", vals)
+        # the component system lives in the identity frame
+        return _coefficients("vector3" if item.kind == "vector" else "sym6", value, _EYE)
     raise KeyError(f"unknown classical item {item_label!r}")
 
 
@@ -245,8 +234,7 @@ def check_coaxiality(g_fn, v_mat, tol: float = 1e-10) -> CoaxialityCheck:
     g = np.asarray(g_fn(v_mat), dtype=float)
     residual = float(np.linalg.norm(v_mat @ g - g @ v_mat))
     _, vecs, _ = eig_sym(0.5 * (v_mat + v_mat.T))
-    comps = vecs @ g @ vecs.T
-    offdiag = float(max(abs(comps[i, j]) for i, j in _OFF_PAIRS))
+    offdiag = float(np.abs(_encode(g, _SKEW, vecs)).max())
     return CoaxialityCheck(residual, offdiag, tol)
 
 
@@ -416,12 +404,7 @@ def check_p_property(w_hat, system_template: TensorSystem, degeneracy_case: str,
 
 
 def _second_tensor_components(inv: SpectralInvariants, name: str = "A2") -> np.ndarray:
-    m = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            lo, hi = min(i, j), max(i, j)
-            m[i, j] = inv[f"{name}[{lo + 1},{hi + 1}]"]
-    return m
+    return _decode([inv[label] for label in _labels(name, _SYM)], _SYM, _EYE)
 
 
 def example2_invariants():

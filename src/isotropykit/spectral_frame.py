@@ -16,6 +16,15 @@ remaining tensors), which makes the extracted components reproducible under
 simultaneous rotation of all arguments.  Set ``gauge="ambient"`` to keep the
 raw largest-component-positive convention instead.
 
+Every argument is coded the same way, by one codec: :func:`_encode` reads
+the components ``v_i . X r_j`` of a tensor (``r = u`` for the mixed SVD
+components, ``r = v`` otherwise) or ``x . v_i`` of a vector, and
+:func:`_decode` sums them back over the frame dyads.  A *code* is data: the
+index pairs it reads, in slot order, and the sign that mirrors ``c[i, j]``
+into ``c[j, i]``.  :func:`_layout` lists the argument each frame kind codes,
+with its label stem and code, in label order; extraction, reconstruction and
+the gauge probes all read that one list.
+
 Labels are stable strings (``lam1``, ``A2[1,3]``, ``W1[1,2]``, ``a2[3]``;
 mixed-basis components in the SVD variant use parentheses, e.g. ``A1(1,3)``
 for ``v_1 . A_1 u_3``), so invariant lists are diffable across runs.
@@ -23,6 +32,7 @@ for ``v_1 . A_1 u_3``), so invariant lists are diffable across runs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +45,7 @@ from isotropykit.lin3 import (
     TensorSystem,
     _cross,
     _degeneracy_groups,
+    _freeze,
     eig_sym,
     svd3,
     tensor_system,
@@ -51,7 +62,92 @@ __all__ = [
     "rebuild_system",
 ]
 
-_ALL_PAIRS = tuple((i, j) for i in range(3) for j in range(3))
+
+class _Code:
+    """How an argument is coded by its frame components: the index pairs it
+    reads, in slot order (``(i,)`` for a vector), the sign that mirrors
+    ``c[i, j]`` into ``c[j, i]`` (+1 symmetric, -1 skew, None: no mirror)
+    and the brackets around the indices in its labels."""
+
+    def __init__(self, pairs, mirror=None, brackets="[]"):
+        self.pairs, self.mirror, self.brackets = tuple(pairs), mirror, brackets
+        self.size = len(self.pairs)
+        shape = (3,) * len(self.pairs[0])
+        self.take = np.ravel_multi_index(tuple(zip(*self.pairs)), shape)
+        # row k: the flattened components of unit slot k, mirror included
+        self.dyads = np.zeros((self.size, 3 ** len(shape)))
+        self.dyads[range(self.size), self.take] = 1.0
+        if mirror is not None:
+            self.dyads[range(self.size), [3 * j + i for i, j in self.pairs]] = mirror
+
+
+_VEC = _Code(((0,), (1,), (2,)))
+_SYM = _Code(_SYM_PAIRS, 1.0)
+_SKEW = _Code(_OFF_PAIRS, -1.0)
+_FULL = _Code([(i, j) for i in range(3) for j in range(3)])
+_MIXED = _Code(_FULL.pairs, brackets="()")
+_DIAG = _Code([(i, i) for i in range(3)])
+
+
+def _encode(x, code, v, r=None) -> np.ndarray:
+    """Frame components of ``x`` in the slot order of ``code``."""
+    if code is _VEC:
+        # one dot per frame vector: the same numbers as the gauge probes
+        return np.array([x @ row for row in v])
+    return (v @ x @ (v if r is None else r).T).take(code.take)
+
+
+def _decode(values, code, v, r=None) -> np.ndarray:
+    """The argument whose frame components are ``values`` (inverse of
+    :func:`_encode` for an argument of the code's class).  Placing the
+    values is exact: each component is one value times 1 or the mirror."""
+    if code is _VEC:
+        return np.asarray(values, dtype=float) @ v
+    c = (np.asarray(values, dtype=float) @ code.dyads).reshape(3, 3)
+    return v.T @ c @ (v if r is None else r)
+
+
+@functools.lru_cache(maxsize=1024)
+def _labels(stem, code) -> tuple:
+    left, right = code.brackets
+    return tuple(f"{stem}{left}{','.join(str(k + 1) for k in pair)}{right}"
+                 for pair in code.pairs)
+
+
+# per frame kind: the labels of the heads, which carry the frame source by
+# its eigen- or singular values, and the first coded (sym, nonsym, vecs)
+# index; a gram frame does not diagonalize its source, which is coded instead
+_KINDS = {"sym_tensor": (("lam1", "lam2", "lam3"), (1, 0, 0)),
+          "gram": ((), (0, 0, 0)),
+          "vector": (("lam",), (0, 0, 1)),
+          "svd": (("sv1", "sv2", "sv3"), (0, 1, 0))}
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(kind, n_sym, skew_flags, n_vec) -> tuple:
+    """``(label stem, argument class, index, code)`` of every argument a frame
+    of ``kind`` codes, in label order; ``ValueError`` if the system's shape
+    cannot carry a frame of that kind."""
+    n_nonsym = len(skew_flags)
+    if kind == "sym_tensor" and n_sym < 1:
+        raise ValueError("sym_tensor frame requires a symmetric argument")
+    if kind == "gram" and (n_sym != 0 or n_nonsym < 1):
+        raise ValueError("gram frame applies to systems with no symmetric tensor")
+    if kind == "vector" and (n_sym != 0 or n_nonsym != 0 or n_vec < 1):
+        raise ValueError("vector frame applies to vector-only systems")
+    if kind == "svd" and n_nonsym < 1:
+        raise ValueError("svd frame requires a non-symmetric argument")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown frame kind {kind!r}")
+    first_sym, first_nonsym, first_vec = _KINDS[kind][1]
+    mixed = kind == "svd"
+    layout = [(f"A{r + 1}", "sym", r, _MIXED if mixed else _SYM)
+              for r in range(first_sym, n_sym)]
+    for t in range(first_nonsym, n_nonsym):
+        code = _MIXED if mixed else _SKEW if skew_flags[t] else _FULL
+        layout.append((f"{'W' if code is _SKEW else 'H'}{t + 1}", "nonsym", t, code))
+    layout += [(f"a{s + 1}", "vecs", s, _VEC) for s in range(first_vec, n_vec)]
+    return tuple(layout)
 
 
 @dataclass(frozen=True)
@@ -103,10 +199,7 @@ class SpectralInvariants:
         return np.array([value for _, value in self.entries])
 
     def __getitem__(self, label: str) -> float:
-        for key, value in self.entries:
-            if key == label:
-                return value
-        raise KeyError(label)
+        return self.as_dict()[label]
 
     def as_dict(self) -> dict:
         return dict(self.entries)
@@ -141,30 +234,20 @@ def _probe_values(system: TensorSystem, v, u, kind, slot):
     for a in system.vecs:
         yield a @ v[slot], 1.0 + float(np.linalg.norm(a))
     right = v if u is None else u
-    if kind == "sym_tensor":
-        tensors = [(x, False) for x in system.sym[1:]]
-        tensors += list(zip(system.nonsym, system.nonsym_skew))
-    elif kind == "gram":
-        tensors = list(zip(system.nonsym, system.nonsym_skew))
-    else:  # svd
-        tensors = [(x, False) for x in system.sym]
-        tensors += list(zip(system.nonsym[1:], system.nonsym_skew[1:]))
-    for x, is_skew in tensors:
+    for _, cls, index, code in _layout(kind, system.n_sym, system.nonsym_skew,
+                                       system.n_vec):
+        if code is _VEC:
+            continue
+        x = getattr(system, cls)[index]
         scale = 1.0 + float(np.linalg.norm(x))
         yield v[i] @ x @ right[j], scale
-        if not is_skew or u is not None:
+        if code is not _SKEW:
             yield v[j] @ x @ right[i], scale
 
 
 def _frozen_frame(kind, lambdas, v, u, degeneracy, source) -> SpectralFrame:
-    lambdas = np.array(lambdas)
-    lambdas.setflags(write=False)
-    v = np.array(v)
-    v.setflags(write=False)
-    if u is not None:
-        u = np.array(u)
-        u.setflags(write=False)
-    return SpectralFrame(kind, lambdas, v, u, degeneracy, source)
+    return SpectralFrame(kind, _freeze(lambdas), _freeze(v),
+                         None if u is None else _freeze(u), degeneracy, source)
 
 
 def _apply_equivariant_gauge(system, kind, v, u=None):
@@ -185,9 +268,11 @@ def _apply_equivariant_gauge(system, kind, v, u=None):
 # ---------------------------------------------------------------------------
 # frame construction
 
+# relative eigen-/singular-value gap below which frame slots form one group
+_TOL_REL = 1e-8
 
-def build_frame(system: TensorSystem, tol_rel: float = 1e-8,
-                gauge: str = "equivariant") -> SpectralFrame:
+
+def build_frame(system: TensorSystem, gauge: str = "equivariant") -> SpectralFrame:
     """Build the spectral frame for a system.
 
     Selection rule: the eigenbasis of the first symmetric tensor if any;
@@ -198,7 +283,7 @@ def build_frame(system: TensorSystem, tol_rel: float = 1e-8,
     if gauge not in ("equivariant", "ambient"):
         raise ValueError(f"unknown gauge {gauge!r}")
     if system.n_sym >= 1:
-        lams, v, groups = eig_sym(system.sym[0], tol_rel)
+        lams, v, groups = eig_sym(system.sym[0], _TOL_REL)
         if gauge == "equivariant":
             v, _ = _apply_equivariant_gauge(system, "sym_tensor", v)
         return _frozen_frame("sym_tensor", lams, v, None, groups, 0)
@@ -207,7 +292,7 @@ def build_frame(system: TensorSystem, tol_rel: float = 1e-8,
         if np.abs(h).max() == 0.0:
             raise DegenerateInputError("frame tensor is zero")
         gram = h @ h.T
-        lams, v, groups = eig_sym(0.5 * (gram + gram.T), tol_rel)
+        lams, v, groups = eig_sym(0.5 * (gram + gram.T), _TOL_REL)
         lams = np.clip(lams, 0.0, None)
         if gauge == "equivariant":
             v, _ = _apply_equivariant_gauge(system, "gram", v)
@@ -219,12 +304,11 @@ def build_frame(system: TensorSystem, tol_rel: float = 1e-8,
     v1 = a / np.sqrt(lam)
     v2, v3 = frame_completion(v1)
     lams = np.array([lam, 0.0, 0.0])
-    groups = ((0,), (1, 2)) if lam > tol_rel * (1.0 + lam) else ((0, 1, 2),)
+    groups = ((0,), (1, 2)) if lam > _TOL_REL * (1.0 + lam) else ((0, 1, 2),)
     return _frozen_frame("vector", lams, np.array([v1, v2, v3]), None, groups, 0)
 
 
-def build_svd_frame(system: TensorSystem, tol_rel: float = 1e-8,
-                    gauge: str = "equivariant") -> SpectralFrame:
+def build_svd_frame(system: TensorSystem) -> SpectralFrame:
     """Frame from the singular value decomposition of the first non-symmetric
     tensor; subsequent extraction uses mixed components ``v_i . X u_j``."""
     if system.n_nonsym < 1:
@@ -233,26 +317,12 @@ def build_svd_frame(system: TensorSystem, tol_rel: float = 1e-8,
     if np.abs(h).max() == 0.0:
         raise DegenerateInputError("frame tensor is zero")
     sv, v, u = svd3(h)
-    if gauge == "equivariant":
-        v, u = _apply_equivariant_gauge(system, "svd", v, u)
-    return _frozen_frame("svd", sv, v, u, _degeneracy_groups(sv, tol_rel), 0)
+    v, u = _apply_equivariant_gauge(system, "svd", v, u)
+    return _frozen_frame("svd", sv, v, u, _degeneracy_groups(sv, _TOL_REL), 0)
 
 
 # ---------------------------------------------------------------------------
 # invariant extraction
-
-
-def _sym_entries(name, comps):
-    return [(f"{name}[{i + 1},{j + 1}]", comps[i, j]) for i, j in _SYM_PAIRS]
-
-
-def _full_entries(name, comps, mixed=False):
-    fmt = "({0},{1})" if mixed else "[{0},{1}]"
-    return [(name + fmt.format(i + 1, j + 1), comps[i, j]) for i, j in _ALL_PAIRS]
-
-
-def _skew_entries(name, comps):
-    return [(f"{name}[{i + 1},{j + 1}]", comps[i, j]) for i, j in _OFF_PAIRS]
 
 
 def extract_invariants(system: TensorSystem, frame: SpectralFrame) -> SpectralInvariants:
@@ -266,47 +336,14 @@ def extract_invariants(system: TensorSystem, frame: SpectralFrame) -> SpectralIn
     all nine components appear (the gram eigenvalues are their row sums of
     squares and are omitted).
     """
-    v = frame.v
-    entries: list = []
-    if frame.kind == "sym_tensor":
-        if system.n_sym < 1:
-            raise ValueError("sym_tensor frame requires a symmetric argument")
-        entries += [(f"lam{i + 1}", float(frame.lambdas[i])) for i in range(3)]
-        for r, a in enumerate(system.sym[1:], start=2):
-            entries += _sym_entries(f"A{r}", v @ a @ v.T)
-        for t, (h, is_skew) in enumerate(zip(system.nonsym, system.nonsym_skew), start=1):
-            comps = v @ h @ v.T
-            entries += _skew_entries(f"W{t}", comps) if is_skew else _full_entries(f"H{t}", comps)
-        for s, a in enumerate(system.vecs, start=1):
-            entries += [(f"a{s}[{i + 1}]", float(a @ v[i])) for i in range(3)]
-    elif frame.kind == "gram":
-        if system.n_sym != 0 or system.n_nonsym < 1:
-            raise ValueError("gram frame applies to systems with no symmetric tensor")
-        for t, (h, is_skew) in enumerate(zip(system.nonsym, system.nonsym_skew), start=1):
-            comps = v @ h @ v.T
-            entries += _skew_entries(f"W{t}", comps) if is_skew else _full_entries(f"H{t}", comps)
-        for s, a in enumerate(system.vecs, start=1):
-            entries += [(f"a{s}[{i + 1}]", float(a @ v[i])) for i in range(3)]
-    elif frame.kind == "vector":
-        if system.n_sym != 0 or system.n_nonsym != 0 or system.n_vec < 1:
-            raise ValueError("vector frame applies to vector-only systems")
-        entries.append(("lam", float(frame.lambdas[0])))
-        for s, a in enumerate(system.vecs[1:], start=2):
-            entries += [(f"a{s}[{i + 1}]", float(a @ v[i])) for i in range(3)]
-    elif frame.kind == "svd":
-        if system.n_nonsym < 1:
-            raise ValueError("svd frame requires a non-symmetric argument")
-        u = frame.u
-        entries += [(f"sv{i + 1}", float(frame.lambdas[i])) for i in range(3)]
-        entries += [(f"u{i + 1}.v{i + 1}", float(u[i] @ v[i])) for i in range(3)]
-        for r, a in enumerate(system.sym, start=1):
-            entries += _full_entries(f"A{r}", v @ a @ u.T, mixed=True)
-        for t, (h, _) in enumerate(zip(system.nonsym[1:], system.nonsym_skew[1:]), start=2):
-            entries += _full_entries(f"H{t}", v @ h @ u.T, mixed=True)
-        for s, a in enumerate(system.vecs, start=1):
-            entries += [(f"a{s}[{i + 1}]", float(a @ v[i])) for i in range(3)]
-    else:
-        raise ValueError(f"unknown frame kind {frame.kind!r}")
+    layout = _layout(frame.kind, system.n_sym, system.nonsym_skew, system.n_vec)
+    v, u = frame.v, frame.u
+    entries = list(zip(_KINDS[frame.kind][0], frame.lambdas))
+    if frame.kind == "svd":
+        entries += [(f"u{i + 1}.v{i + 1}", u[i] @ v[i]) for i in range(3)]
+    for stem, cls, index, code in layout:
+        x = getattr(system, cls)[index]
+        entries += zip(_labels(stem, code), _encode(x, code, v, u))
     entries = tuple((label, float(value)) for label, value in entries)
     count = len(entries) - sum(system.vec_unit)
     if frame.kind == "svd":
@@ -361,64 +398,20 @@ def rebuild_system(inv: SpectralInvariants, frame: SpectralFrame | None = None) 
     if inv.frame_kind == "svd" and frame is None:
         raise ValueError("svd invariants need their frame to rebuild the system")
     v = frame.v if frame is not None else _EYE
-    u = frame.u if (frame is not None and inv.frame_kind == "svd") else v
+    u = frame.u if frame is not None else None
     data = inv.as_dict()
-    M = len(inv.nonsym_skew)
-    P = len(inv.vec_unit)
-
-    def sym_from(name):
-        m = np.zeros((3, 3))
-        for i, j in _SYM_PAIRS:
-            c = data[f"{name}[{i + 1},{j + 1}]"]
-            m += c * np.outer(v[i], v[j])
-            if i != j:
-                m += c * np.outer(v[j], v[i])
-        return m
-
-    def full_from(name, mixed):
-        fmt = "({0},{1})" if mixed else "[{0},{1}]"
-        return sum(data[name + fmt.format(i + 1, j + 1)] * np.outer(v[i], u[j])
-                   for i, j in _ALL_PAIRS)
-
-    def skew_from(name):
-        return sum(data[f"{name}[{i + 1},{j + 1}]"]
-                   * (np.outer(v[i], v[j]) - np.outer(v[j], v[i]))
-                   for i, j in _OFF_PAIRS)
-
-    def vec_from(name):
-        return sum(data[f"{name}[{i + 1}]"] * v[i] for i in range(3))
-
-    sym, nonsym, vecs = [], [], []
+    heads = [data[label] for label in _KINDS[inv.frame_kind][0]]
+    args = {"sym": [], "nonsym": [], "vecs": []}
     if inv.frame_kind == "sym_tensor":
-        lams = [data[f"lam{i + 1}"] for i in range(3)]
-        sym.append(sum(lams[i] * np.outer(v[i], v[i]) for i in range(3)))
-        for r in range(2, inv.n_sym + 1):
-            sym.append(sym_from(f"A{r}"))
-        for t in range(1, M + 1):
-            nonsym.append(skew_from(f"W{t}") if inv.nonsym_skew[t - 1]
-                          else full_from(f"H{t}", mixed=False))
-        for s in range(1, P + 1):
-            vecs.append(vec_from(f"a{s}"))
-    elif inv.frame_kind == "gram":
-        for t in range(1, M + 1):
-            nonsym.append(skew_from(f"W{t}") if inv.nonsym_skew[t - 1]
-                          else full_from(f"H{t}", mixed=False))
-        for s in range(1, P + 1):
-            vecs.append(vec_from(f"a{s}"))
+        args["sym"].append(_decode(heads, _DIAG, v))
     elif inv.frame_kind == "vector":
-        vecs.append(np.sqrt(data["lam"]) * v[0])
-        for s in range(2, P + 1):
-            vecs.append(vec_from(f"a{s}"))
-    else:  # svd
-        for r in range(1, inv.n_sym + 1):
-            nine = full_from(f"A{r}", mixed=True)
-            sym.append(0.5 * (nine + nine.T))
-        sv = [data[f"sv{i + 1}"] for i in range(3)]
-        nonsym.append(sum(sv[i] * np.outer(v[i], u[i]) for i in range(3)))
-        for t in range(2, M + 1):
-            nine = full_from(f"H{t}", mixed=True)
-            nonsym.append(0.5 * (nine - nine.T) if inv.nonsym_skew[t - 1] else nine)
-        for s in range(1, P + 1):
-            vecs.append(vec_from(f"a{s}"))
-    return tensor_system(sym=sym, nonsym=nonsym, skew=inv.nonsym_skew,
-                         vecs=vecs, unit=inv.vec_unit)
+        args["vecs"].append(np.sqrt(heads[0]) * v[0])
+    elif inv.frame_kind == "svd":
+        args["nonsym"].append(_decode(heads, _DIAG, v, u))
+    for stem, cls, _, code in _layout(inv.frame_kind, inv.n_sym, inv.nonsym_skew,
+                                      len(inv.vec_unit)):
+        values = [data[label] for label in _labels(stem, code)]
+        args[cls].append(_decode(values, code, v, u))
+    # tensor_system restores the exact symmetry of the mixed-coded SVD tensors
+    return tensor_system(sym=args["sym"], nonsym=args["nonsym"], skew=inv.nonsym_skew,
+                         vecs=args["vecs"], unit=inv.vec_unit)

@@ -159,9 +159,11 @@ class TestFrame:
         assert "degeneracy partition: {1,2,3}" in out
         assert "warning" in out
 
-    def test_zero_frame_vector_exits_one(self, tmp_path):
+    def test_zero_frame_vector_exits_two(self, tmp_path, capsys):
         path = write_system(tmp_path / "sys.json", vecs=[([0.0, 0.0, 0.0], False)])
-        assert main(["frame", "--input", str(path)]) == 1
+        assert main(["frame", "--input", str(path)]) == 2
+        assert main(["verify", "reconstruction", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.count("error: frame vector is zero") == 2
 
     def test_output_matches_library_byte_for_byte(self, tmp_path, capsys):
         rng = np.random.default_rng(77)

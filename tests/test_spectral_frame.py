@@ -1,6 +1,8 @@
 """Frame construction, invariant extraction, counting, reconstruction."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +264,33 @@ class TestRebuild:
         comp = rebuild_system(extract_invariants(sys0, fr))
         np.testing.assert_allclose(comp.sym[0], np.diag(fr.lambdas), atol=1e-12)
         np.testing.assert_allclose(comp.vecs[0], fr.v @ sys0.vecs[0], atol=1e-12)
+
+
+# extract_invariants on one seeded system per frame kind (a skew and a
+# general non-symmetric tensor in the sym_tensor, gram and svd systems, a
+# unit vector in the vector system) and the relative residuals of
+# rebuild_system, recorded from the per-kind extraction and reconstruction
+# code that the frame-component codec replaced
+GOLDEN = json.loads((Path(__file__).parent / "data" / "invariants_golden.json").read_text())
+
+
+class TestGoldenInvariants:
+    @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: c["kind"])
+    def test_labels_and_values_exact(self, case):
+        sys0 = tensor_system(**case["system"])
+        fr = build_svd_frame(sys0) if case["kind"] == "svd" else build_frame(sys0)
+        assert fr.kind == case["kind"]
+        inv = extract_invariants(sys0, fr)
+        assert list(inv.labels()) == case["labels"]
+        assert inv.values().tolist() == case["values"]
+        assert inv.count == case["count"]
+
+    @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: c["kind"])
+    def test_rebuild_residuals(self, case):
+        sys0 = tensor_system(**case["system"])
+        fr = build_svd_frame(sys0) if case["kind"] == "svd" else build_frame(sys0)
+        back = rebuild_system(extract_invariants(sys0, fr), fr)
+        args = sys0.sym + sys0.nonsym + sys0.vecs
+        assert len(args) == len(case["rebuild_residuals"])
+        for orig, new in zip(args, back.sym + back.nonsym + back.vecs):
+            assert np.linalg.norm(orig - new) <= 1e-14 * np.linalg.norm(orig)
