@@ -61,6 +61,7 @@ from isotropykit.potentials import (
     ti_invariants,
 )
 from isotropykit.representation import (
+    _classical_bases,
     check_coaxiality,
     check_p_property,
     coalescence_structure,
@@ -182,21 +183,19 @@ def run_isotropy(seed: int, trials: int, tol: float | None,
         if m and not all(system.nonsym_skew):
             configs.append((f"input-N{n}M{m}P{p}", system, None))
         else:
-            configs.append((f"input-N{n}M{m}P{p}", system,
-                            boehler_scalars(n, m, p)))
+            configs.append((f"input-N{n}M{m}P{p}", system, _classical_bases(n, m, p)))
     else:
         configs = [
             ("N2M1P2-skew", seeded_system(2, 1, 2, skew=True, seed=seed),
-             boehler_scalars(2, 1, 2)),
-            ("N1M0P1", seeded_system(1, 0, 1, seed=seed), boehler_scalars(1, 0, 1)),
+             _classical_bases(2, 1, 2)),
+            ("N1M0P1", seeded_system(1, 0, 1, seed=seed), _classical_bases(1, 0, 1)),
             ("N0M1P1", seeded_system(0, 1, 1, seed=seed), None),
         ]
-    for tag, sys0, scalars in configs:
+    for tag, sys0, bases in configs:
         rotations = [haar_rotation(rng) for _ in range(trials)]
         conjugated = [(q, conjugate(q, sys0)) for q in rotations]
-        if scalars is not None:
-            n, m, p = sys0.shape()
-            for basis in (scalars, smith_vectors(n, m, p), smith_sym_tensors(n, m, p)):
+        if bases is not None:
+            for basis in bases:
                 word, description, act = _CLASSICAL_ISOTROPY[basis.kind]
                 worst = _isotropy_sweep(basis.evaluate, conjugated,
                                         basis.evaluate(sys0), act)
@@ -279,9 +278,7 @@ def run_reconstruction(seed: int, trials: int, tol: float | None,
     _add_check(report, "reconstruction/svd3", "SVD self-residual",
                worst_svd, tol, seed=seed)
     # spanning: random generator combinations reproduced by 3/6/9/3 elements
-    scalars = boehler_scalars(2, 0, 2)
-    vectors = smith_vectors(2, 0, 2)
-    tensors = smith_sym_tensors(2, 0, 2)
+    scalars, vectors, tensors = _classical_bases(2, 0, 2)
     worst = {"vector3": 0.0, "sym6": 0.0, "full9": 0.0, "skew3": 0.0}
     for _ in range(trials):
         sys0 = tensor_system(

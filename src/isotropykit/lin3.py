@@ -9,10 +9,17 @@ Symmetric and skew matrices are kept *exactly* symmetric/skew in floating
 point: constructors and :func:`conjugate` re-symmetrize through
 ``0.5 * (M + M.T)`` (exact because IEEE addition commutes) rather than
 trusting the caller.
+
+:class:`TensorSystem` is the validation boundary.  Its members are trusted
+to be finite, correctly shaped and exactly symmetric or skew, which holds
+for every system built by :func:`tensor_system`, :func:`conjugate` or
+``analysis.ambient_chart``; code behind the boundary does not check them
+again.  Every public function still validates its own arguments.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +62,16 @@ def _as_array(x, shape, name):
         raise ValueError(f"{name} entries must be numbers") from None
     if a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
     return a
+
+
+def _norm(x) -> float:
+    # np.linalg.norm's own arithmetic (one dot of the flattened array, one
+    # sqrt) without its dispatch
+    f = x.ravel("K")
+    return math.sqrt(f @ f)
 
 
 def vec3(x) -> np.ndarray:
@@ -70,10 +84,19 @@ def mat3(x) -> np.ndarray:
     return _as_array(x, (3, 3), "tensor")
 
 
+def _mirror_defect(a, sign):
+    # max |a_ij - sign a_ji| and max |a_ij| of a finite 3x3 array: the
+    # numbers of the elementwise numpy expressions, taken on Python floats
+    r = a.tolist()
+    return (max([abs(r[i][j] - sign * r[j][i]) for i, j in _SYM_PAIRS]),
+            max(map(abs, r[0] + r[1] + r[2])))
+
+
 def sym_matrix(x, tol: float = 1e-12) -> np.ndarray:
     """Return ``x`` exactly symmetrized, rejecting clearly asymmetric input."""
     a = mat3(x)
-    if np.abs(a - a.T).max() > tol * (1.0 + np.abs(a).max()):
+    gap, size = _mirror_defect(a, 1.0)
+    if gap > tol * (1.0 + size):
         raise ValueError("matrix is not symmetric")
     return 0.5 * (a + a.T)
 
@@ -81,7 +104,8 @@ def sym_matrix(x, tol: float = 1e-12) -> np.ndarray:
 def skew_matrix(x, tol: float = 1e-12) -> np.ndarray:
     """Return ``x`` exactly skew-symmetrized (zero diagonal), rejecting bad input."""
     a = mat3(x)
-    if np.abs(a + a.T).max() > tol * (1.0 + np.abs(a).max()):
+    gap, size = _mirror_defect(a, -1.0)
+    if gap > tol * (1.0 + size):
         raise ValueError("matrix is not skew-symmetric")
     return 0.5 * (a - a.T)
 
@@ -89,7 +113,7 @@ def skew_matrix(x, tol: float = 1e-12) -> np.ndarray:
 def rotation_matrix(x, tol: float = 1e-12) -> np.ndarray:
     """Validate a proper rotation: ||Q Q^T - I|| <= tol and det Q = 1 within tol."""
     q = mat3(x)
-    if np.linalg.norm(q @ q.T - _EYE) > tol:
+    if _norm(q @ q.T - _EYE) > tol:
         raise ValueError("matrix is not orthogonal")
     if abs(np.linalg.det(q) - 1.0) > tol:
         raise ValueError("matrix is not a proper rotation (det != 1)")
@@ -101,30 +125,37 @@ def rotation_matrix(x, tol: float = 1e-12) -> np.ndarray:
 
 
 def _cross(a, b):
-    # 3-vector cross product; same arithmetic as np.cross without its
-    # axis handling, which dominates the cost at this size
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    # 3-vector cross product as a list; same arithmetic as np.cross without
+    # its axis handling, which dominates the cost at this size
+    return [a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
 
 
-def _fix_sign_convention(v):
-    # largest-magnitude component of the first two vectors made positive
-    # (first such component on ties); the third completes a right-handed triad
-    flipped = [False, False, False]
+def _fix_sign_convention(rows):
+    # the triad of the three lists ``rows`` with the largest-magnitude component
+    # of the first two vectors made positive (first such component on ties) and
+    # the third completing a right-handed triad, and the sign taken by each row
+    signs = [1.0, 1.0, 1.0]
     for i in (0, 1):
-        k = int(np.argmax(np.abs(v[i])))
-        if v[i][k] < 0.0:
-            v[i] = -v[i]
-            flipped[i] = True
-    w = _cross(v[0], v[1])
-    flipped[2] = bool(w @ v[2] < 0.0)
-    v[2] = w / np.linalg.norm(w)
-    return flipped
+        row = rows[i]
+        mags = list(map(abs, row))
+        if row[mags.index(max(mags))] < 0.0:
+            rows[i] = [-x for x in row]
+            signs[i] = -1.0
+    w = _cross(rows[0], rows[1])
+    # w . v2 is +-1 to rounding, so any summation order gives its sign
+    x, y, z = rows[2]
+    if w[0] * x + w[1] * y + w[2] * z < 0.0:
+        signs[2] = -1.0
+    v = np.array([rows[0], rows[1], w])
+    last = v[2]
+    last /= math.sqrt(last @ last)
+    return v, signs
 
 
 def _degeneracy_groups(lams, tol_rel):
-    thr = tol_rel * (1.0 + np.abs(lams).max())
+    thr = tol_rel * (1.0 + max(map(abs, lams)))
     groups, cur = [], [0]
     for i in (1, 2):
         if lams[i - 1] - lams[i] <= thr:
@@ -155,9 +186,8 @@ def eig_sym(a, tol_rel: float = 1e-8):
         raise ValueError("tol_rel must be positive")
     lams, w = np.linalg.eigh(a)
     lams = lams[::-1].copy()
-    v = w.T[::-1].copy()
-    _fix_sign_convention(v)
-    return lams, v, _degeneracy_groups(lams, tol_rel)
+    v, _ = _fix_sign_convention(w.T[::-1].tolist())
+    return lams, v, _degeneracy_groups(lams.tolist(), tol_rel)
 
 
 def svd3(f):
@@ -174,13 +204,8 @@ def svd3(f):
     """
     f = mat3(f)
     left, sv, right_t = np.linalg.svd(f)
-    v = left.T.copy()
-    u = right_t.copy()
-    flipped = _fix_sign_convention(v)
-    for i in range(3):
-        if flipped[i]:
-            u[i] = -u[i]
-    return sv, v, u
+    v, signs = _fix_sign_convention(left.T.tolist())
+    return sv, v, right_t * np.array(signs)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +267,7 @@ class TensorSystem:
 
 
 def _freeze(a):
-    a = np.array(a, dtype=float)
+    # mark a float array that nothing else holds read-only, in place
     a.setflags(write=False)
     return a
 
@@ -258,8 +283,8 @@ def tensor_system(sym=(), nonsym=(), skew=None, vecs=(), unit=None) -> TensorSys
     sym = tuple(sym)
     nonsym = tuple(nonsym)
     vecs = tuple(vecs)
-    skew = tuple(bool(b) for b in (skew if skew is not None else [False] * len(nonsym)))
-    unit = tuple(bool(b) for b in (unit if unit is not None else [False] * len(vecs)))
+    skew = tuple(map(bool, skew if skew is not None else [False] * len(nonsym)))
+    unit = tuple(map(bool, unit if unit is not None else [False] * len(vecs)))
     if len(skew) != len(nonsym):
         raise ValueError("one skew flag per non-symmetric tensor required")
     if len(unit) != len(vecs):
@@ -268,18 +293,17 @@ def tensor_system(sym=(), nonsym=(), skew=None, vecs=(), unit=None) -> TensorSys
         raise ValueError("tensor system must contain at least one argument")
     out_sym = tuple(_freeze(sym_matrix(a)) for a in sym)
     out_nonsym = tuple(
-        _freeze(skew_matrix(h) if is_skew else mat3(h))
+        _freeze(skew_matrix(h) if is_skew else np.array(mat3(h)))
         for h, is_skew in zip(nonsym, skew)
     )
     out_vecs = []
     for x, is_unit in zip(vecs, unit):
         x = vec3(x)
         if is_unit:
-            n = np.linalg.norm(x)
+            n = _norm(x)
             if abs(n - 1.0) > 1e-9:
                 raise ValueError(f"unit-flagged vector has norm {n!r}")
-            x = x / n
-        out_vecs.append(_freeze(x))
+        out_vecs.append(_freeze(x / n if is_unit else np.array(x)))
     return TensorSystem(out_sym, out_nonsym, skew, tuple(out_vecs), unit)
 
 

@@ -37,9 +37,11 @@ from isotropykit.lin3 import (
     _OFF_PAIRS,
     DegenerateConfigurationError,
     TensorSystem,
+    _norm,
     eig_sym,
     svd3,
     sym_matrix,
+    vec3,
 )
 from isotropykit.representation import project_tensor
 from isotropykit.spectral_frame import build_frame, frame_completion
@@ -303,16 +305,18 @@ def degeneracy_sensitivity(W, system_factory, deltas, which: int = 0, h=None):
 # transversely isotropic hyperelasticity
 
 
+def _ti_products(c_mat, l_mat):
+    # the five invariants and the products C^2, C L, C^2 L they are traces of;
+    # a stacked trace sums each diagonal in the order a single trace does
+    c2 = c_mat @ c_mat
+    cl = c_mat @ l_mat
+    c2l = c2 @ l_mat
+    return np.array([c_mat, c2, c2 @ c_mat, cl, c2l]).trace(axis1=1, axis2=2), c2, cl, c2l
+
+
 def ti_invariants(c_mat: np.ndarray, l_mat: np.ndarray) -> np.ndarray:
     """The five invariants ``tr C, tr C^2, tr C^3, tr(C L), tr(C^2 L)``."""
-    c2 = c_mat @ c_mat
-    return np.array([
-        float(np.trace(c_mat)),
-        float(np.trace(c2)),
-        float(np.trace(c2 @ c_mat)),
-        float(np.trace(c_mat @ l_mat)),
-        float(np.trace(c2 @ l_mat)),
-    ])
+    return _ti_products(c_mat, l_mat)[0]
 
 
 @dataclass(frozen=True)
@@ -384,8 +388,8 @@ def hyperelastic_stress(model: HyperelasticModel, c_mat, a) -> HyperelasticStres
     their coefficients agree term by term.
     """
     c_mat = sym_matrix(c_mat)
-    a = np.asarray(a, dtype=float)
-    n = np.linalg.norm(a)
+    a = vec3(a)
+    n = _norm(a)
     if abs(n - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
     a = a / n
@@ -393,22 +397,22 @@ def hyperelastic_stress(model: HyperelasticModel, c_mat, a) -> HyperelasticStres
         TensorSystem(sym=(c_mat,), vecs=(a,), vec_unit=(True,)))
     if frame.lambdas[2] <= 0.0:
         raise ValueError("C must be symmetric positive-definite")
-    l_mat = np.outer(a, a)
-    inv = ti_invariants(c_mat, l_mat)
-    w1, w2, w3, w4, w5 = np.asarray(model.partials(inv), dtype=float)
-    c2 = c_mat @ c_mat
-    cl_lc = c_mat @ l_mat + l_mat @ c_mat
-    s_pot = (2.0 * w1 * _EYE + 4.0 * w2 * c_mat + 6.0 * w3 * c2
-             + 2.0 * w4 * l_mat + 2.0 * w5 * cl_lc)
+    l_mat = a[:, None] * a
+    inv, c2, cl, c2l = _ti_products(c_mat, l_mat)
+    w1, w2, w3, w4, w5 = np.asarray(model.partials(inv), dtype=float).tolist()
     alphas = (2.0 * w1, 2.0 * w4, 4.0 * w2, 6.0 * w3, 2.0 * w5, 0.0)
-    c2l_lc2 = c2 @ l_mat + l_mat @ c2
-    s_rep = (alphas[0] * _EYE + alphas[1] * l_mat + alphas[2] * c_mat
-             + alphas[3] * c2 + alphas[4] * cl_lc + alphas[5] * c2l_lc2)
+    # each term is one product, shared by both routes, which sum in their
+    # own order
+    t_eye, t_l, t_c, t_c2 = (alphas[0] * _EYE, alphas[1] * l_mat, alphas[2] * c_mat,
+                             alphas[3] * c2)
+    t_cl = alphas[4] * (cl + l_mat @ c_mat)
+    s_pot = t_eye + t_c + t_c2 + t_l + t_cl
+    s_rep = t_eye + t_l + t_c + t_c2 + t_cl + alphas[5] * (c2l + l_mat @ c2)
     s_pot = 0.5 * (s_pot + s_pot.T)
     s_rep = 0.5 * (s_rep + s_rep.T)
-    residual = float(np.linalg.norm(s_pot - s_rep))
+    residual = _norm(s_pot - s_rep)
     coeff_pot = project_tensor(s_pot, frame, "sym6").values
     coeff_rep = project_tensor(s_rep, frame, "sym6").values
-    coeff_max_diff = float(np.abs(np.array(coeff_pot) - np.array(coeff_rep)).max())
+    coeff_max_diff = max(abs(p - r) for p, r in zip(coeff_pot, coeff_rep))
     return HyperelasticStress(s_pot, s_rep, residual, alphas,
                               coeff_pot, coeff_rep, coeff_max_diff)

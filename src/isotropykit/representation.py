@@ -124,7 +124,7 @@ def _frame_code(frame: SpectralFrame, kind: str, what: str):
 
 def _coefficients(kind: str, x, v, r=None) -> Coefficients:
     x = np.asarray(x, dtype=float)
-    return Coefficients(kind, tuple(float(c) for c in _encode(x, _KIND_CODES[kind], v, r)))
+    return Coefficients(kind, tuple(_encode(x, _KIND_CODES[kind], v, r).tolist()))
 
 
 def generator_basis(frame: SpectralFrame, kind: str) -> GeneratorBasis:
@@ -154,7 +154,7 @@ def project_tensor(g, frame: SpectralFrame, kind: str) -> Coefficients:
         raise ValueError(f"unknown projection kind {kind!r}")
     code, r = _frame_code(frame, kind, "projection")
     if code.mirror is not None and \
-            np.abs(g - code.mirror * g.T).max() > 1e-12 * (1.0 + np.abs(g).max()):
+            abs(g - g.T if code.mirror > 0 else g + g.T).max() > 1e-12 * (1.0 + abs(g).max()):
         word = "symmetric" if code.mirror > 0 else "skew"
         raise ValueError(f"{kind} projection needs a {word} tensor")
     return _coefficients(kind, g, frame.v, r)

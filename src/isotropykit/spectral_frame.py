@@ -46,6 +46,7 @@ from isotropykit.lin3 import (
     _cross,
     _degeneracy_groups,
     _freeze,
+    _norm,
     eig_sym,
     svd3,
     tensor_system,
@@ -212,9 +213,9 @@ def frame_completion(v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (the best-conditioned choice), ``v3 = v1 x v2``.
     """
     k = int(np.argmin(np.abs(v1)))
-    v2 = _cross(v1, _EYE[k])
-    v2 /= np.linalg.norm(v2)
-    return v2, _cross(v1, v2)
+    v2 = np.array(_cross(v1, _EYE[k]))
+    v2 /= _norm(v2)
+    return v2, np.array(_cross(v1, v2))
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +233,14 @@ def _probe_values(system: TensorSystem, v, u, kind, slot):
     """
     i, j = (1, 2) if slot == 0 else (0, 2)
     for a in system.vecs:
-        yield a @ v[slot], 1.0 + float(np.linalg.norm(a))
+        yield a @ v[slot], 1.0 + _norm(a)
     right = v if u is None else u
     for _, cls, index, code in _layout(kind, system.n_sym, system.nonsym_skew,
                                        system.n_vec):
         if code is _VEC:
             continue
         x = getattr(system, cls)[index]
-        scale = 1.0 + float(np.linalg.norm(x))
+        scale = 1.0 + _norm(x)
         yield v[i] @ x @ right[j], scale
         if code is not _SKEW:
             yield v[j] @ x @ right[i], scale
@@ -258,11 +259,8 @@ def _apply_equivariant_gauge(system, kind, v, u=None):
                 signs[slot] = 1.0 if value > 0.0 else -1.0
                 break
     s0, s1 = signs
-    full = np.array([s0, s1, s0 * s1])
-    v = v * full[:, None]
-    if u is not None:
-        u = u * full[:, None]
-    return v, u
+    full = np.array([[s0], [s1], [s0 * s1]])
+    return v * full, None if u is None else u * full
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +316,7 @@ def build_svd_frame(system: TensorSystem) -> SpectralFrame:
         raise DegenerateInputError("frame tensor is zero")
     sv, v, u = svd3(h)
     v, u = _apply_equivariant_gauge(system, "svd", v, u)
-    return _frozen_frame("svd", sv, v, u, _degeneracy_groups(sv, _TOL_REL), 0)
+    return _frozen_frame("svd", sv, v, u, _degeneracy_groups(sv.tolist(), _TOL_REL), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +336,13 @@ def extract_invariants(system: TensorSystem, frame: SpectralFrame) -> SpectralIn
     """
     layout = _layout(frame.kind, system.n_sym, system.nonsym_skew, system.n_vec)
     v, u = frame.v, frame.u
-    entries = list(zip(_KINDS[frame.kind][0], frame.lambdas))
+    entries = list(zip(_KINDS[frame.kind][0], frame.lambdas.tolist()))
     if frame.kind == "svd":
-        entries += [(f"u{i + 1}.v{i + 1}", u[i] @ v[i]) for i in range(3)]
+        entries += [(f"u{i + 1}.v{i + 1}", float(u[i] @ v[i])) for i in range(3)]
     for stem, cls, index, code in layout:
         x = getattr(system, cls)[index]
-        entries += zip(_labels(stem, code), _encode(x, code, v, u))
-    entries = tuple((label, float(value)) for label, value in entries)
+        entries += zip(_labels(stem, code), _encode(x, code, v, u).tolist())
+    entries = tuple(entries)
     count = len(entries) - sum(system.vec_unit)
     if frame.kind == "svd":
         count -= 3 * system.n_sym

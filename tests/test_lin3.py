@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from isotropykit.lin3 import (
+    _mirror_defect,
+    _norm,
     conjugate,
     eig_sym,
     haar_rotation,
@@ -292,3 +294,63 @@ class TestTensorSystem:
         sys0 = tensor_system(sym=[np.eye(3)])
         with pytest.raises(ValueError):
             sys0.sym[0][0, 0] = 5.0
+
+
+class TestValidationBoundary:
+    """What the public entry points reject, now that the kernels behind a
+    :class:`TensorSystem` no longer re-validate its members."""
+
+    def test_eig_sym_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+            eig_sym([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+    def test_eig_sym_rejects_nan(self):
+        a = np.eye(3)
+        a[1, 2] = a[2, 1] = np.nan
+        with pytest.raises(ValueError, match="^tensor has non-finite entries$"):
+            eig_sym(a)
+
+    def test_svd3_rejects_wrong_shape(self):
+        with pytest.raises(ValueError,
+                           match=r"^tensor must have shape \(3, 3\), got \(3, 2\)$"):
+            svd3(np.ones((3, 2)))
+
+    def test_svd3_rejects_nan(self):
+        f = np.eye(3)
+        f[0, 1] = np.nan
+        with pytest.raises(ValueError, match="^tensor has non-finite entries$"):
+            svd3(f)
+
+    def test_tensor_system_rejects_asymmetric_sym_entry(self):
+        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+            tensor_system(sym=[[[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+
+    def test_tensor_system_rejects_non_unit_vector(self):
+        with pytest.raises(ValueError, match="^unit-flagged vector has norm 1.5$"):
+            tensor_system(vecs=[[1.5, 0.0, 0.0]], unit=[True])
+
+    def test_tensor_system_rejects_non_skew_entry(self):
+        with pytest.raises(ValueError, match="^matrix is not skew-symmetric$"):
+            tensor_system(nonsym=[np.eye(3)], skew=[True])
+
+    def test_mirror_defect_is_the_numpy_reductions(self):
+        rng = np.random.default_rng(809)
+        for _ in range(500):
+            a = 10.0 ** rng.uniform(-150.0, 150.0) * rng.standard_normal((3, 3))
+            for sign in (1.0, -1.0):
+                assert _mirror_defect(a, sign) == (np.abs(a - sign * a.T).max(),
+                                                   np.abs(a).max())
+
+    def test_conjugate_rejects_reflection(self):
+        sys0 = tensor_system(sym=[np.eye(3)])
+        with pytest.raises(ValueError,
+                           match=r"^matrix is not a proper rotation \(det != 1\)$"):
+            conjugate(np.diag([1.0, 1.0, -1.0]), sys0)
+
+    def test_norm_is_numpy_norm_bit_for_bit(self):
+        rng = np.random.default_rng(811)
+        for _ in range(2000):
+            scale = 10.0 ** rng.uniform(-150.0, 150.0)
+            for x in (scale * rng.standard_normal(3), scale * rng.standard_normal((3, 3))):
+                for y in (x, x.T, x[::-1]):
+                    assert _norm(y) == np.linalg.norm(y)

@@ -316,3 +316,20 @@ class TestHyperelastic:
         model = polynomial_ti_model([1.0] + [0.0] * 7)
         with pytest.raises(ValueError):
             hyperelastic_stress(model, np.diag([1.0, 1.0, -1.0]), [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("a, message", [
+        ([np.nan, 0.0, 0.0], "vector has non-finite entries"),
+        ([[1.0, 0.0, 0.0]], r"vector must have shape \(3,\), got \(1, 3\)"),
+        ([1.0, 0.0, 0.0, 0.0], r"vector must have shape \(3,\), got \(4,\)"),
+    ])
+    def test_rejects_malformed_direction(self, a, message):
+        model = polynomial_ti_model([1.0] + [0.0] * 7)
+        with pytest.raises(ValueError, match=message):
+            hyperelastic_stress(model, np.eye(3), a)
+
+    def test_rejects_nonfinite_c(self):
+        model = polynomial_ti_model([1.0] + [0.0] * 7)
+        c = np.eye(3)
+        c[0, 0] = np.inf
+        with pytest.raises(ValueError, match="tensor has non-finite entries"):
+            hyperelastic_stress(model, c, [1.0, 0.0, 0.0])

@@ -96,6 +96,13 @@ class TestProjections:
         with pytest.raises(ValueError):
             project_tensor(np.eye(3), fr, "skew3")
 
+    def test_sym6_rejects_asymmetric_with_message(self):
+        fr = build_frame(random_system(np.random.default_rng(181), 1, 0, 0))
+        g = np.eye(3)
+        g[0, 1] = 1.0
+        with pytest.raises(ValueError, match="^sym6 projection needs a symmetric tensor$"):
+            project_tensor(g, fr, "sym6")
+
     def test_generator_bases_full_rank(self):
         rng = np.random.default_rng(181)
         fr = build_frame(random_system(rng, 1, 0, 0))
