@@ -3,7 +3,10 @@
 These are the comparison targets for every reduction claim: the classical
 scalar invariants of symmetric tensors, skew tensors and vectors, and the Smith
 generators of vector- and symmetric-tensor-valued isotropic functions, listed
-(never counted by closed form) in the stated order.  Each item is its label.
+(never counted by closed form) in the stated order.  Each item is its label,
+and a basis runs all its labels as one program over a stack of systems: B
+systems give one ``(B, n, ...)`` array, and one system (B = 1) gives a float
+array or a list of arrays, equal bit for bit to its row in any stack.
 
 Label grammar
 -------------
@@ -146,42 +149,65 @@ _FUNCTIONS = {
     "anti": lambda emit, x, y: emit("add", emit("mul", x, y), emit("mul", y, x)),
     "alt": lambda emit, x, y: emit("sub", emit("outer", x, y), emit("outer", y, x)),
 }
-_OPERANDS = {"A": 0, "W": 1, "a": 2, "I": 3}  # the first slots of every program
-_OPS = {"mul": operator.matmul, "add": operator.add, "sub": operator.sub,
-        "outer": np.outer, "tr": np.trace, "sym": lambda x: x + x.T}
-# an item returns a float, a fresh array or an exactly symmetric tensor
-_FINISH = {"scalar": float, "vector": np.array, "sym_tensor": lambda m: 0.5 * (m + m.T)}
+# the first slots of every program, with their ranks: 0 scalar, 1 vector, 2 tensor
+_OPERANDS = {"A": (0, 2), "W": (1, 2), "a": (2, 1), "I": (3, 2)}
+# every op on its arguments' ranks: its form on stacks of values (leading
+# batch axis) and the rank of its result
+_OPS = {
+    ("mul", 2, 2): (np.matmul, 2),
+    ("mul", 2, 1): (lambda x, y: (x @ y[..., None])[..., 0], 1),
+    ("mul", 1, 2): (lambda x, y: (x[..., None, :] @ y)[..., 0, :], 1),
+    ("mul", 1, 1): (lambda x, y: (x[..., None, :] @ y[..., None])[..., 0, 0], 0),
+    ("outer", 1, 1): (lambda x, y: x[..., :, None] * y[..., None, :], 2),
+    ("tr", 2): (lambda x: x.trace(axis1=-2, axis2=-1), 0),
+    ("sym", 2): (lambda x: x + x.swapaxes(-1, -2), 2),
+    **{(op, r, r): (fn, r) for op, fn in (("add", operator.add), ("sub", operator.sub))
+       for r in (0, 1, 2)},
+}
+_SHAPES = {"scalar": (), "vector": (3,), "sym_tensor": (3, 3)}  # of one item
 
 
 class _Program:
     """Labels of one kind parsed into one straight-line program of steps
     ``(fn, slot, slot or None)``, one per distinct subterm, so a subterm that
-    several labels share (``A1^2``, ``A1.a1``) is computed once per call."""
+    several labels share (``A1^2``, ``A1.a1``) is computed once per call on
+    a whole stack of systems; each step's op is bound to its arguments' ranks."""
 
     def __init__(self, labels, kind):
-        self._steps, self._slots = [], {}
-        self._finish = _FINISH[kind]
+        self._steps, self._slots, self._ranks = [], {}, [None, None, None, 2]  # stacks, I
+        self.kind = kind
         self._outputs = [self._parse(label) for label in labels]
 
-    def __call__(self, system):
-        values = [system.sym, system.nonsym, system.vecs, _EYE]
-        for fn, a, b in self._steps:
-            values.append(fn(values[a]) if b is None else fn(values[a], values[b]))
-        return [self._finish(values[k]) for k in self._outputs]
-
-    def first(self, system):
-        return self(system)[0]
+    def __call__(self, systems, shape):
+        """Item values, ``(B, n, ...)``, on a stack of systems of ``shape`` (N, M, P)."""
+        b, (n, m, p) = len(systems), shape
+        values = [np.array([x for s in systems for x in s.sym]).reshape(b, n, 3, 3),
+                  np.array([x for s in systems for x in s.nonsym]).reshape(b, m, 3, 3),
+                  np.array([x for s in systems for x in s.vecs]).reshape(b, p, 3), _EYE]
+        for fn, a, c in self._steps:
+            values.append(fn(values[a]) if c is None else fn(values[a], values[c]))
+        out = np.empty((b, len(self._outputs)) + _SHAPES[self.kind])
+        for k, slot in enumerate(self._outputs):
+            out[:, k] = values[slot]
+        # a tensor item is returned exactly symmetric
+        return 0.5 * (out + out.swapaxes(-1, -2)) if self.kind == "sym_tensor" else out
 
     def _emit(self, op, *args):
         """Slot of ``op`` on the slots ``args`` (of an operand: on its number)."""
         key = (op, *args)
         if key not in self._slots:
             if op in _OPERANDS:
-                step = (operator.itemgetter(*args), _OPERANDS[op], None)
+                slot, rank = _OPERANDS[op]  # operand k: row k of a stack
+                step = (operator.itemgetter((slice(None), *args)), slot, None)
             else:
-                step = (_OPS[op], *args, None)[:3]  # unary ops: second slot None
+                ranks = tuple(self._ranks[a] for a in args)
+                if (op, *ranks) not in _OPS:
+                    raise ValueError(f"malformed basis label: {op} of ranks {ranks}")
+                fn, rank = _OPS[op, *ranks]
+                step = (fn, *args, None)[:3]  # unary ops: second slot None
             self._steps.append(step)
-            self._slots[key] = len(_OPERANDS) + len(self._steps) - 1
+            self._ranks.append(rank)
+            self._slots[key] = len(self._ranks) - 1
         return self._slots[key]
 
     def _parse(self, label):
@@ -219,7 +245,7 @@ class _Program:
                 take(r"\)")
                 return _FUNCTIONS[token[:-1]](self._emit, *args)
             if token == "I":
-                return _OPERANDS["I"]
+                return _OPERANDS["I"][0]
             return self._emit(token[0], int(token[1:]) - 1)
 
         slot = binary(0)
@@ -249,7 +275,7 @@ class _Basis:
         self.n_sym, self.n_skew, self.n_vec = n_sym, n_skew, n_vec
         self.items = tuple(
             BasisItem(label, self.kind, lambda system, label=label:
-                      _item_program(label, self.kind).first(system))
+                      _item_program(label, self.kind)([system], system.shape())[0, 0])
             for label in labels)
         self._by_label = {item.label: item for item in self.items}
         if len(self._by_label) != len(self.items):
@@ -272,11 +298,18 @@ class _Basis:
         if self.n_skew and not all(system.nonsym_skew):
             raise ValueError("classical bases cover skew tensors only")
 
-    def evaluate(self, system: TensorSystem):
-        """All items: a float array for a scalar list, else a list of arrays."""
-        self.check_system(system)
-        values = self._program(system)
-        return np.array(values) if self.kind == "scalar" else values
+    def evaluate(self, systems):
+        """Every item on one system, as a float array for a scalar list and a
+        list of arrays otherwise, or on a sequence of B systems of the basis
+        shape, as one ``(B, n)``, ``(B, n, 3)`` or ``(B, n, 3, 3)`` array."""
+        single = isinstance(systems, TensorSystem)
+        stack = [systems] if single else systems
+        for system in stack:
+            self.check_system(system)
+        values = self._program(stack, (self.n_sym, self.n_skew, self.n_vec))
+        if not single:
+            return values
+        return values[0] if self.kind == "scalar" else list(values[0])
 
 
 class ClassicalScalarBasis(_Basis):

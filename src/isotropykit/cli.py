@@ -141,31 +141,28 @@ def _add_check(report, claim_id, description, value, tolerance,
     return claim
 
 
-def _isotropy_sweep(values_fn, conjugated, base, act=lambda q, g: g):
+def _isotropy_sweep(values, rotations, base, act=lambda q, g: g):
     # max over the pre-drawn rotations of ||g1 - act(q, g0)|| / (1 + ||g0||)
     # per item, where ``base`` stacks the items' values g0 at the unrotated
-    # system and ``act`` rotates that stack
+    # system, ``values`` their values g1 at each rotated one, and ``act``
+    # rotates ``base`` by the whole stack of rotations
     base = np.asarray(base, dtype=float)
-    if not len(base):
+    if not (n := len(base)):
         return np.zeros(0)
-    norms = lambda x: np.linalg.norm(x.reshape(len(x), -1), axis=1)
-    scale = 1.0 + norms(base)
-    worst = np.zeros(len(base))
-    for q, rot_sys in conjugated:
-        diff = np.asarray(values_fn(rot_sys), dtype=float) - act(q, base)
-        worst = np.maximum(worst, norms(diff) / scale)
-    return worst
+    scale = 1.0 + np.linalg.norm(base.reshape(n, -1), axis=1)
+    diff = np.asarray(values, dtype=float) - act(rotations, base)
+    return (np.linalg.norm(diff.reshape(len(diff), n, -1), axis=2) / scale).max(axis=0)
 
 
-# claim-id word, description and rotation action (on a stack of item values)
-# for each kind of classical item
+# claim-id word, description and rotation action (of a stack of rotations
+# on a stack of item values) for each kind of classical item
 _CLASSICAL_ISOTROPY = {
     "scalar": ("scalar", "classical scalar invariant under rotation",
                lambda q, g: g),
     "vector": ("vector", "classical generator vector equivariance",
-               lambda q, g: g @ q.T),
+               lambda q, g: g @ q.swapaxes(-1, -2)),
     "sym_tensor": ("tensor", "classical generator tensor equivariance",
-                   lambda q, g: q @ g @ q.T),
+                   lambda q, g: q[:, None] @ g @ q[:, None].swapaxes(-1, -2)),
 }
 
 
@@ -192,21 +189,22 @@ def run_isotropy(seed: int, trials: int, tol: float | None,
             ("N0M1P1", seeded_system(0, 1, 1, seed=seed), None),
         ]
     for tag, sys0, bases in configs:
-        rotations = [haar_rotation(rng) for _ in range(trials)]
-        conjugated = [(q, conjugate(q, sys0)) for q in rotations]
+        rotations = np.array([haar_rotation(rng) for _ in range(trials)])
+        conjugated = [conjugate(q, sys0) for q in rotations]
         if bases is not None:
             for basis in bases:
+                # one run of the basis over the unrotated and every rotated system
                 word, description, act = _CLASSICAL_ISOTROPY[basis.kind]
-                worst = _isotropy_sweep(basis.evaluate, conjugated,
-                                        basis.evaluate(sys0), act)
+                values = basis.evaluate([sys0] + conjugated)
+                worst = _isotropy_sweep(values[1:], rotations, values[0], act)
                 for item, dev in zip(basis.items, worst):
                     _add_check(report, f"isotropy/classical-{word}/{tag}/{item.label}",
                                description, dev, tol, seed=seed)
         frame = build_frame(sys0)
         if not frame.is_degenerate:
-            values_fn = lambda s: extract_invariants(s, build_frame(s)).values()
+            values = [extract_invariants(s, build_frame(s)).values() for s in conjugated]
             inv = extract_invariants(sys0, frame)
-            worst = _isotropy_sweep(values_fn, conjugated, inv.values())
+            worst = _isotropy_sweep(values, rotations, inv.values())
             for label, dev in zip(inv.labels(), worst):
                 _add_check(report, f"isotropy/spectral/{tag}/{label}",
                            "spectral invariant under rotation",
@@ -214,11 +212,11 @@ def run_isotropy(seed: int, trials: int, tol: float | None,
     # negative controls: raw ambient coordinates must NOT look isotropic
     control = seeded_system(1, 0, 1, seed=seed)
     rotations = [haar_rotation(rng) for _ in range(trials)]
-    conjugated = [(q, conjugate(q, control)) for q in rotations]
+    conjugated = [conjugate(q, control) for q in rotations]
     for cid, fn in (("sym-entry", lambda s: s.sym[0][0, 0]),
                     ("vec-entry", lambda s: s.vecs[0][0])):
         base = fn(control)
-        dev = max(abs(fn(rs) - base) / (1.0 + abs(base)) for _, rs in conjugated)
+        dev = max(abs(fn(rs) - base) / (1.0 + abs(base)) for rs in conjugated)
         _add_check(report, f"isotropy/negative-control/{cid}",
                    "raw coordinate must fail the harness",
                    dev, 1e-3, comparator="ge", seed=seed)
@@ -279,21 +277,25 @@ def run_reconstruction(seed: int, trials: int, tol: float | None,
                worst_svd, tol, seed=seed)
     # spanning: random generator combinations reproduced by 3/6/9/3 elements
     scalars, vectors, tensors = _classical_bases(2, 0, 2)
+    # every trial's system and coefficient noise, drawn in trial order, then
+    # one run of each basis over all the trials' systems
+    draws = [(tensor_system(sym=[0.5 * (m + m.T) for m in rng.standard_normal((2, 3, 3))],
+                            vecs=list(rng.standard_normal((2, 3)))),
+              rng.standard_normal((len(vectors), len(scalars))),
+              rng.standard_normal((len(tensors), len(scalars))))
+             for _ in range(trials)]
+    values = [basis.evaluate([d[0] for d in draws]) for basis in (scalars, vectors, tensors)]
     worst = {"vector3": 0.0, "sym6": 0.0, "full9": 0.0, "skew3": 0.0}
-    for _ in range(trials):
-        sys0 = tensor_system(
-            sym=[0.5 * (m + m.T) for m in rng.standard_normal((2, 3, 3))],
-            vecs=list(rng.standard_normal((2, 3))))
+    for (sys0, noise_v, noise_t), svals, gvecs, gtens in zip(draws, *values):
         frame = build_frame(sys0)
-        svals = scalars.evaluate(sys0)
-        cv = rng.standard_normal((len(vectors), len(svals))) @ svals
+        cv = noise_v @ svals
         cv /= 1.0 + np.abs(cv).max()
-        g = sum(c * item for c, item in zip(cv, vectors.evaluate(sys0)))
+        g = sum(c * item for c, item in zip(cv, gvecs))
         back = reconstruct_vector(project_vector(g, frame), frame)
         worst["vector3"] = max(worst["vector3"], float(np.linalg.norm(back - g)))
-        ct = rng.standard_normal((len(tensors), len(svals))) @ svals
+        ct = noise_t @ svals
         ct /= 1.0 + np.abs(ct).max()
-        t = sum(c * item for c, item in zip(ct, tensors.evaluate(sys0)))
+        t = sum(c * item for c, item in zip(ct, gtens))
         back = reconstruct_tensor(project_tensor(t, frame, "sym6"), frame)
         worst["sym6"] = max(worst["sym6"], float(np.linalg.norm(back - t)))
         a1, a2 = sys0.sym
@@ -521,8 +523,7 @@ def run_p_property(seed: int, trials: int, tol: float | None) -> VerificationRep
     """Gauge re-randomization at constructed degeneracies, closed-form values,
     the five safe invariants, and the raw-component negative control."""
     tol = 1e-10 if tol is None else tol
-    report = VerificationReport("p-property", seed, trials or 50, {"tol": tol})
-    trials = trials or 50
+    report = VerificationReport("p-property", seed, trials, {"tol": tol})
     rng = np.random.default_rng(seed)
 
     def dyad_energy(inv):
@@ -759,6 +760,10 @@ def cmd_counts(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.tol is not None and not 0.0 < args.tol < float("inf"):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     system = None
     if args.input is not None:
         if args.suite not in _SUITES_WITH_INPUT:

@@ -29,7 +29,9 @@ from isotropykit.lin3 import (
     TensorSystem,
     eig_sym,
     haar_rotation,
+    mat3,
     tensor_system,
+    vec3,
 )
 from isotropykit.spectral_frame import (
     _FULL,
@@ -123,7 +125,6 @@ def _frame_code(frame: SpectralFrame, kind: str, what: str):
 
 
 def _coefficients(kind: str, x, v, r=None) -> Coefficients:
-    x = np.asarray(x, dtype=float)
     return Coefficients(kind, tuple(_encode(x, _KIND_CODES[kind], v, r).tolist()))
 
 
@@ -135,7 +136,7 @@ def generator_basis(frame: SpectralFrame, kind: str) -> GeneratorBasis:
 
 def project_vector(g, frame: SpectralFrame) -> Coefficients:
     """Coefficients of a vector over the frame triad: ``g_i = g . v_i``."""
-    return _coefficients("vector3", g, frame.v)
+    return _coefficients("vector3", vec3(g), frame.v)
 
 
 def reconstruct_vector(coeffs: Coefficients, frame: SpectralFrame) -> np.ndarray:
@@ -149,7 +150,7 @@ def project_tensor(g, frame: SpectralFrame, kind: str) -> Coefficients:
     errors otherwise); ``full9`` takes anything; ``svd9`` uses the mixed
     dyads ``v_i (x) u_j`` of an SVD frame.
     """
-    g = np.asarray(g, dtype=float)
+    g = mat3(g)
     if kind == "vector3":
         raise ValueError(f"unknown projection kind {kind!r}")
     code, r = _frame_code(frame, kind, "projection")

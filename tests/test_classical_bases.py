@@ -168,3 +168,59 @@ class TestGoldenLists:
     def test_function_arity_checked(self):
         with pytest.raises(TypeError):
             _Program(["comm(A1)"], "scalar")
+
+
+def golden_system():
+    return tensor_system(sym=GOLDEN["system"]["sym"], nonsym=GOLDEN["system"]["skew"],
+                         skew=[True] * 3, vecs=GOLDEN["system"]["vecs"])
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_stack_rows_equal_single_systems(self, kind):
+        rng = np.random.default_rng(197)
+        sys0 = golden_system()
+        systems = [sys0] + [conjugate(haar_rotation(rng), sys0) for _ in range(20)]
+        basis = BUILDERS[kind](3, 3, 3)
+        stacked = basis.evaluate(systems)
+        assert stacked.shape == (21, len(basis)) + {"scalar": (), "vector": (3,),
+                                                    "sym_tensor": (3, 3)}[kind]
+        for row, system in zip(stacked, systems):
+            assert np.array_equal(row, np.asarray(basis.evaluate(system)))
+        # the unrotated row against the recorded values, item by item
+        for value, (label, ref) in zip(stacked[0], GOLDEN[kind]):
+            ref = np.asarray(ref)
+            assert np.linalg.norm(value - ref) <= 1e-12 * np.linalg.norm(ref), label
+
+    def test_single_system_keeps_its_types(self):
+        sys0 = golden_system()
+        assert isinstance(boehler_scalars(3, 3, 3).evaluate(sys0), np.ndarray)
+        for make in (smith_vectors, smith_sym_tensors):
+            values = make(3, 3, 3).evaluate(sys0)
+            assert isinstance(values, list)
+            assert all(isinstance(v, np.ndarray) for v in values)
+
+    def test_empty_basis_shape(self):
+        rng = np.random.default_rng(199)
+        systems = [random_system(rng, 2, 0, 0) for _ in range(4)]
+        basis = smith_vectors(2, 0, 0)
+        assert len(basis) == 0
+        assert basis.evaluate(systems).shape == (4, 0, 3)
+        assert basis.evaluate(systems[0]) == []
+
+    def test_mixed_stack_rejected(self):
+        rng = np.random.default_rng(211)
+        basis = boehler_scalars(1, 1, 1)
+        good = random_system(rng, 1, 1, 1)
+        other_shape = random_system(rng, 1, 0, 1)
+        general = tensor_system(sym=good.sym, nonsym=good.nonsym, skew=[False],
+                                vecs=good.vecs)
+        for bad in (other_shape, general):
+            with pytest.raises(ValueError):
+                basis.evaluate([good, bad])
+
+    @pytest.mark.parametrize("label,kind", [("a1-A1", "vector"), ("tr(a1)", "scalar"),
+                                            ("A1xA2", "sym_tensor"), ("tr(A1)-A1", "scalar")])
+    def test_rank_mismatch_rejected(self, label, kind):
+        with pytest.raises(ValueError, match="malformed basis label"):
+            _Program([label], kind)

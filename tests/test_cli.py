@@ -111,6 +111,23 @@ class TestExitCodes:
         path = write_system(tmp_path / "sys.json", sym=[np.diag([3.0, 2.0, 1.0])])
         assert main(["verify", "gradients", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["isotropy", "--trials", "0"],
+        ["reconstruction", "--trials", "0"],
+        ["p-property", "--trials", "-3"],
+        ["isotropy", "--tol", "nan"],
+        ["isotropy", "--tol", "-1"],
+        ["reconstruction", "--tol", "inf"],
+        ["coalescence", "--tol", "0"],
+    ], ids=["isotropy-zero-trials", "reconstruction-zero-trials",
+            "p-property-negative-trials", "nan-tol", "negative-tol", "inf-tol", "zero-tol"])
+    def test_bad_trials_or_tol_is_two(self, capsys, argv):
+        # unchecked, zero trials crash isotropy or pass reconstruction with no
+        # trial run, and a NaN or negative tolerance fails honest claims (exit 1)
+        assert main(["verify", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and err.count("\n") == 1
+
 
 class TestDeterminism:
     def test_identical_reports(self, tmp_path):

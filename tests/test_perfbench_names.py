@@ -5,12 +5,21 @@ names, and ``perfbench/tracer.py`` wraps the ``evaluate`` method of the
 classical-basis classes by name; a renamed function or class would turn a
 traced run into a ``KeyError``.  Both lists are read with ``ast`` rather than
 imported, because importing ``run.py`` pins the BLAS thread variables.
+The benchmark also gates every verify suite on the claim ids and skips listed
+in ``perfbench/claims_manifest.json``, which is read here and never written.
 """
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
+import json
 from pathlib import Path
+
+import pytest
+
+from isotropykit.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,3 +61,16 @@ def test_basis_classes_exist():
     for cls_name in BASIS_CLASSES.values():
         cls = getattr(bases, cls_name)
         assert inspect.isclass(cls) and callable(cls.evaluate), cls_name
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("suite", ["isotropy", "reconstruction"])
+def test_claim_ids_match_manifest(tmp_path, suite, seed):
+    # a rewrite of the batched sweeps must not move the ids the benchmark gates on
+    manifest = json.loads((PERFBENCH / "claims_manifest.json").read_text())[suite]
+    path = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", suite, "--seed", str(seed), "--json", str(path)]) == 0
+    claims = json.loads(path.read_text())["claims"]
+    assert [c["id"] for c in claims] == manifest["ids"]
+    assert [c["id"] for c in claims if c["status"] == "skip"] == manifest["skips"]

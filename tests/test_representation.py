@@ -103,6 +103,24 @@ class TestProjections:
         with pytest.raises(ValueError, match="^sym6 projection needs a symmetric tensor$"):
             project_tensor(g, fr, "sym6")
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda fr: project_tensor(np.diag([1.0, np.nan, 1.0]), fr, "sym6"),
+         "^tensor has non-finite entries$"),
+        (lambda fr: project_tensor(np.full((3, 3), np.inf), fr, "full9"),
+         "^tensor has non-finite entries$"),
+        (lambda fr: project_tensor(np.eye(2), fr, "full9"),
+         r"^tensor must have shape \(3, 3\), got \(2, 2\)$"),
+        (lambda fr: project_vector([np.inf, 0.0, 0.0], fr),
+         "^vector has non-finite entries$"),
+        (lambda fr: project_vector([1.0, 0.0], fr),
+         r"^vector must have shape \(3,\), got \(2,\)$"),
+    ], ids=["nan-sym6", "inf-full9", "2x2-tensor", "inf-vector", "2-vector"])
+    def test_invalid_argument_rejected(self, call, message):
+        # unchecked, these give NaN/inf coefficients or fail inside matmul
+        fr = build_frame(random_system(np.random.default_rng(191), 1, 0, 0))
+        with pytest.raises(ValueError, match=message):
+            call(fr)
+
     def test_generator_bases_full_rank(self):
         rng = np.random.default_rng(181)
         fr = build_frame(random_system(rng, 1, 0, 0))
