@@ -57,6 +57,7 @@ __all__ = [
     "ambient_chart",
     "compare_bases",
     "jacobian_rank",
+    "rotation_deviation",
     "seeded_system",
     "spectral_values_fn",
     "verify_isotropy",
@@ -83,34 +84,48 @@ def seeded_system(n_sym: int, n_nonsym: int, n_vec: int, *, skew: bool = False,
 # rotation-invariance harness
 
 
+# how a stack of rotations (T, 3, 3) acts on a stack of item values (n, ...):
+# the (T, n, ...) values the items must take at the rotated systems
+_ACTIONS = {
+    "scalar": lambda q, g: g,
+    "vector": lambda q, g: g @ q.swapaxes(-1, -2),
+    "sym_tensor": lambda q, g: q[:, None] @ g @ q[:, None].swapaxes(-1, -2),
+}
+_ACTIONS["full_tensor"] = _ACTIONS["sym_tensor"]
+
+
+def rotation_deviation(values, rotations, base, kind: str) -> np.ndarray:
+    """Per item, the max over rotations of ``||g(Q s) - Q.g(s)|| / (1 + ||g(s)||)``.
+
+    ``base`` stacks the n items' values ``g(s)`` at the unrotated system,
+    ``values`` their values at each of the T rotated systems (shape
+    ``(T, n, ...)``) and ``rotations`` the T rotations.  ``kind`` says how a
+    rotation acts on a value: ``"scalar"`` not at all, ``"vector"`` as
+    ``Q g``, ``"sym_tensor"``/``"full_tensor"`` as ``Q G Q^T``.
+    """
+    act = _ACTIONS[kind]
+    base = np.asarray(base, dtype=float)
+    if not (n := len(base)):
+        return np.zeros(0)
+    scale = 1.0 + np.linalg.norm(base.reshape(n, -1), axis=1)
+    diff = np.asarray(values, dtype=float) - act(np.asarray(rotations), base)
+    return (np.linalg.norm(diff.reshape(len(diff), n, -1), axis=2) / scale).max(axis=0)
+
+
 def verify_isotropy(fn, kind: str, system: TensorSystem, trials: int = 100,
                     rng=None) -> float:
     """Max normalized deviation of ``fn`` from exact isotropy/equivariance
-    over Haar-random rotations.
-
-    ``kind`` declares the value: ``"scalar"`` compares values directly,
-    ``"vector"`` against ``Q g``, ``"sym_tensor"``/``"full_tensor"`` against
-    ``Q G Q^T``.  Deviations are normalized by ``1 + |value|``.
-    """
+    over ``trials`` Haar-random rotations (see :func:`rotation_deviation`
+    for ``kind`` and the normalization)."""
+    if kind not in _ACTIONS:
+        raise ValueError(f"unknown evaluator kind {kind!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if rng is None:
         rng = np.random.default_rng(0)
-    base = fn(system)
-    worst = 0.0
-    for _ in range(trials):
-        q = haar_rotation(rng)
-        rotated = fn(conjugate(q, system))
-        if kind == "scalar":
-            dev = abs(float(rotated) - float(base)) / (1.0 + abs(float(base)))
-        elif kind == "vector":
-            dev = float(np.linalg.norm(np.asarray(rotated) - q @ np.asarray(base))
-                        / (1.0 + np.linalg.norm(base)))
-        elif kind in ("sym_tensor", "full_tensor"):
-            dev = float(np.linalg.norm(np.asarray(rotated) - q @ np.asarray(base) @ q.T)
-                        / (1.0 + np.linalg.norm(base)))
-        else:
-            raise ValueError(f"unknown evaluator kind {kind!r}")
-        worst = max(worst, dev)
-    return worst
+    rotations = np.array([haar_rotation(rng) for _ in range(trials)])
+    values = [[fn(conjugate(q, system))] for q in rotations]
+    return float(rotation_deviation(values, rotations, [fn(system)], kind)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +361,12 @@ class VerificationReport:
         if any(c.claim_id == claim.claim_id for c in self.claims):
             raise ValueError(f"duplicate claim id {claim.claim_id!r}")
         self.claims.append(claim)
+
+    def check(self, claim_id, description, value, tolerance, comparator="le"):
+        """Record ``value`` (as a float) against ``tolerance`` under this
+        report's seed."""
+        self.add(Claim.check(claim_id, description, float(value), tolerance,
+                             comparator, self.seed))
 
     @property
     def all_pass(self) -> bool:

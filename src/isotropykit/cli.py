@@ -8,6 +8,15 @@ Three subcommands:
 * ``frame``   -- build the spectral frame of a system file and print the
   labeled invariant list
 
+A suite takes exactly the tuning flags its ``run_<suite>`` declares, and
+any other one exits 2:
+
+* ``isotropy``, ``reconstruction`` -- ``--input``, ``--trials``, ``--tol``
+* ``rank`` -- ``--input`` or ``--n/--m/--p/--skew/--unit-vectors``, and ``--svd``
+* ``gradients`` -- ``--trials``
+* ``p-property``, ``hyperelastic`` -- ``--trials``, ``--tol``
+* ``coalescence`` -- ``--tol``
+
 Exit codes: 0 all claims pass, 1 numerical failure (failing claim ids are
 listed), 2 usage or input errors.  The environment variable
 ``ISOTROPYKIT_SEED`` overrides the default seed; an explicit ``--seed`` wins.
@@ -19,6 +28,7 @@ shortest round-trip formatting).
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import os
@@ -31,6 +41,7 @@ from isotropykit.analysis import (
     Claim,
     VerificationReport,
     jacobian_rank,
+    rotation_deviation,
     seeded_system,
     spectral_values_fn,
     verify_isotropy,
@@ -133,44 +144,18 @@ def load_system_file(path: str):
 # suite helpers
 
 
-def _add_check(report, claim_id, description, value, tolerance,
-               comparator="le", seed=0):
-    claim = Claim.check(claim_id, description, float(value), tolerance,
-                        comparator, seed)
-    report.add(claim)
-    return claim
-
-
-def _isotropy_sweep(values, rotations, base, act=lambda q, g: g):
-    # max over the pre-drawn rotations of ||g1 - act(q, g0)|| / (1 + ||g0||)
-    # per item, where ``base`` stacks the items' values g0 at the unrotated
-    # system, ``values`` their values g1 at each rotated one, and ``act``
-    # rotates ``base`` by the whole stack of rotations
-    base = np.asarray(base, dtype=float)
-    if not (n := len(base)):
-        return np.zeros(0)
-    scale = 1.0 + np.linalg.norm(base.reshape(n, -1), axis=1)
-    diff = np.asarray(values, dtype=float) - act(rotations, base)
-    return (np.linalg.norm(diff.reshape(len(diff), n, -1), axis=2) / scale).max(axis=0)
-
-
-# claim-id word, description and rotation action (of a stack of rotations
-# on a stack of item values) for each kind of classical item
+# claim-id word and description of each kind of classical item
 _CLASSICAL_ISOTROPY = {
-    "scalar": ("scalar", "classical scalar invariant under rotation",
-               lambda q, g: g),
-    "vector": ("vector", "classical generator vector equivariance",
-               lambda q, g: g @ q.swapaxes(-1, -2)),
-    "sym_tensor": ("tensor", "classical generator tensor equivariance",
-                   lambda q, g: q[:, None] @ g @ q[:, None].swapaxes(-1, -2)),
+    "scalar": ("scalar", "classical scalar invariant under rotation"),
+    "vector": ("vector", "classical generator vector equivariance"),
+    "sym_tensor": ("tensor", "classical generator tensor equivariance"),
 }
 
 
-def run_isotropy(seed: int, trials: int, tol: float | None,
+def run_isotropy(seed: int, trials: int = 100, tol: float = 1e-9,
                  system=None) -> VerificationReport:
     """Rotation-invariance of every classical item and spectral invariant,
     plus negative controls on raw coordinates."""
-    tol = 1e-9 if tol is None else tol
     report = VerificationReport("isotropy", seed, trials,
                                 {"tol": tol, "input": system is not None})
     rng = np.random.default_rng(seed)
@@ -194,40 +179,36 @@ def run_isotropy(seed: int, trials: int, tol: float | None,
         if bases is not None:
             for basis in bases:
                 # one run of the basis over the unrotated and every rotated system
-                word, description, act = _CLASSICAL_ISOTROPY[basis.kind]
+                word, description = _CLASSICAL_ISOTROPY[basis.kind]
                 values = basis.evaluate([sys0] + conjugated)
-                worst = _isotropy_sweep(values[1:], rotations, values[0], act)
+                worst = rotation_deviation(values[1:], rotations, values[0], basis.kind)
                 for item, dev in zip(basis.items, worst):
-                    _add_check(report, f"isotropy/classical-{word}/{tag}/{item.label}",
-                               description, dev, tol, seed=seed)
+                    report.check(f"isotropy/classical-{word}/{tag}/{item.label}",
+                                 description, dev, tol)
         frame = build_frame(sys0)
         if not frame.is_degenerate:
             values = [extract_invariants(s, build_frame(s)).values() for s in conjugated]
             inv = extract_invariants(sys0, frame)
-            worst = _isotropy_sweep(values, rotations, inv.values())
+            worst = rotation_deviation(values, rotations, inv.values(), "scalar")
             for label, dev in zip(inv.labels(), worst):
-                _add_check(report, f"isotropy/spectral/{tag}/{label}",
-                           "spectral invariant under rotation",
-                           dev, tol, seed=seed)
+                report.check(f"isotropy/spectral/{tag}/{label}",
+                             "spectral invariant under rotation", dev, tol)
     # negative controls: raw ambient coordinates must NOT look isotropic
     control = seeded_system(1, 0, 1, seed=seed)
-    rotations = [haar_rotation(rng) for _ in range(trials)]
-    conjugated = [conjugate(q, control) for q in rotations]
-    for cid, fn in (("sym-entry", lambda s: s.sym[0][0, 0]),
-                    ("vec-entry", lambda s: s.vecs[0][0])):
-        base = fn(control)
-        dev = max(abs(fn(rs) - base) / (1.0 + abs(base)) for rs in conjugated)
-        _add_check(report, f"isotropy/negative-control/{cid}",
-                   "raw coordinate must fail the harness",
-                   dev, 1e-3, comparator="ge", seed=seed)
+    rotations = np.array([haar_rotation(rng) for _ in range(trials)])
+    raw = lambda s: (s.sym[0][0, 0], s.vecs[0][0])
+    worst = rotation_deviation([raw(conjugate(q, control)) for q in rotations],
+                               rotations, raw(control), "scalar")
+    for cid, dev in zip(("sym-entry", "vec-entry"), worst):
+        report.check(f"isotropy/negative-control/{cid}",
+                     "raw coordinate must fail the harness", dev, 1e-3, comparator="ge")
     return report
 
 
-def run_reconstruction(seed: int, trials: int, tol: float | None,
+def run_reconstruction(seed: int, trials: int = 100, tol: float = 1e-12,
                        system=None) -> VerificationReport:
     """Completeness witnesses (system rebuilt from frame + invariants) and the
     generator-basis spanning checks."""
-    tol = 1e-12 if tol is None else tol
     report = VerificationReport("reconstruction", seed, trials, {"tol": tol})
     rng = np.random.default_rng(seed)
     if system is not None:
@@ -250,13 +231,12 @@ def run_reconstruction(seed: int, trials: int, tol: float | None,
 
     for tag, sys0 in configs:
         for k, res in enumerate(residuals(sys0, build_frame(sys0))):
-            _add_check(report, f"reconstruction/{tag}/arg{k}",
-                       "argument rebuilt from frame + invariants",
-                       res, tol, seed=seed)
+            report.check(f"reconstruction/{tag}/arg{k}",
+                         "argument rebuilt from frame + invariants", res, tol)
         if sys0.n_nonsym >= 1:
-            _add_check(report, f"reconstruction/{tag}/svd-variant",
-                       "argument rebuilt through the SVD frame",
-                       max(residuals(sys0, build_svd_frame(sys0))), tol, seed=seed)
+            report.check(f"reconstruction/{tag}/svd-variant",
+                         "argument rebuilt through the SVD frame",
+                         max(residuals(sys0, build_svd_frame(sys0))), tol)
     # factorization self-residuals
     worst_eig = worst_svd = 0.0
     for _ in range(trials):
@@ -271,10 +251,9 @@ def run_reconstruction(seed: int, trials: int, tol: float | None,
         rebuilt = sum(sv[i] * np.outer(vv[i], uu[i]) for i in range(3))
         worst_svd = max(worst_svd, np.linalg.norm(f - rebuilt)
                         / (1.0 + np.linalg.norm(f)))
-    _add_check(report, "reconstruction/eig-sym", "eigendecomposition self-residual",
-               worst_eig, tol, seed=seed)
-    _add_check(report, "reconstruction/svd3", "SVD self-residual",
-               worst_svd, tol, seed=seed)
+    report.check("reconstruction/eig-sym", "eigendecomposition self-residual",
+                 worst_eig, tol)
+    report.check("reconstruction/svd3", "SVD self-residual", worst_svd, tol)
     # spanning: random generator combinations reproduced by 3/6/9/3 elements
     scalars, vectors, tensors = _classical_bases(2, 0, 2)
     # every trial's system and coefficient noise, drawn in trial order, then
@@ -310,9 +289,9 @@ def run_reconstruction(seed: int, trials: int, tol: float | None,
         back = reconstruct_tensor(project_tensor(skw, frame, "skew3"), frame)
         worst["skew3"] = max(worst["skew3"], float(np.linalg.norm(back - skw)))
     for kind, n_elem in (("vector3", 3), ("sym6", 6), ("full9", 9), ("skew3", 3)):
-        _add_check(report, f"reconstruction/span/{kind}",
-                   f"generator combinations reproduced by {n_elem} spectral elements",
-                   worst[kind], tol, seed=seed)
+        report.check(f"reconstruction/span/{kind}",
+                     f"generator combinations reproduced by {n_elem} spectral elements",
+                     worst[kind], tol)
     return report
 
 
@@ -324,40 +303,45 @@ def _rank_configs():
             for unit in ((False, True) if p else (False,))]
 
 
-def run_rank(seed: int, trials: int, tol: float | None, system=None,
-             config=None, svd_variant: bool = False) -> VerificationReport:
+def run_rank(seed: int, system=None, n: int = 0, m: int = 0, p: int = 0,
+             skew: bool = False, unit_vectors: bool = False,
+             svd: bool = False) -> VerificationReport:
     """FD-Jacobian rank of the spectral list (and the classical list where one
-    exists) against the structural expectation."""
-    report = VerificationReport("rank", seed, trials,
-                                {"config": config, "svd": svd_variant})
-    if svd_variant and system is None and config is None:
+    exists) against the structural expectation: of the input system, of the
+    seeded ``(n, m, p)`` configuration, or of every configuration with
+    ``n + m + p <= 3`` when neither is given."""
+    if system is not None and (n or m or p or skew or unit_vectors):
+        raise ValueError("--input takes its configuration from the file; drop "
+                         "--n/--m/--p/--skew/--unit-vectors")
+    config = (n, m, p, skew, unit_vectors) if (n or m or p) else None
+    # rank draws no trials; its report keeps the field at the verify default
+    report = VerificationReport("rank", seed, 100, {"config": config, "svd": svd})
+    if svd and system is None and config is None:
         raise ValueError("the SVD rank variant needs --input or an explicit "
                          "--n/--m/--p configuration")
     if system is not None or config is not None:
         if system is None:
-            n, m, p, skew, unit = config
-            system = seeded_system(n, m, p, skew=skew, unit=unit, seed=seed)
+            system = seeded_system(n, m, p, skew=skew, unit=unit_vectors, seed=seed)
             count = irreducible_count(n, m, p, skew_nonsym=skew,
-                                      all_vectors_unit=unit,
-                                      svd_variant=svd_variant)
+                                      all_vectors_unit=unit_vectors, svd_variant=svd)
         else:
             # the extraction's effective count also covers mixed flags
             n, m, p = system.shape()
             skew = all(system.nonsym_skew) and m > 0
-            frame = build_svd_frame(system) if svd_variant else build_frame(system)
+            frame = build_svd_frame(system) if svd else build_frame(system)
             count = extract_invariants(system, frame).count
-        expected = count - 3 if (n == 0 and m >= 1 and not svd_variant) else count
-        rep = jacobian_rank(spectral_values_fn(svd_variant), system, seed=seed)
-        _add_check(report, "rank/spectral",
-                   f"spectral rank (expected {expected}, {rep.n_invariants} items)",
-                   rep.rank, expected, comparator="eq", seed=seed)
+        expected = count - 3 if (n == 0 and m >= 1 and not svd) else count
+        rep = jacobian_rank(spectral_values_fn(svd), system, seed=seed)
+        report.check("rank/spectral",
+                     f"spectral rank (expected {expected}, {rep.n_invariants} items)",
+                     rep.rank, expected, comparator="eq")
         line = f"spectral rank {rep.rank} / {rep.n_invariants} items"
-        if (m == 0 or skew) and not svd_variant:
+        if (m == 0 or skew) and not svd:
             basis = boehler_scalars(n, m, p)
             crep = jacobian_rank(basis.evaluate, system, seed=seed)
-            _add_check(report, "rank/classical",
-                       f"classical rank (expected {expected}, {len(basis)} items)",
-                       crep.rank, expected, comparator="eq", seed=seed)
+            report.check("rank/classical",
+                         f"classical rank (expected {expected}, {len(basis)} items)",
+                         crep.rank, expected, comparator="eq")
             line = f"classical rank {crep.rank} / {len(basis)} items; " + line
         report.configuration["summary"] = line
         return report
@@ -381,14 +365,13 @@ def run_rank(seed: int, trials: int, tol: float | None, system=None,
                 rep_rank = 0  # all rows are constants; rank is pure FD noise
             else:
                 rep_rank = rep.rank
-            _add_check(report, cid,
-                       f"spectral rank for {tag} (count {count})",
-                       rep_rank, expected, comparator="eq", seed=seed)
+            report.check(cid, f"spectral rank for {tag} (count {count})",
+                         rep_rank, expected, comparator="eq")
     boe = jacobian_rank(boehler_scalars(2, 0, 0).evaluate,
                         seeded_system(2, 0, 0, seed=seed), seed=seed)
-    _add_check(report, "rank/boehler-redundancy",
-               "classical list for two symmetric tensors: 10 items, rank 9",
-               boe.rank, 9, comparator="eq", seed=seed)
+    report.check("rank/boehler-redundancy",
+                 "classical list for two symmetric tensors: 10 items, rank 9",
+                 boe.rank, 9, comparator="eq")
     report.configuration["boehler_items"] = boe.n_invariants
     return report
 
@@ -426,7 +409,7 @@ def _gradient_cases(rng, count=10):
     return vec_fns, sym_fns, nonsym_fns
 
 
-def run_gradients(seed: int, trials: int, tol: float | None) -> VerificationReport:
+def run_gradients(seed: int, trials: int = 100) -> VerificationReport:
     """Spectral gradient formulas against entry-wise FD oracles, exact trivial
     cases, and gradient equivariance."""
     report = VerificationReport("gradients", seed, trials, {})
@@ -436,25 +419,22 @@ def run_gradients(seed: int, trials: int, tol: float | None) -> VerificationRepo
     g = grad_vector(lambda s: float(s.vecs[0] @ s.vecs[0]), sys_v,
                     d_lam=lambda lam, v1: 2.0 * lam,
                     d_v1=lambda lam, v1: np.zeros(3))
-    _add_check(report, "gradients/trivial/vector-squared-norm",
-               "d(a.a)/da = 2a",
-               float(np.abs(g - 2.0 * sys_v.vecs[0]).max()), 1e-12, seed=seed)
+    report.check("gradients/trivial/vector-squared-norm", "d(a.a)/da = 2a",
+                 np.abs(g - 2.0 * sys_v.vecs[0]).max(), 1e-12)
     m = rng.standard_normal((3, 3))
     sys_s = tensor_system(sym=[m @ m.T + np.eye(3)])
     g = grad_sym_tensor(lambda s: float(np.trace(s.sym[0] @ s.sym[0])), sys_s,
                         d_lams=lambda lams, v: 2.0 * lams,
                         d_frame=lambda lams, v: np.zeros((3, 3)))
-    _add_check(report, "gradients/trivial/sym-trace-square",
-               "d tr(V^2)/dV = 2V",
-               float(np.abs(g - 2.0 * sys_s.sym[0]).max()), 1e-12, seed=seed)
+    report.check("gradients/trivial/sym-trace-square", "d tr(V^2)/dV = 2V",
+                 np.abs(g - 2.0 * sys_s.sym[0]).max(), 1e-12)
     sys_f = tensor_system(nonsym=[rng.standard_normal((3, 3))])
     g = grad_nonsym_tensor(lambda s: float(np.sum(s.nonsym[0] ** 2)), sys_f,
                            d_lams=lambda sv, v, u: 2.0 * sv,
                            d_v_frame=lambda sv, v, u: np.zeros((3, 3)),
                            d_u_frame=lambda sv, v, u: np.zeros((3, 3)))
-    _add_check(report, "gradients/trivial/nonsym-frobenius",
-               "d tr(F F^T)/dF = 2F",
-               float(np.abs(g - 2.0 * sys_f.nonsym[0]).max()), 1e-12, seed=seed)
+    report.check("gradients/trivial/nonsym-frobenius", "d tr(F F^T)/dF = 2F",
+                 np.abs(g - 2.0 * sys_f.nonsym[0]).max(), 1e-12)
     # FD oracle sweeps
     vec_fns, sym_fns, nonsym_fns = _gradient_cases(rng, count=max(10, trials // 10))
     for k, fn in enumerate(vec_fns):
@@ -462,45 +442,43 @@ def run_gradients(seed: int, trials: int, tol: float | None) -> VerificationRepo
         got = grad_vector(fn, sys0)
         ref = fd_grad_vector(fn, sys0)
         tol_k = max(1e-6, 1e-5 * float(np.linalg.norm(got)))
-        _add_check(report, f"gradients/vector/case{k:02d}",
-                   "spectral vector gradient vs central differences",
-                   float(np.linalg.norm(got - ref)), tol_k, seed=seed)
+        report.check(f"gradients/vector/case{k:02d}",
+                     "spectral vector gradient vs central differences",
+                     np.linalg.norm(got - ref), tol_k)
     for k, fn in enumerate(sym_fns):
         m = rng.standard_normal((3, 3))
         sys0 = tensor_system(sym=[m @ m.T + 0.5 * np.eye(3)])
         got = grad_sym_tensor(fn, sys0)
         ref = fd_grad_sym_tensor(fn, sys0)
         tol_k = max(1e-6, 1e-5 * float(np.linalg.norm(got)))
-        _add_check(report, f"gradients/sym/case{k:02d}",
-                   "spectral symmetric-tensor gradient vs central differences",
-                   float(np.linalg.norm(got - ref)), tol_k, seed=seed)
+        report.check(f"gradients/sym/case{k:02d}",
+                     "spectral symmetric-tensor gradient vs central differences",
+                     np.linalg.norm(got - ref), tol_k)
     for k, fn in enumerate(nonsym_fns):
         sys0 = tensor_system(nonsym=[rng.standard_normal((3, 3))])
         got = grad_nonsym_tensor(fn, sys0)
         ref = fd_grad_nonsym_tensor(fn, sys0)
         tol_k = max(1e-6, 1e-5 * float(np.linalg.norm(got)))
-        _add_check(report, f"gradients/nonsym/case{k:02d}",
-                   "spectral non-symmetric gradient vs central differences",
-                   float(np.linalg.norm(got - ref)), tol_k, seed=seed)
+        report.check(f"gradients/nonsym/case{k:02d}",
+                     "spectral non-symmetric gradient vs central differences",
+                     np.linalg.norm(got - ref), tol_k)
     # gradient equivariance
     sys0 = tensor_system(sym=[sys_s.sym[0]], vecs=[rng.standard_normal(3)])
     w_v = lambda s: float(s.vecs[0] @ s.sym[0] @ s.vecs[0]) ** 2
     dev = verify_isotropy(lambda s: grad_vector(w_v, s), "vector", sys0, 20, rng)
-    _add_check(report, "gradients/equivariance/vector",
-               "rotated arguments give rotated gradient", dev, 1e-8, seed=seed)
+    report.check("gradients/equivariance/vector",
+                 "rotated arguments give rotated gradient", dev, 1e-8)
     w_s = lambda s: float(np.trace(s.sym[0] @ s.sym[0])) \
         + float(s.vecs[0] @ s.sym[0] @ s.vecs[0])
     dev = verify_isotropy(lambda s: grad_sym_tensor(w_s, s), "sym_tensor", sys0, 20, rng)
-    _add_check(report, "gradients/equivariance/sym",
-               "rotated arguments give conjugated gradient",
-               dev, 1e-8, seed=seed)
+    report.check("gradients/equivariance/sym",
+                 "rotated arguments give conjugated gradient", dev, 1e-8)
     w_f = lambda s: float(np.sum(s.nonsym[0] ** 2)) ** 2
     sys_f2 = tensor_system(nonsym=[rng.standard_normal((3, 3))])
     dev = verify_isotropy(lambda s: grad_nonsym_tensor(w_f, s), "full_tensor", sys_f2,
                           20, rng)
-    _add_check(report, "gradients/equivariance/nonsym",
-               "rotated arguments give conjugated gradient",
-               dev, 1e-8, seed=seed)
+    report.check("gradients/equivariance/nonsym",
+                 "rotated arguments give conjugated gradient", dev, 1e-8)
     # diagnostic only: formula-vs-oracle deviation as the eigenvalue gap of
     # the differentiated tensor shrinks (degrades like O(h / gap))
     b = 0.5 * (m + m.T)
@@ -519,10 +497,9 @@ def run_gradients(seed: int, trials: int, tol: float | None) -> VerificationRepo
     return report
 
 
-def run_p_property(seed: int, trials: int, tol: float | None) -> VerificationReport:
+def run_p_property(seed: int, trials: int = 100, tol: float = 1e-10) -> VerificationReport:
     """Gauge re-randomization at constructed degeneracies, closed-form values,
     the five safe invariants, and the raw-component negative control."""
-    tol = 1e-10 if tol is None else tol
     report = VerificationReport("p-property", seed, trials, {"tol": tol})
     rng = np.random.default_rng(seed)
 
@@ -537,27 +514,24 @@ def run_p_property(seed: int, trials: int, tol: float | None) -> VerificationRep
     pair_sys = tensor_system(sym=[0.5 * (a1 + a1.T)], vecs=[a], unit=[True])
     rep = check_p_property(dyad_energy, pair_sys, "pair", trials=trials,
                            rng=np.random.default_rng(seed + 1), tol=tol)
-    _add_check(report, "p-property/dyad-energy/pair",
-               "a.A1a is gauge independent at a double eigenvalue",
-               max(rep.permutation_deviation, rep.gauge_deviation),
-               tol, seed=seed)
+    report.check("p-property/dyad-energy/pair",
+                 "a.A1a is gauge independent at a double eigenvalue",
+                 max(rep.permutation_deviation, rep.gauge_deviation), tol)
     frame = build_frame(pair_sys)
     inv = extract_invariants(pair_sys, frame)
     closed = lam + (lam3 - lam) * float(a @ frame.v[2]) ** 2
-    _add_check(report, "p-property/dyad-energy/pair-closed-form",
-               "reduces to lam + (lam3 - lam)(a.v3)^2",
-               abs(dyad_energy(inv) - closed), 1e-12, seed=seed)
+    report.check("p-property/dyad-energy/pair-closed-form",
+                 "reduces to lam + (lam3 - lam)(a.v3)^2",
+                 abs(dyad_energy(inv) - closed), 1e-12)
     triple_sys = tensor_system(sym=[1.7 * np.eye(3)], vecs=[a], unit=[True])
     rep = check_p_property(dyad_energy, triple_sys, "triple", trials=trials,
                            rng=np.random.default_rng(seed + 2), tol=tol)
-    _add_check(report, "p-property/dyad-energy/triple",
-               "a.A1a is gauge independent at a triple eigenvalue",
-               max(rep.permutation_deviation, rep.gauge_deviation),
-               tol, seed=seed)
+    report.check("p-property/dyad-energy/triple",
+                 "a.A1a is gauge independent at a triple eigenvalue",
+                 max(rep.permutation_deviation, rep.gauge_deviation), tol)
     inv = extract_invariants(triple_sys, build_frame(triple_sys))
-    _add_check(report, "p-property/dyad-energy/triple-closed-form",
-               "reduces to the repeated eigenvalue",
-               abs(dyad_energy(inv) - 1.7), 1e-12, seed=seed)
+    report.check("p-property/dyad-energy/triple-closed-form",
+                 "reduces to the repeated eigenvalue", abs(dyad_energy(inv) - 1.7), 1e-12)
     m = rng.standard_normal((3, 3))
     u_mat = 0.5 * (m + m.T)
     dyad_sys = tensor_system(sym=[np.outer(a, a), u_mat])
@@ -565,30 +539,28 @@ def run_p_property(seed: int, trials: int, tol: float | None) -> VerificationRep
         rep = check_p_property(fn, dyad_sys, "pair", trials=trials,
                                rng=np.random.default_rng(seed + 3), tol=tol,
                                candidate=name)
-        _add_check(report, f"p-property/safe-invariants/{name}",
-                   "gauge-independent invariant of the dyad configuration",
-                   max(rep.permutation_deviation, rep.gauge_deviation),
-                   tol, seed=seed)
+        report.check(f"p-property/safe-invariants/{name}",
+                     "gauge-independent invariant of the dyad configuration",
+                     max(rep.permutation_deviation, rep.gauge_deviation), tol)
     raw = lambda inv: inv["a1[1]"]
     rep = check_p_property(raw, pair_sys, "pair", trials=trials,
                            rng=np.random.default_rng(seed + 4), candidate="a1[1]")
-    _add_check(report, "p-property/negative-control/a1[1]",
-               "raw frame component must fail gauge re-randomization",
-               rep.gauge_deviation, 1e-3, comparator="ge", seed=seed)
+    report.check("p-property/negative-control/a1[1]",
+                 "raw frame component must fail gauge re-randomization",
+                 rep.gauge_deviation, 1e-3, comparator="ge")
     return report
 
 
-def run_coalescence(seed: int, trials: int, tol: float | None) -> VerificationReport:
+def run_coalescence(seed: int, tol: float = 1e-12) -> VerificationReport:
     """Coaxiality residuals and eigen-coefficient behaviour at coalescence."""
-    tol = 1e-12 if tol is None else tol
-    report = VerificationReport("coalescence", seed, trials, {"tol": tol})
+    # coalescence draws no trials; its report keeps the field at the verify default
+    report = VerificationReport("coalescence", seed, 100, {"tol": tol})
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((3, 3))
     v_mat = 0.5 * (m + m.T)
     chk = check_coaxiality(lambda x: x @ x, v_mat, tol=tol)
-    _add_check(report, "coalescence/coaxial/square",
-               "V^2 commutes with V",
-               max(chk.commutator_residual, chk.offdiag_max), tol, seed=seed)
+    report.check("coalescence/coaxial/square", "V^2 commutes with V",
+                 max(chk.commutator_residual, chk.offdiag_max), tol)
 
     def poly_map(x):
         i1, i2, i3 = np.trace(x), np.trace(x @ x), np.trace(x @ x @ x)
@@ -596,9 +568,9 @@ def run_coalescence(seed: int, trials: int, tol: float | None) -> VerificationRe
             + (0.2 + 0.07 * i2) * (x @ x)
 
     chk = check_coaxiality(poly_map, v_mat, tol=tol)
-    _add_check(report, "coalescence/coaxial/invariant-coefficients",
-               "phi0 I + phi1 V + phi2 V^2 commutes with V",
-               max(chk.commutator_residual, chk.offdiag_max), tol, seed=seed)
+    report.check("coalescence/coaxial/invariant-coefficients",
+                 "phi0 I + phi1 V + phi2 V^2 commutes with V",
+                 max(chk.commutator_residual, chk.offdiag_max), tol)
 
     def expm_series(x, terms=40):
         k = max(0, int(np.ceil(np.log2(max(1.0, np.linalg.norm(x))))) + 2)
@@ -613,52 +585,40 @@ def run_coalescence(seed: int, trials: int, tol: float | None) -> VerificationRe
         return out
 
     chk = check_coaxiality(expm_series, v_mat, tol=1e-10)
-    _add_check(report, "coalescence/coaxial/matrix-exponential",
-               "series-evaluated exp(V) commutes with V",
-               max(chk.commutator_residual, chk.offdiag_max), 1e-10, seed=seed)
+    report.check("coalescence/coaxial/matrix-exponential",
+                 "series-evaluated exp(V) commutes with V",
+                 max(chk.commutator_residual, chk.offdiag_max), 1e-10)
 
     phi = (0.7, -0.3, 0.25)
     t_fn = lambda lams: phi[0] + phi[1] * lams + phi[2] * lams**2
     eps = [10.0**-k for k in range(2, 9)]
     rep = coalescence_structure(t_fn, "pair", [1.0, 1.0, 3.0],
                                 eps_sequence=eps, pair=(0, 1, 2), tol=tol)
-    _add_check(report, "coalescence/pair/linear-rate",
-               f"|t1 - t2| <= C eps with observed C = {rep.max_ratio:.6g}",
-               rep.ratios[-1], 2.0 * rep.ratios[0], seed=seed)
-    _add_check(report, "coalescence/pair/converged",
-               "gap decreases monotonically along the sequence",
-               1.0 if rep.converged else 0.0, 1.0, comparator="ge", seed=seed)
+    report.check("coalescence/pair/linear-rate",
+                 f"|t1 - t2| <= C eps with observed C = {rep.max_ratio:.6g}",
+                 rep.ratios[-1], 2.0 * rep.ratios[0])
+    report.check("coalescence/pair/converged",
+                 "gap decreases monotonically along the sequence",
+                 1.0 if rep.converged else 0.0, 1.0, comparator="ge")
     q = haar_rotation(rng)
     rep = coalescence_structure(t_fn, "pair", [2.0, 2.0, 1.0], pair=(0, 1, 2),
                                 frame_vectors=q, tol=tol)
-    _add_check(report, "coalescence/pair/two-term-form",
-               "G equals t_i I + (t_k - t_i) v_k (x) v_k at coalescence",
-               max(rep.limit_residual, rep.limit_gap), tol, seed=seed)
+    report.check("coalescence/pair/two-term-form",
+                 "G equals t_i I + (t_k - t_i) v_k (x) v_k at coalescence",
+                 max(rep.limit_residual, rep.limit_gap), tol)
     rep = coalescence_structure(t_fn, "triple", [1.5, 1.5, 1.5], tol=tol)
-    _add_check(report, "coalescence/triple/identity-form",
-               "G equals t1 I at a triple eigenvalue",
-               max(rep.limit_residual, rep.limit_gap), tol, seed=seed)
+    report.check("coalescence/triple/identity-form",
+                 "G equals t1 I at a triple eigenvalue",
+                 max(rep.limit_residual, rep.limit_gap), tol)
     return report
 
 
-def run_hyperelastic(seed: int, trials: int, tol: float | None) -> VerificationReport:
+def run_hyperelastic(seed: int, trials: int = 100,
+                     tol: float = 1e-10) -> VerificationReport:
     """Potential stress vs the matched generator combination and vs central
     differences of the energy, over seeded material models."""
-    tol = 1e-10 if tol is None else tol
     report = VerificationReport("hyperelastic", seed, trials, {"tol": tol})
     rng = np.random.default_rng(seed)
-
-    def fd_stress(model, c_mat, l_mat, h=1e-6):
-        s = np.empty((3, 3))
-        for i in range(3):
-            for j in range(i, 3):
-                e = np.zeros((3, 3))
-                e[i, j] = e[j, i] = 1.0
-                wp = model.energy(ti_invariants(c_mat + 2.0 * h * e, l_mat))
-                wm = model.energy(ti_invariants(c_mat - 2.0 * h * e, l_mat))
-                d = (wp - wm) / (2.0 * h)
-                s[i, j] = s[j, i] = d if i == j else 0.5 * d
-        return s
 
     a = rng.standard_normal(3)
     a /= np.linalg.norm(a)
@@ -667,17 +627,16 @@ def run_hyperelastic(seed: int, trials: int, tol: float | None) -> VerificationR
     neo = HyperelasticModel("half-I1", lambda i: 0.5 * (i[0] - 3.0),
                             lambda i: np.array([0.5, 0.0, 0.0, 0.0, 0.0]))
     res = hyperelastic_stress(neo, c_mat, a)
-    _add_check(report, "hyperelastic/trivial/volumetric",
-               "W = (I1 - 3)/2 gives S = I on both routes",
-               max(float(np.abs(res.s_potential - np.eye(3)).max()),
-                           res.residual), 1e-12, seed=seed)
+    report.check("hyperelastic/trivial/volumetric",
+                 "W = (I1 - 3)/2 gives S = I on both routes",
+                 max(float(np.abs(res.s_potential - np.eye(3)).max()), res.residual),
+                 1e-12)
     fiber = HyperelasticModel("I4", lambda i: i[3],
                               lambda i: np.array([0.0, 0.0, 0.0, 1.0, 0.0]))
     res = hyperelastic_stress(fiber, c_mat, a)
-    _add_check(report, "hyperelastic/trivial/fiber",
-               "W = I4 gives S = 2 a (x) a",
-               max(float(np.abs(res.s_potential - 2.0 * np.outer(a, a)).max()),
-                           res.residual), 1e-12, seed=seed)
+    report.check("hyperelastic/trivial/fiber", "W = I4 gives S = 2 a (x) a",
+                 max(float(np.abs(res.s_potential - 2.0 * np.outer(a, a)).max()),
+                     res.residual), 1e-12)
     n_cases = max(20, trials // 5)
     for k in range(n_cases):
         model = polynomial_ti_model(0.3 * rng.standard_normal(8), name=f"poly{k}")
@@ -687,39 +646,18 @@ def run_hyperelastic(seed: int, trials: int, tol: float | None) -> VerificationR
         a /= np.linalg.norm(a)
         res = hyperelastic_stress(model, c_mat, a)
         scale = 1.0 + float(np.linalg.norm(res.s_potential))
-        _add_check(report, f"hyperelastic/case{k:02d}/representation",
-                   "potential route equals matched generator route "
-                   "(incl. frame coefficients)",
-                   max(res.residual, res.coeff_max_diff) / scale,
-                   tol, seed=seed)
-        ref = fd_stress(model, c_mat, np.outer(a, a))
-        _add_check(report, f"hyperelastic/case{k:02d}/energy-derivative",
-                   "stress matches central differences of W in E",
-                   float(np.linalg.norm(res.s_potential - ref)) / scale, 1e-6, seed=seed)
+        report.check(f"hyperelastic/case{k:02d}/representation",
+                     "potential route equals matched generator route "
+                     "(incl. frame coefficients)",
+                     max(res.residual, res.coeff_max_diff) / scale, tol)
+        # S = dW/dE = 2 dW/dC, and a step of 2e-6 in C is one of 1e-6 in E
+        l_mat = np.outer(a, a)
+        energy = lambda s: model.energy(ti_invariants(s.sym[0], l_mat))
+        ref = 2.0 * fd_grad_sym_tensor(energy, tensor_system(sym=[c_mat]), h=2e-6)
+        report.check(f"hyperelastic/case{k:02d}/energy-derivative",
+                     "stress matches central differences of W in E",
+                     np.linalg.norm(res.s_potential - ref) / scale, 1e-6)
     return report
-
-
-_RUNNERS = {
-    "isotropy": lambda args, system: run_isotropy(args.resolved_seed, args.trials,
-                                                  args.tol, system),
-    "reconstruction": lambda args, system: run_reconstruction(
-        args.resolved_seed, args.trials, args.tol, system),
-    "rank": lambda args, system: run_rank(
-        args.resolved_seed, args.trials, args.tol, system,
-        config=(args.n, args.m, args.p, args.skew, args.unit_vectors)
-        if (args.n or args.m or args.p) else None,
-        svd_variant=args.svd),
-    "gradients": lambda args, system: run_gradients(args.resolved_seed, args.trials,
-                                                    args.tol),
-    "p-property": lambda args, system: run_p_property(args.resolved_seed, args.trials,
-                                                      args.tol),
-    "coalescence": lambda args, system: run_coalescence(args.resolved_seed,
-                                                        args.trials, args.tol),
-    "hyperelastic": lambda args, system: run_hyperelastic(args.resolved_seed,
-                                                          args.trials, args.tol),
-}
-
-_SUITES_WITH_INPUT = ("isotropy", "reconstruction", "rank")
 
 
 # ---------------------------------------------------------------------------
@@ -759,19 +697,29 @@ def cmd_counts(args) -> int:
     return 0
 
 
+# each tuning flag of ``verify`` by the runner parameter it sets; a suite
+# takes exactly the flags its ``run_<suite>`` declares
+_TUNING_FLAGS = {"system": "--input", "trials": "--trials", "tol": "--tol",
+                 "n": "--n", "m": "--m", "p": "--p", "skew": "--skew",
+                 "unit_vectors": "--unit-vectors", "svd": "--svd"}
+
+
 def cmd_verify(args) -> int:
-    if args.trials < 1:
+    # looked up at call time, so that a rebinding of ``run_<suite>`` is seen
+    runner = globals()["run_" + args.suite.replace("-", "_")]
+    takes = inspect.signature(runner).parameters
+    given = {key: getattr(args, key) for key in _TUNING_FLAGS
+             if getattr(args, key) is not None}
+    for key in given:
+        if key not in takes:
+            raise ValueError(f"suite {args.suite!r} does not take {_TUNING_FLAGS[key]}")
+    if "trials" in given and args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if args.tol is not None and not 0.0 < args.tol < float("inf"):
+    if "tol" in given and not 0.0 < args.tol < float("inf"):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
-    system = None
-    if args.input is not None:
-        if args.suite not in _SUITES_WITH_INPUT:
-            print(f"error: suite {args.suite!r} does not take --input",
-                  file=sys.stderr)
-            return 2
-        system = load_system_file(args.input)
-    report = _RUNNERS[args.suite](args, system)
+    if "system" in given:
+        given["system"] = load_system_file(args.system)
+    report = runner(args.resolved_seed, **given)
     for claim in report.sorted_claims():
         tol = "-" if claim.tolerance is None else f"{claim.tolerance:.3e}"
         value = "-" if claim.value is None else f"{claim.value:.3e}"
@@ -843,14 +791,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--input", help="system file (JSON)")
+    p_verify.add_argument("--input", dest="system", help="system file (JSON)")
     p_verify.add_argument("--seed", type=int, default=None,
                           help="RNG seed (default: ISOTROPYKIT_SEED or 0)")
-    p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--tol", type=float, default=None,
+    p_verify.add_argument("--trials", type=int,
+                          help="random trials (suite default: 100)")
+    p_verify.add_argument("--tol", type=float,
                           help="override the suite's headline tolerance")
     p_verify.add_argument("--json", help="write the report to this path")
     add_config_flags(p_verify)
+    # a tuning flag not given reads None, and is not passed to the runner
+    p_verify.set_defaults(**dict.fromkeys(_TUNING_FLAGS))
 
     p_frame = sub.add_parser("frame", help="print frame and invariants")
     p_frame.add_argument("--input", required=True, help="system file (JSON)")

@@ -371,6 +371,8 @@ def check_p_property(w_hat, system_template: TensorSystem, degeneracy_case: str,
     :class:`SpectralInvariants` to a float.  Deviations are normalized by
     ``1 + |value|``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if rng is None:
         rng = np.random.default_rng(0)
     frame = build_frame(system_template)

@@ -5,11 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
-from isotropykit.lin3 import DegenerateConfigurationError, tensor_system
+from isotropykit.lin3 import (
+    DegenerateConfigurationError,
+    conjugate,
+    haar_rotation,
+    tensor_system,
+)
 from isotropykit.classical_bases import boehler_scalars
 from isotropykit.analysis import (
     compare_bases,
     jacobian_rank,
+    rotation_deviation,
     seeded_system,
     spectral_values_fn,
     verify_isotropy,
@@ -46,6 +52,43 @@ class TestVerifyIsotropy:
         sys0 = seeded_system(2, 0, 0, seed=11)
         fn = lambda s: s.sym[0] @ s.sym[1] + s.sym[1] @ s.sym[0]
         assert verify_isotropy(fn, "sym_tensor", sys0) <= 1e-12
+
+    @pytest.mark.parametrize("kind,fn,act", [
+        ("scalar", lambda s: [np.trace(s.sym[0]), s.sym[0][0, 1]], lambda q, g: g),
+        ("vector", lambda s: [s.sym[0] @ s.vecs[0], s.vecs[0]], lambda q, g: q @ g),
+        ("sym_tensor", lambda s: [s.sym[0] @ s.sym[0], np.outer(s.vecs[0], s.vecs[0])],
+         lambda q, g: q @ g @ q.T),
+    ], ids=["scalar", "vector", "sym_tensor"])
+    def test_batched_sweep_matches_loop(self, kind, fn, act):
+        # the reference is one rotation and one item at a time; the batched
+        # products and norms sum in another order, so equality is to a few
+        # ulp of the normalized deviation
+        sys0 = seeded_system(1, 0, 1, seed=3)
+        rotations = np.array([haar_rotation(np.random.default_rng(k)) for k in range(30)])
+        values = [fn(conjugate(q, sys0)) for q in rotations]
+        base = fn(sys0)
+        ref = [max(np.linalg.norm(np.asarray(v[i]) - act(q, np.asarray(base[i])))
+                   / (1.0 + np.linalg.norm(base[i])) for q, v in zip(rotations, values))
+               for i in range(len(base))]
+        got = rotation_deviation(values, rotations, base, kind)
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(got, ref, rtol=4 * eps, atol=4 * eps)
+
+    def test_zero_trials_rejected(self):
+        # unchecked, no rotation is drawn and a raw coordinate reads 0.0:
+        # perfectly isotropic
+        sys0 = seeded_system(1, 0, 0, seed=5)
+        with pytest.raises(ValueError, match="trials"):
+            verify_isotropy(lambda s: s.sym[0][0, 0], "scalar", sys0, trials=0)
+
+    @pytest.mark.parametrize("trials", [0, 5])
+    def test_unknown_kind_rejected_before_any_work(self, trials):
+        calls = []
+        sys0 = seeded_system(1, 0, 0, seed=5)
+        with pytest.raises(ValueError, match="unknown evaluator kind 'bogus'"):
+            verify_isotropy(lambda s: calls.append(s) or 0.0, "bogus", sys0,
+                            trials=trials)
+        assert calls == []
 
 
 class TestJacobianRank:

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, determinism, file round trips."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -7,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from isotropykit.cli import load_system_file, main
+from isotropykit import cli
+from isotropykit.analysis import VerificationReport
+from isotropykit.cli import SUITES, load_system_file, main
 from isotropykit.spectral_frame import build_frame, extract_invariants
 
 
@@ -21,6 +24,40 @@ def write_system(path, sym=(), nonsym=(), vecs=()):
     }
     path.write_text(json.dumps(doc))
     return path
+
+
+# each tuning flag of ``verify``: its arguments (``--input`` takes a system
+# file), and the runner parameter it sets
+TUNING_FLAGS = {"--input": ([], "system"), "--trials": (["5"], "trials"),
+                "--tol": (["1e-30"], "tol"), "--n": (["1"], "n"), "--m": (["1"], "m"),
+                "--p": (["1"], "p"), "--skew": ([], "skew"),
+                "--unit-vectors": ([], "unit_vectors"), "--svd": ([], "svd")}
+TAKES = {
+    "isotropy": {"--input", "--trials", "--tol"},
+    "reconstruction": {"--input", "--trials", "--tol"},
+    "rank": {"--input", "--n", "--m", "--p", "--skew", "--unit-vectors", "--svd"},
+    "gradients": {"--trials"},
+    "p-property": {"--trials", "--tol"},
+    "coalescence": {"--tol"},
+    "hyperelastic": {"--trials", "--tol"},
+}
+PAIRS = [(suite, flag) for suite in SUITES for flag in TUNING_FLAGS]
+NOT_TAKEN = [pair for pair in PAIRS if pair[1] not in TAKES[pair[0]]]
+TAKEN = [pair for pair in PAIRS if pair[1] in TAKES[pair[0]]]
+
+
+def flag_argv(tmp_path, flag):
+    if flag == "--input":
+        return [flag, str(write_system(tmp_path / "sys.json",
+                                       sym=[np.diag([3.0, 2.0, 1.0])]))]
+    return [flag, *TUNING_FLAGS[flag][0]]
+
+
+def stub_runner(monkeypatch, suite, fn):
+    # replaces the suite's runner by ``fn`` under the runner's own signature,
+    # as the benchmark tracer rebinds it
+    name = "run_" + suite.replace("-", "_")
+    monkeypatch.setattr(cli, name, functools.wraps(getattr(cli, name))(fn))
 
 
 class TestCounts:
@@ -106,6 +143,40 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("suite,flag", NOT_TAKEN,
+                             ids=[f"{s}{f}" for s, f in NOT_TAKEN])
+    def test_flag_not_taken_is_two(self, tmp_path, monkeypatch, capsys, suite, flag):
+        # unchecked, each of these flags was accepted and changed nothing
+        # (``verify gradients --tol 1e-30`` passed every claim)
+        def never(*args, **kwargs):
+            raise AssertionError("suite work started")
+
+        stub_runner(monkeypatch, suite, never)
+        assert main(["verify", suite, *flag_argv(tmp_path, flag)]) == 2
+        assert capsys.readouterr().err == f"error: suite {suite!r} does not take {flag}\n"
+
+    @pytest.mark.parametrize("suite,flag", TAKEN, ids=[f"{s}{f}" for s, f in TAKEN])
+    def test_flag_taken_reaches_runner(self, tmp_path, monkeypatch, suite, flag):
+        seen = {}
+
+        def record(seed, **kwargs):
+            seen.update(kwargs)
+            return VerificationReport(suite, seed, 100)
+
+        stub_runner(monkeypatch, suite, record)
+        assert main(["verify", suite, *flag_argv(tmp_path, flag)]) == 0
+        assert list(seen) == [TUNING_FLAGS[flag][1]]
+
+    @pytest.mark.parametrize("extra", [["--n", "1"], ["--m", "2"], ["--p", "1"],
+                                       ["--skew"], ["--unit-vectors"]],
+                             ids=["n", "m", "p", "skew", "unit-vectors"])
+    def test_rank_input_with_configuration_is_two(self, tmp_path, capsys, extra):
+        # unchecked, the file ran and the configuration was silently dropped
+        argv = ["verify", "rank", *flag_argv(tmp_path, "--input"), *extra]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input") and err.count("\n") == 1
 
     def test_input_rejected_for_suites_without_one(self, tmp_path):
         path = write_system(tmp_path / "sys.json", sym=[np.diag([3.0, 2.0, 1.0])])

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from isotropykit.cli import main
+from isotropykit.cli import SUITES, main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -64,9 +64,9 @@ def test_basis_classes_exist():
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("suite", ["isotropy", "reconstruction"])
+@pytest.mark.parametrize("suite", SUITES)
 def test_claim_ids_match_manifest(tmp_path, suite, seed):
-    # a rewrite of the batched sweeps must not move the ids the benchmark gates on
+    # a rewrite of a suite must not move the ids the benchmark gates on
     manifest = json.loads((PERFBENCH / "claims_manifest.json").read_text())[suite]
     path = tmp_path / "report.json"
     with contextlib.redirect_stdout(io.StringIO()):

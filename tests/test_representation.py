@@ -375,6 +375,13 @@ class TestPProperty:
         assert not rep.passed
         assert rep.gauge_deviation >= 1e-3
 
+    def test_zero_trials_rejected(self):
+        # unchecked, no gauge is drawn and a raw frame component reads a
+        # gauge deviation of 0.0
+        sys0 = self.pair_template(np.random.default_rng(263))
+        with pytest.raises(ValueError, match="trials"):
+            check_p_property(lambda inv: inv["a1[1]"], sys0, "pair", trials=0)
+
     def test_template_without_degeneracy_rejected(self):
         sys0 = tensor_system(sym=[np.diag([3.0, 2.0, 1.0])], vecs=[[1.0, 0, 0]],
                              unit=[True])
