@@ -1,12 +1,15 @@
-"""Numerical verification engines: rotation-invariance harness, functional
-independence via finite-difference Jacobian rank, and claim-level basis
-comparison.
+"""Numerical verification engines: rotation-invariance harness and
+functional independence via Jacobian rank.
 
-"Functionally independent" is operationalized as the rank of the FD Jacobian
-of the invariant list with respect to a smooth ambient parameterization at a
+"Functionally independent" is operationalized as the rank of the Jacobian of
+the invariant list with respect to a smooth ambient parameterization at a
 generic point: 6 coordinates per symmetric tensor, 9 per general tensor, 3
 per skew tensor, 3 per vector (2 tangent coordinates for unit vectors, so the
-ambient bookkeeping stays exact).  Rank counts singular values above
+ambient bookkeeping stays exact).  A spectral list codes every argument in a
+frame that only the frame source moves, so each other argument's columns are
+exact: the encoding of its chart directions in the fixed base frame.  The
+source's columns, and every column of a classical list, are central
+differences.  Rank counts singular values above
 ``sigma_max * 1e-7 * sqrt(max matrix dimension)``.
 
 For orbit-constant invariant lists at points with a trivial generic
@@ -24,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from isotropykit.classical_bases import boehler_scalars
 from isotropykit.lin3 import (
     _EYE,
     DegenerateConfigurationError,
@@ -39,23 +41,21 @@ from isotropykit.lin3 import (
 from isotropykit.spectral_frame import (
     _FULL,
     _SKEW,
+    _KINDS,
     _SYM,
-    _VEC,
-    _decode,
+    _encode,
+    _layout,
     build_frame,
     build_svd_frame,
     extract_invariants,
     frame_completion,
-    irreducible_count,
 )
 
 __all__ = [
-    "BasisComparison",
     "Claim",
     "RankReport",
     "VerificationReport",
     "ambient_chart",
-    "compare_bases",
     "jacobian_rank",
     "rotation_deviation",
     "seeded_system",
@@ -132,6 +132,20 @@ def verify_isotropy(fn, kind: str, system: TensorSystem, trials: int = 100,
 # ambient parameterization and Jacobian rank
 
 
+def _chart_blocks(system0: TensorSystem):
+    # (argument class, index, base, unit flag, directions) of each chart block,
+    # in coordinate order; the rows of the directions are the ambient moves of
+    # the block's coordinates: its code's dyads for a tensor, the axes for a
+    # vector and two tangents for a unit vector, which is renormalized
+    blocks = [("sym", r, a, False, _SYM.dyads) for r, a in enumerate(system0.sym)]
+    blocks += [("nonsym", t, h, False, (_SKEW if is_skew else _FULL).dyads)
+               for t, (h, is_skew) in enumerate(zip(system0.nonsym, system0.nonsym_skew))]
+    for s, (x, is_unit) in enumerate(zip(system0.vecs, system0.vec_unit)):
+        dirs = np.array(frame_completion(x / np.linalg.norm(x))) if is_unit else _EYE
+        blocks.append(("vecs", s, x, is_unit, dirs))
+    return blocks
+
+
 def ambient_chart(system0: TensorSystem):
     """Smooth chart ``theta -> TensorSystem`` around a base system.
 
@@ -139,34 +153,18 @@ def ambient_chart(system0: TensorSystem):
     directions and are renormalized, so their coordinates contribute exactly
     2 to the ambient dimension.
     """
-    # (argument class, code, base); unit vectors have no code
-    blocks = [("sym", _SYM, np.array(a)) for a in system0.sym]
-    blocks += [("nonsym", _SKEW if is_skew else _FULL, np.array(h))
-               for h, is_skew in zip(system0.nonsym, system0.nonsym_skew)]
-    for x, is_unit in zip(system0.vecs, system0.vec_unit):
-        if is_unit:
-            t1, t2 = frame_completion(np.array(x) / np.linalg.norm(x))
-            blocks.append(("vecs", None, (np.array(x), t1, t2)))
-        else:
-            blocks.append(("vecs", _VEC, np.array(x)))
-    sizes = [2 if code is None else code.size for _, code, _ in blocks]
-    dim = sum(sizes)
+    blocks = _chart_blocks(system0)
+    dim = sum(len(dirs) for *_, dirs in blocks)
 
     def to_system(theta):
         theta = np.asarray(theta, dtype=float)
         pos = 0
         args = {"sym": [], "nonsym": [], "vecs": []}
-        for (cls, code, base), take in zip(blocks, sizes):
-            coords = theta[pos:pos + take]
-            pos += take
-            if code is not None:
-                # the identity frame makes the perturbation the coordinates
-                # themselves, bit for bit
-                args[cls].append(base + _decode(coords, code, _EYE))
-            else:
-                x0, t1, t2 = base
-                x = x0 + coords[0] * t1 + coords[1] * t2
-                args[cls].append(x / np.linalg.norm(x))
+        for cls, _, base, unit, dirs in blocks:
+            # the 0/1 dyads place the coordinates themselves, bit for bit
+            x = base + (theta[pos:pos + len(dirs)] @ dirs).reshape(base.shape)
+            pos += len(dirs)
+            args[cls].append(x / np.linalg.norm(x) if unit else x)
         return TensorSystem(tuple(args["sym"]), tuple(args["nonsym"]), system0.nonsym_skew,
                             tuple(args["vecs"]), system0.vec_unit)
 
@@ -175,7 +173,7 @@ def ambient_chart(system0: TensorSystem):
 
 @dataclass(frozen=True)
 class RankReport:
-    """FD-Jacobian rank of an invariant list at a generic point."""
+    """Jacobian rank of an invariant list at a generic point."""
 
     config: str
     ambient_dim: int
@@ -210,31 +208,70 @@ _FD_STEP = 1e-6
 _RANK_THRESHOLD = 1e-7
 
 
-def jacobian_rank(invariants, system0: TensorSystem, config: str = "",
-                  seed: int = 0) -> RankReport:
-    """Numerical rank of an invariant list at ``system0``.
+def _jacobian(invariants, system0: TensorSystem) -> np.ndarray:
+    """Jacobian of an invariant list in the chart of :func:`ambient_chart`.
 
-    ``invariants`` is either a callable mapping a system to a value vector or
-    an iterable of items with ``.fn``.  The expected rank recorded in the
-    report is ``min(n, ambient - 3)``, the bound for orbit-constant functions
-    at a point whose rotation orbit is three-dimensional (see the module
-    docstring for when a list can legitimately exceed it).
+    A spectral list (one that carries its ``build_frame``) is coded in a
+    frame that only its source moves: every other chart coordinate gets its
+    exact column, the encoding of its direction in the base frame (the heads
+    stay put).  Central differences remain for the source's coordinates and
+    for every coordinate of any other list.
     """
-    _check_generic(system0)
+    build = getattr(invariants, "build_frame", None)
     if callable(invariants):
         values_fn = invariants
     else:
         items = tuple(invariants)
         values_fn = lambda s: np.array([item.fn(s) for item in items])
     dim, to_system = ambient_chart(system0)
-    n = len(np.asarray(values_fn(system0), dtype=float))
-    jac = np.zeros((n, dim))
-    for k in range(dim):
+    if build is None:
+        jac = np.zeros((len(np.asarray(values_fn(system0), dtype=float)), dim))
+        fd_columns = range(dim)
+    else:
+        frame = build(system0)
+        jac = np.zeros((len(extract_invariants(system0, frame).entries), dim))
+        layout = _layout(frame.kind, system0.n_sym, system0.nonsym_skew, system0.n_vec)
+        # the coded arguments fill the last rows, in layout order
+        row = len(jac) - sum(code.size for *_, code in layout)
+        rows = {}
+        for _, cls, index, code in layout:
+            rows[cls, index] = (row, code)
+            row += code.size
+        col = 0
+        for cls, index, x, _, dirs in _chart_blocks(system0):
+            cols = slice(col, col + len(dirs))
+            if (cls, index) == (_KINDS[frame.kind][2], frame.source):
+                fd_columns = range(cols.start, cols.stop)
+            else:
+                first, code = rows[cls, index]
+                jac[first:first + code.size, cols] = np.transpose(
+                    [_encode(d.reshape(x.shape), code, frame.v, frame.u) for d in dirs])
+            col = cols.stop
+    for k in fd_columns:
         step = np.zeros(dim)
         step[k] = _FD_STEP
         plus = np.asarray(values_fn(to_system(step)), dtype=float)
         minus = np.asarray(values_fn(to_system(-step)), dtype=float)
         jac[:, k] = (plus - minus) / (2.0 * _FD_STEP)
+    return jac
+
+
+def jacobian_rank(invariants, system0: TensorSystem, config: str = "",
+                  seed: int = 0) -> RankReport:
+    """Numerical rank of an invariant list at ``system0``.
+
+    ``invariants`` is either a callable mapping a system to a value vector or
+    an iterable of items with ``.fn``.  The Jacobian takes exact columns in
+    the fixed base frame of a list from :func:`spectral_values_fn` wherever
+    the frame stays put, and central differences through the frame source
+    (and everywhere for any other list).  The expected rank recorded in the
+    report is ``min(n, ambient - 3)``, the bound for orbit-constant functions
+    at a point whose rotation orbit is three-dimensional (see the module
+    docstring for when a list can legitimately exceed it).
+    """
+    _check_generic(system0)
+    jac = _jacobian(invariants, system0)
+    n, dim = jac.shape
     sv = np.linalg.svd(jac, compute_uv=False) if n and dim else np.zeros(0)
     if sv.size and sv[0] > 0.0:
         threshold = sv[0] * _RANK_THRESHOLD * np.sqrt(max(jac.shape))
@@ -250,61 +287,15 @@ def jacobian_rank(invariants, system0: TensorSystem, config: str = "",
 
 def spectral_values_fn(svd_variant: bool = False):
     """Invariant-vector evaluator for the spectral list (frame rebuilt per
-    call, so the chart composition stays smooth at generic points)."""
+    call, so the chart composition stays smooth at generic points).  It
+    carries its frame builder as ``build_frame``."""
+    build = build_svd_frame if svd_variant else build_frame
 
     def values(system):
-        frame = build_svd_frame(system) if svd_variant else build_frame(system)
-        return extract_invariants(system, frame).values()
+        return extract_invariants(system, build(system)).values()
 
+    values.build_frame = build
     return values
-
-
-# ---------------------------------------------------------------------------
-# basis comparison
-
-
-@dataclass(frozen=True)
-class BasisComparison:
-    """Counts and generic-point ranks of the classical and spectral scalar
-    lists for one configuration."""
-
-    config: str
-    classical_count: int | None
-    spectral_count: int
-    classical_rank: int | None
-    spectral_rank: int
-    spectral_full_rank: bool
-    classical_spans_orbit_space: bool | None
-
-
-def compare_bases(N: int, M: int, P: int, *, skew: bool = False,
-                  unit: bool = False, seed: int = 0) -> BasisComparison:
-    """Compare classical and spectral scalar bases at a seeded generic point.
-
-    The classical side exists only for ``M == 0`` or all-skew tensors; for
-    general non-symmetric tensors it is reported as ``None``.  Counting is by
-    enumeration on the classical side and by the closed form on the spectral
-    side.
-    """
-    spectral_count = irreducible_count(N, M, P, skew_nonsym=skew and M > 0,
-                                       all_vectors_unit=unit)
-    system0 = seeded_system(N, M, P, skew=skew, unit=unit, seed=seed)
-    config = f"N={N} M={M}{' skew' if skew and M else ''} P={P}{' unit' if unit and P else ''}"
-    spectral_report = jacobian_rank(spectral_values_fn(), system0,
-                                    config=config, seed=seed)
-    classical_count = classical_rank = spans = None
-    if M == 0 or skew:
-        basis = boehler_scalars(N, M, P)
-        classical_count = len(basis)
-        classical_rank = jacobian_rank(basis.evaluate, system0,
-                                       config=config, seed=seed).rank
-        spans = classical_rank == spectral_report.rank
-    return BasisComparison(
-        config=config, classical_count=classical_count,
-        spectral_count=spectral_count, classical_rank=classical_rank,
-        spectral_rank=spectral_report.rank,
-        spectral_full_rank=spectral_report.rank == spectral_count,
-        classical_spans_orbit_space=spans)
 
 
 # ---------------------------------------------------------------------------

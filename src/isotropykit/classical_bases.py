@@ -171,12 +171,21 @@ class _Program:
     """Labels of one kind parsed into one straight-line program of steps
     ``(fn, slot, slot or None)``, one per distinct subterm, so a subterm that
     several labels share (``A1^2``, ``A1.a1``) is computed once per call on
-    a whole stack of systems; each step's op is bound to its arguments' ranks."""
+    a whole stack of systems; each step's op is bound to its arguments' ranks.
+    A call writes each item as soon as its slot is computed and drops every
+    slot after its last use, so only the live subterms are held."""
 
     def __init__(self, labels, kind):
         self._steps, self._slots, self._ranks = [], {}, [None, None, None, 2]  # stacks, I
+        self._last = [0, 1, 2, 3]  # per slot: the last slot computed from it
         self.kind = kind
         self._outputs = [self._parse(label) for label in labels]
+        # per slot, once computed: the items it fills and the slots then dead
+        self._after = [([], []) for _ in self._ranks]
+        for k, slot in enumerate(self._outputs):
+            self._after[slot][0].append(k)
+        for slot, last in enumerate(self._last):
+            self._after[last][1].append(slot)
 
     def __call__(self, systems, shape):
         """Item values, ``(B, n, ...)``, on a stack of systems of ``shape`` (N, M, P)."""
@@ -184,11 +193,15 @@ class _Program:
         values = [np.array([x for s in systems for x in s.sym]).reshape(b, n, 3, 3),
                   np.array([x for s in systems for x in s.nonsym]).reshape(b, m, 3, 3),
                   np.array([x for s in systems for x in s.vecs]).reshape(b, p, 3), _EYE]
-        for fn, a, c in self._steps:
-            values.append(fn(values[a]) if c is None else fn(values[a], values[c]))
         out = np.empty((b, len(self._outputs)) + _SHAPES[self.kind])
-        for k, slot in enumerate(self._outputs):
-            out[:, k] = values[slot]
+        for slot, (items, dead) in enumerate(self._after):
+            if slot >= 4:
+                fn, a, c = self._steps[slot - 4]
+                values.append(fn(values[a]) if c is None else fn(values[a], values[c]))
+            for k in items:
+                out[:, k] = values[slot]
+            for d in dead:
+                values[d] = None
         # a tensor item is returned exactly symmetric
         return 0.5 * (out + out.swapaxes(-1, -2)) if self.kind == "sym_tensor" else out
 
@@ -207,7 +220,11 @@ class _Program:
                 step = (fn, *args, None)[:3]  # unary ops: second slot None
             self._steps.append(step)
             self._ranks.append(rank)
-            self._slots[key] = len(self._ranks) - 1
+            self._slots[key] = new = len(self._ranks) - 1
+            self._last.append(new)
+            for a in step[1:]:
+                if a is not None:
+                    self._last[a] = new
         return self._slots[key]
 
     def _parse(self, label):

@@ -306,7 +306,7 @@ def _rank_configs():
 def run_rank(seed: int, system=None, n: int = 0, m: int = 0, p: int = 0,
              skew: bool = False, unit_vectors: bool = False,
              svd: bool = False) -> VerificationReport:
-    """FD-Jacobian rank of the spectral list (and the classical list where one
+    """Jacobian rank of the spectral list (and the classical list where one
     exists) against the structural expectation: of the input system, of the
     seeded ``(n, m, p)`` configuration, or of every configuration with
     ``n + m + p <= 3`` when neither is given."""
@@ -319,6 +319,10 @@ def run_rank(seed: int, system=None, n: int = 0, m: int = 0, p: int = 0,
     if svd and system is None and config is None:
         raise ValueError("the SVD rank variant needs --input or an explicit "
                          "--n/--m/--p configuration")
+    if (skew or unit_vectors) and config is None:
+        # the sweep already runs each flag; it would drop this one
+        flag = "--skew" if skew else "--unit-vectors"
+        raise ValueError(f"{flag} needs an explicit --n/--m/--p configuration")
     if system is not None or config is not None:
         if system is None:
             system = seeded_system(n, m, p, skew=skew, unit=unit_vectors, seed=seed)

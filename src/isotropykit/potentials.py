@@ -27,7 +27,7 @@ verification; they never touch frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,9 +65,10 @@ __all__ = [
 def _with_arg(system: TensorSystem, kind: str, idx: int, new: np.ndarray) -> TensorSystem:
     """``system`` with argument ``idx`` of class ``kind`` (``"vecs"``,
     ``"sym"`` or ``"nonsym"``) replaced by ``new``."""
-    args = list(getattr(system, kind))
-    args[idx] = new
-    return replace(system, **{kind: tuple(args)})
+    args = {"sym": system.sym, "nonsym": system.nonsym, "vecs": system.vecs}
+    args[kind] = args[kind][:idx] + (new,) + args[kind][idx + 1:]
+    return TensorSystem(args["sym"], args["nonsym"], system.nonsym_skew, args["vecs"],
+                        system.vec_unit)
 
 
 def _rotated(triad: np.ndarray, i: int, j: int, theta: float) -> np.ndarray:

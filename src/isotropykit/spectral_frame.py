@@ -116,12 +116,13 @@ def _labels(stem, code) -> tuple:
 
 
 # per frame kind: the labels of the heads, which carry the frame source by
-# its eigen- or singular values, and the first coded (sym, nonsym, vecs)
-# index; a gram frame does not diagonalize its source, which is coded instead
-_KINDS = {"sym_tensor": (("lam1", "lam2", "lam3"), (1, 0, 0)),
-          "gram": ((), (0, 0, 0)),
-          "vector": (("lam",), (0, 0, 1)),
-          "svd": (("sv1", "sv2", "sv3"), (0, 1, 0))}
+# its eigen- or singular values, the first coded (sym, nonsym, vecs) index
+# and the source's argument class; a gram frame does not diagonalize its
+# source, which is coded instead
+_KINDS = {"sym_tensor": (("lam1", "lam2", "lam3"), (1, 0, 0), "sym"),
+          "gram": ((), (0, 0, 0), "nonsym"),
+          "vector": (("lam",), (0, 0, 1), "vecs"),
+          "svd": (("sv1", "sv2", "sv3"), (0, 1, 0), "nonsym")}
 
 
 @functools.lru_cache(maxsize=256)

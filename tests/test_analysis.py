@@ -1,11 +1,14 @@
-"""Isotropy harness, Jacobian rank, and basis comparison."""
+"""Isotropy harness and Jacobian rank."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from isotropykit import analysis
 from isotropykit.lin3 import (
+    _OFF_PAIRS,
+    _SYM_PAIRS,
     DegenerateConfigurationError,
     conjugate,
     haar_rotation,
@@ -13,14 +16,15 @@ from isotropykit.lin3 import (
 )
 from isotropykit.classical_bases import boehler_scalars
 from isotropykit.analysis import (
-    compare_bases,
+    _jacobian,
     jacobian_rank,
     rotation_deviation,
     seeded_system,
     spectral_values_fn,
     verify_isotropy,
 )
-from isotropykit.spectral_frame import irreducible_count
+from isotropykit.cli import _rank_configs
+from isotropykit.spectral_frame import _SYM, frame_completion, irreducible_count
 
 
 class TestVerifyIsotropy:
@@ -150,6 +154,23 @@ class TestJacobianRank:
                     else:
                         assert report.rank == expected, (n, m, p, skew, unit, report)
 
+    @pytest.mark.parametrize("n,m,p,skew,items,rank", [
+        (1, 0, 0, False, 3, 3), (2, 0, 2, False, 28, 15), (1, 1, 0, True, 7, 6),
+    ], ids=["N1", "N2P2", "N1M1-skew"])
+    def test_classical_rank_equals_spectral(self, n, m, p, skew, items, rank):
+        # the classical list spans the orbit space the spectral list counts
+        sys0 = seeded_system(n, m, p, skew=skew, seed=3)
+        basis = boehler_scalars(n, m, p)
+        assert len(basis) == items
+        assert jacobian_rank(basis.evaluate, sys0).rank == rank
+        assert jacobian_rank(spectral_values_fn(), sys0).rank == rank \
+            == irreducible_count(n, m, p, skew_nonsym=skew)
+
+    def test_general_nonsym_spectral_rank(self):
+        sys0 = seeded_system(1, 1, 0, seed=3)
+        assert jacobian_rank(spectral_values_fn(), sys0).rank == 12 \
+            == irreducible_count(1, 1, 0)
+
     def test_svd_variant_rank(self):
         sys0 = seeded_system(1, 1, 1, seed=23)
         report = jacobian_rank(spectral_values_fn(svd_variant=True), sys0)
@@ -162,30 +183,119 @@ class TestJacobianRank:
         assert report.rank == 18  # ambient 21 minus the rotation orbit
 
 
-class TestCompareBases:
-    def test_single_tensor(self):
-        cmp = compare_bases(1, 0, 0, seed=3)
-        assert cmp.classical_count == 3
-        assert cmp.spectral_count == 3
-        assert cmp.classical_rank == 3
-        assert cmp.spectral_rank == 3
-        assert cmp.spectral_full_rank
-        assert cmp.classical_spans_orbit_space
+# ---------------------------------------------------------------------------
+# exact columns in the fixed frame against the central-difference Jacobian
 
-    def test_viscoelastic_configuration(self):
-        cmp = compare_bases(2, 0, 2, seed=3)
-        assert cmp.classical_count == 28
-        assert cmp.spectral_count == 15
-        assert cmp.classical_rank == 15
-        assert cmp.spectral_rank == 15
 
-    def test_skew_mixed(self):
-        cmp = compare_bases(1, 1, 0, skew=True, seed=3)
-        assert cmp.spectral_count == 6
-        assert cmp.spectral_rank == 6
-        assert cmp.classical_rank == 6
+def _unit_dyads(pairs, mirror):
+    out = []
+    for i, j in pairs:
+        d = np.zeros((3, 3))
+        d[i, j] = 1.0
+        if mirror and i != j:
+            d[j, i] = mirror
+        out.append(d)
+    return out
 
-    def test_general_nonsym_has_no_classical(self):
-        cmp = compare_bases(1, 1, 0, seed=3)
-        assert cmp.classical_count is None
-        assert cmp.spectral_rank == cmp.spectral_count == 12
+
+def _fd_oracle(values, system0, h=1e-6):
+    """Central differences of the whole list along the chart directions,
+    built here without the codec: the unit symmetric, skew and full dyads in
+    slot order, the axes, and the completion tangents of a unit vector."""
+    moves = [("sym", r, d) for r in range(system0.n_sym)
+             for d in _unit_dyads(_SYM_PAIRS, 1.0)]
+    for t, skew in enumerate(system0.nonsym_skew):
+        pairs = _OFF_PAIRS if skew else list(itertools.product(range(3), repeat=2))
+        moves += [("nonsym", t, d) for d in _unit_dyads(pairs, -1.0 if skew else None)]
+    for k, (x, unit) in enumerate(zip(system0.vecs, system0.vec_unit)):
+        moves += [("vecs", k, d) for d in (frame_completion(x) if unit else np.eye(3))]
+
+    def at(cls, index, step):
+        args = {"sym": list(system0.sym), "nonsym": list(system0.nonsym),
+                "vecs": list(system0.vecs)}
+        x = args[cls][index] + step
+        if cls == "vecs" and system0.vec_unit[index]:
+            x = x / np.linalg.norm(x)
+        args[cls][index] = x
+        return values(tensor_system(sym=args["sym"], nonsym=args["nonsym"],
+                                    skew=system0.nonsym_skew, vecs=args["vecs"],
+                                    unit=system0.vec_unit))
+
+    return np.transpose([(at(c, i, h * d) - at(c, i, -h * d)) / (2.0 * h)
+                         for c, i, d in moves])
+
+
+def _source_columns(system0, svd):
+    # the chart columns of the frame source: the first block, except for an
+    # SVD frame, whose source follows the symmetric tensors
+    n, m, _ = system0.shape()
+    if n and not svd:
+        return range(0, 6)
+    if m:
+        start = 6 * n if svd else 0
+        return range(start, start + (3 if system0.nonsym_skew[0] else 9))
+    return range(0, 2 if system0.vec_unit[0] else 3)
+
+
+def _exact_column_gap(system0, svd=False):
+    """Largest relative gap between a column written in the fixed frame and
+    the oracle's, and the largest gap anywhere against the oracle's scale."""
+    jac = _jacobian(spectral_values_fn(svd), system0)
+    fd = _fd_oracle(spectral_values_fn(svd), system0)
+    exact = [k for k in range(jac.shape[1]) if k not in _source_columns(system0, svd)]
+    gaps = np.linalg.norm(jac[:, exact] - fd[:, exact], axis=0) \
+        / np.linalg.norm(fd[:, exact], axis=0)
+    return (gaps.max() if exact else 0.0,
+            np.abs(jac - fd).max() / (1.0 + np.abs(fd).max()))
+
+
+def _sweep_cases():
+    # every default-sweep configuration with a generic frame, and its SVD
+    # variant where a general tensor can carry one
+    for n, m, p, skew, unit in _rank_configs():
+        if n == 0 and m >= 1 and skew:
+            continue
+        yield n, m, p, skew, unit, False
+        if m and not skew:
+            yield n, m, p, skew, unit, True
+
+
+class TestExactColumns:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_match_central_differences(self, seed):
+        checked = 0
+        for n, m, p, skew, unit, svd in _sweep_cases():
+            sys0 = seeded_system(n, m, p, skew=skew, unit=unit, seed=seed)
+            exact_gap, gap = _exact_column_gap(sys0, svd)
+            assert exact_gap <= 1e-7, (n, m, p, skew, unit, svd, exact_gap)
+            assert gap <= 1e-7, (n, m, p, skew, unit, svd, gap)
+            checked += 1
+        assert checked == 48  # 34 configurations, 14 of them also in SVD frames
+
+    def test_dropped_mirror_is_caught(self, monkeypatch):
+        # a symmetric dyad without its mirror entry moves only the upper
+        # component of a non-source tensor; the oracle moves both
+        sys0 = seeded_system(1, 1, 1, seed=0)
+        assert _exact_column_gap(sys0, svd=True)[0] <= 1e-7
+        dyads = _SYM.dyads.copy()
+        dyads[1, 3] = 0.0  # slot (0, 1) loses its (1, 0) entry
+        monkeypatch.setattr(_SYM, "dyads", dyads)
+        assert _exact_column_gap(sys0, svd=True)[0] > 1e-2
+
+    @pytest.mark.parametrize("shape,skew,unit,svd,builder,calls", [
+        ((2, 0, 1), False, False, False, "build_frame", 1 + 2 * 6),
+        ((1, 1, 1), True, False, False, "build_frame", 1 + 2 * 6),
+        ((0, 2, 1), False, False, False, "build_frame", 1 + 2 * 9),
+        ((1, 1, 1), False, False, True, "build_svd_frame", 1 + 2 * 9),
+        ((0, 0, 2), False, False, False, "build_frame", 1 + 2 * 3),
+        ((0, 0, 2), False, True, False, "build_frame", 1 + 2 * 2),
+    ], ids=["sym", "sym-skew", "gram", "svd", "vector", "unit-vector"])
+    def test_frame_built_through_source_only(self, monkeypatch, shape, skew, unit,
+                                             svd, builder, calls):
+        seen = []
+        original = getattr(analysis, builder)
+        monkeypatch.setattr(analysis, builder,
+                            lambda s: seen.append(s) or original(s))
+        sys0 = seeded_system(*shape, skew=skew, unit=unit, seed=0)
+        jacobian_rank(spectral_values_fn(svd), sys0)
+        assert len(seen) == calls

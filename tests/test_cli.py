@@ -178,6 +178,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: --input") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--skew", "--unit-vectors"])
+    def test_rank_flag_without_configuration_is_two(self, capsys, flag):
+        # unchecked, the full sweep ran without the flag and exited 0
+        assert main(["verify", "rank", flag]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {flag} needs an explicit --n/--m/--p configuration\n"
+
     def test_input_rejected_for_suites_without_one(self, tmp_path):
         path = write_system(tmp_path / "sys.json", sym=[np.diag([3.0, 2.0, 1.0])])
         assert main(["verify", "gradients", "--input", str(path)]) == 2

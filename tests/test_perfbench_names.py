@@ -7,6 +7,8 @@ traced run into a ``KeyError``.  Both lists are read with ``ast`` rather than
 imported, because importing ``run.py`` pins the BLAS thread variables.
 The benchmark also gates every verify suite on the claim ids and skips listed
 in ``perfbench/claims_manifest.json``, which is read here and never written.
+The tracer counts the chart evaluations of ``analysis.jacobian_rank`` through
+the ``(dim, to_system)`` pair of ``analysis.ambient_chart``.
 """
 
 import ast
@@ -17,9 +19,13 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from isotropykit import analysis
+from isotropykit.classical_bases import boehler_scalars
 from isotropykit.cli import SUITES, main
+from isotropykit.lin3 import TensorSystem
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,3 +80,28 @@ def test_claim_ids_match_manifest(tmp_path, suite, seed):
     claims = json.loads(path.read_text())["claims"]
     assert [c["id"] for c in claims] == manifest["ids"]
     assert [c["id"] for c in claims if c["status"] == "skip"] == manifest["skips"]
+
+
+
+def test_chart_pair_carries_every_fd_point(monkeypatch):
+    # ``tracer.py`` unpacks ``ambient_chart``'s ``(dim, to_system)`` and counts
+    # the calls of ``to_system`` as the chart evaluations of ``jacobian_rank``;
+    # every central-difference point must be made by that ``to_system``
+    sys0 = analysis.seeded_system(2, 0, 1, seed=0)
+    dim, to_system = analysis.ambient_chart(sys0)
+    assert dim == 15 and isinstance(to_system(np.zeros(dim)), TensorSystem)
+
+    made, original = [], analysis.ambient_chart
+
+    def counted_chart(system0):
+        dim, to_system = original(system0)
+        return dim, lambda theta: made.append(to_system(theta)) or made[-1]
+
+    monkeypatch.setattr(analysis, "ambient_chart", counted_chart)
+    seen, basis = [], boehler_scalars(2, 0, 1)
+    analysis.jacobian_rank(lambda s: seen.append(s) or basis.evaluate(s), sys0)
+    assert len(made) == 2 * dim
+    assert all(s is sys0 or any(s is t for t in made) for s in seen)
+    made.clear()
+    analysis.jacobian_rank(analysis.spectral_values_fn(), sys0)
+    assert len(made) == 2 * 6  # the source tensor's coordinates only
