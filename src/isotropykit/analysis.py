@@ -173,17 +173,15 @@ def ambient_chart(system0: TensorSystem):
 
 @dataclass(frozen=True)
 class RankReport:
-    """Jacobian rank of an invariant list at a generic point."""
+    """Jacobian rank of an invariant list at a generic point; a function of
+    the list and the point alone, so it records no seed."""
 
-    config: str
     ambient_dim: int
     n_invariants: int
     singular_values: tuple
     rank: int
     expected_rank: int
     threshold: float
-    seed: int
-    step: float
 
 
 def _check_generic(system: TensorSystem):
@@ -256,8 +254,7 @@ def _jacobian(invariants, system0: TensorSystem) -> np.ndarray:
     return jac
 
 
-def jacobian_rank(invariants, system0: TensorSystem, config: str = "",
-                  seed: int = 0) -> RankReport:
+def jacobian_rank(invariants, system0: TensorSystem) -> RankReport:
     """Numerical rank of an invariant list at ``system0``.
 
     ``invariants`` is either a callable mapping a system to a value vector or
@@ -267,7 +264,7 @@ def jacobian_rank(invariants, system0: TensorSystem, config: str = "",
     (and everywhere for any other list).  The expected rank recorded in the
     report is ``min(n, ambient - 3)``, the bound for orbit-constant functions
     at a point whose rotation orbit is three-dimensional (see the module
-    docstring for when a list can legitimately exceed it).
+    docstring for when a list can legitimately exceed it).  Nothing is drawn.
     """
     _check_generic(system0)
     jac = _jacobian(invariants, system0)
@@ -279,10 +276,9 @@ def jacobian_rank(invariants, system0: TensorSystem, config: str = "",
     else:
         threshold = 0.0
         rank = 0
-    return RankReport(config=config, ambient_dim=dim, n_invariants=n,
+    return RankReport(ambient_dim=dim, n_invariants=n,
                       singular_values=tuple(float(s) for s in sv), rank=rank,
-                      expected_rank=min(n, max(dim - 3, 0)), threshold=float(threshold),
-                      seed=seed, step=_FD_STEP)
+                      expected_rank=min(n, max(dim - 3, 0)), threshold=float(threshold))
 
 
 def spectral_values_fn(svd_variant: bool = False):

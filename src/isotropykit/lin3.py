@@ -45,6 +45,7 @@ _EYE = np.eye(3)
 # independent entries of a skew tensor) and with the diagonal (symmetric)
 _OFF_PAIRS = ((0, 1), (0, 2), (1, 2))
 _SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_CLASS_TOL = 1e-12  # of the symmetric, skew and rotation checks
 
 
 class DegenerateInputError(ValueError):
@@ -92,30 +93,30 @@ def _mirror_defect(a, sign):
             max(map(abs, r[0] + r[1] + r[2])))
 
 
-def sym_matrix(x, tol: float = 1e-12) -> np.ndarray:
+def sym_matrix(x) -> np.ndarray:
     """Return ``x`` exactly symmetrized, rejecting clearly asymmetric input."""
     a = mat3(x)
     gap, size = _mirror_defect(a, 1.0)
-    if gap > tol * (1.0 + size):
+    if gap > _CLASS_TOL * (1.0 + size):
         raise ValueError("matrix is not symmetric")
     return 0.5 * (a + a.T)
 
 
-def skew_matrix(x, tol: float = 1e-12) -> np.ndarray:
+def skew_matrix(x) -> np.ndarray:
     """Return ``x`` exactly skew-symmetrized (zero diagonal), rejecting bad input."""
     a = mat3(x)
     gap, size = _mirror_defect(a, -1.0)
-    if gap > tol * (1.0 + size):
+    if gap > _CLASS_TOL * (1.0 + size):
         raise ValueError("matrix is not skew-symmetric")
     return 0.5 * (a - a.T)
 
 
-def rotation_matrix(x, tol: float = 1e-12) -> np.ndarray:
-    """Validate a proper rotation: ||Q Q^T - I|| <= tol and det Q = 1 within tol."""
+def rotation_matrix(x) -> np.ndarray:
+    """Validate a proper rotation: ||Q Q^T - I|| and |det Q - 1| at most 1e-12."""
     q = mat3(x)
-    if _norm(q @ q.T - _EYE) > tol:
+    if _norm(q @ q.T - _EYE) > _CLASS_TOL:
         raise ValueError("matrix is not orthogonal")
-    if abs(np.linalg.det(q) - 1.0) > tol:
+    if abs(np.linalg.det(q) - 1.0) > _CLASS_TOL:
         raise ValueError("matrix is not a proper rotation (det != 1)")
     return q
 

@@ -62,11 +62,11 @@ __all__ = [
 ]
 
 
-def _with_arg(system: TensorSystem, kind: str, idx: int, new: np.ndarray) -> TensorSystem:
-    """``system`` with argument ``idx`` of class ``kind`` (``"vecs"``,
+def _with_arg(system: TensorSystem, kind: str, new: np.ndarray) -> TensorSystem:
+    """``system`` with the first argument of class ``kind`` (``"vecs"``,
     ``"sym"`` or ``"nonsym"``) replaced by ``new``."""
     args = {"sym": system.sym, "nonsym": system.nonsym, "vecs": system.vecs}
-    args[kind] = args[kind][:idx] + (new,) + args[kind][idx + 1:]
+    args[kind] = (new,) + args[kind][1:]
     return TensorSystem(args["sym"], args["nonsym"], system.nonsym_skew, args["vecs"],
                         system.vec_unit)
 
@@ -84,27 +84,24 @@ def _rotated(triad: np.ndarray, i: int, j: int, theta: float) -> np.ndarray:
 
 
 def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
-                which: int = 0, h: float | None = None,
                 d_lam=None, d_v1=None) -> np.ndarray:
-    """Gradient of ``W`` with respect to vector argument ``which``.
+    """Gradient of ``W`` with respect to the first vector argument ``a``.
 
     ``d_lam(lam, v1)`` and ``d_v1(lam, v1)`` supply analytic partials of the
-    spectral form; otherwise central differences with step ``h`` (default
-    ``1e-5 * (1 + |a|)``) are used, the tangential ones along renormalized
-    perturbations of ``v1``.
+    spectral form; otherwise central differences with step ``1e-5 (1 + |a|)``
+    are used, the tangential ones along renormalized perturbations of ``v1``.
     """
-    a = system.vecs[which]
+    a = system.vecs[0]
     lam = float(np.linalg.norm(a))
     if lam <= 1e-12:
         raise DegenerateConfigurationError(
             "vector argument is zero; the spectral gradient divides by |a|")
     v1 = a / lam
     v2, v3 = frame_completion(v1)
-    if h is None:
-        h = 1e-5 * (1.0 + lam)
+    h = 1e-5 * (1.0 + lam)
 
     def w_at(lam_, v1_):
-        return float(W(_with_arg(system, "vecs", which, lam_ * v1_)))
+        return float(W(_with_arg(system, "vecs", lam_ * v1_)))
 
     if d_lam is not None:
         dlam = float(d_lam(lam, v1))
@@ -126,16 +123,15 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
 
 
 def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
-                    which: int = 0, h: float | None = None,
                     gap_min: float | None = None,
                     d_lams=None, d_frame=None) -> np.ndarray:
-    """Gradient of ``W`` with respect to symmetric tensor argument ``which``.
+    """Gradient of ``W`` with respect to the first symmetric tensor argument.
 
     Requires pairwise-distinct eigenvalues (the off-diagonal terms divide by
     the gaps).  ``d_lams(lams, v) -> (3,)`` and ``d_frame(lams, v) -> (3, 3)``
     with ``d_frame[i, j] = dW/dv_i . v_j`` supply analytic partials.
     """
-    v_arg = system.sym[which]
+    v_arg = system.sym[0]
     lams, v, _ = eig_sym(v_arg)
     if gap_min is None:
         gap_min = 1e-6 * (1.0 + np.linalg.norm(v_arg))
@@ -144,12 +140,11 @@ def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
             raise DegenerateConfigurationError(
                 f"eigenvalues {i + 1} and {j + 1} coalesce "
                 f"(gap {lams[i] - lams[j]:.3e} <= {gap_min:.3e})")
-    if h is None:
-        h = 1e-5 * (1.0 + np.abs(lams).max())
+    h = 1e-5 * (1.0 + np.abs(lams).max())
 
     def w_at(lams_, v_):
         m = sum(lams_[i] * np.outer(v_[i], v_[i]) for i in range(3))
-        return float(W(_with_arg(system, "sym", which, m)))
+        return float(W(_with_arg(system, "sym", m)))
 
     if d_lams is not None:
         dlam = np.asarray(d_lams(lams, v), dtype=float)
@@ -176,17 +171,16 @@ def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
 
 
 def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
-                       which: int = 0, h: float | None = None,
                        gap_min: float | None = None,
                        d_lams=None, d_v_frame=None, d_u_frame=None) -> np.ndarray:
-    """Gradient of ``W`` with respect to non-symmetric tensor argument
-    ``which``, through its singular triads.
+    """Gradient of ``W`` with respect to the first non-symmetric tensor
+    argument, through its singular triads.
 
     Requires pairwise-distinct singular values.  Analytic partials mirror
     :func:`grad_sym_tensor`, with separate frames for the left and right
     triads.
     """
-    f_arg = system.nonsym[which]
+    f_arg = system.nonsym[0]
     sv, v, u = svd3(f_arg)
     if gap_min is None:
         gap_min = 1e-6 * (1.0 + np.linalg.norm(f_arg))
@@ -195,12 +189,11 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
             raise DegenerateConfigurationError(
                 f"singular values {i + 1} and {j + 1} coalesce "
                 f"(gap {sv[i] - sv[j]:.3e} <= {gap_min:.3e})")
-    if h is None:
-        h = 1e-5 * (1.0 + sv[0])
+    h = 1e-5 * (1.0 + sv[0])
 
     def w_at(sv_, v_, u_):
         m = sum(sv_[i] * np.outer(v_[i], u_[i]) for i in range(3))
-        return float(W(_with_arg(system, "nonsym", which, m)))
+        return float(W(_with_arg(system, "nonsym", m)))
 
     if d_lams is not None:
         dlam = np.asarray(d_lams(sv, v, u), dtype=float)
@@ -235,21 +228,21 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
 # finite-difference oracles (frame-free, entry-wise)
 
 
-def fd_grad_vector(W, system, which=0, h=None):
-    a = system.vecs[which]
+def fd_grad_vector(W, system, h=None):
+    a = system.vecs[0]
     if h is None:
         h = 1e-5 * (1.0 + np.linalg.norm(a))
     g = np.empty(3)
     for k in range(3):
         step = np.zeros(3)
         step[k] = h
-        g[k] = (float(W(_with_arg(system, "vecs", which, a + step)))
-                - float(W(_with_arg(system, "vecs", which, a - step)))) / (2.0 * h)
+        g[k] = (float(W(_with_arg(system, "vecs", a + step)))
+                - float(W(_with_arg(system, "vecs", a - step)))) / (2.0 * h)
     return g
 
 
-def fd_grad_sym_tensor(W, system, which=0, h=None):
-    v_arg = system.sym[which]
+def fd_grad_sym_tensor(W, system, h=None):
+    v_arg = system.sym[0]
     if h is None:
         h = 1e-5 * (1.0 + np.linalg.norm(v_arg))
     g = np.empty((3, 3))
@@ -257,8 +250,8 @@ def fd_grad_sym_tensor(W, system, which=0, h=None):
         for j in range(i, 3):
             e = np.zeros((3, 3))
             e[i, j] = e[j, i] = 1.0
-            d = (float(W(_with_arg(system, "sym", which, v_arg + h * e)))
-                 - float(W(_with_arg(system, "sym", which, v_arg - h * e)))) / (2.0 * h)
+            d = (float(W(_with_arg(system, "sym", v_arg + h * e)))
+                 - float(W(_with_arg(system, "sym", v_arg - h * e)))) / (2.0 * h)
             # dW = tr(G dV): a symmetric off-diagonal probe picks up 2 G_ij
             if i == j:
                 g[i, i] = d
@@ -267,8 +260,8 @@ def fd_grad_sym_tensor(W, system, which=0, h=None):
     return g
 
 
-def fd_grad_nonsym_tensor(W, system, which=0, h=None):
-    f_arg = system.nonsym[which]
+def fd_grad_nonsym_tensor(W, system, h=None):
+    f_arg = system.nonsym[0]
     if h is None:
         h = 1e-5 * (1.0 + np.linalg.norm(f_arg))
     g = np.empty((3, 3))
@@ -276,18 +269,18 @@ def fd_grad_nonsym_tensor(W, system, which=0, h=None):
         for j in range(3):
             e = np.zeros((3, 3))
             e[i, j] = 1.0
-            wp = float(W(_with_arg(system, "nonsym", which, f_arg + h * e)))
-            wm = float(W(_with_arg(system, "nonsym", which, f_arg - h * e)))
+            wp = float(W(_with_arg(system, "nonsym", f_arg + h * e)))
+            wm = float(W(_with_arg(system, "nonsym", f_arg - h * e)))
             g[i, j] = (wp - wm) / (2.0 * h)
     return g
 
 
-def degeneracy_sensitivity(W, system_factory, deltas, which: int = 0, h=None):
+def degeneracy_sensitivity(W, system_factory, deltas):
     """Diagnostic curve: formula-vs-oracle deviation as the eigenvalue gap of
     the differentiated argument shrinks.
 
-    ``system_factory(delta)`` must return a system whose argument ``which``
-    has an eigenvalue gap ``delta``.  Returns ``(delta, deviation)`` pairs,
+    ``system_factory(delta)`` must return a system whose first symmetric
+    tensor has an eigenvalue gap ``delta``.  Returns ``(delta, deviation)`` pairs,
     where deviation is the normalized max difference between
     :func:`grad_sym_tensor` and :func:`fd_grad_sym_tensor`.  Expected to
     degrade like O(h / delta); reported, never asserted.
@@ -295,8 +288,8 @@ def degeneracy_sensitivity(W, system_factory, deltas, which: int = 0, h=None):
     out = []
     for delta in deltas:
         sys_d = system_factory(delta)
-        g = grad_sym_tensor(W, sys_d, which=which, h=h, gap_min=0.0)
-        ref = fd_grad_sym_tensor(W, sys_d, which=which, h=h)
+        g = grad_sym_tensor(W, sys_d, gap_min=0.0)
+        ref = fd_grad_sym_tensor(W, sys_d)
         dev = float(np.abs(g - ref).max() / (1.0 + np.abs(ref).max()))
         out.append((float(delta), dev))
     return out

@@ -30,7 +30,7 @@ from isotropykit.lin3 import (
     eig_sym,
     haar_rotation,
     mat3,
-    tensor_system,
+    sym_matrix,
     vec3,
 )
 from isotropykit.spectral_frame import (
@@ -60,7 +60,6 @@ __all__ = [
     "check_p_property",
     "coalescence_structure",
     "example2_invariants",
-    "example2_resolution",
     "expand_classical",
     "generator_basis",
     "permute_frame",
@@ -230,11 +229,12 @@ class CoaxialityCheck:
 def check_coaxiality(g_fn, v_mat, tol: float = 1e-10) -> CoaxialityCheck:
     """Measure ``||V G(V) - G(V) V||_F`` and the off-diagonal frame
     coefficients of ``G(V)``; both vanish for isotropic maps of a single
-    symmetric tensor with distinct eigenvalues."""
-    v_mat = np.asarray(v_mat, dtype=float)
-    g = np.asarray(g_fn(v_mat), dtype=float)
+    symmetric tensor with distinct eigenvalues.  ``V`` must be symmetric
+    and ``G(V)`` a finite 3x3 tensor."""
+    v_mat = sym_matrix(v_mat)
+    g = mat3(g_fn(v_mat))
     residual = float(np.linalg.norm(v_mat @ g - g @ v_mat))
-    _, vecs, _ = eig_sym(0.5 * (v_mat + v_mat.T))
+    _, vecs, _ = eig_sym(v_mat)
     offdiag = float(np.abs(_encode(g, _SKEW, vecs)).max())
     return CoaxialityCheck(residual, offdiag, tol)
 
@@ -267,12 +267,16 @@ def coalescence_structure(t_fn, case: str, lam_base, eps_sequence=(),
     reconstruction must equal the two-term form
     ``t_i I + (t_k - t_i) v_k (x) v_k``.  ``case="triple"`` requires all
     coefficients equal and ``G = t_1 I`` at ``lam_base``.  Non-convergence is
-    reported through the flags, never raised.
+    reported through the flags, never raised; a ``lam_base`` that is not a
+    finite 3-vector, or a step that is not finite and positive, is a
+    ``ValueError``.
     """
-    lam_base = np.asarray(lam_base, dtype=float)
+    lam_base = vec3(lam_base)
     v = np.asarray(frame_vectors, dtype=float) if frame_vectors is not None else _EYE
     i, j, k = pair
     eps = tuple(float(e) for e in eps_sequence)
+    if not all(0.0 < e < np.inf for e in eps):
+        raise ValueError(f"coalescence steps must be finite and positive, got {eps}")
     gaps, ratios = [], []
     if case == "pair":
         for e in eps:
@@ -328,11 +332,20 @@ class PPropertyReport:
             self.gauge_deviation <= self.tolerance
 
 
+def _slots(slots, sizes, what) -> tuple:
+    # ``slots`` as a tuple, if it holds ``sizes`` distinct frame slots
+    slots = tuple(slots)
+    if len(slots) not in sizes or len(set(slots) & {0, 1, 2}) < len(slots):
+        raise ValueError(f"{what} must be {' or '.join(map(str, sizes))} distinct "
+                         f"slots of 0, 1, 2, got {slots}")
+    return slots
+
+
 def permute_frame(frame: SpectralFrame, perm) -> SpectralFrame:
     """Reorder the (eigenvalue, eigenvector) slots; slot ``i`` of the result
     holds slot ``perm[i]`` of the input.  Handedness is deliberately not
     restored: the permuted frame feeds symmetry checks, not constructions."""
-    perm = tuple(perm)
+    perm = _slots(perm, (3,), "a permutation")
     lams = frame.lambdas[list(perm)]
     v = frame.v[list(perm)]
     u = frame.u[list(perm)] if frame.u is not None else None
@@ -344,16 +357,14 @@ def permute_frame(frame: SpectralFrame, perm) -> SpectralFrame:
 def regauge_frame(frame: SpectralFrame, group, rng) -> SpectralFrame:
     """Replace the eigenvectors of a degenerate group by a random rotation of
     themselves (uniform angle for a pair, Haar for a triple)."""
-    idx = list(group)
+    idx = list(_slots(group, (2, 3), "a gauge group"))
     v = frame.v.copy()
     if len(idx) == 2:
         theta = rng.uniform(0.0, 2.0 * np.pi)
         c, s = np.cos(theta), np.sin(theta)
         rot = np.array([[c, -s], [s, c]])
-    elif len(idx) == 3:
-        rot = haar_rotation(rng)
     else:
-        raise ValueError("gauge group must contain 2 or 3 indices")
+        rot = haar_rotation(rng)
     v[idx] = rot @ v[idx]
     return replace(frame, v=v)
 
@@ -442,20 +453,3 @@ def example2_invariants():
         return float(m[k, :] @ m[:, k])
 
     return (("I1", i1), ("I2", i2), ("I3", i3), ("I4", i4), ("I5", i5))
-
-
-def example2_resolution(u_mat, a) -> np.ndarray:
-    """The five invariants ``(I1..I5)`` of a symmetric tensor ``U`` and a unit
-    direction ``a``, computed from U's components in the frame whose first
-    vector is ``a``: total traces ``sum U_ii``, ``sum U_ij U_ji``,
-    ``sum U_ij U_jk U_ki``, plus ``U_11`` and ``sum U_1i U_i1``.
-    """
-    a = np.asarray(a, dtype=float)
-    n = np.linalg.norm(a)
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
-    a = a / n
-    system = tensor_system(sym=[np.outer(a, a), u_mat])
-    frame = build_frame(system)
-    inv = extract_invariants(system, frame)
-    return np.array([fn(inv) for _, fn in example2_invariants()])

@@ -13,8 +13,7 @@ convention based on ambient coordinates can resolve equivariantly.
 :func:`build_frame` therefore fixes the residual signs from *probes* that
 rotate with the system (vector projections, off-diagonal components of the
 remaining tensors), which makes the extracted components reproducible under
-simultaneous rotation of all arguments.  Set ``gauge="ambient"`` to keep the
-raw largest-component-positive convention instead.
+simultaneous rotation of all arguments.
 
 Every argument is coded the same way, by one codec: :func:`_encode` reads
 the components ``v_i . X r_j`` of a tensor (``r = u`` for the mixed SVD
@@ -271,7 +270,7 @@ def _apply_equivariant_gauge(system, kind, v, u=None):
 _TOL_REL = 1e-8
 
 
-def build_frame(system: TensorSystem, gauge: str = "equivariant") -> SpectralFrame:
+def build_frame(system: TensorSystem) -> SpectralFrame:
     """Build the spectral frame for a system.
 
     Selection rule: the eigenbasis of the first symmetric tensor if any;
@@ -279,12 +278,9 @@ def build_frame(system: TensorSystem, gauge: str = "equivariant") -> SpectralFra
     present; otherwise the frame carried by the first vector, with
     ``lambdas[0] = a1 . a1`` and ``v[0] = a1 / sqrt(lambda)``.
     """
-    if gauge not in ("equivariant", "ambient"):
-        raise ValueError(f"unknown gauge {gauge!r}")
     if system.n_sym >= 1:
         lams, v, groups = eig_sym(system.sym[0], _TOL_REL)
-        if gauge == "equivariant":
-            v, _ = _apply_equivariant_gauge(system, "sym_tensor", v)
+        v, _ = _apply_equivariant_gauge(system, "sym_tensor", v)
         return _frozen_frame("sym_tensor", lams, v, None, groups, 0)
     if system.n_nonsym >= 1:
         h = system.nonsym[0]
@@ -293,8 +289,7 @@ def build_frame(system: TensorSystem, gauge: str = "equivariant") -> SpectralFra
         gram = h @ h.T
         lams, v, groups = eig_sym(0.5 * (gram + gram.T), _TOL_REL)
         lams = np.clip(lams, 0.0, None)
-        if gauge == "equivariant":
-            v, _ = _apply_equivariant_gauge(system, "gram", v)
+        v, _ = _apply_equivariant_gauge(system, "gram", v)
         return _frozen_frame("gram", lams, v, None, groups, 0)
     a = system.vecs[0]
     lam = float(a @ a)
@@ -303,8 +298,8 @@ def build_frame(system: TensorSystem, gauge: str = "equivariant") -> SpectralFra
     v1 = a / np.sqrt(lam)
     v2, v3 = frame_completion(v1)
     lams = np.array([lam, 0.0, 0.0])
-    groups = ((0,), (1, 2)) if lam > _TOL_REL * (1.0 + lam) else ((0, 1, 2),)
-    return _frozen_frame("vector", lams, np.array([v1, v2, v3]), None, groups, 0)
+    return _frozen_frame("vector", lams, np.array([v1, v2, v3]), None,
+                         _degeneracy_groups(lams.tolist(), _TOL_REL), 0)
 
 
 def build_svd_frame(system: TensorSystem) -> SpectralFrame:

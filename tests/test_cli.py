@@ -90,6 +90,17 @@ class TestExitCodes:
         assert code == 1
         assert "failing claims:" in capsys.readouterr().err
 
+    def test_gradient_sweep_at_a_non_default_count(self, tmp_path, capsys):
+        # 250 trials run 25 FD cases per argument class (10 by default)
+        path = tmp_path / "report.json"
+        assert main(["verify", "gradients", "--seed", "3", "--trials", "250",
+                     "--json", str(path)]) == 0
+        ids = [c["id"] for c in json.loads(path.read_text())["claims"]]
+        assert len(ids) == 81
+        for name in ("vector", "sym", "nonsym"):
+            assert [i for i in ids if i.startswith(f"gradients/{name}/case")] == \
+                [f"gradients/{name}/case{k:02d}" for k in range(25)]
+
     def test_bad_input_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -8,7 +8,8 @@ imported, because importing ``run.py`` pins the BLAS thread variables.
 The benchmark also gates every verify suite on the claim ids and skips listed
 in ``perfbench/claims_manifest.json``, which is read here and never written.
 The tracer counts the chart evaluations of ``analysis.jacobian_rank`` through
-the ``(dim, to_system)`` pair of ``analysis.ambient_chart``.
+the ``(dim, to_system)`` pair of ``analysis.ambient_chart``, and looks up
+every name in a traced module's ``__all__``.
 """
 
 import ast
@@ -17,11 +18,13 @@ import importlib
 import inspect
 import io
 import json
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isotropykit
 from isotropykit import analysis
 from isotropykit.classical_bases import boehler_scalars
 from isotropykit.cli import SUITES, main
@@ -67,6 +70,16 @@ def test_basis_classes_exist():
     for cls_name in BASIS_CLASSES.values():
         cls = getattr(bases, cls_name)
         assert inspect.isclass(cls) and callable(cls.evaluate), cls_name
+
+
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(isotropykit.__path__)))
+def test_all_names_are_defined_in_their_module(module):
+    # ``tracer.py`` calls ``getattr`` on every ``__all__`` name of a traced
+    # layer, so a stale entry would crash every traced run
+    mod = importlib.import_module(f"isotropykit.{module}")
+    for name in getattr(mod, "__all__", ()):
+        assert getattr(getattr(mod, name, None), "__module__", None) == mod.__name__, name
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -11,13 +11,14 @@ from isotropykit.representation import (
     check_p_property,
     coalescence_structure,
     example2_invariants,
-    example2_resolution,
     expand_classical,
     generator_basis,
+    permute_frame,
     project_tensor,
     project_vector,
     reconstruct_tensor,
     reconstruct_vector,
+    regauge_frame,
 )
 from isotropykit.spectral_frame import build_frame, extract_invariants
 
@@ -279,6 +280,21 @@ class TestCoaxiality:
         assert check.commutator_residual <= 1e-10
         assert check.offdiag_max <= 1e-10
 
+    def test_nonsymmetric_argument_rejected_before_the_map_runs(self):
+        # unchecked, the commutator was taken on the raw V and the frame on
+        # 0.5 (V + V^T): V^2 of this V read a residual of 0.0
+        calls = []
+        v = [[1.0, 2.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 5.0]]
+        with pytest.raises(ValueError, match="not symmetric"):
+            check_coaxiality(lambda m: calls.append(m) or m @ m, v)
+        assert not calls
+
+    @pytest.mark.parametrize("g_fn", [np.trace, lambda m: np.full((3, 3), np.nan)],
+                             ids=["scalar", "nan"])
+    def test_map_value_must_be_a_finite_tensor(self, g_fn):
+        with pytest.raises(ValueError, match="shape|non-finite"):
+            check_coaxiality(g_fn, np.diag([3.0, 2.0, 1.0]))
+
 
 class TestCoalescence:
     @staticmethod
@@ -321,6 +337,49 @@ class TestCoalescence:
         rep = coalescence_structure(self.t_quadratic, "pair", [2.0, 2.0, -1.0],
                                     pair=(0, 1, 2), frame_vectors=q)
         assert rep.canonical_ok
+
+    @pytest.mark.parametrize("eps", [[1e-2, 0.0], [-1e-2], [np.nan], [1e-2, np.inf]],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_bad_step_rejected(self, eps):
+        # unchecked, a zero step ended in ZeroDivisionError and a negative
+        # one reported negative ratios
+        with pytest.raises(ValueError, match="steps must be finite and positive"):
+            coalescence_structure(self.t_quadratic, "pair", [1.0, 1.0, 3.0],
+                                  eps_sequence=eps)
+
+    def test_short_base_rejected(self):
+        # unchecked, a 2-vector ended in an IndexError
+        with pytest.raises(ValueError, match="shape"):
+            coalescence_structure(self.t_quadratic, "pair", [1.0, 1.0])
+
+
+class TestFrameSlots:
+    @staticmethod
+    def frame():
+        return build_frame(tensor_system(sym=[np.diag([3.0, 2.0, 1.0])]))
+
+    @pytest.mark.parametrize("perm", [(0, 0, 1), (0, 1), (0, 1, 3), (0, 1, 2, 0)])
+    def test_permute_frame_needs_a_permutation(self, perm):
+        # unchecked, (0, 0, 1) failed inside tuple.index
+        with pytest.raises(ValueError, match="distinct slots") as err:
+            permute_frame(self.frame(), perm)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("group", [(0, 0), (1,), (0, 3), (0, 1, 2, 1)])
+    def test_regauge_frame_needs_distinct_slots(self, group):
+        # unchecked, (0, 0) returned a frame whose first vector had length 1.41
+        with pytest.raises(ValueError, match="distinct slots") as err:
+            regauge_frame(self.frame(), group, np.random.default_rng(0))
+        assert "\n" not in str(err.value)
+
+    def test_distinct_slots_keep_the_frame_orthonormal(self):
+        rng = np.random.default_rng(5)
+        for group in ((0, 1), (2, 0), (0, 1, 2)):
+            v = regauge_frame(self.frame(), group, rng).v
+            np.testing.assert_allclose(v @ v.T, np.eye(3), atol=1e-14)
+        permuted = permute_frame(self.frame(), (2, 0, 1))
+        np.testing.assert_array_equal(permuted.lambdas, [1.0, 3.0, 2.0])
+        assert permuted.degeneracy == ((1,), (2,), (0,))
 
 
 def dyad_energy(inv):
@@ -390,12 +449,19 @@ class TestPProperty:
 
 
 class TestExampleTwo:
+    @staticmethod
+    def resolve(u, a):
+        # the five invariants of (a (x) a, U), read in the system's own frame
+        system = tensor_system(sym=[np.outer(a, a), u])
+        inv = extract_invariants(system, build_frame(system))
+        return np.array([fn(inv) for _, fn in example2_invariants()])
+
     def test_identity(self):
-        vals = example2_resolution(np.eye(3), [1.0, 0.0, 0.0])
+        vals = self.resolve(np.eye(3), [1.0, 0.0, 0.0])
         np.testing.assert_allclose(vals, [3.0, 3.0, 3.0, 1.0, 1.0], atol=1e-12)
 
     def test_diagonal(self):
-        vals = example2_resolution(np.diag([2.0, 1.0, 1.0]), [1.0, 0.0, 0.0])
+        vals = self.resolve(np.diag([2.0, 1.0, 1.0]), [1.0, 0.0, 0.0])
         np.testing.assert_allclose(vals, [4.0, 6.0, 10.0, 2.0, 4.0], atol=1e-12)
 
     def test_gauge_independent(self):
@@ -417,7 +483,7 @@ class TestExampleTwo:
         u = 0.5 * (m + m.T)
         a = rng.standard_normal(3)
         a /= np.linalg.norm(a)
-        vals = example2_resolution(u, a)
+        vals = self.resolve(u, a)
         assert vals[0] == pytest.approx(np.trace(u), abs=1e-12)
         assert vals[1] == pytest.approx(np.sum(u * u), abs=1e-12)
         assert vals[2] == pytest.approx(np.trace(u @ u @ u), abs=1e-12)
