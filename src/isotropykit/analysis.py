@@ -11,6 +11,9 @@ exact: the encoding of its chart directions in the fixed base frame.  The
 source's columns, and every column of a classical list, are central
 differences.  Rank counts singular values above
 ``sigma_max * 1e-7 * sqrt(max matrix dimension)``.
+One base frame is built per check (the list's own, or :func:`build_frame`'s
+for a classical list); its source's eigen- or singular values must stay
+``1e-6 (1 + max)`` apart, or the check raises ``DegenerateConfigurationError``.
 
 For orbit-constant invariant lists at points with a trivial generic
 stabilizer the attainable rank is ``ambient - 3`` (the rotation orbit
@@ -31,11 +34,10 @@ from isotropykit.lin3 import (
     _EYE,
     DegenerateConfigurationError,
     TensorSystem,
+    _central,
     _degeneracy_groups,
     conjugate,
-    eig_sym,
     haar_rotation,
-    svd3,
     tensor_system,
 )
 from isotropykit.spectral_frame import (
@@ -184,26 +186,12 @@ class RankReport:
     threshold: float
 
 
-def _check_generic(system: TensorSystem):
-    # the frame source must stay away from coalescence for the chart-composed
-    # invariant functions to be smooth
-    if system.n_sym >= 1:
-        if len(eig_sym(system.sym[0], 1e-6)[2]) < 3:
-            raise DegenerateConfigurationError(
-                "frame tensor has coalescent eigenvalues; rank would drop spuriously")
-    elif system.n_nonsym >= 1:
-        if len(_degeneracy_groups(svd3(system.nonsym[0])[0], 1e-6)) < 3:
-            raise DegenerateConfigurationError(
-                "frame tensor has coalescent singular values")
-    elif system.n_vec >= 1:
-        if np.linalg.norm(system.vecs[0]) <= 1e-6:
-            raise DegenerateConfigurationError("frame vector is (near) zero")
-
-
-# central-difference step in chart coordinates, and the relative singular-value
-# threshold of the rank (scaled by sqrt of the larger Jacobian dimension)
+# central-difference step in chart coordinates, the relative singular-value
+# threshold of the rank (scaled by sqrt of the larger Jacobian dimension) and
+# the relative gap below which a base frame is not generic
 _FD_STEP = 1e-6
 _RANK_THRESHOLD = 1e-7
+_GENERIC_GAP = 1e-6
 
 
 def _jacobian(invariants, system0: TensorSystem) -> np.ndarray:
@@ -216,6 +204,17 @@ def _jacobian(invariants, system0: TensorSystem) -> np.ndarray:
     for every coordinate of any other list.
     """
     build = getattr(invariants, "build_frame", None)
+    frame = (build or build_frame)(system0)
+    # the frame source must stay away from coalescence for the chart-composed
+    # invariant functions to be smooth: its singular values (the square roots
+    # of a gram frame's eigenvalues; |a|, 0, 0 for a vector frame, whose zeros
+    # always group) must fall into as many groups as at a generic point
+    heads = np.sqrt(frame.lambdas) if frame.kind in ("gram", "vector") else frame.lambdas
+    generic = 2 if frame.kind == "vector" else 3
+    if len(_degeneracy_groups(heads.tolist(), _GENERIC_GAP)) < generic:
+        raise DegenerateConfigurationError(
+            f"the {frame.kind} frame's source has coalescent spectral values; "
+            "rank would drop spuriously")
     if callable(invariants):
         values_fn = invariants
     else:
@@ -226,7 +225,6 @@ def _jacobian(invariants, system0: TensorSystem) -> np.ndarray:
         jac = np.zeros((len(np.asarray(values_fn(system0), dtype=float)), dim))
         fd_columns = range(dim)
     else:
-        frame = build(system0)
         jac = np.zeros((len(extract_invariants(system0, frame).entries), dim))
         layout = _layout(frame.kind, system0.n_sym, system0.nonsym_skew, system0.n_vec)
         # the coded arguments fill the last rows, in layout order
@@ -246,11 +244,9 @@ def _jacobian(invariants, system0: TensorSystem) -> np.ndarray:
                     [_encode(d.reshape(x.shape), code, frame.v, frame.u) for d in dirs])
             col = cols.stop
     for k in fd_columns:
-        step = np.zeros(dim)
-        step[k] = _FD_STEP
-        plus = np.asarray(values_fn(to_system(step)), dtype=float)
-        minus = np.asarray(values_fn(to_system(-step)), dtype=float)
-        jac[:, k] = (plus - minus) / (2.0 * _FD_STEP)
+        e = np.eye(dim)[k]
+        jac[:, k] = _central(lambda t: np.asarray(values_fn(to_system(t * e)), dtype=float),
+                             _FD_STEP)
     return jac
 
 
@@ -264,9 +260,9 @@ def jacobian_rank(invariants, system0: TensorSystem) -> RankReport:
     (and everywhere for any other list).  The expected rank recorded in the
     report is ``min(n, ambient - 3)``, the bound for orbit-constant functions
     at a point whose rotation orbit is three-dimensional (see the module
-    docstring for when a list can legitimately exceed it).  Nothing is drawn.
+    docstring for when a list can legitimately exceed it).  Nothing is drawn;
+    a base point whose frame is not generic raises (module docstring).
     """
-    _check_generic(system0)
     jac = _jacobian(invariants, system0)
     n, dim = jac.shape
     sv = np.linalg.svd(jac, compute_uv=False) if n and dim else np.zeros(0)

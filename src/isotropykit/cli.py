@@ -579,8 +579,7 @@ def run_coalescence(seed: int, tol: float = 1e-12) -> VerificationReport:
     phi = (0.7, -0.3, 0.25)
     t_fn = lambda lams: phi[0] + phi[1] * lams + phi[2] * lams**2
     eps = [10.0**-k for k in range(2, 9)]
-    rep = coalescence_structure(t_fn, "pair", [1.0, 1.0, 3.0],
-                                eps_sequence=eps, pair=(0, 1, 2), tol=tol)
+    rep = coalescence_structure(t_fn, "pair", [1.0, 1.0, 3.0], eps_sequence=eps, tol=tol)
     report.check("coalescence/pair/linear-rate",
                  f"|t1 - t2| <= C eps with observed C = {rep.max_ratio:.6g}",
                  rep.ratios[-1], 2.0 * rep.ratios[0])
@@ -588,8 +587,7 @@ def run_coalescence(seed: int, tol: float = 1e-12) -> VerificationReport:
                  "gap decreases monotonically along the sequence",
                  1.0 if rep.converged else 0.0, 1.0, comparator="ge")
     q = haar_rotation(rng)
-    rep = coalescence_structure(t_fn, "pair", [2.0, 2.0, 1.0], pair=(0, 1, 2),
-                                frame_vectors=q, tol=tol)
+    rep = coalescence_structure(t_fn, "pair", [2.0, 2.0, 1.0], frame_vectors=q, tol=tol)
     report.check("coalescence/pair/two-term-form",
                  "G equals t_i I + (t_k - t_i) v_k (x) v_k at coalescence",
                  max(rep.limit_residual, rep.limit_gap), tol)

@@ -46,6 +46,8 @@ _EYE = np.eye(3)
 _OFF_PAIRS = ((0, 1), (0, 2), (1, 2))
 _SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _CLASS_TOL = 1e-12  # of the symmetric, skew and rotation checks
+# relative eigen-/singular-value gap below which frame slots form one group
+_TOL_REL = 1e-8
 
 
 class DegenerateInputError(ValueError):
@@ -66,6 +68,12 @@ def _as_array(x, shape, name):
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
     return a
+
+
+def _central(f, h):
+    # the central difference of ``f`` at 0 with step ``h``; ``f(t)`` perturbs
+    # as ``x + t * e``, so ``f(-h)`` evaluates exactly at ``x - h * e``
+    return (f(h) - f(-h)) / (2.0 * h)
 
 
 def _norm(x) -> float:
@@ -168,12 +176,13 @@ def _degeneracy_groups(lams, tol_rel):
     return tuple(groups)
 
 
-def eig_sym(a, tol_rel: float = 1e-8):
+def eig_sym(a):
     """Eigendecomposition of a symmetric 3x3 tensor.
 
     Returns ``(lams, v, groups)``: eigenvalues sorted descending, matching
     unit eigenvectors as the rows of ``v``, and the degeneracy partition of
-    ``{0, 1, 2}`` grouping eigenvalues closer than ``tol_rel * (1 + max|lam|)``.
+    ``{0, 1, 2}`` grouping eigenvalues closer than ``1e-8 * (1 + max|lam|)``
+    (``_TOL_REL``, the frames' grouping tolerance).
 
     The triad is right-handed with ``v[2] = cross(v[0], v[1])`` and the sign
     of ``v[0]``, ``v[1]`` fixed so their largest-magnitude component is
@@ -182,13 +191,10 @@ def eig_sym(a, tol_rel: float = 1e-8):
     ``sum(lams[i] * outer(v[i], v[i]))`` matches ``a`` to ~1e-15 * ||a|| at
     every representable scale.
     """
-    a = sym_matrix(a)
-    if tol_rel <= 0.0:
-        raise ValueError("tol_rel must be positive")
-    lams, w = np.linalg.eigh(a)
+    lams, w = np.linalg.eigh(sym_matrix(a))
     lams = lams[::-1].copy()
     v, _ = _fix_sign_convention(w.T[::-1].tolist())
-    return lams, v, _degeneracy_groups(lams.tolist(), tol_rel)
+    return lams, v, _degeneracy_groups(lams.tolist(), _TOL_REL)
 
 
 def svd3(f):

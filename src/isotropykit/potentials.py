@@ -22,7 +22,12 @@ vectors.  Analytic spectral partials can be supplied instead, in which case
 the trivial cases come out exact to roundoff.
 
 Entry-wise finite-difference oracles (``fd_grad_*``) are provided for
-verification; they never touch frames.
+verification; they never touch frames.  All three are one routine: it steps
+the argument along each unit move of its class (the axes, the symmetrized
+dyads, the nine dyads), with step ``1e-5 (1 + |x|)`` unless the symmetric
+oracle is given ``h``, and halves what a symmetric off-diagonal probe picks
+up.  Every finite difference here, spectral or entry-wise, is the one
+central difference ``lin3._central``.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from isotropykit.lin3 import (
     _OFF_PAIRS,
     DegenerateConfigurationError,
     TensorSystem,
+    _central,
     _norm,
     eig_sym,
     svd3,
@@ -44,7 +50,7 @@ from isotropykit.lin3 import (
     vec3,
 )
 from isotropykit.representation import project_tensor
-from isotropykit.spectral_frame import build_frame, frame_completion
+from isotropykit.spectral_frame import _FULL, _SYM, build_frame, frame_completion
 
 __all__ = [
     "HyperelasticModel",
@@ -106,19 +112,16 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
     if d_lam is not None:
         dlam = float(d_lam(lam, v1))
     else:
-        dlam = (w_at(lam + h, v1) - w_at(lam - h, v1)) / (2.0 * h)
+        dlam = _central(lambda t: w_at(lam + t, v1), h)
     if d_v1 is not None:
         dv = np.asarray(d_v1(lam, v1), dtype=float)
         t2, t3 = float(dv @ v2), float(dv @ v3)
     else:
-        def tangential(t):
-            p = v1 + h * t
-            p /= np.linalg.norm(p)
-            m = v1 - h * t
-            m /= np.linalg.norm(m)
-            return (w_at(lam, p) - w_at(lam, m)) / (2.0 * h)
+        def tilted(e, t):
+            p = v1 + t * e
+            return p / np.linalg.norm(p)
 
-        t2, t3 = tangential(v2), tangential(v3)
+        t2, t3 = (_central(lambda t: w_at(lam, tilted(e, t)), h) for e in (v2, v3))
     return dlam * v1 + (t2 * v2 + t3 * v3) / lam
 
 
@@ -149,12 +152,7 @@ def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
     if d_lams is not None:
         dlam = np.asarray(d_lams(lams, v), dtype=float)
     else:
-        dlam = np.empty(3)
-        for i in range(3):
-            lp, lm = lams.copy(), lams.copy()
-            lp[i] += h
-            lm[i] -= h
-            dlam[i] = (w_at(lp, v) - w_at(lm, v)) / (2.0 * h)
+        dlam = np.array([_central(lambda t: w_at(lams + t * e, v), h) for e in _EYE])
     out = sum(dlam[i] * np.outer(v[i], v[i]) for i in range(3))
     r = None if d_frame is None else np.asarray(d_frame(lams, v), dtype=float)
     for i, j in _OFF_PAIRS:
@@ -163,8 +161,7 @@ def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
         else:
             # derivative along the (i, j) plane rotation of the triad equals
             # dW/dv_i . v_j - dW/dv_j . v_i
-            anti = (w_at(lams, _rotated(v, i, j, h))
-                    - w_at(lams, _rotated(v, i, j, -h))) / (2.0 * h)
+            anti = _central(lambda t: w_at(lams, _rotated(v, i, j, t)), h)
         c = anti / (2.0 * (lams[i] - lams[j]))
         out = out + c * (np.outer(v[i], v[j]) + np.outer(v[j], v[i]))
     return 0.5 * (out + out.T)
@@ -198,12 +195,7 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
     if d_lams is not None:
         dlam = np.asarray(d_lams(sv, v, u), dtype=float)
     else:
-        dlam = np.empty(3)
-        for i in range(3):
-            sp, sm = sv.copy(), sv.copy()
-            sp[i] += h
-            sm[i] -= h
-            dlam[i] = (w_at(sp, v, u) - w_at(sm, v, u)) / (2.0 * h)
+        dlam = np.array([_central(lambda t: w_at(sv + t * e, v, u), h) for e in _EYE])
     out = sum(dlam[i] * np.outer(v[i], u[i]) for i in range(3))
     rv = None if d_v_frame is None else np.asarray(d_v_frame(sv, v, u), dtype=float)
     ru = None if d_u_frame is None else np.asarray(d_u_frame(sv, v, u), dtype=float)
@@ -211,13 +203,11 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
         if rv is not None:
             anti_v = float(rv[i, j] - rv[j, i])
         else:
-            anti_v = (w_at(sv, _rotated(v, i, j, h), u)
-                      - w_at(sv, _rotated(v, i, j, -h), u)) / (2.0 * h)
+            anti_v = _central(lambda t: w_at(sv, _rotated(v, i, j, t), u), h)
         if ru is not None:
             anti_u = float(ru[i, j] - ru[j, i])
         else:
-            anti_u = (w_at(sv, v, _rotated(u, i, j, h))
-                      - w_at(sv, v, _rotated(u, i, j, -h))) / (2.0 * h)
+            anti_u = _central(lambda t: w_at(sv, v, _rotated(u, i, j, t)), h)
         denom = sv[i] ** 2 - sv[j] ** 2
         out = out + ((sv[i] * anti_u + sv[j] * anti_v) / denom) * np.outer(v[i], u[j])
         out = out + ((sv[j] * anti_u + sv[i] * anti_v) / denom) * np.outer(v[j], u[i])
@@ -228,51 +218,30 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
 # finite-difference oracles (frame-free, entry-wise)
 
 
-def fd_grad_vector(W, system, h=None):
-    a = system.vecs[0]
+def _fd_grad(W, system, cls, dirs, h=None):
+    # central differences of W along each row of ``dirs`` (the flattened unit
+    # moves of the first argument of class ``cls``), with step
+    # ``1e-5 (1 + |x|)`` unless ``h`` is given
+    x = getattr(system, cls)[0]
     if h is None:
-        h = 1e-5 * (1.0 + np.linalg.norm(a))
-    g = np.empty(3)
-    for k in range(3):
-        step = np.zeros(3)
-        step[k] = h
-        g[k] = (float(W(_with_arg(system, "vecs", a + step)))
-                - float(W(_with_arg(system, "vecs", a - step)))) / (2.0 * h)
-    return g
+        h = 1e-5 * (1.0 + np.linalg.norm(x))
+    d = np.array([_central(lambda t: float(W(_with_arg(system, cls, x + t * e))), h)
+                  for e in dirs.reshape((len(dirs),) + x.shape)])
+    # dW = tr(G^T dX): a probe that moves n entries picks up n of them, so a
+    # symmetric off-diagonal probe is halved
+    return ((d / (dirs * dirs).sum(axis=1)) @ dirs).reshape(x.shape)
+
+
+def fd_grad_vector(W, system):
+    return _fd_grad(W, system, "vecs", _EYE)
 
 
 def fd_grad_sym_tensor(W, system, h=None):
-    v_arg = system.sym[0]
-    if h is None:
-        h = 1e-5 * (1.0 + np.linalg.norm(v_arg))
-    g = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            e = np.zeros((3, 3))
-            e[i, j] = e[j, i] = 1.0
-            d = (float(W(_with_arg(system, "sym", v_arg + h * e)))
-                 - float(W(_with_arg(system, "sym", v_arg - h * e)))) / (2.0 * h)
-            # dW = tr(G dV): a symmetric off-diagonal probe picks up 2 G_ij
-            if i == j:
-                g[i, i] = d
-            else:
-                g[i, j] = g[j, i] = 0.5 * d
-    return g
+    return _fd_grad(W, system, "sym", _SYM.dyads, h)
 
 
-def fd_grad_nonsym_tensor(W, system, h=None):
-    f_arg = system.nonsym[0]
-    if h is None:
-        h = 1e-5 * (1.0 + np.linalg.norm(f_arg))
-    g = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            e = np.zeros((3, 3))
-            e[i, j] = 1.0
-            wp = float(W(_with_arg(system, "nonsym", f_arg + h * e)))
-            wm = float(W(_with_arg(system, "nonsym", f_arg - h * e)))
-            g[i, j] = (wp - wm) / (2.0 * h)
-    return g
+def fd_grad_nonsym_tensor(W, system):
+    return _fd_grad(W, system, "nonsym", _FULL.dyads)
 
 
 def degeneracy_sensitivity(W, system_factory, deltas):

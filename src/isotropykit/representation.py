@@ -257,15 +257,14 @@ class CoalescenceReport:
 
 
 def coalescence_structure(t_fn, case: str, lam_base, eps_sequence=(),
-                          pair=(0, 1, 2), frame_vectors=None,
-                          tol: float = 1e-12) -> CoalescenceReport:
+                          frame_vectors=None, tol: float = 1e-12) -> CoalescenceReport:
     """Check the limit structure of ``G = sum_i t_i(lams) v_i (x) v_i``.
 
-    ``case="pair"`` with ``pair=(i, j, k)``: along ``lams[i] += eps`` the gap
-    ``|t_i - t_j|`` must vanish (linearly for smooth coefficients; the
+    ``case="pair"``, slots 0 and 1 coalescing: along ``lams[0] += eps`` the
+    gap ``|t_0 - t_1|`` must vanish (linearly for smooth coefficients; the
     observed ``gap / eps`` ratios are reported), and at the limit point the
     reconstruction must equal the two-term form
-    ``t_i I + (t_k - t_i) v_k (x) v_k``.  ``case="triple"`` requires all
+    ``t_0 I + (t_2 - t_0) v_2 (x) v_2``.  ``case="triple"`` requires all
     coefficients equal and ``G = t_1 I`` at ``lam_base``.  Non-convergence is
     reported through the flags, never raised; a ``lam_base`` that is not a
     finite 3-vector, or a step that is not finite and positive, is a
@@ -273,7 +272,7 @@ def coalescence_structure(t_fn, case: str, lam_base, eps_sequence=(),
     """
     lam_base = vec3(lam_base)
     v = np.asarray(frame_vectors, dtype=float) if frame_vectors is not None else _EYE
-    i, j, k = pair
+    i, j, k = 0, 1, 2  # the pair case: slots i and j coalesce, k stays apart
     eps = tuple(float(e) for e in eps_sequence)
     if not all(0.0 < e < np.inf for e in eps):
         raise ValueError(f"coalescence steps must be finite and positive, got {eps}")
@@ -304,7 +303,7 @@ def coalescence_structure(t_fn, case: str, lam_base, eps_sequence=(),
     else:
         converged = limit_gap <= tol * scale
     return CoalescenceReport(
-        case=case, pair=tuple(pair), eps=eps, gaps=tuple(gaps),
+        case=case, pair=(i, j, k), eps=eps, gaps=tuple(gaps),
         ratios=tuple(ratios), max_ratio=float(max(ratios)) if ratios else 0.0,
         t_limit=tuple(float(t) for t in t_star), limit_gap=limit_gap,
         limit_residual=limit_residual, converged=converged,
@@ -416,9 +415,18 @@ def check_p_property(w_hat, system_template: TensorSystem, degeneracy_case: str,
 # ---------------------------------------------------------------------------
 # the five gauge-safe invariants of the dyad-plus-tensor configuration
 
+# each a form of U's frame components ``m`` and the axis slot ``k``
+_EXAMPLE2_FORMS = (("I1", lambda m, k: np.trace(m)),
+                   ("I2", lambda m, k: np.sum(m * m.T)),
+                   ("I3", lambda m, k: np.trace(m @ m @ m)),
+                   ("I4", lambda m, k: m[k, k]),
+                   ("I5", lambda m, k: m[k, :] @ m[:, k]))
 
-def _second_tensor_components(inv: SpectralInvariants, name: str = "A2") -> np.ndarray:
-    return _decode([inv[label] for label in _labels(name, _SYM)], _SYM, _EYE)
+
+def _example2_value(form, inv: SpectralInvariants) -> float:
+    m = _decode([inv[label] for label in _labels("A2", _SYM)], _SYM, _EYE)
+    k = int(np.argmax(np.array([inv["lam1"], inv["lam2"], inv["lam3"]])))
+    return float(form(m, k))
 
 
 def example2_invariants():
@@ -426,30 +434,5 @@ def example2_invariants():
     ``(a (x) a, U)``: three full traces of U's components, plus the two
     distinguished-axis contractions, the axis being the unit-eigenvalue slot.
     """
-
-    def _axis(inv):
-        lams = np.array([inv["lam1"], inv["lam2"], inv["lam3"]])
-        return int(np.argmax(lams))
-
-    def i1(inv):
-        return float(np.trace(_second_tensor_components(inv)))
-
-    def i2(inv):
-        m = _second_tensor_components(inv)
-        return float(np.sum(m * m.T))
-
-    def i3(inv):
-        m = _second_tensor_components(inv)
-        return float(np.trace(m @ m @ m))
-
-    def i4(inv):
-        m = _second_tensor_components(inv)
-        k = _axis(inv)
-        return float(m[k, k])
-
-    def i5(inv):
-        m = _second_tensor_components(inv)
-        k = _axis(inv)
-        return float(m[k, :] @ m[:, k])
-
-    return (("I1", i1), ("I2", i2), ("I3", i3), ("I4", i4), ("I5", i5))
+    return tuple((name, functools.partial(_example2_value, form))
+                 for name, form in _EXAMPLE2_FORMS)

@@ -40,6 +40,7 @@ from isotropykit.lin3 import (
     _EYE,
     _OFF_PAIRS,
     _SYM_PAIRS,
+    _TOL_REL,
     DegenerateInputError,
     TensorSystem,
     _cross,
@@ -266,9 +267,6 @@ def _apply_equivariant_gauge(system, kind, v, u=None):
 # ---------------------------------------------------------------------------
 # frame construction
 
-# relative eigen-/singular-value gap below which frame slots form one group
-_TOL_REL = 1e-8
-
 
 def build_frame(system: TensorSystem) -> SpectralFrame:
     """Build the spectral frame for a system.
@@ -279,7 +277,7 @@ def build_frame(system: TensorSystem) -> SpectralFrame:
     ``lambdas[0] = a1 . a1`` and ``v[0] = a1 / sqrt(lambda)``.
     """
     if system.n_sym >= 1:
-        lams, v, groups = eig_sym(system.sym[0], _TOL_REL)
+        lams, v, groups = eig_sym(system.sym[0])
         v, _ = _apply_equivariant_gauge(system, "sym_tensor", v)
         return _frozen_frame("sym_tensor", lams, v, None, groups, 0)
     if system.n_nonsym >= 1:
@@ -287,7 +285,7 @@ def build_frame(system: TensorSystem) -> SpectralFrame:
         if np.abs(h).max() == 0.0:
             raise DegenerateInputError("frame tensor is zero")
         gram = h @ h.T
-        lams, v, groups = eig_sym(0.5 * (gram + gram.T), _TOL_REL)
+        lams, v, groups = eig_sym(0.5 * (gram + gram.T))
         lams = np.clip(lams, 0.0, None)
         v, _ = _apply_equivariant_gauge(system, "gram", v)
         return _frozen_frame("gram", lams, v, None, groups, 0)

@@ -311,13 +311,12 @@ def test_criterion_07_coaxiality_and_coalescence():
     phi = (0.7, -0.3, 0.25)
     t_fn = lambda lams: phi[0] + phi[1] * lams + phi[2] * lams**2
     eps = [10.0**-k for k in range(2, 9)]
-    rep = coalescence_structure(t_fn, "pair", [1.0, 1.0, 3.0],
-                                eps_sequence=eps, pair=(0, 1, 2))
+    rep = coalescence_structure(t_fn, "pair", [1.0, 1.0, 3.0], eps_sequence=eps)
     assert rep.converged
     assert all(g <= rep.max_ratio * e * (1.0 + 1e-9) for g, e in zip(rep.gaps, rep.eps))
     q = haar_rotation(rng)
-    rep = coalescence_structure(t_fn, "pair", [2.0, 2.0, 1.0], pair=(0, 1, 2),
-                                frame_vectors=q, tol=1e-12)
+    rep = coalescence_structure(t_fn, "pair", [2.0, 2.0, 1.0], frame_vectors=q,
+                                tol=1e-12)
     assert rep.limit_gap <= 1e-12
     assert rep.limit_residual <= 1e-12
     rep = coalescence_structure(t_fn, "triple", [1.5, 1.5, 1.5], tol=1e-12)

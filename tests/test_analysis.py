@@ -176,6 +176,25 @@ class TestJacobianRank:
         report = jacobian_rank(spectral_values_fn(svd_variant=True), sys0)
         assert report.rank == irreducible_count(1, 1, 1, svd_variant=True)
 
+    def test_svd_variant_judges_its_own_source(self):
+        # the SVD frame is generic although the symmetric tensor is the
+        # identity; the check judged A1 and refused
+        rng = np.random.default_rng(5)
+        sys0 = tensor_system(sym=[np.eye(3)], nonsym=[rng.standard_normal((3, 3))],
+                             vecs=[rng.standard_normal(3)])
+        report = jacobian_rank(spectral_values_fn(svd_variant=True), sys0)
+        assert report.rank == 15 == irreducible_count(1, 1, 1, svd_variant=True)
+
+    def test_svd_variant_coalescent_source_rejected(self):
+        # singular values (2, 2, 1) with a generic A1: the check judged A1,
+        # passed, and the FD Jacobian returned an arbitrary rank
+        rng = np.random.default_rng(5)
+        h = haar_rotation(rng) @ np.diag([2.0, 2.0, 1.0]) @ haar_rotation(rng).T
+        a = rng.standard_normal((3, 3))
+        sys0 = tensor_system(sym=[0.5 * (a + a.T)], nonsym=[h])
+        with pytest.raises(DegenerateConfigurationError, match="svd frame"):
+            jacobian_rank(spectral_values_fn(svd_variant=True), sys0)
+
     def test_gram_general_rank(self):
         sys0 = seeded_system(0, 2, 1, seed=29)
         report = jacobian_rank(spectral_values_fn(), sys0)

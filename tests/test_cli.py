@@ -196,6 +196,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"error: {flag} needs an explicit --n/--m/--p configuration\n"
 
+    def test_skew_svd_source_is_two(self, capsys):
+        # a skew tensor's singular values are (s, s, 0), so it never carries a
+        # generic SVD frame; judging the symmetric tensor instead, the check
+        # passed and the rank suite failed with an arbitrary rank (exit 1)
+        argv = ["verify", "rank", "--n", "1", "--m", "1", "--skew", "--seed", "0", "--svd"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the svd frame's source has coalescent spectral values; "
+            "rank would drop spuriously\n")
+
     def test_input_rejected_for_suites_without_one(self, tmp_path):
         path = write_system(tmp_path / "sys.json", sym=[np.diag([3.0, 2.0, 1.0])])
         assert main(["verify", "gradients", "--input", str(path)]) == 2

@@ -6,17 +6,16 @@ classical-basis classes by name; a renamed function or class would turn a
 traced run into a ``KeyError``.  Both lists are read with ``ast`` rather than
 imported, because importing ``run.py`` pins the BLAS thread variables.
 The benchmark also gates every verify suite on the claim ids and skips listed
-in ``perfbench/claims_manifest.json``, which is read here and never written.
+in ``perfbench/claims_manifest.json``, which is read here and never written;
+the reports come from the session fixture ``verify_report`` of ``conftest.py``.
 The tracer counts the chart evaluations of ``analysis.jacobian_rank`` through
 the ``(dim, to_system)`` pair of ``analysis.ambient_chart``, and looks up
 every name in a traced module's ``__all__``.
 """
 
 import ast
-import contextlib
 import importlib
 import inspect
-import io
 import json
 import pkgutil
 from pathlib import Path
@@ -27,7 +26,7 @@ import pytest
 import isotropykit
 from isotropykit import analysis
 from isotropykit.classical_bases import boehler_scalars
-from isotropykit.cli import SUITES, main
+from isotropykit.cli import SUITES
 from isotropykit.lin3 import TensorSystem
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -84,13 +83,12 @@ def test_all_names_are_defined_in_their_module(module):
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("suite", SUITES)
-def test_claim_ids_match_manifest(tmp_path, suite, seed):
+def test_claim_ids_match_manifest(verify_report, suite, seed):
     # a rewrite of a suite must not move the ids the benchmark gates on
     manifest = json.loads((PERFBENCH / "claims_manifest.json").read_text())[suite]
-    path = tmp_path / "report.json"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["verify", suite, "--seed", str(seed), "--json", str(path)]) == 0
-    claims = json.loads(path.read_text())["claims"]
+    code, report, _ = verify_report(suite, seed)
+    assert code == 0
+    claims = json.loads(report)["claims"]
     assert [c["id"] for c in claims] == manifest["ids"]
     assert [c["id"] for c in claims if c["status"] == "skip"] == manifest["skips"]
 

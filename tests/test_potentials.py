@@ -1,5 +1,7 @@
 """Spectral gradient formulas against entry-wise finite-difference oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,82 @@ class TestGradNonsymTensor:
         sys0 = tensor_system(nonsym=[np.eye(3)])
         with pytest.raises(DegenerateConfigurationError):
             grad_nonsym_tensor(lambda s: 0.0, sys0)
+
+
+# the entry-wise oracles as three loops over the entries, without the codec:
+# the reference the one shared oracle must reproduce bit for bit
+
+
+def _at(system, cls, x):
+    return replace(system, **{cls: (x,) + getattr(system, cls)[1:]})
+
+
+def _loop_grad_vector(W, system):
+    a = system.vecs[0]
+    h = 1e-5 * (1.0 + np.linalg.norm(a))
+    g = np.empty(3)
+    for k in range(3):
+        step = np.zeros(3)
+        step[k] = h
+        g[k] = (float(W(_at(system, "vecs", a + step)))
+                - float(W(_at(system, "vecs", a - step)))) / (2.0 * h)
+    return g
+
+
+def _loop_grad_sym_tensor(W, system, h=None):
+    v_arg = system.sym[0]
+    if h is None:
+        h = 1e-5 * (1.0 + np.linalg.norm(v_arg))
+    g = np.empty((3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            e = np.zeros((3, 3))
+            e[i, j] = e[j, i] = 1.0
+            d = (float(W(_at(system, "sym", v_arg + h * e)))
+                 - float(W(_at(system, "sym", v_arg - h * e)))) / (2.0 * h)
+            # dW = tr(G dV): a symmetric off-diagonal probe picks up 2 G_ij
+            if i == j:
+                g[i, i] = d
+            else:
+                g[i, j] = g[j, i] = 0.5 * d
+    return g
+
+
+def _loop_grad_nonsym_tensor(W, system):
+    f_arg = system.nonsym[0]
+    h = 1e-5 * (1.0 + np.linalg.norm(f_arg))
+    g = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            e = np.zeros((3, 3))
+            e[i, j] = 1.0
+            g[i, j] = (float(W(_at(system, "nonsym", f_arg + h * e)))
+                       - float(W(_at(system, "nonsym", f_arg - h * e)))) / (2.0 * h)
+    return g
+
+
+class TestEntrywiseOracles:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equal_to_entry_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        b, k = rng.standard_normal((3, 3)), rng.standard_normal(3)
+        b = 0.5 * (b + b.T)
+        sys0 = tensor_system(sym=[random_spd(rng, 0.5), b],
+                             nonsym=[rng.standard_normal((3, 3))],
+                             vecs=[rng.standard_normal(3), k])
+
+        def w(s):
+            v, f, x = s.sym[0], s.nonsym[0], s.vecs[0]
+            return float(np.trace(v @ v @ b) + (x @ v @ x) * (x @ k)
+                         + np.trace(f @ f.T @ b) + np.linalg.det(f) * np.trace(v)
+                         + (x @ f @ k) ** 2)
+
+        assert np.array_equal(fd_grad_vector(w, sys0), _loop_grad_vector(w, sys0))
+        assert np.array_equal(fd_grad_sym_tensor(w, sys0), _loop_grad_sym_tensor(w, sys0))
+        assert np.array_equal(fd_grad_sym_tensor(w, sys0, h=2e-6),
+                              _loop_grad_sym_tensor(w, sys0, h=2e-6))
+        assert np.array_equal(fd_grad_nonsym_tensor(w, sys0),
+                              _loop_grad_nonsym_tensor(w, sys0))
 
 
 class TestEquivariance:

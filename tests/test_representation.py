@@ -303,8 +303,7 @@ class TestCoalescence:
         return phi0 + phi1 * lams + phi2 * lams**2
 
     def test_pair_equal_at_coalescence(self):
-        rep = coalescence_structure(self.t_quadratic, "pair", [2.0, 2.0, 1.0],
-                                    pair=(0, 1, 2))
+        rep = coalescence_structure(self.t_quadratic, "pair", [2.0, 2.0, 1.0])
         assert rep.limit_gap == 0.0
         assert rep.canonical_ok
 
@@ -317,7 +316,7 @@ class TestCoalescence:
     def test_linear_convergence_along_sequence(self):
         eps = [10.0**-k for k in range(2, 9)]
         rep = coalescence_structure(self.t_quadratic, "pair", [1.0, 1.0, 3.0],
-                                    eps_sequence=eps, pair=(0, 1, 2))
+                                    eps_sequence=eps)
         assert rep.converged
         # analytic rate: |t1 - t2| = |phi1 + phi2 (lam1 + lam2)| * eps + O(eps^2)
         expected_c = abs(-0.3 + 0.25 * 2.0)
@@ -327,7 +326,7 @@ class TestCoalescence:
     def test_nonconvergent_reported_not_raised(self):
         t_bad = lambda lams: np.array([1.0, 2.0, 3.0])
         rep = coalescence_structure(t_bad, "pair", [1.0, 1.0, 3.0],
-                                    eps_sequence=[1e-2, 1e-4], pair=(0, 1, 2))
+                                    eps_sequence=[1e-2, 1e-4])
         assert not rep.converged
         assert not rep.canonical_ok
 
@@ -335,7 +334,7 @@ class TestCoalescence:
         rng = np.random.default_rng(239)
         q = haar_rotation(rng)
         rep = coalescence_structure(self.t_quadratic, "pair", [2.0, 2.0, -1.0],
-                                    pair=(0, 1, 2), frame_vectors=q)
+                                    frame_vectors=q)
         assert rep.canonical_ok
 
     @pytest.mark.parametrize("eps", [[1e-2, 0.0], [-1e-2], [np.nan], [1e-2, np.inf]],
