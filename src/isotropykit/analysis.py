@@ -9,18 +9,19 @@ ambient bookkeeping stays exact).  A spectral list codes every argument in a
 frame that only the frame source moves, so each other argument's columns are
 exact: the encoding of its chart directions in the fixed base frame.  The
 source's columns, and every column of a classical list, are central
-differences.  Rank counts singular values above
-``sigma_max * 1e-7 * sqrt(max matrix dimension)``.
+differences.  A check scales each argument but a unit vector by the power of
+two that puts its largest entry in [0.5, 1): every list here is homogeneous
+in each argument, so the rank stays and does not depend on input size.  Rank
+counts singular values above the larger of ``sigma_max * 1e-7 * sqrt(max
+matrix dimension)`` and the round-off of those differences, ``1e3 * eps *
+max|f(system0)| / step``, so a list of constants has rank 0.
 One base frame is built per check (the list's own, or :func:`build_frame`'s
 for a classical list); its source's eigen- or singular values must stay
 ``1e-6 (1 + max)`` apart, or the check raises ``DegenerateConfigurationError``.
 
-For orbit-constant invariant lists at points with a trivial generic
-stabilizer the attainable rank is ``ambient - 3`` (the rotation orbit
-dimension); :class:`RankReport` carries ``min(n, ambient - 3)`` as the
-expected value.  Vector-only systems sit outside that bound: their frame
-completion is a fixed gauge rather than an equivariant construction, so their
-component lists reach rank ``3P - 2``.
+Vector-only spectral lists reach rank ``3P - 2``, above the ``ambient - 3``
+of rotation-invariant functions, because their frame completion is a fixed
+gauge rather than an equivariant construction (ROADMAP item 9).
 """
 
 from __future__ import annotations
@@ -148,6 +149,15 @@ def _chart_blocks(system0: TensorSystem):
     return blocks
 
 
+def _unit_scaled(system: TensorSystem) -> TensorSystem:
+    # every argument but a unit vector, scaled exactly to a largest entry in [0.5, 1)
+    def scaled(x, unit=False):
+        return x if unit else np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+    return TensorSystem(tuple(map(scaled, system.sym)), tuple(map(scaled, system.nonsym)),
+                        system.nonsym_skew, tuple(map(scaled, system.vecs, system.vec_unit)),
+                        system.vec_unit)
+
+
 def ambient_chart(system0: TensorSystem):
     """Smooth chart ``theta -> TensorSystem`` around a base system.
 
@@ -182,20 +192,22 @@ class RankReport:
     n_invariants: int
     singular_values: tuple
     rank: int
-    expected_rank: int
     threshold: float
 
 
 # central-difference step in chart coordinates, the relative singular-value
-# threshold of the rank (scaled by sqrt of the larger Jacobian dimension) and
-# the relative gap below which a base frame is not generic
+# threshold of the rank (scaled by sqrt of the larger Jacobian dimension), its
+# round-off floor per unit of max|f(system0)|, and the relative gap below
+# which a base frame is not generic
 _FD_STEP = 1e-6
 _RANK_THRESHOLD = 1e-7
+_ROUND_OFF = 1e3 * np.finfo(float).eps / _FD_STEP
 _GENERIC_GAP = 1e-6
 
 
-def _jacobian(invariants, system0: TensorSystem) -> np.ndarray:
-    """Jacobian of an invariant list in the chart of :func:`ambient_chart`.
+def _jacobian(values_fn, system0: TensorSystem):
+    """Jacobian of an invariant list in the chart of :func:`ambient_chart`,
+    and the list's values at ``system0``.
 
     A spectral list (one that carries its ``build_frame``) is coded in a
     frame that only its source moves: every other chart coordinate gets its
@@ -203,7 +215,7 @@ def _jacobian(invariants, system0: TensorSystem) -> np.ndarray:
     stay put).  Central differences remain for the source's coordinates and
     for every coordinate of any other list.
     """
-    build = getattr(invariants, "build_frame", None)
+    build = getattr(values_fn, "build_frame", None)
     frame = (build or build_frame)(system0)
     # the frame source must stay away from coalescence for the chart-composed
     # invariant functions to be smooth: its singular values (the square roots
@@ -215,66 +227,50 @@ def _jacobian(invariants, system0: TensorSystem) -> np.ndarray:
         raise DegenerateConfigurationError(
             f"the {frame.kind} frame's source has coalescent spectral values; "
             "rank would drop spuriously")
-    if callable(invariants):
-        values_fn = invariants
-    else:
-        items = tuple(invariants)
-        values_fn = lambda s: np.array([item.fn(s) for item in items])
     dim, to_system = ambient_chart(system0)
-    if build is None:
-        jac = np.zeros((len(np.asarray(values_fn(system0), dtype=float)), dim))
-        fd_columns = range(dim)
-    else:
-        jac = np.zeros((len(extract_invariants(system0, frame).entries), dim))
+    f0 = np.asarray(values_fn(system0) if build is None
+                    else extract_invariants(system0, frame).values(), dtype=float)
+    jac = np.zeros((len(f0), dim))
+    fd_columns = range(dim)
+    if build is not None:
+        blocks, col = {}, 0
+        for cls, index, x, _, dirs in _chart_blocks(system0):
+            blocks[cls, index] = (range(col, col + len(dirs)), x, dirs)
+            col += len(dirs)
+        fd_columns = blocks[_KINDS[frame.kind][2], 0][0]
         layout = _layout(frame.kind, system0.n_sym, system0.nonsym_skew, system0.n_vec)
         # the coded arguments fill the last rows, in layout order
         row = len(jac) - sum(code.size for *_, code in layout)
-        rows = {}
         for _, cls, index, code in layout:
-            rows[cls, index] = (row, code)
+            cols, x, dirs = blocks[cls, index]
+            jac[row:row + code.size, cols.start:cols.stop] = np.transpose(
+                [_encode(d.reshape(x.shape), code, frame.v, frame.u) for d in dirs])
             row += code.size
-        col = 0
-        for cls, index, x, _, dirs in _chart_blocks(system0):
-            cols = slice(col, col + len(dirs))
-            if (cls, index) == (_KINDS[frame.kind][2], frame.source):
-                fd_columns = range(cols.start, cols.stop)
-            else:
-                first, code = rows[cls, index]
-                jac[first:first + code.size, cols] = np.transpose(
-                    [_encode(d.reshape(x.shape), code, frame.v, frame.u) for d in dirs])
-            col = cols.stop
     for k in fd_columns:
         e = np.eye(dim)[k]
         jac[:, k] = _central(lambda t: np.asarray(values_fn(to_system(t * e)), dtype=float),
                              _FD_STEP)
-    return jac
+    return jac, f0
 
 
-def jacobian_rank(invariants, system0: TensorSystem) -> RankReport:
+def jacobian_rank(values_fn, system0: TensorSystem) -> RankReport:
     """Numerical rank of an invariant list at ``system0``.
 
-    ``invariants`` is either a callable mapping a system to a value vector or
-    an iterable of items with ``.fn``.  The Jacobian takes exact columns in
-    the fixed base frame of a list from :func:`spectral_values_fn` wherever
-    the frame stays put, and central differences through the frame source
-    (and everywhere for any other list).  The expected rank recorded in the
-    report is ``min(n, ambient - 3)``, the bound for orbit-constant functions
-    at a point whose rotation orbit is three-dimensional (see the module
-    docstring for when a list can legitimately exceed it).  Nothing is drawn;
-    a base point whose frame is not generic raises (module docstring).
+    ``values_fn`` maps a system to its value vector.  The Jacobian takes
+    exact columns in the fixed base frame of a list from
+    :func:`spectral_values_fn` wherever the frame stays put, and central
+    differences through the frame source (and everywhere for any other
+    list).  The argument scaling, the rank rule and the base-point check are
+    the module docstring's; nothing is drawn.
     """
-    jac = _jacobian(invariants, system0)
+    jac, f0 = _jacobian(values_fn, _unit_scaled(system0))
     n, dim = jac.shape
     sv = np.linalg.svd(jac, compute_uv=False) if n and dim else np.zeros(0)
-    if sv.size and sv[0] > 0.0:
-        threshold = sv[0] * _RANK_THRESHOLD * np.sqrt(max(jac.shape))
-        rank = int(np.sum(sv > threshold))
-    else:
-        threshold = 0.0
-        rank = 0
+    threshold = max(np.max(sv, initial=0.0) * _RANK_THRESHOLD * np.sqrt(max(n, dim)),
+                    np.max(np.abs(f0), initial=0.0) * _ROUND_OFF)
     return RankReport(ambient_dim=dim, n_invariants=n,
-                      singular_values=tuple(float(s) for s in sv), rank=rank,
-                      expected_rank=min(n, max(dim - 3, 0)), threshold=float(threshold))
+                      singular_values=tuple(float(s) for s in sv),
+                      rank=int(np.sum(sv > threshold)), threshold=float(threshold))
 
 
 def spectral_values_fn(svd_variant: bool = False):

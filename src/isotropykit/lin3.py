@@ -107,7 +107,8 @@ def sym_matrix(x) -> np.ndarray:
     gap, size = _mirror_defect(a, 1.0)
     if gap > _CLASS_TOL * (1.0 + size):
         raise ValueError("matrix is not symmetric")
-    return 0.5 * (a + a.T)
+    h = 0.5 * a  # halved before adding, so entries near the double range stay finite
+    return h + h.T
 
 
 def skew_matrix(x) -> np.ndarray:
@@ -116,7 +117,8 @@ def skew_matrix(x) -> np.ndarray:
     gap, size = _mirror_defect(a, -1.0)
     if gap > _CLASS_TOL * (1.0 + size):
         raise ValueError("matrix is not skew-symmetric")
-    return 0.5 * (a - a.T)
+    h = 0.5 * a
+    return h - h.T
 
 
 def rotation_matrix(x) -> np.ndarray:

@@ -35,7 +35,6 @@ from isotropykit.lin3 import (
 )
 from isotropykit.spectral_frame import (
     _FULL,
-    _MIXED,
     _SKEW,
     _SYM,
     _VEC,
@@ -76,13 +75,11 @@ _KIND_CODES = {
     "sym6": _Code(((0, 0), (1, 1), (2, 2)) + _OFF_PAIRS, 1.0),
     "full9": _FULL,
     "skew3": _SKEW,
-    "svd9": _MIXED,
 }
 # a slot is labeled by its kind's letter and its frame indices (``t12``)
 _KIND_LABELS = {
     kind: tuple(letter + "".join(str(k + 1) for k in pair) for pair in _KIND_CODES[kind].pairs)
-    for kind, letter in (("vector3", "g"), ("sym6", "t"), ("full9", "t"), ("skew3", "w"),
-                         ("svd9", "h"))}
+    for kind, letter in (("vector3", "g"), ("sym6", "t"), ("full9", "t"), ("skew3", "w"))}
 
 
 @dataclass(frozen=True)
@@ -114,22 +111,19 @@ class GeneratorBasis:
         return flat @ flat.T
 
 
-def _frame_code(frame: SpectralFrame, kind: str, what: str):
-    # the code of ``kind`` and its right-hand triad (``u`` for mixed dyads)
+def _frame_code(kind: str, what: str) -> _Code:
     if kind not in _KIND_CODES:
         raise ValueError(f"unknown {what} kind {kind!r}")
-    if kind == "svd9" and frame.u is None:
-        raise ValueError(f"svd9 {what} needs an SVD frame")
-    return _KIND_CODES[kind], frame.u if kind == "svd9" else None
+    return _KIND_CODES[kind]
 
 
-def _coefficients(kind: str, x, v, r=None) -> Coefficients:
-    return Coefficients(kind, tuple(_encode(x, _KIND_CODES[kind], v, r).tolist()))
+def _coefficients(kind: str, x, v) -> Coefficients:
+    return Coefficients(kind, tuple(_encode(x, _KIND_CODES[kind], v).tolist()))
 
 
 def generator_basis(frame: SpectralFrame, kind: str) -> GeneratorBasis:
-    code, r = _frame_code(frame, kind, "basis")
-    elems = tuple(_decode(unit, code, frame.v, r) for unit in np.eye(code.size))
+    code = _frame_code(kind, "basis")
+    elems = tuple(_decode(unit, code, frame.v) for unit in np.eye(code.size))
     return GeneratorBasis(kind, frame, _KIND_LABELS[kind], elems)
 
 
@@ -146,23 +140,21 @@ def project_tensor(g, frame: SpectralFrame, kind: str) -> Coefficients:
     """Coefficients of a tensor over the frame dyads.
 
     ``sym6`` requires a symmetric argument and ``skew3`` a skew one (class
-    errors otherwise); ``full9`` takes anything; ``svd9`` uses the mixed
-    dyads ``v_i (x) u_j`` of an SVD frame.
+    errors otherwise); ``full9`` takes anything.
     """
     g = mat3(g)
     if kind == "vector3":
         raise ValueError(f"unknown projection kind {kind!r}")
-    code, r = _frame_code(frame, kind, "projection")
+    code = _frame_code(kind, "projection")
     if code.mirror is not None and \
             abs(g - g.T if code.mirror > 0 else g + g.T).max() > 1e-12 * (1.0 + abs(g).max()):
         word = "symmetric" if code.mirror > 0 else "skew"
         raise ValueError(f"{kind} projection needs a {word} tensor")
-    return _coefficients(kind, g, frame.v, r)
+    return _coefficients(kind, g, frame.v)
 
 
 def reconstruct_tensor(coeffs: Coefficients, frame: SpectralFrame) -> np.ndarray:
-    code, r = _frame_code(frame, coeffs.kind, "basis")
-    return _decode(coeffs.values, code, frame.v, r)
+    return _decode(coeffs.values, _frame_code(coeffs.kind, "basis"), frame.v)
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,8 @@ class SpectralFrame:
     ``v`` holds the basis vectors as rows; ``u`` is the dual triad for the
     SVD variant (rows, signs slaved to the reconstruction of the source).
     ``degeneracy`` partitions ``{0, 1, 2}`` into groups of equal eigenvalues
-    at the tolerance used to build the frame; ``source`` is the index of the
-    distinguished argument within its own class.
+    at the tolerance used to build the frame.  The distinguished argument is
+    always the first of its class (sym, nonsym or vecs, by ``kind``).
     """
 
     kind: str
@@ -169,7 +169,6 @@ class SpectralFrame:
     v: np.ndarray
     u: np.ndarray | None = None
     degeneracy: tuple = ((0,), (1,), (2,))
-    source: int = 0
 
     @property
     def is_degenerate(self) -> bool:
@@ -247,9 +246,9 @@ def _probe_values(system: TensorSystem, v, u, kind, slot):
             yield v[j] @ x @ right[i], scale
 
 
-def _frozen_frame(kind, lambdas, v, u, degeneracy, source) -> SpectralFrame:
+def _frozen_frame(kind, lambdas, v, u, degeneracy) -> SpectralFrame:
     return SpectralFrame(kind, _freeze(lambdas), _freeze(v),
-                         None if u is None else _freeze(u), degeneracy, source)
+                         None if u is None else _freeze(u), degeneracy)
 
 
 def _apply_equivariant_gauge(system, kind, v, u=None):
@@ -279,7 +278,7 @@ def build_frame(system: TensorSystem) -> SpectralFrame:
     if system.n_sym >= 1:
         lams, v, groups = eig_sym(system.sym[0])
         v, _ = _apply_equivariant_gauge(system, "sym_tensor", v)
-        return _frozen_frame("sym_tensor", lams, v, None, groups, 0)
+        return _frozen_frame("sym_tensor", lams, v, None, groups)
     if system.n_nonsym >= 1:
         h = system.nonsym[0]
         if np.abs(h).max() == 0.0:
@@ -288,7 +287,7 @@ def build_frame(system: TensorSystem) -> SpectralFrame:
         lams, v, groups = eig_sym(0.5 * (gram + gram.T))
         lams = np.clip(lams, 0.0, None)
         v, _ = _apply_equivariant_gauge(system, "gram", v)
-        return _frozen_frame("gram", lams, v, None, groups, 0)
+        return _frozen_frame("gram", lams, v, None, groups)
     a = system.vecs[0]
     lam = float(a @ a)
     if lam <= 1e-24:
@@ -297,7 +296,7 @@ def build_frame(system: TensorSystem) -> SpectralFrame:
     v2, v3 = frame_completion(v1)
     lams = np.array([lam, 0.0, 0.0])
     return _frozen_frame("vector", lams, np.array([v1, v2, v3]), None,
-                         _degeneracy_groups(lams.tolist(), _TOL_REL), 0)
+                         _degeneracy_groups(lams.tolist(), _TOL_REL))
 
 
 def build_svd_frame(system: TensorSystem) -> SpectralFrame:
@@ -310,7 +309,7 @@ def build_svd_frame(system: TensorSystem) -> SpectralFrame:
         raise DegenerateInputError("frame tensor is zero")
     sv, v, u = svd3(h)
     v, u = _apply_equivariant_gauge(system, "svd", v, u)
-    return _frozen_frame("svd", sv, v, u, _degeneracy_groups(sv.tolist(), _TOL_REL), 0)
+    return _frozen_frame("svd", sv, v, u, _degeneracy_groups(sv.tolist(), _TOL_REL))
 
 
 # ---------------------------------------------------------------------------

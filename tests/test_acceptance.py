@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from isotropykit.analysis import (
+    _unit_scaled,
     jacobian_rank,
     seeded_system,
     spectral_values_fn,
@@ -179,23 +180,20 @@ def test_criterion_04_independence_rank():
                             jacobian_rank(spectral_values_fn(), sys0)
                         continue
                     report = jacobian_rank(spectral_values_fn(), sys0)
-                    assert report.threshold == pytest.approx(
-                        (report.singular_values[0] if report.singular_values else 0.0)
-                        * 1e-7 * np.sqrt(max(report.n_invariants,
-                                             report.ambient_dim)))
+                    values = spectral_values_fn()(_unit_scaled(sys0))
+                    assert report.threshold == pytest.approx(max(
+                        report.singular_values[0] * 1e-7
+                        * np.sqrt(max(report.n_invariants, report.ambient_dim)),
+                        1e3 * np.finfo(float).eps * np.abs(values).max() / 1e-6))
                     if n == 0 and m >= 1:
                         # gram list is complete but carries the three-fold
                         # orbit redundancy the SVD variant removes
                         expected = count - 3
                     else:
                         expected = count
-                    if expected == 0:
-                        assert report.rank == 0 or \
-                            report.singular_values[0] <= 1e-6
-                    else:
-                        assert report.rank == expected, (n, m, p, skew, unit)
+                    assert report.rank == expected, (n, m, p, skew, unit)
                     checked += 1
-    boe = jacobian_rank(boehler_scalars(2, 0, 0).items,
+    boe = jacobian_rank(boehler_scalars(2, 0, 0).evaluate,
                         seeded_system(2, 0, 0, seed=SEED))
     assert boe.n_invariants == 10
     assert boe.rank == 9

@@ -101,6 +101,29 @@ class TestExitCodes:
             assert [i for i in ids if i.startswith(f"gradients/{name}/case")] == \
                 [f"gradients/{name}/case{k:02d}" for k in range(25)]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_single_unit_vector_rank_is_zero(self, tmp_path, seed):
+        # |a|^2 = 1 is the only invariant of one unit vector; the round-off of
+        # its FD column once counted as rank 1 at most seeds (exit 1)
+        path = tmp_path / "rank.json"
+        argv = ["verify", "rank", "--p", "1", "--unit-vectors", "--seed", str(seed),
+                "--json", str(path)]
+        assert main(argv) == 0
+        claims = json.loads(path.read_text())["claims"]
+        assert {c["id"]: c["value"] for c in claims} == {"rank/classical": 0.0,
+                                                          "rank/spectral": 0.0}
+
+    @pytest.mark.parametrize("scale", [1e-30, 3e7, 1e200])
+    def test_input_rank_does_not_depend_on_size(self, tmp_path, scale):
+        # 3e7 is a stress in Pa; a fixed FD step and a floor that grew with
+        # max|f| once dropped all three eigenvalue rows (rank 0, exit 1)
+        path = tmp_path / "rank.json"
+        system = write_system(tmp_path / "sys.json", sym=[scale * np.diag([3.0, 2.0, 1.0])])
+        assert main(["verify", "rank", "--input", str(system), "--json", str(path)]) == 0
+        claims = json.loads(path.read_text())["claims"]
+        assert {c["id"]: c["value"] for c in claims} == {"rank/classical": 3.0,
+                                                          "rank/spectral": 3.0}
+
     def test_bad_input_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

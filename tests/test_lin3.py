@@ -215,6 +215,23 @@ class TestScaleRobustness:
                     bad.append((c, res))
         assert not bad, f"failing scales (scale, relative residual): {bad[:5]}"
 
+    # entries near the top of the double range: a + a^T overflowed to inf
+    HUGE = np.diag([1.7e308, 1.0, -1.0])
+
+    def test_sym_matrix_near_overflow(self):
+        big = np.array([[1.7e308, 1.5e308, 0.0], [1.5e308, -1.7e308, 0.0], [0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(sym_matrix(big), big)
+        np.testing.assert_array_equal(tensor_system(sym=[self.HUGE]).sym[0], self.HUGE)
+
+    def test_eig_sym_near_overflow(self):
+        lams, v, _ = eig_sym(self.HUGE)
+        np.testing.assert_array_equal(lams, [1.7e308, 1.0, -1.0])
+        np.testing.assert_array_equal(v, np.eye(3))
+
+    def test_skew_matrix_near_overflow(self):
+        w = np.array([[0.0, 1.7e308, 0.0], [-1.7e308, 0.0, 2.0], [0.0, -2.0, 0.0]])
+        np.testing.assert_array_equal(skew_matrix(w), w)
+
 
 class TestHaarRotation:
     def test_is_rotation(self):

@@ -1,11 +1,18 @@
 """The seeded verify reports reproduce their recorded bytes.
 
-``tests/data/reports_sha256.json`` holds, for every suite at seeds 0 and 7,
-the exit code and the sha256 of the ``--json`` report and of the printed
-claim lines of ``isotropykit verify <suite> --seed <seed> --json``.  A change
-that moves any reported value by one bit, or any claim id, status or line,
-shows up here.  The reports come from the session fixture that
-``test_claim_ids_match_manifest`` reads too, so each suite runs once.
+``tests/data/reports_sha256.json`` holds, for every suite at seeds 0 and 7
+and for the extra runs in ``EXTRA``, the exit code and the sha256 of the
+``--json`` report and of the printed claim lines of
+``isotropykit verify <suite> --seed <seed> [argv] --json``.  A change that
+moves any reported value by one bit, or any claim id, status or line, shows
+up here.  The reports come from the session fixture that
+``test_claim_ids_match_manifest`` reads too, so each run happens once.
+
+The extra runs widen the tripwire past the two seeds: the full rank sweep at
+two more seeds, a longer gradients run, and single rank configurations that
+reach the SVD list, skew tensors, unit vectors and general tensors.  The
+``--p 3`` run exits 1, pinned as it stands (the vector-only defect, ROADMAP
+item 9).
 
 Regenerate (only when a change of report bytes is intended and tabled) with
 ``PYTHONPATH=src python tests/test_reports_golden.py``.
@@ -22,6 +29,21 @@ from isotropykit.cli import SUITES
 
 PATH = Path(__file__).parent / "data" / "reports_sha256.json"
 SEEDS = (0, 7)
+EXTRA = (
+    ("rank", 3), ("rank", 11),
+    ("gradients", 3, "--trials", "250"),
+    ("rank", 3, "--n", "1", "--m", "1", "--p", "1", "--svd"),
+    ("rank", 3, "--n", "2", "--m", "1", "--p", "1", "--skew"),
+    ("rank", 3, "--n", "1", "--p", "2", "--unit-vectors"),
+    ("rank", 3, "--m", "2", "--p", "1"),
+    ("rank", 3, "--m", "2", "--p", "1", "--svd"),
+    ("rank", 3, "--p", "3"),
+)
+RUNS = tuple((suite, seed) for suite in SUITES for seed in SEEDS) + EXTRA
+
+
+def _key(suite, seed, *argv):
+    return " ".join((f"{suite}/{seed}", *argv))
 
 
 def _digests(code, report, stdout):
@@ -31,8 +53,7 @@ def _digests(code, report, stdout):
 
 
 def record():
-    return {f"{suite}/{seed}": _digests(*run_verify(suite, seed))
-            for suite in SUITES for seed in SEEDS}
+    return {_key(*run): _digests(*run_verify(*run)) for run in RUNS}
 
 
 @pytest.fixture(scope="module")
@@ -41,13 +62,19 @@ def recorded():
 
 
 def test_record_covers_every_suite_and_seed(recorded):
-    assert sorted(recorded) == sorted(f"{suite}/{seed}" for suite in SUITES for seed in SEEDS)
+    assert sorted(recorded) == sorted(_key(*run) for run in RUNS)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("suite", SUITES)
 def test_report_bytes_match_record(verify_report, recorded, suite, seed):
-    assert _digests(*verify_report(suite, seed)) == recorded[f"{suite}/{seed}"]
+    assert _digests(*verify_report(suite, seed)) == recorded[_key(suite, seed)]
+
+
+@pytest.mark.parametrize("run", EXTRA,
+                         ids=lambda run: "-".join(str(a).lstrip("-") for a in run))
+def test_extra_run_bytes_match_record(verify_report, recorded, run):
+    assert _digests(*verify_report(*run)) == recorded[_key(*run)]
 
 
 if __name__ == "__main__":
