@@ -347,10 +347,6 @@ class VerificationReport:
         self.add(Claim.check(claim_id, description, float(value), tolerance,
                              comparator, self.seed))
 
-    @property
-    def all_pass(self) -> bool:
-        return all(c.status != "fail" for c in self.claims)
-
     def sorted_claims(self):
         return sorted(self.claims, key=lambda c: c.claim_id)
 

@@ -10,7 +10,7 @@ array or a list of arrays, equal bit for bit to its row in any stack.
 
 Label grammar
 -------------
-A label is parsed into its item's evaluator.  Operands: ``A1, A2, ...``
+Labels are parsed into one program per basis.  Operands: ``A1, A2, ...``
 symmetric tensors, ``W1, ...`` skew tensors, ``a1, ...`` vectors and ``I`` the
 identity.  Operators from loosest to tightest, all left-associative
 (parentheses group): ``X-Y`` difference; ``uxv`` the dyad ``u (x) v``; ``X.Y``
@@ -167,6 +167,13 @@ _OPS = {
 _SHAPES = {"scalar": (), "vector": (3,), "sym_tensor": (3, 3)}  # of one item
 
 
+def _operands(systems, shape):
+    b, (n, m, p) = len(systems), shape
+    return [np.array([x for s in systems for x in s.sym]).reshape(b, n, 3, 3),
+            np.array([x for s in systems for x in s.nonsym]).reshape(b, m, 3, 3),
+            np.array([x for s in systems for x in s.vecs]).reshape(b, p, 3), _EYE]
+
+
 class _Program:
     """Labels of one kind parsed into one straight-line program of steps
     ``(fn, slot, slot or None)``, one per distinct subterm, so a subterm that
@@ -189,11 +196,8 @@ class _Program:
 
     def __call__(self, systems, shape):
         """Item values, ``(B, n, ...)``, on a stack of systems of ``shape`` (N, M, P)."""
-        b, (n, m, p) = len(systems), shape
-        values = [np.array([x for s in systems for x in s.sym]).reshape(b, n, 3, 3),
-                  np.array([x for s in systems for x in s.nonsym]).reshape(b, m, 3, 3),
-                  np.array([x for s in systems for x in s.vecs]).reshape(b, p, 3), _EYE]
-        out = np.empty((b, len(self._outputs)) + _SHAPES[self.kind])
+        values = _operands(systems, shape)
+        out = np.empty((len(systems), len(self._outputs)) + _SHAPES[self.kind])
         for slot, (items, dead) in enumerate(self._after):
             if slot >= 4:
                 fn, a, c = self._steps[slot - 4]
@@ -204,6 +208,20 @@ class _Program:
                 values[d] = None
         # a tensor item is returned exactly symmetric
         return 0.5 * (out + out.swapaxes(-1, -2)) if self.kind == "sym_tensor" else out
+
+    def row(self, k, system):
+        """Item ``k`` on one system: its row of a call, from the steps it needs."""
+        values = dict(enumerate(_operands([system], system.shape())))
+
+        def value(slot):
+            if slot not in values:
+                fn, *args = self._steps[slot - 4]
+                values[slot] = fn(*(value(a) for a in args if a is not None))
+            return values[slot]
+
+        out = np.empty((1,) + _SHAPES[self.kind])
+        out[:] = value(self._outputs[k])
+        return (0.5 * (out + out.swapaxes(-1, -2)) if self.kind == "sym_tensor" else out)[0]
 
     def _emit(self, op, *args):
         """Slot of ``op`` on the slots ``args`` (of an operand: on its number)."""
@@ -270,13 +288,6 @@ class _Program:
         return slot
 
 
-@functools.lru_cache(maxsize=4096)
-def _item_program(label, kind):
-    # compiled on an item's first call: a basis evaluates its items through
-    # its shared program, and few items are ever evaluated alone
-    return _Program([label], kind)
-
-
 @dataclass(frozen=True)
 class BasisItem:
     label: str
@@ -285,19 +296,22 @@ class BasisItem:
 
 
 class _Basis:
-    """An ordered classical list; each subclass sets its item ``kind``.  Each
-    item's evaluator is its label compiled on its own."""
+    """An ordered classical list of the shape ``(n_sym, n_skew, n_vec)``; each
+    subclass sets its item ``kind``.  Its labels compile into one program,
+    and an item's evaluator is its row of that program."""
 
     def __init__(self, n_sym, n_skew, n_vec, labels):
         self.n_sym, self.n_skew, self.n_vec = n_sym, n_skew, n_vec
-        self.items = tuple(
-            BasisItem(label, self.kind, lambda system, label=label:
-                      _item_program(label, self.kind)([system], system.shape())[0, 0])
-            for label in labels)
+        self.items = tuple(BasisItem(label, self.kind, functools.partial(self._item, k))
+                           for k, label in enumerate(labels))
         self._by_label = {item.label: item for item in self.items}
         if len(self._by_label) != len(self.items):
             raise AssertionError("duplicate basis labels")
         self._program = _Program(self.labels(), self.kind)
+
+    def _item(self, k, system):
+        self.check_system(system)
+        return self._program.row(k, system)
 
     def __len__(self):
         return len(self.items)
@@ -312,7 +326,7 @@ class _Basis:
         if system.shape() != (self.n_sym, self.n_skew, self.n_vec):
             raise ValueError(f"system shape {system.shape()} does not match basis "
                              f"({self.n_sym}, {self.n_skew}, {self.n_vec})")
-        if self.n_skew and not all(system.nonsym_skew):
+        if not all(system.nonsym_skew):
             raise ValueError("classical bases cover skew tensors only")
 
     def evaluate(self, systems):

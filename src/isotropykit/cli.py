@@ -160,13 +160,10 @@ def run_isotropy(seed: int, trials: int = 100, tol: float = 1e-9,
     report = VerificationReport("isotropy", seed, trials,
                                 {"tol": tol, "input": system is not None})
     rng = np.random.default_rng(seed)
-    configs = []
     if system is not None:
         n, m, p = system.shape()
-        if m and not all(system.nonsym_skew):
-            configs.append((f"input-N{n}M{m}P{p}", system, None))
-        else:
-            configs.append((f"input-N{n}M{m}P{p}", system, _classical_bases(n, m, p)))
+        configs = [(f"input-N{n}M{m}P{p}", system,
+                    _classical_bases(n, m, p) if all(system.nonsym_skew) else None)]
     else:
         configs = [
             ("N2M1P2-skew", seeded_system(2, 1, 2, skew=True, seed=seed),
@@ -212,6 +209,7 @@ def run_reconstruction(seed: int, trials: int = 100, tol: float = 1e-12,
     generator-basis spanning checks."""
     report = VerificationReport("reconstruction", seed, trials, {"tol": tol})
     rng = np.random.default_rng(seed)
+    rel = lambda x, y: np.linalg.norm(x - y) / (1.0 + np.linalg.norm(x))
     if system is not None:
         n, m, p = system.shape()
         configs = [(f"input-N{n}M{m}P{p}", system)]
@@ -226,9 +224,8 @@ def run_reconstruction(seed: int, trials: int = 100, tol: float = 1e-12,
     def residuals(sys0, frame):
         # of each argument rebuilt from the frame and the invariants
         back = rebuild_system(extract_invariants(sys0, frame), frame)
-        return [np.linalg.norm(orig - new) / (1.0 + np.linalg.norm(orig))
-                for orig, new in zip(sys0.sym + sys0.nonsym + sys0.vecs,
-                                     back.sym + back.nonsym + back.vecs)]
+        return list(map(rel, sys0.sym + sys0.nonsym + sys0.vecs,
+                        back.sym + back.nonsym + back.vecs))
 
     for tag, sys0 in configs:
         for k, res in enumerate(residuals(sys0, build_frame(sys0))):
@@ -245,13 +242,11 @@ def run_reconstruction(seed: int, trials: int = 100, tol: float = 1e-12,
         a = 0.5 * (m + m.T)
         lams, v, _ = eig_sym(a)
         rebuilt = sum(lams[i] * np.outer(v[i], v[i]) for i in range(3))
-        worst_eig = max(worst_eig, np.linalg.norm(a - rebuilt)
-                        / (1.0 + np.linalg.norm(a)))
+        worst_eig = max(worst_eig, rel(a, rebuilt))
         f = rng.standard_normal((3, 3))
         sv, vv, uu = svd3(f)
         rebuilt = sum(sv[i] * np.outer(vv[i], uu[i]) for i in range(3))
-        worst_svd = max(worst_svd, np.linalg.norm(f - rebuilt)
-                        / (1.0 + np.linalg.norm(f)))
+        worst_svd = max(worst_svd, rel(f, rebuilt))
     report.check("reconstruction/eig-sym", "eigendecomposition self-residual",
                  worst_eig, tol)
     report.check("reconstruction/svd3", "SVD self-residual", worst_svd, tol)
@@ -268,27 +263,21 @@ def run_reconstruction(seed: int, trials: int = 100, tol: float = 1e-12,
     worst = {"vector3": 0.0, "sym6": 0.0, "full9": 0.0, "skew3": 0.0}
     for (sys0, noise_v, noise_t), svals, gvecs, gtens in zip(draws, *values):
         frame = build_frame(sys0)
-        cv = noise_v @ svals
-        cv /= 1.0 + np.abs(cv).max()
-        g = sum(c * item for c, item in zip(cv, gvecs))
+        # a combination of each list, its coefficients scaled to at most 1
+        g, t = (sum(c * item for c, item in zip(cs / (1.0 + np.abs(cs).max()), items))
+                for cs, items in ((noise_v @ svals, gvecs), (noise_t @ svals, gtens)))
         back = reconstruct_vector(project_vector(g, frame), frame)
         worst["vector3"] = max(worst["vector3"], float(np.linalg.norm(back - g)))
-        ct = noise_t @ svals
-        ct /= 1.0 + np.abs(ct).max()
-        t = sum(c * item for c, item in zip(ct, gtens))
-        back = reconstruct_tensor(project_tensor(t, frame, "sym6"), frame)
-        worst["sym6"] = max(worst["sym6"], float(np.linalg.norm(back - t)))
         a1, a2 = sys0.sym
         x1, x2 = sys0.vecs
         coeffs = np.tanh([np.trace(a1), x1 @ x2, np.trace(a1 @ a2)])
         full = coeffs[0] * (a1 @ a2) + coeffs[1] * np.outer(x1, x2) \
             + coeffs[2] * np.outer(a1 @ x1, x2)
-        back = reconstruct_tensor(project_tensor(full, frame, "full9"), frame)
-        worst["full9"] = max(worst["full9"], float(np.linalg.norm(back - full)))
         skw = coeffs[0] * (a1 @ a2 - a2 @ a1) \
             + coeffs[1] * (np.outer(x1, x2) - np.outer(x2, x1))
-        back = reconstruct_tensor(project_tensor(skw, frame, "skew3"), frame)
-        worst["skew3"] = max(worst["skew3"], float(np.linalg.norm(back - skw)))
+        for kind, x in (("sym6", t), ("full9", full), ("skew3", skw)):
+            back = reconstruct_tensor(project_tensor(x, frame, kind), frame)
+            worst[kind] = max(worst[kind], float(np.linalg.norm(back - x)))
     for kind, n_elem in (("vector3", 3), ("sym6", 6), ("full9", 9), ("skew3", 3)):
         report.check(f"reconstruction/span/{kind}",
                      f"generator combinations reproduced by {n_elem} spectral elements",
@@ -332,12 +321,11 @@ def run_rank(seed: int, system=None, n: int = 0, m: int = 0, p: int = 0,
         else:
             # the extraction's effective count also covers mixed flags
             n, m, p = system.shape()
-            skew = all(system.nonsym_skew) and m > 0
             frame = build_svd_frame(system) if svd else build_frame(system)
             count = extract_invariants(system, frame).count
         expected = count - 3 if (n == 0 and m >= 1 and not svd) else count
         lists = {"spectral": spectral_values_fn(svd)}
-        if (m == 0 or skew) and not svd:
+        if all(system.nonsym_skew) and not svd:
             lists = {"classical": boehler_scalars(n, m, p).evaluate, **lists}
         summary = []
         for name, values_fn in lists.items():
@@ -400,22 +388,19 @@ def run_gradients(seed: int, trials: int = 100) -> VerificationReport:
     # trivial cases, analytic spectral partials: exact to roundoff
     sys_v = tensor_system(vecs=[rng.standard_normal(3)])
     g = grad_vector(lambda s: float(s.vecs[0] @ s.vecs[0]), sys_v,
-                    d_lam=lambda lam, v1: 2.0 * lam,
-                    d_v1=lambda lam, v1: np.zeros(3))
+                    partials=lambda lam, v1: (2.0 * lam, np.zeros(3)))
     report.check("gradients/trivial/vector-squared-norm", "d(a.a)/da = 2a",
                  np.abs(g - 2.0 * sys_v.vecs[0]).max(), 1e-12)
     m = rng.standard_normal((3, 3))
     sys_s = tensor_system(sym=[m @ m.T + np.eye(3)])
     g = grad_sym_tensor(lambda s: float(np.trace(s.sym[0] @ s.sym[0])), sys_s,
-                        d_lams=lambda lams, v: 2.0 * lams,
-                        d_frame=lambda lams, v: np.zeros((3, 3)))
+                        partials=lambda lams, v: (2.0 * lams, np.zeros((3, 3))))
     report.check("gradients/trivial/sym-trace-square", "d tr(V^2)/dV = 2V",
                  np.abs(g - 2.0 * sys_s.sym[0]).max(), 1e-12)
     sys_f = tensor_system(nonsym=[rng.standard_normal((3, 3))])
     g = grad_nonsym_tensor(lambda s: float(np.sum(s.nonsym[0] ** 2)), sys_f,
-                           d_lams=lambda sv, v, u: 2.0 * sv,
-                           d_v_frame=lambda sv, v, u: np.zeros((3, 3)),
-                           d_u_frame=lambda sv, v, u: np.zeros((3, 3)))
+                           partials=lambda sv, v, u: (2.0 * sv, np.zeros((3, 3)),
+                                                      np.zeros((3, 3))))
     report.check("gradients/trivial/nonsym-frobenius", "d tr(F F^T)/dF = 2F",
                  np.abs(g - 2.0 * sys_f.nonsym[0]).max(), 1e-12)
     # FD oracle sweeps: per argument class, the shape of each case's draw,
@@ -517,14 +502,13 @@ def run_p_property(seed: int, trials: int = 100, tol: float = 1e-10) -> Verifica
     dyad_sys = tensor_system(sym=[np.outer(a, a), u_mat])
     for name, fn in example2_invariants():
         rep = check_p_property(fn, dyad_sys, "pair", trials=trials,
-                               rng=np.random.default_rng(seed + 3), tol=tol,
-                               candidate=name)
+                               rng=np.random.default_rng(seed + 3), tol=tol)
         report.check(f"p-property/safe-invariants/{name}",
                      "gauge-independent invariant of the dyad configuration",
                      max(rep.permutation_deviation, rep.gauge_deviation), tol)
     raw = lambda inv: inv["a1[1]"]
     rep = check_p_property(raw, pair_sys, "pair", trials=trials,
-                           rng=np.random.default_rng(seed + 4), candidate="a1[1]")
+                           rng=np.random.default_rng(seed + 4))
     report.check("p-property/negative-control/a1[1]",
                  "raw frame component must fail gauge re-randomization",
                  rep.gauge_deviation, 1e-3, comparator="ge")
@@ -705,16 +689,15 @@ def cmd_verify(args) -> int:
     summary = report.configuration.get("summary")
     if summary:
         print(summary)
-    n_fail = sum(1 for c in report.claims if c.status == "fail")
-    print(f"{report.suite}: {len(report.claims)} claims, {n_fail} failures "
+    failing = [c.claim_id for c in report.sorted_claims() if c.status == "fail"]
+    print(f"{report.suite}: {len(report.claims)} claims, {len(failing)} failures "
           f"(seed {report.seed})")
     if args.json:
         payload = report.to_dict(__version__)
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-    if not report.all_pass:
-        failing = [c.claim_id for c in report.sorted_claims() if c.status == "fail"]
+    if failing:
         print("failing claims: " + ", ".join(failing), file=sys.stderr)
         return 1
     return 0
@@ -728,11 +711,9 @@ def cmd_frame(args) -> int:
                  "vector": "squared length", "svd": "singular values"}[frame.kind]
     print(f"frame kind: {frame.kind}")
     print(f"{kind_word}: " + "  ".join(repr(float(x)) for x in frame.lambdas))
-    for i in range(3):
-        print(f"v{i + 1}: " + "  ".join(repr(float(x)) for x in frame.v[i]))
-    if frame.u is not None:
-        for i in range(3):
-            print(f"u{i + 1}: " + "  ".join(repr(float(x)) for x in frame.u[i]))
+    for name, rows in (("v", frame.v), ("u", frame.u if frame.u is not None else ())):
+        for i, row in enumerate(rows):
+            print(f"{name}{i + 1}: " + "  ".join(repr(float(x)) for x in row))
     groups = " ".join("{" + ",".join(str(i + 1) for i in g) + "}"
                       for g in frame.degeneracy)
     print(f"degeneracy partition: {groups}")

@@ -6,9 +6,10 @@ are the basis vectors, so ``v[i]`` is the i-th unit vector and a symmetric
 tensor rebuilds as ``sum(lams[i] * np.outer(v[i], v[i]))``.
 
 Symmetric and skew matrices are kept *exactly* symmetric/skew in floating
-point: constructors and :func:`conjugate` re-symmetrize through
-``0.5 * (M + M.T)`` (exact because IEEE addition commutes) rather than
-trusting the caller.
+point: constructors and :func:`conjugate` re-symmetrize through ``H + H.T``
+with ``H = 0.5 * M`` (exact, and finite near the double range) rather than
+trusting the caller.  A rotated member that overflows is a ``ValueError``
+from :func:`conjugate`, never a non-finite member.
 
 :class:`TensorSystem` is the validation boundary.  Its members are trusted
 to be finite, correctly shaped and exactly symmetric or skew, which holds
@@ -78,9 +79,11 @@ def _central(f, h):
 
 def _norm(x) -> float:
     # np.linalg.norm's own arithmetic (one dot of the flattened array, one
-    # sqrt) without its dispatch
+    # sqrt) without its dispatch; rescaled where the dot overflows on finite entries
     f = x.ravel("K")
-    return math.sqrt(f @ f)
+    if (s := f @ f) == math.inf and (m := abs(f).max()) != math.inf:
+        return m * _norm(f / m)
+    return math.sqrt(s)
 
 
 def vec3(x) -> np.ndarray:
@@ -101,14 +104,19 @@ def _mirror_defect(a, sign):
             max(map(abs, r[0] + r[1] + r[2])))
 
 
+def _resym(a, skew=False):
+    # the symmetric (skew) part of ``a``, halved first to stay in the double range
+    h = 0.5 * a
+    return h - h.T if skew else h + h.T
+
+
 def sym_matrix(x) -> np.ndarray:
     """Return ``x`` exactly symmetrized, rejecting clearly asymmetric input."""
     a = mat3(x)
     gap, size = _mirror_defect(a, 1.0)
     if gap > _CLASS_TOL * (1.0 + size):
         raise ValueError("matrix is not symmetric")
-    h = 0.5 * a  # halved before adding, so entries near the double range stay finite
-    return h + h.T
+    return _resym(a)
 
 
 def skew_matrix(x) -> np.ndarray:
@@ -117,8 +125,7 @@ def skew_matrix(x) -> np.ndarray:
     gap, size = _mirror_defect(a, -1.0)
     if gap > _CLASS_TOL * (1.0 + size):
         raise ValueError("matrix is not skew-symmetric")
-    h = 0.5 * a
-    return h - h.T
+    return _resym(a, skew=True)
 
 
 def rotation_matrix(x) -> np.ndarray:
@@ -281,6 +288,13 @@ def _freeze(a):
     return a
 
 
+def _finite(a):
+    # ``_freeze`` of an array that an overflow may have made non-finite
+    if not all(map(math.isfinite, a.ravel().tolist())):
+        raise ValueError("a rotated member is not finite")
+    return _freeze(a)
+
+
 def tensor_system(sym=(), nonsym=(), skew=None, vecs=(), unit=None) -> TensorSystem:
     """Build a validated :class:`TensorSystem`.
 
@@ -320,13 +334,11 @@ def conjugate(q, system: TensorSystem) -> TensorSystem:
     """Rotate every argument: A -> Q A Q^T, H -> Q H Q^T, a -> Q a.
 
     Symmetry classes are preserved exactly (outputs are re-symmetrized /
-    re-skewed bit-exactly); flags carry over unchanged.
+    re-skewed bit-exactly); flags carry over; an overflow is a ``ValueError``.
     """
     q = rotation_matrix(q)
-    sym = tuple(_freeze(0.5 * (m + m.T)) for m in (q @ a @ q.T for a in system.sym))
-    nonsym = []
-    for h, is_skew in zip(system.nonsym, system.nonsym_skew):
-        m = q @ h @ q.T
-        nonsym.append(_freeze(0.5 * (m - m.T) if is_skew else m))
-    vecs = tuple(_freeze(q @ a) for a in system.vecs)
-    return TensorSystem(sym, tuple(nonsym), system.nonsym_skew, vecs, system.vec_unit)
+    sym = tuple(_finite(_resym(q @ a @ q.T)) for a in system.sym)
+    nonsym = tuple(_finite(_resym(q @ h @ q.T, skew=True) if is_skew else q @ h @ q.T)
+                   for h, is_skew in zip(system.nonsym, system.nonsym_skew))
+    vecs = tuple(_finite(q @ a) for a in system.vecs)
+    return TensorSystem(sym, nonsym, system.nonsym_skew, vecs, system.vec_unit)

@@ -18,8 +18,9 @@ to that argument then has a closed form in the frame:
 The antisymmetric eigenvector combinations are exactly the derivatives along
 plane rotations of the frame, so the finite-difference fallback rotates the
 triad (staying exactly orthonormal) instead of re-orthogonalizing perturbed
-vectors.  Analytic spectral partials can be supplied instead, in which case
-the trivial cases come out exact to roundoff.
+vectors.  Each gradient also takes one ``partials`` callable that returns all
+of its spectral partials analytically, in which case no finite difference is
+taken and the trivial cases come out exact to roundoff.
 
 Entry-wise finite-difference oracles (``fd_grad_*``) are provided for
 verification; they never touch frames.  All three are one routine: it steps
@@ -44,10 +45,10 @@ from isotropykit.lin3 import (
     TensorSystem,
     _central,
     _norm,
+    _resym,
     eig_sym,
     svd3,
-    sym_matrix,
-    vec3,
+    tensor_system,
 )
 from isotropykit.representation import project_tensor
 from isotropykit.spectral_frame import _FULL, _SYM, build_frame, frame_completion
@@ -89,13 +90,24 @@ def _rotated(triad: np.ndarray, i: int, j: int, theta: float) -> np.ndarray:
 # spectral-form gradients
 
 
+def _check_gaps(values, x, gap_min, word):
+    # the off-diagonal terms divide by the pairwise gaps of ``values``
+    if gap_min is None:
+        gap_min = 1e-6 * (1.0 + np.linalg.norm(x))
+    for i, j in _OFF_PAIRS:
+        if values[i] - values[j] <= gap_min:
+            raise DegenerateConfigurationError(
+                f"{word} {i + 1} and {j + 1} coalesce "
+                f"(gap {values[i] - values[j]:.3e} <= {gap_min:.3e})")
+
+
 def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
-                d_lam=None, d_v1=None) -> np.ndarray:
+                partials=None) -> np.ndarray:
     """Gradient of ``W`` with respect to the first vector argument ``a``.
 
-    ``d_lam(lam, v1)`` and ``d_v1(lam, v1)`` supply analytic partials of the
-    spectral form; otherwise central differences with step ``1e-5 (1 + |a|)``
-    are used, the tangential ones along renormalized perturbations of ``v1``.
+    ``partials(lam, v1) -> (dW/dlam, dW/dv1)`` supplies analytic partials;
+    otherwise central differences with step ``1e-5 (1 + |a|)`` are used, the
+    tangential ones along renormalized perturbations of ``v1``.
     """
     a = system.vecs[0]
     lam = float(np.linalg.norm(a))
@@ -104,113 +116,91 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
             "vector argument is zero; the spectral gradient divides by |a|")
     v1 = a / lam
     v2, v3 = frame_completion(v1)
-    h = 1e-5 * (1.0 + lam)
-
-    def w_at(lam_, v1_):
-        return float(W(_with_arg(system, "vecs", lam_ * v1_)))
-
-    if d_lam is not None:
-        dlam = float(d_lam(lam, v1))
-    else:
-        dlam = _central(lambda t: w_at(lam + t, v1), h)
-    if d_v1 is not None:
-        dv = np.asarray(d_v1(lam, v1), dtype=float)
+    if partials is not None:
+        dlam, dv = partials(lam, v1)
+        dlam, dv = float(dlam), np.asarray(dv, dtype=float)
         t2, t3 = float(dv @ v2), float(dv @ v3)
     else:
+        h = 1e-5 * (1.0 + lam)
+
+        def w_at(lam_, v1_):
+            return float(W(_with_arg(system, "vecs", lam_ * v1_)))
+
         def tilted(e, t):
             p = v1 + t * e
             return p / np.linalg.norm(p)
 
+        dlam = _central(lambda t: w_at(lam + t, v1), h)
         t2, t3 = (_central(lambda t: w_at(lam, tilted(e, t)), h) for e in (v2, v3))
     return dlam * v1 + (t2 * v2 + t3 * v3) / lam
 
 
 def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
-                    gap_min: float | None = None,
-                    d_lams=None, d_frame=None) -> np.ndarray:
+                    gap_min: float | None = None, partials=None) -> np.ndarray:
     """Gradient of ``W`` with respect to the first symmetric tensor argument.
 
     Requires pairwise-distinct eigenvalues (the off-diagonal terms divide by
-    the gaps).  ``d_lams(lams, v) -> (3,)`` and ``d_frame(lams, v) -> (3, 3)``
-    with ``d_frame[i, j] = dW/dv_i . v_j`` supply analytic partials.
+    the gaps).  ``partials(lams, v) -> (dW/dlams, r)`` with
+    ``r[i, j] = dW/dv_i . v_j`` supplies the analytic partials.
     """
     v_arg = system.sym[0]
     lams, v, _ = eig_sym(v_arg)
-    if gap_min is None:
-        gap_min = 1e-6 * (1.0 + np.linalg.norm(v_arg))
-    for i, j in _OFF_PAIRS:
-        if lams[i] - lams[j] <= gap_min:
-            raise DegenerateConfigurationError(
-                f"eigenvalues {i + 1} and {j + 1} coalesce "
-                f"(gap {lams[i] - lams[j]:.3e} <= {gap_min:.3e})")
-    h = 1e-5 * (1.0 + np.abs(lams).max())
-
-    def w_at(lams_, v_):
-        m = sum(lams_[i] * np.outer(v_[i], v_[i]) for i in range(3))
-        return float(W(_with_arg(system, "sym", m)))
-
-    if d_lams is not None:
-        dlam = np.asarray(d_lams(lams, v), dtype=float)
+    _check_gaps(lams, v_arg, gap_min, "eigenvalues")
+    if partials is not None:
+        dlam, r = (np.asarray(x, dtype=float) for x in partials(lams, v))
+        anti = [float(r[i, j] - r[j, i]) for i, j in _OFF_PAIRS]
     else:
+        h = 1e-5 * (1.0 + np.abs(lams).max())
+
+        def w_at(lams_, v_):
+            m = sum(lams_[i] * np.outer(v_[i], v_[i]) for i in range(3))
+            return float(W(_with_arg(system, "sym", m)))
+
         dlam = np.array([_central(lambda t: w_at(lams + t * e, v), h) for e in _EYE])
+        # the derivative along the (i, j) plane rotation of the triad equals
+        # dW/dv_i . v_j - dW/dv_j . v_i
+        anti = [_central(lambda t: w_at(lams, _rotated(v, i, j, t)), h)
+                for i, j in _OFF_PAIRS]
     out = sum(dlam[i] * np.outer(v[i], v[i]) for i in range(3))
-    r = None if d_frame is None else np.asarray(d_frame(lams, v), dtype=float)
-    for i, j in _OFF_PAIRS:
-        if r is not None:
-            anti = float(r[i, j] - r[j, i])
-        else:
-            # derivative along the (i, j) plane rotation of the triad equals
-            # dW/dv_i . v_j - dW/dv_j . v_i
-            anti = _central(lambda t: w_at(lams, _rotated(v, i, j, t)), h)
-        c = anti / (2.0 * (lams[i] - lams[j]))
+    for (i, j), anti_ij in zip(_OFF_PAIRS, anti):
+        c = anti_ij / (2.0 * (lams[i] - lams[j]))
         out = out + c * (np.outer(v[i], v[j]) + np.outer(v[j], v[i]))
-    return 0.5 * (out + out.T)
+    return _resym(out)
 
 
 def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
-                       gap_min: float | None = None,
-                       d_lams=None, d_v_frame=None, d_u_frame=None) -> np.ndarray:
+                       gap_min: float | None = None, partials=None) -> np.ndarray:
     """Gradient of ``W`` with respect to the first non-symmetric tensor
     argument, through its singular triads.
 
-    Requires pairwise-distinct singular values.  Analytic partials mirror
-    :func:`grad_sym_tensor`, with separate frames for the left and right
-    triads.
+    Requires pairwise-distinct singular values.  ``partials(sv, v, u) ->
+    (dW/dsv, rv, ru)`` mirrors :func:`grad_sym_tensor`, with one frame matrix
+    for the left and one for the right triad.
     """
     f_arg = system.nonsym[0]
     sv, v, u = svd3(f_arg)
-    if gap_min is None:
-        gap_min = 1e-6 * (1.0 + np.linalg.norm(f_arg))
-    for i, j in _OFF_PAIRS:
-        if sv[i] - sv[j] <= gap_min:
-            raise DegenerateConfigurationError(
-                f"singular values {i + 1} and {j + 1} coalesce "
-                f"(gap {sv[i] - sv[j]:.3e} <= {gap_min:.3e})")
-    h = 1e-5 * (1.0 + sv[0])
-
-    def w_at(sv_, v_, u_):
-        m = sum(sv_[i] * np.outer(v_[i], u_[i]) for i in range(3))
-        return float(W(_with_arg(system, "nonsym", m)))
-
-    if d_lams is not None:
-        dlam = np.asarray(d_lams(sv, v, u), dtype=float)
+    _check_gaps(sv, f_arg, gap_min, "singular values")
+    if partials is not None:
+        dlam, rv, ru = (np.asarray(x, dtype=float) for x in partials(sv, v, u))
+        anti_v = [float(rv[i, j] - rv[j, i]) for i, j in _OFF_PAIRS]
+        anti_u = [float(ru[i, j] - ru[j, i]) for i, j in _OFF_PAIRS]
     else:
+        h = 1e-5 * (1.0 + sv[0])
+
+        def w_at(sv_, v_, u_):
+            m = sum(sv_[i] * np.outer(v_[i], u_[i]) for i in range(3))
+            return float(W(_with_arg(system, "nonsym", m)))
+
         dlam = np.array([_central(lambda t: w_at(sv + t * e, v, u), h) for e in _EYE])
+        anti_v, anti_u = [], []
+        for i, j in _OFF_PAIRS:
+            anti_v.append(_central(lambda t: w_at(sv, _rotated(v, i, j, t), u), h))
+            anti_u.append(_central(lambda t: w_at(sv, v, _rotated(u, i, j, t)), h))
     out = sum(dlam[i] * np.outer(v[i], u[i]) for i in range(3))
-    rv = None if d_v_frame is None else np.asarray(d_v_frame(sv, v, u), dtype=float)
-    ru = None if d_u_frame is None else np.asarray(d_u_frame(sv, v, u), dtype=float)
-    for i, j in _OFF_PAIRS:
-        if rv is not None:
-            anti_v = float(rv[i, j] - rv[j, i])
-        else:
-            anti_v = _central(lambda t: w_at(sv, _rotated(v, i, j, t), u), h)
-        if ru is not None:
-            anti_u = float(ru[i, j] - ru[j, i])
-        else:
-            anti_u = _central(lambda t: w_at(sv, v, _rotated(u, i, j, t)), h)
+    for (i, j), av, au in zip(_OFF_PAIRS, anti_v, anti_u):
         denom = sv[i] ** 2 - sv[j] ** 2
-        out = out + ((sv[i] * anti_u + sv[j] * anti_v) / denom) * np.outer(v[i], u[j])
-        out = out + ((sv[j] * anti_u + sv[i] * anti_v) / denom) * np.outer(v[j], u[i])
+        out = out + ((sv[i] * au + sv[j] * av) / denom) * np.outer(v[i], u[j])
+        out = out + ((sv[j] * au + sv[i] * av) / denom) * np.outer(v[j], u[i])
     return out
 
 
@@ -350,14 +340,9 @@ def hyperelastic_stress(model: HyperelasticModel, c_mat, a) -> HyperelasticStres
     are also expanded over the six symmetrized frame dyads of ``C``, where
     their coefficients agree term by term.
     """
-    c_mat = sym_matrix(c_mat)
-    a = vec3(a)
-    n = _norm(a)
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
-    a = a / n
-    frame = build_frame(
-        TensorSystem(sym=(c_mat,), vecs=(a,), vec_unit=(True,)))
+    system = tensor_system(sym=[c_mat], vecs=[a], unit=[True])
+    (c_mat,), (a,) = system.sym, system.vecs
+    frame = build_frame(system)
     if frame.lambdas[2] <= 0.0:
         raise ValueError("C must be symmetric positive-definite")
     l_mat = a[:, None] * a
@@ -371,8 +356,7 @@ def hyperelastic_stress(model: HyperelasticModel, c_mat, a) -> HyperelasticStres
     t_cl = alphas[4] * (cl + l_mat @ c_mat)
     s_pot = t_eye + t_c + t_c2 + t_l + t_cl
     s_rep = t_eye + t_l + t_c + t_c2 + t_cl + alphas[5] * (c2l + l_mat @ c2)
-    s_pot = 0.5 * (s_pot + s_pot.T)
-    s_rep = 0.5 * (s_rep + s_rep.T)
+    s_pot, s_rep = _resym(s_pot), _resym(s_rep)
     residual = _norm(s_pot - s_rep)
     coeff_pot = project_tensor(s_pot, frame, "sym6").values
     coeff_rep = project_tensor(s_rep, frame, "sym6").values

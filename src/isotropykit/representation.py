@@ -24,9 +24,11 @@ from isotropykit.classical_bases import (
     smith_vectors,
 )
 from isotropykit.lin3 import (
+    _CLASS_TOL,
     _EYE,
     _OFF_PAIRS,
     TensorSystem,
+    _mirror_defect,
     eig_sym,
     haar_rotation,
     mat3,
@@ -146,10 +148,11 @@ def project_tensor(g, frame: SpectralFrame, kind: str) -> Coefficients:
     if kind == "vector3":
         raise ValueError(f"unknown projection kind {kind!r}")
     code = _frame_code(kind, "projection")
-    if code.mirror is not None and \
-            abs(g - g.T if code.mirror > 0 else g + g.T).max() > 1e-12 * (1.0 + abs(g).max()):
-        word = "symmetric" if code.mirror > 0 else "skew"
-        raise ValueError(f"{kind} projection needs a {word} tensor")
+    if code.mirror is not None:
+        gap, size = _mirror_defect(g, code.mirror)
+        if gap > _CLASS_TOL * (1.0 + size):
+            word = "symmetric" if code.mirror > 0 else "skew"
+            raise ValueError(f"{kind} projection needs a {word} tensor")
     return _coefficients(kind, g, frame.v)
 
 
@@ -163,14 +166,8 @@ def reconstruct_tensor(coeffs: Coefficients, frame: SpectralFrame) -> np.ndarray
 
 @functools.lru_cache(maxsize=16)
 def _classical_bases(n: int, m: int, p: int):
-    # building a basis compiles every label, and one expansion needs one item
+    # building a basis compiles every label
     return boehler_scalars(n, m, p), smith_vectors(n, m, p), smith_sym_tensors(n, m, p)
-
-
-def _classical_bases_for(system: TensorSystem):
-    if system.n_nonsym and not all(system.nonsym_skew):
-        raise ValueError("classical bases cover symmetric + skew + vector systems")
-    return _classical_bases(*system.shape())
 
 
 def expand_classical(item_label: str, system: TensorSystem, frame: SpectralFrame):
@@ -185,7 +182,7 @@ def expand_classical(item_label: str, system: TensorSystem, frame: SpectralFrame
     """
     if frame.kind == "svd":
         raise ValueError("classical items are expanded in non-SVD frames")
-    scalars, vectors, tensors = _classical_bases_for(system)
+    scalars, vectors, tensors = _classical_bases(*system.shape())
     comp = rebuild_system(extract_invariants(system, frame))
     for basis in (scalars, vectors, tensors):
         try:
@@ -235,13 +232,10 @@ def check_coaxiality(g_fn, v_mat, tol: float = 1e-10) -> CoaxialityCheck:
 class CoalescenceReport:
     """Behaviour of eigen-coefficients along an eigenvalue-coalescence path."""
 
-    case: str
-    pair: tuple
     eps: tuple
     gaps: tuple
     ratios: tuple
     max_ratio: float
-    t_limit: tuple
     limit_gap: float
     limit_residual: float
     converged: bool
@@ -295,9 +289,8 @@ def coalescence_structure(t_fn, case: str, lam_base, eps_sequence=(),
     else:
         converged = limit_gap <= tol * scale
     return CoalescenceReport(
-        case=case, pair=(i, j, k), eps=eps, gaps=tuple(gaps),
-        ratios=tuple(ratios), max_ratio=float(max(ratios)) if ratios else 0.0,
-        t_limit=tuple(float(t) for t in t_star), limit_gap=limit_gap,
+        eps=eps, gaps=tuple(gaps), ratios=tuple(ratios),
+        max_ratio=float(max(ratios)) if ratios else 0.0, limit_gap=limit_gap,
         limit_residual=limit_residual, converged=converged,
         canonical_ok=limit_residual <= tol * scale and limit_gap <= tol * scale)
 
@@ -310,8 +303,6 @@ def coalescence_structure(t_fn, case: str, lam_base, eps_sequence=(),
 class PPropertyReport:
     """Permutation symmetry and gauge independence of a spectral function."""
 
-    candidate: str
-    case: str
     permutation_deviation: float
     gauge_deviation: float
     tolerance: float
@@ -361,8 +352,7 @@ def regauge_frame(frame: SpectralFrame, group, rng) -> SpectralFrame:
 
 
 def check_p_property(w_hat, system_template: TensorSystem, degeneracy_case: str,
-                     trials: int = 50, rng=None, tol: float = 1e-9,
-                     candidate: str | None = None) -> PPropertyReport:
+                     trials: int = 50, rng=None, tol: float = 1e-9) -> PPropertyReport:
     """Test a function of spectral invariants for slot-permutation symmetry
     and for independence of the eigenvector choice inside a degenerate
     eigenspace.
@@ -400,8 +390,7 @@ def check_p_property(w_hat, system_template: TensorSystem, degeneracy_case: str,
         gauged = regauge_frame(frame, group, rng)
         val = float(w_hat(extract_invariants(system_template, gauged)))
         gauge_dev = max(gauge_dev, abs(val - base) / norm)
-    name = candidate or getattr(w_hat, "__name__", "<anonymous>")
-    return PPropertyReport(name, degeneracy_case, perm_dev, gauge_dev, tol, trials)
+    return PPropertyReport(perm_dev, gauge_dev, tol, trials)
 
 
 # ---------------------------------------------------------------------------

@@ -283,8 +283,7 @@ def build_frame(system: TensorSystem) -> SpectralFrame:
         h = system.nonsym[0]
         if np.abs(h).max() == 0.0:
             raise DegenerateInputError("frame tensor is zero")
-        gram = h @ h.T
-        lams, v, groups = eig_sym(0.5 * (gram + gram.T))
+        lams, v, groups = eig_sym(h @ h.T)
         lams = np.clip(lams, 0.0, None)
         v, _ = _apply_equivariant_gauge(system, "gram", v)
         return _frozen_frame("gram", lams, v, None, groups)

@@ -246,20 +246,17 @@ def test_criterion_06_gradient_formulas():
     # exact trivial cases (analytic spectral partials)
     sys_v = tensor_system(vecs=[rng.standard_normal(3)])
     g = grad_vector(lambda s: float(s.vecs[0] @ s.vecs[0]), sys_v,
-                    d_lam=lambda lam, v1: 2.0 * lam,
-                    d_v1=lambda lam, v1: np.zeros(3))
+                    partials=lambda lam, v1: (2.0 * lam, np.zeros(3)))
     assert np.abs(g - 2.0 * sys_v.vecs[0]).max() <= 1e-12
     m = rng.standard_normal((3, 3))
     sys_s = tensor_system(sym=[m @ m.T + np.eye(3)])
     g = grad_sym_tensor(lambda s: float(np.trace(s.sym[0] @ s.sym[0])), sys_s,
-                        d_lams=lambda lams, v: 2.0 * lams,
-                        d_frame=lambda lams, v: np.zeros((3, 3)))
+                        partials=lambda lams, v: (2.0 * lams, np.zeros((3, 3))))
     assert np.abs(g - 2.0 * sys_s.sym[0]).max() <= 1e-12
     sys_f = tensor_system(nonsym=[rng.standard_normal((3, 3))])
     g = grad_nonsym_tensor(lambda s: float(np.sum(s.nonsym[0] ** 2)), sys_f,
-                           d_lams=lambda sv, v, u: 2.0 * sv,
-                           d_v_frame=lambda sv, v, u: np.zeros((3, 3)),
-                           d_u_frame=lambda sv, v, u: np.zeros((3, 3)))
+                           partials=lambda sv, v, u: (2.0 * sv, np.zeros((3, 3)),
+                                                      np.zeros((3, 3))))
     assert np.abs(g - 2.0 * sys_f.nonsym[0]).max() <= 1e-12
     # ten seeded functions per formula against the entry-wise FD oracle
     for k in range(10):
@@ -355,8 +352,7 @@ def test_criterion_08_p_property():
     dyad_sys = tensor_system(sym=[np.outer(a, a), 0.5 * (m + m.T)])
     for name, fn in example2_invariants():
         rep = check_p_property(fn, dyad_sys, "pair", trials=50,
-                               rng=np.random.default_rng(SEED + 3), tol=1e-10,
-                               candidate=name)
+                               rng=np.random.default_rng(SEED + 3), tol=1e-10)
         assert rep.passed, name
     raw = lambda inv: inv["a1[1]"]
     rep = check_p_property(raw, pair_sys, "pair", trials=50,

@@ -219,6 +219,26 @@ class TestStackedEvaluation:
             with pytest.raises(ValueError):
                 basis.evaluate([good, bad])
 
+    def test_item_is_its_row_of_the_basis(self):
+        sys0 = golden_system()
+        for make in BUILDERS.values():
+            basis = make(3, 3, 3)
+            for item, value in zip(basis.items, basis.evaluate(sys0)):
+                assert np.array_equal(item.fn(sys0), value), item.label
+
+    def test_item_rejects_a_system_of_another_shape(self):
+        # an item checks the system the way its basis does
+        rng = np.random.default_rng(223)
+        good = random_system(rng, 1, 1, 1)
+        general = tensor_system(sym=good.sym, nonsym=good.nonsym, skew=[False],
+                                vecs=good.vecs)
+        for make in BUILDERS.values():
+            item = make(1, 1, 1).items[0]
+            item.fn(good)
+            for bad in (random_system(rng, 2, 1, 1), random_system(rng, 1, 0, 1), general):
+                with pytest.raises(ValueError):
+                    item.fn(bad)
+
     @pytest.mark.parametrize("label,kind", [("a1-A1", "vector"), ("tr(a1)", "scalar"),
                                             ("A1xA2", "sym_tensor"), ("tr(A1)-A1", "scalar")])
     def test_rank_mismatch_rejected(self, label, kind):

@@ -232,6 +232,38 @@ class TestScaleRobustness:
         w = np.array([[0.0, 1.7e308, 0.0], [-1.7e308, 0.0, 2.0], [0.0, -2.0, 0.0]])
         np.testing.assert_array_equal(skew_matrix(w), w)
 
+    def test_conjugate_near_overflow_stays_finite(self):
+        # re-symmetrizing through 0.5 * (m + m.T) overflowed to inf here
+        sys1 = conjugate(haar_rotation(np.random.default_rng(0)),
+                         tensor_system(sym=[self.HUGE]))
+        assert np.isfinite(sys1.sym[0]).all()
+        assert np.array_equal(sys1.sym[0], sys1.sym[0].T)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_conjugate_rejects_an_overflowing_rotation(self):
+        sys0 = tensor_system(sym=[np.full((3, 3), 1.7e308)])
+        with pytest.raises(ValueError, match=r"^a rotated member is not finite$"):
+            conjugate(haar_rotation(np.random.default_rng(0)), sys0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_norm_rescales_where_the_squares_overflow(self):
+        for scale in (1e160, 1e200, 1e300):
+            for x in (np.array([3.0, -4.0, 0.0]), np.array([[0.0, 3.0, 0.0]] * 3)):
+                want = scale * np.linalg.norm(x)
+                assert abs(_norm(scale * x) - want) <= 1e-15 * want
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_norm_of_an_infinite_entry_is_inf(self):
+        assert _norm(np.array([np.inf, 0.0, 0.0])) == np.inf
+        assert _norm(np.array([-np.inf, 1e200, 1.0])) == np.inf
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_rotation_matrix_rejects_a_q_whose_gram_overflows(self):
+        # q q^T - I is diag(inf, -1, 0), and det(q) rounds to about 1
+        with pytest.raises(ValueError, match="matrix is not orthogonal"):
+            rotation_matrix(np.diag([1e200, 1e-200, 1.0]))
+
 
 class TestHaarRotation:
     def test_is_rotation(self):

@@ -41,8 +41,7 @@ class TestGradVector:
         rng = np.random.default_rng(307)
         sys0 = tensor_system(vecs=[rng.standard_normal(3)])
         w = lambda s: float(s.vecs[0] @ s.vecs[0])
-        g = grad_vector(w, sys0, d_lam=lambda lam, v1: 2.0 * lam,
-                        d_v1=lambda lam, v1: np.zeros(3))
+        g = grad_vector(w, sys0, partials=lambda lam, v1: (2.0 * lam, np.zeros(3)))
         assert rel_err(g, 2.0 * sys0.vecs[0]) <= 1e-12
 
     def test_linear_form(self):
@@ -50,8 +49,7 @@ class TestGradVector:
         k = rng.standard_normal(3)
         sys0 = tensor_system(vecs=[rng.standard_normal(3)])
         w = lambda s: float(k @ s.vecs[0])
-        g = grad_vector(w, sys0, d_lam=lambda lam, v1: float(k @ v1),
-                        d_v1=lambda lam, v1: lam * k)
+        g = grad_vector(w, sys0, partials=lambda lam, v1: (float(k @ v1), lam * k))
         assert rel_err(g, k) <= 1e-12
         g_fd = grad_vector(w, sys0)
         assert rel_err(g_fd, k) <= 1e-6
@@ -79,8 +77,7 @@ class TestGradSymTensor:
         sys0 = tensor_system(sym=[v_mat])
         w = lambda s: float(np.trace(s.sym[0] @ s.sym[0]))
         g = grad_sym_tensor(w, sys0,
-                            d_lams=lambda lams, v: 2.0 * lams,
-                            d_frame=lambda lams, v: np.zeros((3, 3)))
+                            partials=lambda lams, v: (2.0 * lams, np.zeros((3, 3))))
         assert rel_err(g, 2.0 * v_mat) <= 1e-12
         assert np.array_equal(g, g.T)
 
@@ -127,9 +124,8 @@ class TestGradNonsymTensor:
         sys0 = tensor_system(nonsym=[f])
         w = lambda s: float(np.sum(s.nonsym[0] * s.nonsym[0]))
         g = grad_nonsym_tensor(w, sys0,
-                               d_lams=lambda sv, v, u: 2.0 * sv,
-                               d_v_frame=lambda sv, v, u: np.zeros((3, 3)),
-                               d_u_frame=lambda sv, v, u: np.zeros((3, 3)))
+                               partials=lambda sv, v, u: (2.0 * sv, np.zeros((3, 3)),
+                                                          np.zeros((3, 3))))
         assert rel_err(g, 2.0 * f) <= 1e-12
 
     def test_determinant_identity(self):
@@ -150,8 +146,10 @@ class TestGradNonsymTensor:
             assert rel_err(g, ref) <= 1e-6
 
     def test_coalescent_singular_values_rejected(self):
+        # one gap check serves both tensor gradients, each with its own word
         sys0 = tensor_system(nonsym=[np.eye(3)])
-        with pytest.raises(DegenerateConfigurationError):
+        with pytest.raises(DegenerateConfigurationError,
+                           match=r"^singular values 1 and 2 coalesce \(gap 0\.000e\+00 <= "):
             grad_nonsym_tensor(lambda s: 0.0, sys0)
 
 
@@ -399,6 +397,7 @@ class TestHyperelastic:
         ([np.nan, 0.0, 0.0], "vector has non-finite entries"),
         ([[1.0, 0.0, 0.0]], r"vector must have shape \(3,\), got \(1, 3\)"),
         ([1.0, 0.0, 0.0, 0.0], r"vector must have shape \(3,\), got \(4,\)"),
+        ([1.5, 0.0, 0.0], r"^unit-flagged vector has norm 1\.5$"),
     ])
     def test_rejects_malformed_direction(self, a, message):
         model = polynomial_ti_model([1.0] + [0.0] * 7)

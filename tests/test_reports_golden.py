@@ -12,7 +12,10 @@ The extra runs widen the tripwire past the two seeds: the full rank sweep at
 two more seeds, a longer gradients run, and single rank configurations that
 reach the SVD list, skew tensors, unit vectors and general tensors.  The
 ``--p 3`` run exits 1, pinned as it stands (the vector-only defect, ROADMAP
-item 9).
+item 9).  The ``--input`` runs read system files from ``tests/data``, named
+in the record by file name only: one with a general non-symmetric tensor,
+which no classical list covers, and one with a skew tensor, which the
+classical lists cover.
 
 Regenerate (only when a change of report bytes is intended and tabled) with
 ``PYTHONPATH=src python tests/test_reports_golden.py``.
@@ -27,7 +30,8 @@ import pytest
 from conftest import run_verify
 from isotropykit.cli import SUITES
 
-PATH = Path(__file__).parent / "data" / "reports_sha256.json"
+DATA = Path(__file__).parent / "data"
+PATH = DATA / "reports_sha256.json"
 SEEDS = (0, 7)
 EXTRA = (
     ("rank", 3), ("rank", 11),
@@ -38,12 +42,24 @@ EXTRA = (
     ("rank", 3, "--m", "2", "--p", "1"),
     ("rank", 3, "--m", "2", "--p", "1", "--svd"),
     ("rank", 3, "--p", "3"),
+    ("isotropy", 0, "--input", "input_general.json"),
+    ("isotropy", 0, "--input", "input_skew.json"),
+    ("rank", 0, "--input", "input_general.json"),
+    ("rank", 0, "--input", "input_skew.json"),
 )
 RUNS = tuple((suite, seed) for suite in SUITES for seed in SEEDS) + EXTRA
 
 
 def _key(suite, seed, *argv):
     return " ".join((f"{suite}/{seed}", *argv))
+
+
+def _run(report, suite, seed, *argv):
+    # ``report`` (``run_verify`` or its cached fixture) with each ``--input``
+    # file name resolved in the data directory
+    argv = [str(DATA / a) if prev == "--input" else a
+            for prev, a in zip(("",) + argv, argv)]
+    return report(suite, seed, *argv)
 
 
 def _digests(code, report, stdout):
@@ -53,7 +69,7 @@ def _digests(code, report, stdout):
 
 
 def record():
-    return {_key(*run): _digests(*run_verify(*run)) for run in RUNS}
+    return {_key(*run): _digests(*_run(run_verify, *run)) for run in RUNS}
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +90,7 @@ def test_report_bytes_match_record(verify_report, recorded, suite, seed):
 @pytest.mark.parametrize("run", EXTRA,
                          ids=lambda run: "-".join(str(a).lstrip("-") for a in run))
 def test_extra_run_bytes_match_record(verify_report, recorded, run):
-    assert _digests(*verify_report(*run)) == recorded[_key(*run)]
+    assert _digests(*_run(verify_report, *run)) == recorded[_key(*run)]
 
 
 if __name__ == "__main__":

@@ -4,7 +4,13 @@ and eigenvector-gauge independence."""
 import numpy as np
 import pytest
 
-from isotropykit.lin3 import conjugate, haar_rotation, tensor_system
+from isotropykit.lin3 import (
+    conjugate,
+    haar_rotation,
+    skew_matrix,
+    sym_matrix,
+    tensor_system,
+)
 from isotropykit.classical_bases import boehler_scalars, smith_sym_tensors, smith_vectors
 from isotropykit.representation import (
     check_coaxiality,
@@ -103,6 +109,28 @@ class TestProjections:
         g[0, 1] = 1.0
         with pytest.raises(ValueError, match="^sym6 projection needs a symmetric tensor$"):
             project_tensor(g, fr, "sym6")
+
+    @pytest.mark.parametrize("kind,check", [("sym6", sym_matrix), ("skew3", skew_matrix)])
+    def test_class_check_is_the_constructors(self, kind, check):
+        # mirror defects straddling the 1e-12 * (1 + max|g|) threshold
+        fr = build_frame(random_system(np.random.default_rng(193), 1, 0, 0))
+        sign = 1.0 if kind == "sym6" else -1.0
+        accepted = []
+        for scale in (1e-6, 1.0, 3.0, 1e6):
+            for ratio in (0.5, 0.99, 0.999999, 1.0, 1.000001, 1.01, 2.0):
+                g = scale * np.array([[0.0, 0.7, -0.2], [0.0, 0.0, 0.4], [0.0, 0.0, 0.0]])
+                g = g + sign * g.T + (np.diag([1.0, -0.5, 0.25]) if sign > 0 else 0.0)
+                g[0, 1] += ratio * 1e-12 * (1.0 + np.abs(g).max())
+                results = []
+                for call in (lambda: project_tensor(g, fr, kind), lambda: check(g)):
+                    try:
+                        call()
+                        results.append(True)
+                    except ValueError:
+                        results.append(False)
+                assert results[0] == results[1], (scale, ratio)
+                accepted.append(results[0])
+        assert any(accepted) and not all(accepted)
 
     @pytest.mark.parametrize("call,message", [
         (lambda fr: project_tensor(np.diag([1.0, np.nan, 1.0]), fr, "sym6"),
@@ -247,6 +275,14 @@ class TestExpandClassical:
         sys0 = tensor_system(sym=[np.eye(3)])
         with pytest.raises(KeyError):
             expand_classical("tr(B9)", sys0, build_frame(sys0))
+
+    def test_general_tensor_rejected(self):
+        # no classical list covers a general non-symmetric tensor
+        rng = np.random.default_rng(241)
+        sys0 = tensor_system(sym=[np.diag([3.0, 2.0, 1.0])],
+                             nonsym=[rng.standard_normal((3, 3))])
+        with pytest.raises(ValueError, match="^classical bases cover skew tensors only$"):
+            expand_classical("tr(A1)", sys0, build_frame(sys0))
 
 
 class TestCoaxiality:
@@ -429,7 +465,7 @@ class TestPProperty:
         sys0 = self.pair_template(rng)
         raw = lambda inv: inv["a1[1]"]
         rep = check_p_property(raw, sys0, "pair", trials=50,
-                               rng=np.random.default_rng(3), candidate="a1[1]")
+                               rng=np.random.default_rng(3))
         assert not rep.passed
         assert rep.gauge_deviation >= 1e-3
 
@@ -472,8 +508,7 @@ class TestExampleTwo:
         sys0 = tensor_system(sym=[np.outer(a, a), u])
         for name, fn in example2_invariants():
             rep = check_p_property(fn, sys0, "pair", trials=50,
-                                   rng=np.random.default_rng(4), tol=1e-10,
-                                   candidate=name)
+                                   rng=np.random.default_rng(4), tol=1e-10)
             assert rep.passed, (name, rep)
 
     def test_matches_direct_invariants(self):

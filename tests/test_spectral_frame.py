@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isotropykit.analysis import seeded_system
 from isotropykit.lin3 import (
     DegenerateInputError,
     conjugate,
@@ -162,6 +163,20 @@ class TestExtraction:
             rot = conjugate(q, sys0)
             rotated = extract_invariants(rot, build_svd_frame(rot)).values()
             assert np.abs(rotated - base).max() <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_rotation_invariance_above_the_squared_norm_range(self, scale):
+        # the gauge probes are scaled by 1 + |x|; once |x|^2 overflowed, no
+        # probe cleared its threshold and both signs stayed +1
+        sys1 = seeded_system(1, 0, 1, seed=0)
+        sys0 = tensor_system(sym=[scale * sys1.sym[0]], vecs=[scale * sys1.vecs[0]])
+        base = extract_invariants(sys0, build_frame(sys0)).values()
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            rot = conjugate(haar_rotation(rng), sys0)
+            rotated = extract_invariants(rot, build_frame(rot)).values()
+            assert np.abs(rotated - base).max() <= 1e-12 * np.abs(base).max()
 
     def test_ambient_gauge_is_not_invariant(self):
         # negative control for the equivariant gauge: the raw
