@@ -37,6 +37,7 @@ from isotropykit.lin3 import (
     TensorSystem,
     _central,
     _degeneracy_groups,
+    _freeze,
     conjugate,
     haar_rotation,
     tensor_system,
@@ -167,16 +168,31 @@ def ambient_chart(system0: TensorSystem):
     """
     blocks = _chart_blocks(system0)
     dim = sum(len(dirs) for *_, dirs in blocks)
+    # per block, its member at each all-zero coordinate slice met so far: a
+    # central difference moves one block and leaves the others at +0.0 or
+    # -0.0 (t * e at t < 0); keyed by the slice's bytes, so no -0.0 stands
+    # in for a +0.0
+    unmoved = [{} for _ in blocks]
 
     def to_system(theta):
         theta = np.asarray(theta, dtype=float)
+        raw, size = theta.tobytes(), theta.itemsize
         pos = 0
         args = {"sym": [], "nonsym": [], "vecs": []}
-        for cls, _, base, unit, dirs in blocks:
-            # the 0/1 dyads place the coordinates themselves, bit for bit
-            x = base + (theta[pos:pos + len(dirs)] @ dirs).reshape(base.shape)
-            pos += len(dirs)
-            args[cls].append(x / np.linalg.norm(x) if unit else x)
+        for (cls, _, base, unit, dirs), known in zip(blocks, unmoved):
+            end = pos + len(dirs)
+            key = raw[pos * size:end * size]
+            x = known.get(key)
+            if x is None:
+                coords = theta[pos:end]
+                # the 0/1 dyads place the coordinates themselves, bit for bit
+                x = base + (coords @ dirs).reshape(base.shape)
+                if unit:
+                    x = x / np.linalg.norm(x)
+                if not coords.any():
+                    known[key] = _freeze(x)
+            pos = end
+            args[cls].append(x)
         return TensorSystem(tuple(args["sym"]), tuple(args["nonsym"]), system0.nonsym_skew,
                             tuple(args["vecs"]), system0.vec_unit)
 

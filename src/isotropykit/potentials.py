@@ -29,10 +29,16 @@ dyads, the nine dyads), with step ``1e-5 (1 + |x|)`` unless the symmetric
 oracle is given ``h``, and halves what a symmetric off-diagonal probe picks
 up.  Every finite difference here, spectral or entry-wise, is the one
 central difference ``lin3._central``.
+
+:func:`hyperelastic_stress` takes the frame coefficients of its two stresses
+straight from the codec (``representation._coefficients``): both are
+exactly symmetric by construction, so the class check of the public
+``project_tensor`` has nothing to reject there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,7 +56,7 @@ from isotropykit.lin3 import (
     svd3,
     tensor_system,
 )
-from isotropykit.representation import project_tensor
+from isotropykit.representation import _coefficients
 from isotropykit.spectral_frame import _FULL, _SYM, build_frame, frame_completion
 
 __all__ = [
@@ -93,7 +99,7 @@ def _rotated(triad: np.ndarray, i: int, j: int, theta: float) -> np.ndarray:
 def _check_gaps(values, x, gap_min, word):
     # the off-diagonal terms divide by the pairwise gaps of ``values``
     if gap_min is None:
-        gap_min = 1e-6 * (1.0 + np.linalg.norm(x))
+        gap_min = 1e-6 * (1.0 + _norm(x))
     for i, j in _OFF_PAIRS:
         if values[i] - values[j] <= gap_min:
             raise DegenerateConfigurationError(
@@ -110,7 +116,7 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
     tangential ones along renormalized perturbations of ``v1``.
     """
     a = system.vecs[0]
-    lam = float(np.linalg.norm(a))
+    lam = _norm(a)
     if lam <= 1e-12:
         raise DegenerateConfigurationError(
             "vector argument is zero; the spectral gradient divides by |a|")
@@ -128,7 +134,7 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
 
         def tilted(e, t):
             p = v1 + t * e
-            return p / np.linalg.norm(p)
+            return p / _norm(p)
 
         dlam = _central(lambda t: w_at(lam + t, v1), h)
         t2, t3 = (_central(lambda t: w_at(lam, tilted(e, t)), h) for e in (v2, v3))
@@ -197,10 +203,15 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
             anti_v.append(_central(lambda t: w_at(sv, _rotated(v, i, j, t), u), h))
             anti_u.append(_central(lambda t: w_at(sv, v, _rotated(u, i, j, t)), h))
     out = sum(dlam[i] * np.outer(v[i], u[i]) for i in range(3))
+    # the off-diagonal coefficients are homogeneous of degree -1 in sv; where
+    # a square could leave the double range they are taken at sv scaled by
+    # the power of two ``s`` that puts sv[0] in [0.5, 1), and scaled back
+    s = 1.0 if 1e-150 < sv[0] < 1e150 else 2.0 ** -math.frexp(sv[0])[1]
+    w = sv * s
     for (i, j), av, au in zip(_OFF_PAIRS, anti_v, anti_u):
-        denom = sv[i] ** 2 - sv[j] ** 2
-        out = out + ((sv[i] * au + sv[j] * av) / denom) * np.outer(v[i], u[j])
-        out = out + ((sv[j] * au + sv[i] * av) / denom) * np.outer(v[j], u[i])
+        denom = w[i] ** 2 - w[j] ** 2
+        out = out + ((w[i] * au + w[j] * av) / denom * s) * np.outer(v[i], u[j])
+        out = out + ((w[j] * au + w[i] * av) / denom * s) * np.outer(v[j], u[i])
     return out
 
 
@@ -214,7 +225,7 @@ def _fd_grad(W, system, cls, dirs, h=None):
     # ``1e-5 (1 + |x|)`` unless ``h`` is given
     x = getattr(system, cls)[0]
     if h is None:
-        h = 1e-5 * (1.0 + np.linalg.norm(x))
+        h = 1e-5 * (1.0 + _norm(x))
     d = np.array([_central(lambda t: float(W(_with_arg(system, cls, x + t * e))), h)
                   for e in dirs.reshape((len(dirs),) + x.shape)])
     # dW = tr(G^T dX): a probe that moves n entries picks up n of them, so a
@@ -358,8 +369,9 @@ def hyperelastic_stress(model: HyperelasticModel, c_mat, a) -> HyperelasticStres
     s_rep = t_eye + t_l + t_c + t_c2 + t_cl + alphas[5] * (c2l + l_mat @ c2)
     s_pot, s_rep = _resym(s_pot), _resym(s_rep)
     residual = _norm(s_pot - s_rep)
-    coeff_pot = project_tensor(s_pot, frame, "sym6").values
-    coeff_rep = project_tensor(s_rep, frame, "sym6").values
+    # both stresses are exactly symmetric: the codec needs no class check
+    coeff_pot = _coefficients("sym6", s_pot, frame.v).values
+    coeff_rep = _coefficients("sym6", s_rep, frame.v).values
     coeff_max_diff = max(abs(p - r) for p, r in zip(coeff_pot, coeff_rep))
     return HyperelasticStress(s_pot, s_rep, residual, alphas,
                               coeff_pot, coeff_rep, coeff_max_diff)

@@ -267,6 +267,18 @@ def _apply_equivariant_gauge(system, kind, v, u=None):
 # frame construction
 
 
+# the last frame built, with its system's content key, as one tuple so that
+# the slot is never half-written
+_last_frame = (None, None)
+
+
+def _content_key(system: TensorSystem) -> tuple:
+    # the member counts per class, the flags and the bytes of every member:
+    # the gauge probes read every member, so all of it decides the frame
+    return (len(system.sym), len(system.nonsym), len(system.vecs), system.nonsym_skew,
+            system.vec_unit, *(x.tobytes() for x in system.sym + system.nonsym + system.vecs))
+
+
 def build_frame(system: TensorSystem) -> SpectralFrame:
     """Build the spectral frame for a system.
 
@@ -274,7 +286,25 @@ def build_frame(system: TensorSystem) -> SpectralFrame:
     otherwise the eigenbasis of ``H1 @ H1.T`` if a non-symmetric tensor is
     present; otherwise the frame carried by the first vector, with
     ``lambdas[0] = a1 . a1`` and ``v[0] = a1 / sqrt(lambda)``.
+
+    One slot remembers the last frame built.  Its key is the system's exact
+    content (member counts per class, skew and unit flags, the bytes of every
+    member), so a system equal bit for bit to the last one gets the same
+    (immutable) frame back without a second decomposition.  That is the
+    finite-element pattern: a material point asks for its invariants, then
+    for its stress, and both decompose the same system.
     """
+    global _last_frame
+    key = _content_key(system)
+    last_key, frame = _last_frame
+    if key == last_key:
+        return frame
+    frame = _frame_of(system)
+    _last_frame = (key, frame)
+    return frame
+
+
+def _frame_of(system: TensorSystem) -> SpectralFrame:
     if system.n_sym >= 1:
         lams, v, groups = eig_sym(system.sym[0])
         v, _ = _apply_equivariant_gauge(system, "sym_tensor", v)

@@ -293,6 +293,46 @@ def _sweep_cases():
             yield n, m, p, skew, unit, True
 
 
+def _chart_point(system0, theta):
+    # the chart as one formula: every block at ``base + coords @ dirs``, a
+    # unit vector renormalized
+    members, pos = [], 0
+    for _, _, base, unit, dirs in analysis._chart_blocks(system0):
+        x = base + (theta[pos:pos + len(dirs)] @ dirs).reshape(base.shape)
+        members.append(x / np.linalg.norm(x) if unit else x)
+        pos += len(dirs)
+    return members
+
+
+class TestAmbientChart:
+    @staticmethod
+    def _signed_zero_base():
+        # -0.0 in a symmetric and a general tensor and in a vector
+        a = np.diag([3.0, 2.0, 1.0])
+        a[0, 1] = a[1, 0] = -0.0
+        h = np.arange(9.0).reshape(3, 3) - 4.0
+        h[2, 0] = -0.0
+        return tensor_system(sym=[a], nonsym=[h], vecs=[[1.0, -0.0, 2.0]])
+
+    def test_every_fd_point_is_the_chart_formula(self):
+        # each central-difference point, and the points again, bit for bit,
+        # signed zeros and renormalized unit vectors included
+        bases = [analysis._unit_scaled(seeded_system(n, m, p, skew=skew, unit=unit,
+                                                     seed=0))
+                 for n, m, p, skew, unit in _rank_configs()]
+        for sys0 in bases + [self._signed_zero_base()]:
+            dim, to_system = analysis.ambient_chart(sys0)
+            points = [t * e for _ in range(2) for e in np.eye(dim)
+                      for t in (analysis._FD_STEP, -analysis._FD_STEP)]
+            for theta in points + [np.zeros(dim), -np.zeros(dim)]:
+                got = to_system(theta)
+                members = got.sym + got.nonsym + got.vecs
+                ref = _chart_point(sys0, theta)
+                assert [x.tobytes() for x in members] == [x.tobytes() for x in ref]
+                assert got.nonsym_skew == sys0.nonsym_skew
+                assert got.vec_unit == sys0.vec_unit
+
+
 class TestExactColumns:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_match_central_differences(self, seed):

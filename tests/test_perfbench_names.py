@@ -9,8 +9,10 @@ The benchmark also gates every verify suite on the claim ids and skips listed
 in ``perfbench/claims_manifest.json``, which is read here and never written;
 the reports come from the session fixture ``verify_report`` of ``conftest.py``.
 The tracer counts the chart evaluations of ``analysis.jacobian_rank`` through
-the ``(dim, to_system)`` pair of ``analysis.ambient_chart``, and looks up
-every name in a traced module's ``__all__``.
+the ``(dim, to_system)`` pair of ``analysis.ambient_chart``, counts the
+eigendecompositions of a frame at the public ``lin3.eig_sym`` that
+``spectral_frame`` imports, and looks up every name in a traced module's
+``__all__``.
 """
 
 import ast
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 
 import isotropykit
-from isotropykit import analysis
+from isotropykit import analysis, lin3, potentials, spectral_frame
 from isotropykit.classical_bases import boehler_scalars
 from isotropykit.cli import SUITES
 from isotropykit.lin3 import TensorSystem
@@ -118,3 +120,25 @@ def test_chart_pair_carries_every_fd_point(monkeypatch):
     made.clear()
     analysis.jacobian_rank(analysis.spectral_values_fn(), sys0)
     assert len(made) == 2 * 6  # the source tensor's coordinates only
+
+
+def test_frames_decompose_through_the_public_eig_sym(monkeypatch):
+    # ``lin3.eig_sym.calls`` and ``lin3.eig_sym_per_point`` count the frames
+    # built: one call per frame memo miss, none per hit, and so exactly one
+    # for a material point's invariants and stress
+    assert spectral_frame.eig_sym is lin3.eig_sym
+    calls = []
+    monkeypatch.setattr(spectral_frame, "_last_frame", (None, None))
+    monkeypatch.setattr(spectral_frame, "eig_sym",
+                        lambda a: calls.append(a) or lin3.eig_sym(a))
+    c_mat, a = np.diag([1.3, 1.1, 0.9]), np.array([0.6, 0.0, 0.8])
+    c_mat[0, 2] = c_mat[2, 0] = 0.1
+    system = lin3.tensor_system(sym=[c_mat], vecs=[a], unit=[True])
+    frame = spectral_frame.build_frame(system)
+    assert len(calls) == 1
+    assert spectral_frame.build_frame(system) is frame and len(calls) == 1
+    spectral_frame.extract_invariants(system, frame)
+    potentials.hyperelastic_stress(potentials.polynomial_ti_model([1.0] * 8), c_mat, a)
+    assert len(calls) == 1
+    spectral_frame.build_frame(lin3.tensor_system(sym=[2.0 * c_mat]))
+    assert len(calls) == 2

@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from isotropykit import spectral_frame
 from isotropykit.lin3 import (
     DegenerateConfigurationError,
     conjugate,
+    eig_sym,
     haar_rotation,
     tensor_system,
 )
@@ -69,6 +71,15 @@ class TestGradVector:
         with pytest.raises(DegenerateConfigurationError):
             grad_vector(lambda s: 0.0, sys0)
 
+    def test_above_the_squared_norm_range(self):
+        # |a|^2 overflows; |a| and the gradient do not
+        k = np.array([0.5, -1.0, 2.0])
+        sys0 = tensor_system(vecs=[np.array([1.0, 2.0, -2.0]) * 1e160])
+        w = lambda s: float(k @ s.vecs[0])
+        g = grad_vector(w, sys0, partials=lambda lam, v1: (float(k @ v1), lam * k))
+        assert rel_err(g, k) <= 1e-12
+        assert rel_err(fd_grad_vector(w, sys0), k) <= 1e-6
+
 
 class TestGradSymTensor:
     def test_trace_square_exact(self):
@@ -107,6 +118,13 @@ class TestGradSymTensor:
         with pytest.raises(DegenerateConfigurationError) as err:
             grad_sym_tensor(lambda s: 0.0, sys0)
         assert "1 and 2" in str(err.value)
+
+    def test_gap_check_above_the_squared_norm_range(self):
+        # the gaps are 1e160 apart; a gap floor from an overflowed norm is inf
+        sys0 = tensor_system(sym=[np.diag([3.0, 2.0, 1.0]) * 1e160])
+        w = lambda s: float(np.trace(s.sym[0]))
+        assert rel_err(grad_sym_tensor(w, sys0), np.eye(3)) <= 1e-6
+        assert rel_err(fd_grad_sym_tensor(w, sys0), np.eye(3)) <= 1e-6
 
     def test_depends_on_other_arguments(self):
         rng = np.random.default_rng(347)
@@ -151,6 +169,20 @@ class TestGradNonsymTensor:
         with pytest.raises(DegenerateConfigurationError,
                            match=r"^singular values 1 and 2 coalesce \(gap 0\.000e\+00 <= "):
             grad_nonsym_tensor(lambda s: 0.0, sys0)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_above_the_squared_norm_range(self, rotated):
+        # the gap floor and the squared singular values overflow at this size
+        rng = np.random.default_rng(359)
+        q1, q2 = (haar_rotation(rng) if rotated else np.eye(3) for _ in range(2))
+        sys0 = tensor_system(nonsym=[q1 @ np.diag([3.0, 2.0, 1.0]) @ q2.T * 1e160])
+        w = lambda s: float(np.trace(s.nonsym[0]))
+        # W = sum sv_i v_i . u_i
+        partials = lambda sv, v, u: (np.einsum("ij,ij->i", v, u), sv[:, None] * (u @ v.T),
+                                     sv[:, None] * (v @ u.T))
+        g = grad_nonsym_tensor(w, sys0, partials=partials)
+        assert rel_err(g, np.eye(3)) <= 1e-12
+        assert rel_err(fd_grad_nonsym_tensor(w, sys0), np.eye(3)) <= 1e-6
 
 
 # the entry-wise oracles as three loops over the entries, without the codec:
@@ -403,6 +435,26 @@ class TestHyperelastic:
         model = polynomial_ti_model([1.0] + [0.0] * 7)
         with pytest.raises(ValueError, match=message):
             hyperelastic_stress(model, np.eye(3), a)
+
+    @pytest.mark.parametrize("c_mat, a, message", [
+        (np.diag([1.0, 1.0, -1.0]), [1.0, 0.0, 0.0], "^C must be symmetric positive-definite$"),
+        (np.eye(3), [1.5, 0.0, 0.0], r"^unit-flagged vector has norm 1\.5$"),
+        (np.eye(3), [np.nan, 0.0, 0.0], "^vector has non-finite entries$"),
+    ])
+    def test_rejects_bad_input_after_its_frame_was_built(self, monkeypatch, c_mat, a,
+                                                         message):
+        # the frame memo holds this C with a unit fibre (the very system, for
+        # the indefinite C): the stress still sees every check
+        calls = []
+        monkeypatch.setattr(spectral_frame, "eig_sym",
+                            lambda x: calls.append(x) or eig_sym(x))
+        primed = spectral_frame.build_frame(
+            tensor_system(sym=[c_mat], vecs=[[1.0, 0.0, 0.0]], unit=[True]))
+        calls.clear()
+        model = polynomial_ti_model([1.0] + [0.0] * 7)
+        with pytest.raises(ValueError, match=message):
+            hyperelastic_stress(model, c_mat, a)
+        assert spectral_frame._last_frame[1] is primed and calls == []
 
     def test_rejects_nonfinite_c(self):
         model = polynomial_ti_model([1.0] + [0.0] * 7)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isotropykit import spectral_frame
 from isotropykit.analysis import seeded_system
 from isotropykit.lin3 import (
     DegenerateInputError,
@@ -74,6 +75,90 @@ class TestBuildFrame:
         sys0 = tensor_system(nonsym=[np.zeros((3, 3))])
         with pytest.raises(DegenerateInputError):
             build_frame(sys0)
+
+
+def _hex(frame):
+    arrays = (frame.lambdas, frame.v) + (() if frame.u is None else (frame.u,))
+    return (frame.kind, frame.degeneracy, frame.u is None,
+            [float.hex(x) for a in arrays for x in a.ravel().tolist()])
+
+
+def _moved(system, cls, index, entry, value):
+    # ``system`` with one entry of one member set to ``value`` (both mirror
+    # entries of a symmetric tensor), through the validation boundary
+    args = {"sym": list(system.sym), "nonsym": list(system.nonsym),
+            "vecs": list(system.vecs)}
+    x = args[cls][index].copy()
+    x[entry] = value
+    if cls == "sym":
+        x[entry[::-1]] = value
+    args[cls][index] = x
+    return tensor_system(sym=args["sym"], nonsym=args["nonsym"], skew=system.nonsym_skew,
+                         vecs=args["vecs"], unit=system.vec_unit)
+
+
+class TestFrameMemo:
+    @pytest.fixture(autouse=True)
+    def eig_calls(self, monkeypatch):
+        """Calls of the eigensolver behind ``build_frame``, from an empty memo."""
+        calls = []
+        monkeypatch.setattr(spectral_frame, "_last_frame", (None, None))
+        monkeypatch.setattr(spectral_frame, "eig_sym",
+                            lambda a: calls.append(a) or eig_sym(a))
+        return calls
+
+    def test_hit_is_the_same_frame_as_a_fresh_build(self, eig_calls, monkeypatch):
+        sys0 = seeded_system(2, 1, 1, seed=3)
+        first = build_frame(sys0)
+        # equal content, other arrays
+        again = build_frame(_moved(sys0, "vecs", 0, 0, sys0.vecs[0][0]))
+        assert again is first and len(eig_calls) == 1
+        monkeypatch.setattr(spectral_frame, "_last_frame", (None, None))
+        fresh = build_frame(sys0)
+        assert fresh is not first and _hex(fresh) == _hex(first)
+
+    @pytest.mark.parametrize("change", ["ulp", "skew", "unit", "zero-sign", "class"])
+    def test_any_content_change_misses(self, eig_calls, monkeypatch, change):
+        a = np.diag([3.0, 2.0, 1.0])
+        a[0, 1] = a[1, 0] = 0.5
+        w = np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 3.0], [2.0, -3.0, 0.0]])
+        b = np.array([[1.0, 0.25, 0.0], [0.25, -1.0, 0.5], [0.0, 0.5, 2.0]])
+        vec = [0.6, 0.0, 0.8]
+        base = tensor_system(sym=[a, b], nonsym=[w], skew=[True], vecs=[vec],
+                             unit=[True])
+        other = {
+            # the last bit of a member that is not the frame source
+            "ulp": _moved(base, "sym", 1, (2, 2), np.nextafter(2.0, 3.0)),
+            "skew": tensor_system(sym=[a, b], nonsym=[w], skew=[False], vecs=[vec],
+                                  unit=[True]),
+            "unit": tensor_system(sym=[a, b], nonsym=[w], skew=[True], vecs=[vec],
+                                  unit=[False]),
+            "zero-sign": _moved(base, "vecs", 0, 1, -0.0),
+            # the same bytes in the same order, one member in another class
+            "class": tensor_system(sym=[a], nonsym=[b, w], skew=[False, True],
+                                   vecs=[vec], unit=[True]),
+        }[change]
+        build_frame(base)
+        frame = build_frame(other)
+        assert len(eig_calls) == 2
+        monkeypatch.setattr(spectral_frame, "_last_frame", (None, None))
+        assert _hex(frame) == _hex(build_frame(other))
+
+    def test_alternating_systems_get_their_own_frames(self, eig_calls, monkeypatch):
+        sys_a, sys_b = seeded_system(1, 0, 2, seed=1), seeded_system(1, 0, 2, seed=2)
+        frame_a, frame_b, frame_a2 = map(build_frame, (sys_a, sys_b, sys_a))
+        assert len(eig_calls) == 3
+        for system, frame in ((sys_a, frame_a2), (sys_b, frame_b)):
+            monkeypatch.setattr(spectral_frame, "_last_frame", (None, None))
+            assert _hex(frame) == _hex(build_frame(system))
+        assert _hex(frame_a) == _hex(frame_a2)
+
+    def test_failed_build_is_not_remembered(self, eig_calls):
+        zero = tensor_system(nonsym=[np.zeros((3, 3))])
+        for _ in range(2):
+            with pytest.raises(DegenerateInputError):
+                build_frame(zero)
+        assert spectral_frame._last_frame == (None, None)
 
 
 class TestSvdFrame:
