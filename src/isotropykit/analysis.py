@@ -17,7 +17,8 @@ matrix dimension)`` and the round-off of those differences, ``1e3 * eps *
 max|f(system0)| / step``, so a list of constants has rank 0.
 One base frame is built per check (the list's own, or :func:`build_frame`'s
 for a classical list); its source's eigen- or singular values must stay
-``1e-6 (1 + max)`` apart, or the check raises ``DegenerateConfigurationError``.
+``1e-6 * max`` apart (``lin3._GAP_REL``, the gap the spectral gradients need
+too), or the check raises ``DegenerateConfigurationError``.
 
 Vector-only spectral lists reach rank ``3P - 2``, above the ``ambient - 3``
 of rotation-invariant functions, because their frame completion is a fixed
@@ -33,11 +34,13 @@ import numpy as np
 
 from isotropykit.lin3 import (
     _EYE,
+    _GAP_REL,
     DegenerateConfigurationError,
     TensorSystem,
     _central,
     _degeneracy_groups,
     _freeze,
+    _norms,
     conjugate,
     haar_rotation,
     tensor_system,
@@ -105,15 +108,16 @@ def rotation_deviation(values, rotations, base, kind: str) -> np.ndarray:
     ``values`` their values at each of the T rotated systems (shape
     ``(T, n, ...)``) and ``rotations`` the T rotations.  ``kind`` says how a
     rotation acts on a value: ``"scalar"`` not at all, ``"vector"`` as
-    ``Q g``, ``"sym_tensor"``/``"full_tensor"`` as ``Q G Q^T``.
+    ``Q g``, ``"sym_tensor"``/``"full_tensor"`` as ``Q G Q^T``.  The norms
+    are rescaled where their squares overflow the double range.
     """
     act = _ACTIONS[kind]
     base = np.asarray(base, dtype=float)
     if not (n := len(base)):
         return np.zeros(0)
-    scale = 1.0 + np.linalg.norm(base.reshape(n, -1), axis=1)
+    scale = 1.0 + _norms(base.reshape(n, -1))
     diff = np.asarray(values, dtype=float) - act(np.asarray(rotations), base)
-    return (np.linalg.norm(diff.reshape(len(diff), n, -1), axis=2) / scale).max(axis=0)
+    return (_norms(diff.reshape(len(diff), n, -1)) / scale).max(axis=0)
 
 
 def verify_isotropy(fn, kind: str, system: TensorSystem, trials: int = 100,
@@ -212,13 +216,11 @@ class RankReport:
 
 
 # central-difference step in chart coordinates, the relative singular-value
-# threshold of the rank (scaled by sqrt of the larger Jacobian dimension), its
-# round-off floor per unit of max|f(system0)|, and the relative gap below
-# which a base frame is not generic
+# threshold of the rank (scaled by sqrt of the larger Jacobian dimension) and
+# its round-off floor per unit of max|f(system0)|
 _FD_STEP = 1e-6
 _RANK_THRESHOLD = 1e-7
 _ROUND_OFF = 1e3 * np.finfo(float).eps / _FD_STEP
-_GENERIC_GAP = 1e-6
 
 
 def _jacobian(values_fn, system0: TensorSystem):
@@ -239,7 +241,7 @@ def _jacobian(values_fn, system0: TensorSystem):
     # always group) must fall into as many groups as at a generic point
     heads = np.sqrt(frame.lambdas) if frame.kind in ("gram", "vector") else frame.lambdas
     generic = 2 if frame.kind == "vector" else 3
-    if len(_degeneracy_groups(heads.tolist(), _GENERIC_GAP)) < generic:
+    if len(_degeneracy_groups(heads.tolist(), _GAP_REL)) < generic:
         raise DegenerateConfigurationError(
             f"the {frame.kind} frame's source has coalescent spectral values; "
             "rank would drop spuriously")

@@ -53,6 +53,7 @@ from isotropykit.classical_bases import (
     smith_vectors,
 )
 from isotropykit.lin3 import (
+    _norm,
     conjugate,
     eig_sym,
     haar_rotation,
@@ -209,7 +210,7 @@ def run_reconstruction(seed: int, trials: int = 100, tol: float = 1e-12,
     generator-basis spanning checks."""
     report = VerificationReport("reconstruction", seed, trials, {"tol": tol})
     rng = np.random.default_rng(seed)
-    rel = lambda x, y: np.linalg.norm(x - y) / (1.0 + np.linalg.norm(x))
+    rel = lambda x, y: _norm(x - y) / (1.0 + _norm(x))
     if system is not None:
         n, m, p = system.shape()
         configs = [(f"input-N{n}M{m}P{p}", system)]

@@ -16,11 +16,19 @@ to be finite, correctly shaped and exactly symmetric or skew, which holds
 for every system built by :func:`tensor_system`, :func:`conjugate` or
 ``analysis.ambient_chart``; code behind the boundary does not check them
 again.  Every public function still validates its own arguments.
+
+Every "is this number negligible?" cut-off in the package is one rule,
+:func:`_thr`: ``tol * max(size, sys.float_info.min)``, where ``size`` is the
+norm, or the largest absolute eigen- or singular value, of the argument the
+number is judged against.  Results therefore do not depend on the caller's
+units; the one absolute floor is the smallest normal double, below which a
+size is not trusted (a vector whose squared norm falls there is zero).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +55,13 @@ _EYE = np.eye(3)
 _OFF_PAIRS = ((0, 1), (0, 2), (1, 2))
 _SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _CLASS_TOL = 1e-12  # of the symmetric, skew and rotation checks
-# relative eigen-/singular-value gap below which frame slots form one group
+# relative eigen-/singular-value gap below which frame slots form one group,
+# and relative size below which a gauge probe cannot fix a sign
 _TOL_REL = 1e-8
+# relative gap a formula that divides by an eigen-/singular-value gap needs
+_GAP_REL = 1e-6
+# the smallest normal double: no size counts as smaller
+_FLOOR = sys.float_info.min
 
 
 class DegenerateInputError(ValueError):
@@ -71,6 +84,11 @@ def _as_array(x, shape, name):
     return a
 
 
+def _thr(tol, size):
+    # the cut-off below which a number is negligible against ``size``
+    return tol * max(size, _FLOOR)
+
+
 def _central(f, h):
     # the central difference of ``f`` at 0 with step ``h``; ``f(t)`` perturbs
     # as ``x + t * e``, so ``f(-h)`` evaluates exactly at ``x - h * e``
@@ -84,6 +102,16 @@ def _norm(x) -> float:
     if (s := f @ f) == math.inf and (m := abs(f).max()) != math.inf:
         return m * _norm(f / m)
     return math.sqrt(s)
+
+
+def _norms(x) -> np.ndarray:
+    # np.linalg.norm over the last axis, with :func:`_norm`'s rescale of each
+    # row whose squares overflow
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(x, axis=-1)
+        for k in zip(*np.nonzero(np.isinf(r))):
+            r[k] = _norm(x[k])
+    return r
 
 
 def vec3(x) -> np.ndarray:
@@ -110,21 +138,25 @@ def _resym(a, skew=False):
     return h - h.T if skew else h + h.T
 
 
+def _check_mirror(a, sign, message):
+    # ValueError(message) unless the finite 3x3 ``a`` equals ``sign * a.T`` to
+    # within _CLASS_TOL of its largest entry
+    gap, size = _mirror_defect(a, sign)
+    if gap > _thr(_CLASS_TOL, size):
+        raise ValueError(message)
+
+
 def sym_matrix(x) -> np.ndarray:
     """Return ``x`` exactly symmetrized, rejecting clearly asymmetric input."""
     a = mat3(x)
-    gap, size = _mirror_defect(a, 1.0)
-    if gap > _CLASS_TOL * (1.0 + size):
-        raise ValueError("matrix is not symmetric")
+    _check_mirror(a, 1.0, "matrix is not symmetric")
     return _resym(a)
 
 
 def skew_matrix(x) -> np.ndarray:
     """Return ``x`` exactly skew-symmetrized (zero diagonal), rejecting bad input."""
     a = mat3(x)
-    gap, size = _mirror_defect(a, -1.0)
-    if gap > _CLASS_TOL * (1.0 + size):
-        raise ValueError("matrix is not skew-symmetric")
+    _check_mirror(a, -1.0, "matrix is not skew-symmetric")
     return _resym(a, skew=True)
 
 
@@ -173,7 +205,7 @@ def _fix_sign_convention(rows):
 
 
 def _degeneracy_groups(lams, tol_rel):
-    thr = tol_rel * (1.0 + max(map(abs, lams)))
+    thr = _thr(tol_rel, max(map(abs, lams)))
     groups, cur = [], [0]
     for i in (1, 2):
         if lams[i - 1] - lams[i] <= thr:
@@ -190,8 +222,8 @@ def eig_sym(a):
 
     Returns ``(lams, v, groups)``: eigenvalues sorted descending, matching
     unit eigenvectors as the rows of ``v``, and the degeneracy partition of
-    ``{0, 1, 2}`` grouping eigenvalues closer than ``1e-8 * (1 + max|lam|)``
-    (``_TOL_REL``, the frames' grouping tolerance).
+    ``{0, 1, 2}`` grouping eigenvalues closer than ``1e-8 * max|lam|``
+    (``_TOL_REL``, the frames' grouping tolerance, through :func:`_thr`).
 
     The triad is right-handed with ``v[2] = cross(v[0], v[1])`` and the sign
     of ``v[0]``, ``v[1]`` fixed so their largest-magnitude component is
@@ -299,9 +331,10 @@ def tensor_system(sym=(), nonsym=(), skew=None, vecs=(), unit=None) -> TensorSys
     """Build a validated :class:`TensorSystem`.
 
     ``skew`` and ``unit`` are per-entry flags (default all ``False``).
-    Symmetric/skew tensors are exactly (re)symmetrized after a 1e-12
-    tolerance check; unit-flagged vectors must be within 1e-9 of unit norm
-    and are renormalized exactly.  At least one argument is required.
+    Symmetric/skew tensors are exactly (re)symmetrized after a mirror check
+    relative to their largest entry (1e-12); unit-flagged vectors must be
+    within 1e-9 of unit norm and are renormalized exactly.  At least one
+    argument is required.
     """
     sym = tuple(sym)
     nonsym = tuple(nonsym)

@@ -18,9 +18,14 @@ to that argument then has a closed form in the frame:
 The antisymmetric eigenvector combinations are exactly the derivatives along
 plane rotations of the frame, so the finite-difference fallback rotates the
 triad (staying exactly orthonormal) instead of re-orthogonalizing perturbed
-vectors.  Each gradient also takes one ``partials`` callable that returns all
-of its spectral partials analytically, in which case no finite difference is
-taken and the trivial cases come out exact to roundoff.
+vectors.  Its steps are ``1e-5`` radians for a rotation or tilt and
+``1e-5`` of the size for a length, eigen- or singular value (``lin3._thr``),
+so the fallback is as accurate at every scale.  The closed forms divide by
+the gaps, which must exceed ``1e-6`` of the largest absolute eigen- or
+singular value (``lin3._GAP_REL``) unless ``gap_min`` is given.  Each
+gradient also takes one ``partials`` callable that returns all of its
+spectral partials analytically, in which case no finite difference is taken
+and the trivial cases come out exact to roundoff.
 
 Entry-wise finite-difference oracles (``fd_grad_*``) are provided for
 verification; they never touch frames.  All three are one routine: it steps
@@ -46,12 +51,15 @@ import numpy as np
 
 from isotropykit.lin3 import (
     _EYE,
+    _FLOOR,
+    _GAP_REL,
     _OFF_PAIRS,
     DegenerateConfigurationError,
     TensorSystem,
     _central,
     _norm,
     _resym,
+    _thr,
     eig_sym,
     svd3,
     tensor_system,
@@ -96,10 +104,15 @@ def _rotated(triad: np.ndarray, i: int, j: int, theta: float) -> np.ndarray:
 # spectral-form gradients
 
 
-def _check_gaps(values, x, gap_min, word):
+# the central-difference step of the spectral gradients: radians for a frame
+# rotation, and relative (through ``_thr``) for a length, eigen- or singular value
+_STEP = 1e-5
+
+
+def _check_gaps(values, gap_min, word):
     # the off-diagonal terms divide by the pairwise gaps of ``values``
     if gap_min is None:
-        gap_min = 1e-6 * (1.0 + _norm(x))
+        gap_min = _thr(_GAP_REL, np.abs(values).max())
     for i, j in _OFF_PAIRS:
         if values[i] - values[j] <= gap_min:
             raise DegenerateConfigurationError(
@@ -112,12 +125,12 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
     """Gradient of ``W`` with respect to the first vector argument ``a``.
 
     ``partials(lam, v1) -> (dW/dlam, dW/dv1)`` supplies analytic partials;
-    otherwise central differences with step ``1e-5 (1 + |a|)`` are used, the
-    tangential ones along renormalized perturbations of ``v1``.
+    otherwise central differences are used: along ``a`` with step
+    ``1e-5 |a|``, and tangentially along tilts of ``v1`` by ``1e-5`` radians.
     """
     a = system.vecs[0]
     lam = _norm(a)
-    if lam <= 1e-12:
+    if lam < _FLOOR:
         raise DegenerateConfigurationError(
             "vector argument is zero; the spectral gradient divides by |a|")
     v1 = a / lam
@@ -127,8 +140,6 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
         dlam, dv = float(dlam), np.asarray(dv, dtype=float)
         t2, t3 = float(dv @ v2), float(dv @ v3)
     else:
-        h = 1e-5 * (1.0 + lam)
-
         def w_at(lam_, v1_):
             return float(W(_with_arg(system, "vecs", lam_ * v1_)))
 
@@ -136,8 +147,8 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
             p = v1 + t * e
             return p / _norm(p)
 
-        dlam = _central(lambda t: w_at(lam + t, v1), h)
-        t2, t3 = (_central(lambda t: w_at(lam, tilted(e, t)), h) for e in (v2, v3))
+        dlam = _central(lambda t: w_at(lam + t, v1), _thr(_STEP, lam))
+        t2, t3 = (_central(lambda t: w_at(lam, tilted(e, t)), _STEP) for e in (v2, v3))
     return dlam * v1 + (t2 * v2 + t3 * v3) / lam
 
 
@@ -149,14 +160,13 @@ def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
     the gaps).  ``partials(lams, v) -> (dW/dlams, r)`` with
     ``r[i, j] = dW/dv_i . v_j`` supplies the analytic partials.
     """
-    v_arg = system.sym[0]
-    lams, v, _ = eig_sym(v_arg)
-    _check_gaps(lams, v_arg, gap_min, "eigenvalues")
+    lams, v, _ = eig_sym(system.sym[0])
+    _check_gaps(lams, gap_min, "eigenvalues")
     if partials is not None:
         dlam, r = (np.asarray(x, dtype=float) for x in partials(lams, v))
         anti = [float(r[i, j] - r[j, i]) for i, j in _OFF_PAIRS]
     else:
-        h = 1e-5 * (1.0 + np.abs(lams).max())
+        h = _thr(_STEP, np.abs(lams).max())
 
         def w_at(lams_, v_):
             m = sum(lams_[i] * np.outer(v_[i], v_[i]) for i in range(3))
@@ -165,7 +175,7 @@ def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
         dlam = np.array([_central(lambda t: w_at(lams + t * e, v), h) for e in _EYE])
         # the derivative along the (i, j) plane rotation of the triad equals
         # dW/dv_i . v_j - dW/dv_j . v_i
-        anti = [_central(lambda t: w_at(lams, _rotated(v, i, j, t)), h)
+        anti = [_central(lambda t: w_at(lams, _rotated(v, i, j, t)), _STEP)
                 for i, j in _OFF_PAIRS]
     out = sum(dlam[i] * np.outer(v[i], v[i]) for i in range(3))
     for (i, j), anti_ij in zip(_OFF_PAIRS, anti):
@@ -183,15 +193,14 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
     (dW/dsv, rv, ru)`` mirrors :func:`grad_sym_tensor`, with one frame matrix
     for the left and one for the right triad.
     """
-    f_arg = system.nonsym[0]
-    sv, v, u = svd3(f_arg)
-    _check_gaps(sv, f_arg, gap_min, "singular values")
+    sv, v, u = svd3(system.nonsym[0])
+    _check_gaps(sv, gap_min, "singular values")
     if partials is not None:
         dlam, rv, ru = (np.asarray(x, dtype=float) for x in partials(sv, v, u))
         anti_v = [float(rv[i, j] - rv[j, i]) for i, j in _OFF_PAIRS]
         anti_u = [float(ru[i, j] - ru[j, i]) for i, j in _OFF_PAIRS]
     else:
-        h = 1e-5 * (1.0 + sv[0])
+        h = _thr(_STEP, sv[0])
 
         def w_at(sv_, v_, u_):
             m = sum(sv_[i] * np.outer(v_[i], u_[i]) for i in range(3))
@@ -200,8 +209,8 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
         dlam = np.array([_central(lambda t: w_at(sv + t * e, v, u), h) for e in _EYE])
         anti_v, anti_u = [], []
         for i, j in _OFF_PAIRS:
-            anti_v.append(_central(lambda t: w_at(sv, _rotated(v, i, j, t), u), h))
-            anti_u.append(_central(lambda t: w_at(sv, v, _rotated(u, i, j, t)), h))
+            anti_v.append(_central(lambda t: w_at(sv, _rotated(v, i, j, t), u), _STEP))
+            anti_u.append(_central(lambda t: w_at(sv, v, _rotated(u, i, j, t)), _STEP))
     out = sum(dlam[i] * np.outer(v[i], u[i]) for i in range(3))
     # the off-diagonal coefficients are homogeneous of degree -1 in sv; where
     # a square could leave the double range they are taken at sv scaled by

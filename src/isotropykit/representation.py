@@ -24,11 +24,10 @@ from isotropykit.classical_bases import (
     smith_vectors,
 )
 from isotropykit.lin3 import (
-    _CLASS_TOL,
     _EYE,
     _OFF_PAIRS,
     TensorSystem,
-    _mirror_defect,
+    _check_mirror,
     eig_sym,
     haar_rotation,
     mat3,
@@ -149,10 +148,8 @@ def project_tensor(g, frame: SpectralFrame, kind: str) -> Coefficients:
         raise ValueError(f"unknown projection kind {kind!r}")
     code = _frame_code(kind, "projection")
     if code.mirror is not None:
-        gap, size = _mirror_defect(g, code.mirror)
-        if gap > _CLASS_TOL * (1.0 + size):
-            word = "symmetric" if code.mirror > 0 else "skew"
-            raise ValueError(f"{kind} projection needs a {word} tensor")
+        word = "symmetric" if code.mirror > 0 else "skew"
+        _check_mirror(g, code.mirror, f"{kind} projection needs a {word} tensor")
     return _coefficients(kind, g, frame.v)
 
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from isotropykit.lin3 import (
     _EYE,
+    _FLOOR,
     _OFF_PAIRS,
     _SYM_PAIRS,
     _TOL_REL,
@@ -47,6 +48,7 @@ from isotropykit.lin3 import (
     _degeneracy_groups,
     _freeze,
     _norm,
+    _thr,
     eig_sym,
     svd3,
     tensor_system,
@@ -223,7 +225,8 @@ def frame_completion(v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _probe_values(system: TensorSystem, v, u, kind, slot):
-    """Yield (value, scale) sign probes for the given eigenvector slot.
+    """Yield (value, size) sign probes for the given eigenvector slot, with
+    the norm of the argument each value comes from.
 
     A probe must be odd under flipping ``v[slot]`` (jointly with ``u[slot]``
     for SVD frames) and even under flipping the other allowed sign.  Vector
@@ -233,17 +236,17 @@ def _probe_values(system: TensorSystem, v, u, kind, slot):
     """
     i, j = (1, 2) if slot == 0 else (0, 2)
     for a in system.vecs:
-        yield a @ v[slot], 1.0 + _norm(a)
+        yield a @ v[slot], _norm(a)
     right = v if u is None else u
     for _, cls, index, code in _layout(kind, system.n_sym, system.nonsym_skew,
                                        system.n_vec):
         if code is _VEC:
             continue
         x = getattr(system, cls)[index]
-        scale = 1.0 + _norm(x)
-        yield v[i] @ x @ right[j], scale
+        size = _norm(x)
+        yield v[i] @ x @ right[j], size
         if code is not _SKEW:
-            yield v[j] @ x @ right[i], scale
+            yield v[j] @ x @ right[i], size
 
 
 def _frozen_frame(kind, lambdas, v, u, degeneracy) -> SpectralFrame:
@@ -254,8 +257,8 @@ def _frozen_frame(kind, lambdas, v, u, degeneracy) -> SpectralFrame:
 def _apply_equivariant_gauge(system, kind, v, u=None):
     signs = [1.0, 1.0]
     for slot in (0, 1):
-        for value, scale in _probe_values(system, v, u, kind, slot):
-            if abs(value) > 1e-8 * scale:
+        for value, size in _probe_values(system, v, u, kind, slot):
+            if abs(value) > _thr(_TOL_REL, size):
                 signs[slot] = 1.0 if value > 0.0 else -1.0
                 break
     s0, s1 = signs
@@ -319,7 +322,7 @@ def _frame_of(system: TensorSystem) -> SpectralFrame:
         return _frozen_frame("gram", lams, v, None, groups)
     a = system.vecs[0]
     lam = float(a @ a)
-    if lam <= 1e-24:
+    if lam < _FLOOR:
         raise DegenerateInputError("frame vector is zero")
     v1 = a / np.sqrt(lam)
     v2, v3 = frame_completion(v1)

@@ -112,7 +112,7 @@ class TestProjections:
 
     @pytest.mark.parametrize("kind,check", [("sym6", sym_matrix), ("skew3", skew_matrix)])
     def test_class_check_is_the_constructors(self, kind, check):
-        # mirror defects straddling the 1e-12 * (1 + max|g|) threshold
+        # mirror defects straddling the 1e-12 * max|g| threshold
         fr = build_frame(random_system(np.random.default_rng(193), 1, 0, 0))
         sign = 1.0 if kind == "sym6" else -1.0
         accepted = []
@@ -120,7 +120,7 @@ class TestProjections:
             for ratio in (0.5, 0.99, 0.999999, 1.0, 1.000001, 1.01, 2.0):
                 g = scale * np.array([[0.0, 0.7, -0.2], [0.0, 0.0, 0.4], [0.0, 0.0, 0.0]])
                 g = g + sign * g.T + (np.diag([1.0, -0.5, 0.25]) if sign > 0 else 0.0)
-                g[0, 1] += ratio * 1e-12 * (1.0 + np.abs(g).max())
+                g[0, 1] += ratio * 1e-12 * np.abs(g).max()
                 results = []
                 for call in (lambda: project_tensor(g, fr, kind), lambda: check(g)):
                     try:
