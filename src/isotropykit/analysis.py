@@ -7,8 +7,9 @@ generic point: 6 coordinates per symmetric tensor, 9 per general tensor, 3
 per skew tensor, 3 per vector (2 tangent coordinates for unit vectors, so the
 ambient bookkeeping stays exact).  A spectral list codes every argument in a
 frame that only the frame source moves, so each other argument's columns are
-exact: the encoding of its chart directions in the fixed base frame.  The
-source's columns, and every column of a classical list, are central
+exact: the encoding of its chart directions in the fixed base frame.  A sym
+or gram source's columns are exact too, from its eigenframe's first-order
+motion; a vector or SVD frame's source, and a classical list, take central
 differences.  A check scales each argument but a unit vector by the power of
 two that puts its largest entry in [0.5, 1): every list here is homogeneous
 in each argument, so the rank stays and does not depend on input size.  Rank
@@ -50,8 +51,7 @@ from isotropykit.spectral_frame import (
     _SKEW,
     _KINDS,
     _SYM,
-    _encode,
-    _layout,
+    _tangent,
     build_frame,
     build_svd_frame,
     extract_invariants,
@@ -228,10 +228,11 @@ def _jacobian(values_fn, system0: TensorSystem):
     and the list's values at ``system0``.
 
     A spectral list (one that carries its ``build_frame``) is coded in a
-    frame that only its source moves: every other chart coordinate gets its
-    exact column, the encoding of its direction in the base frame (the heads
-    stay put).  Central differences remain for the source's coordinates and
-    for every coordinate of any other list.
+    frame that only its source moves: every chart coordinate gets its exact
+    column from ``_tangent``, the encoding of its direction in the base frame
+    plus, for a sym or gram frame's source, the motion of the frame and its
+    heads.  Central differences remain for a vector or SVD frame's source
+    coordinates and for every coordinate of any other list.
     """
     build = getattr(values_fn, "build_frame", None)
     frame = (build or build_frame)(system0)
@@ -245,41 +246,36 @@ def _jacobian(values_fn, system0: TensorSystem):
         raise DegenerateConfigurationError(
             f"the {frame.kind} frame's source has coalescent spectral values; "
             "rank would drop spuriously")
-    dim, to_system = ambient_chart(system0)
+    blocks = _chart_blocks(system0)
     f0 = np.asarray(values_fn(system0) if build is None
                     else extract_invariants(system0, frame).values(), dtype=float)
-    jac = np.zeros((len(f0), dim))
-    fd_columns = range(dim)
-    if build is not None:
-        blocks, col = {}, 0
-        for cls, index, x, _, dirs in _chart_blocks(system0):
-            blocks[cls, index] = (range(col, col + len(dirs)), x, dirs)
-            col += len(dirs)
-        fd_columns = blocks[_KINDS[frame.kind][2], 0][0]
-        layout = _layout(frame.kind, system0.n_sym, system0.nonsym_skew, system0.n_vec)
-        # the coded arguments fill the last rows, in layout order
-        row = len(jac) - sum(code.size for *_, code in layout)
-        for _, cls, index, code in layout:
-            cols, x, dirs = blocks[cls, index]
-            jac[row:row + code.size, cols.start:cols.stop] = np.transpose(
-                [_encode(d.reshape(x.shape), code, frame.v, frame.u) for d in dirs])
-            row += code.size
-    for k in fd_columns:
-        e = np.eye(dim)[k]
-        jac[:, k] = _central(lambda t: np.asarray(values_fn(to_system(t * e)), dtype=float),
-                             _FD_STEP)
+    jac = np.zeros((len(f0), sum(len(dirs) for *_, dirs in blocks)))
+    fd_source = (_KINDS[frame.kind][2], 0) if frame.kind in ("vector", "svd") else None
+    fd_columns, stop = [], 0
+    for cls, index, x, _, dirs in blocks:
+        start, stop = stop, stop + len(dirs)
+        if build is None or (cls, index) == fd_source:
+            fd_columns += range(start, stop)
+        else:
+            for k, d in enumerate(dirs, start):
+                jac[:, k] = _tangent(system0, frame, cls, index, d.reshape(x.shape))
+    if fd_columns:
+        dim, to_system = ambient_chart(system0)
+        for k in fd_columns:
+            e = np.eye(dim)[k]
+            jac[:, k] = _central(
+                lambda t: np.asarray(values_fn(to_system(t * e)), dtype=float), _FD_STEP)
     return jac, f0
 
 
 def jacobian_rank(values_fn, system0: TensorSystem) -> RankReport:
     """Numerical rank of an invariant list at ``system0``.
 
-    ``values_fn`` maps a system to its value vector.  The Jacobian takes
-    exact columns in the fixed base frame of a list from
-    :func:`spectral_values_fn` wherever the frame stays put, and central
-    differences through the frame source (and everywhere for any other
-    list).  The argument scaling, the rank rule and the base-point check are
-    the module docstring's; nothing is drawn.
+    ``values_fn`` maps a system to its value vector.  A list from
+    :func:`spectral_values_fn` takes exact columns, except central
+    differences for a vector or SVD frame's source; any other list takes
+    central differences throughout.  The argument scaling, the rank rule and
+    the base-point check are the module docstring's; nothing is drawn.
     """
     jac, f0 = _jacobian(values_fn, _unit_scaled(system0))
     n, dim = jac.shape

@@ -96,10 +96,10 @@ def _central(f, h):
 
 
 def _norm(x) -> float:
-    # np.linalg.norm's own arithmetic (one dot of the flattened array, one
-    # sqrt) without its dispatch; rescaled where the dot overflows on finite entries
+    # np.linalg.norm's own arithmetic (one dot of the flattened array, one sqrt)
+    # without its dispatch; rescaled where the dot leaves the normal range
     f = x.ravel("K")
-    if (s := f @ f) == math.inf and (m := abs(f).max()) != math.inf:
+    if ((s := f @ f) == math.inf or s < _FLOOR) and 0.0 < (m := abs(f).max()) < math.inf:
         return m * _norm(f / m)
     return math.sqrt(s)
 

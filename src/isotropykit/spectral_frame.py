@@ -21,8 +21,9 @@ components, ``r = v`` otherwise) or ``x . v_i`` of a vector, and
 :func:`_decode` sums them back over the frame dyads.  A *code* is data: the
 index pairs it reads, in slot order, and the sign that mirrors ``c[i, j]``
 into ``c[j, i]``.  :func:`_layout` lists the argument each frame kind codes,
-with its label stem and code, in label order; extraction, reconstruction and
-the gauge probes all read that one list.
+with its label stem and code, in label order; extraction, reconstruction,
+the gauge probes and the exact Jacobian columns (:func:`_tangent`) all read
+that one list.
 
 Labels are stable strings (``lam1``, ``A2[1,3]``, ``W1[1,2]``, ``a2[3]``;
 mixed-basis components in the SVD variant use parentheses, e.g. ``A1(1,3)``
@@ -108,6 +109,37 @@ def _decode(values, code, v, r=None) -> np.ndarray:
         return np.asarray(values, dtype=float) @ v
     c = (np.asarray(values, dtype=float) @ code.dyads).reshape(3, 3)
     return v.T @ c @ (v if r is None else r)
+
+
+def _tangent(system, frame, cls, index, dx) -> np.ndarray:
+    """Column of ``frame``'s list at ``system`` along the move ``dx`` of
+    argument ``index`` of class ``cls``.
+
+    A sym or gram frame's source ``S`` (``A``, or ``H H^T``) moves by ``dS``;
+    with ``P = v dS v^T`` its eigenvalues move by ``diag P`` and its frame by
+    ``dv = Omega v``, ``Omega_ij = P_ij / (lam_i - lam_j)`` (Magnus 1985).
+    Each coded ``v X v^T`` (``v x``) then moves by the product rule, which
+    is ``Omega C + C Omega^T`` (``Omega c``), plus the code of ``dx`` for the
+    moved argument.  Other moves leave the frame put; a vector or SVD
+    frame's source is not moved here.
+    """
+    v, u, dv = frame.v, frame.u, None
+    heads = np.zeros(len(_KINDS[frame.kind][0]) + 3 * (frame.kind == "svd"))
+    if (cls, index) == (_KINDS[frame.kind][2], 0):
+        h = getattr(system, cls)[0]
+        p = v @ (dx if frame.kind == "sym_tensor" else dx @ h.T + h @ dx.T) @ v.T
+        gap = frame.lambdas[:, None] - frame.lambdas
+        np.fill_diagonal(gap, np.inf)  # omega_ii = 0
+        heads, dv = np.diagonal(p)[:len(heads)], p / gap @ v
+    column = [heads]
+    for _, c, i, code in _layout(frame.kind, system.n_sym, system.nonsym_skew, system.n_vec):
+        x = getattr(system, c)[i]
+        d = _encode(dx, code, v, u) if (c, i) == (cls, index) else np.zeros(code.size)
+        if dv is not None:
+            d += _encode(x, code, dv) if code is _VEC else (
+                _encode(x, code, dv, v) + _encode(x, code, v, dv))
+        column.append(d)
+    return np.concatenate(column)
 
 
 @functools.lru_cache(maxsize=1024)

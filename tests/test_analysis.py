@@ -1,11 +1,12 @@
 """Isotropy harness and Jacobian rank."""
 
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 
-from isotropykit import analysis
+from isotropykit import analysis, spectral_frame
 from isotropykit.lin3 import (
     _OFF_PAIRS,
     _SYM_PAIRS,
@@ -258,24 +259,24 @@ def _fd_oracle(values, system0, h=1e-6):
                          for c, i, d in moves])
 
 
-def _source_columns(system0, svd):
-    # the chart columns of the frame source: the first block, except for an
-    # SVD frame, whose source follows the symmetric tensors
+def _fd_columns(system0, svd):
+    # the chart columns still taken by central differences: those of a vector
+    # frame's source, the first block, or of an SVD frame's, which follows the
+    # symmetric tensors; a sym or gram list has none
     n, m, _ = system0.shape()
-    if n and not svd:
-        return range(0, 6)
-    if m:
-        start = 6 * n if svd else 0
-        return range(start, start + (3 if system0.nonsym_skew[0] else 9))
+    if m and svd:
+        return range(6 * n, 6 * n + (3 if system0.nonsym_skew[0] else 9))
+    if n or m:
+        return range(0)
     return range(0, 2 if system0.vec_unit[0] else 3)
 
 
 def _exact_column_gap(system0, svd=False):
-    """Largest relative gap between a column written in the fixed frame and
-    the oracle's, and the largest gap anywhere against the oracle's scale."""
+    """Largest relative gap between an exactly written column and the
+    oracle's, and the largest gap anywhere against the oracle's scale."""
     jac, _ = _jacobian(spectral_values_fn(svd), system0)
     fd = _fd_oracle(spectral_values_fn(svd), system0)
-    exact = [k for k in range(jac.shape[1]) if k not in _source_columns(system0, svd)]
+    exact = [k for k in range(jac.shape[1]) if k not in _fd_columns(system0, svd)]
     gaps = np.linalg.norm(jac[:, exact] - fd[:, exact], axis=0) \
         / np.linalg.norm(fd[:, exact], axis=0)
     return (gaps.max() if exact else 0.0,
@@ -355,10 +356,43 @@ class TestExactColumns:
         monkeypatch.setattr(_SYM, "dyads", dyads)
         assert _exact_column_gap(sys0, svd=True)[0] > 1e-2
 
+    @pytest.mark.parametrize("old,new", [
+        ("_encode(x, code, dv, v) + _encode(x, code, v, dv)", "_encode(x, code, dv, v)"),
+        ("frame.lambdas[:, None] - frame.lambdas", "frame.lambdas - frame.lambdas[:, None]"),
+    ], ids=["dropped-omega-term", "flipped-gap-sign"])
+    def test_tangent_mutations_are_caught(self, monkeypatch, old, new):
+        # the oracle rejects a tangent that drops the C Omega^T term of a coded
+        # tensor or turns the frame the wrong way, in a sym and in a gram frame
+        source = inspect.getsource(spectral_frame._tangent)
+        assert source.count(old) == 1
+        scope = dict(vars(spectral_frame))
+        exec(source.replace(old, new), scope)
+        monkeypatch.setattr(analysis, "_tangent", scope["_tangent"])
+        for shape in ((2, 0, 1), (0, 2, 1)):
+            assert _exact_column_gap(seeded_system(*shape, seed=0))[0] > 1e-2
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_exact_rank_margins(self, seed):
+        # with every column exact, a sym or gram list's dropped singular
+        # values are round-off and its kept ones stand far above the threshold
+        checked = 0
+        for n, m, p, skew, unit in _rank_configs():
+            if n == 0 and (m == 0 or skew):
+                continue  # vector frames, and the skew-only gram frames the sweep skips
+            for point in range(3):
+                sys0 = seeded_system(n, m, p, skew=skew, unit=unit, seed=seed + 1000 * point)
+                rep = jacobian_rank(spectral_values_fn(), sys0)
+                sv, r = rep.singular_values, rep.rank
+                assert sv[r - 1] >= 1e3 * rep.threshold, (n, m, p, skew, unit, point)
+                assert max(sv[r:], default=0.0) <= 1e-6 * rep.threshold, (n, m, p, skew,
+                                                                           unit, point)
+                checked += 1
+        assert checked == 3 * 28
+
     @pytest.mark.parametrize("shape,skew,unit,svd,builder,calls", [
-        ((2, 0, 1), False, False, False, "build_frame", 1 + 2 * 6),
-        ((1, 1, 1), True, False, False, "build_frame", 1 + 2 * 6),
-        ((0, 2, 1), False, False, False, "build_frame", 1 + 2 * 9),
+        ((2, 0, 1), False, False, False, "build_frame", 1),
+        ((1, 1, 1), True, False, False, "build_frame", 1),
+        ((0, 2, 1), False, False, False, "build_frame", 1),
         ((1, 1, 1), False, False, True, "build_svd_frame", 1 + 2 * 9),
         ((0, 0, 2), False, False, False, "build_frame", 1 + 2 * 3),
         ((0, 0, 2), False, True, False, "build_frame", 1 + 2 * 2),

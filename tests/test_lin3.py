@@ -253,6 +253,18 @@ class TestScaleRobustness:
                 want = scale * np.linalg.norm(x)
                 assert abs(_norm(scale * x) - want) <= 1e-15 * want
 
+    @pytest.mark.parametrize("c", [1e-160, 1e-163])
+    def test_norm_rescales_where_the_squares_underflow(self, c):
+        # the squares of c (1, 2, -2) leave the normal range (1e-160: 6e-6
+        # relative error, 1e-162: 5 %) or vanish (1e-163); m = 2c rescales
+        # them to (0.5, 1, -1) exactly
+        assert _norm(c * np.array([1.0, 2.0, -2.0])) == 3.0 * c
+        assert _norm(c * np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 4.0], [0.0] * 3])) == 5.0 * c
+
+    def test_norm_of_zero_is_zero(self):
+        assert _norm(np.zeros(3)) == 0.0
+        assert _norm(np.zeros((3, 3))) == 0.0
+
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     def test_norm_of_an_infinite_entry_is_inf(self):
         assert _norm(np.array([np.inf, 0.0, 0.0])) == np.inf

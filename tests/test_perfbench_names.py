@@ -117,9 +117,11 @@ def test_chart_pair_carries_every_fd_point(monkeypatch):
     assert len(made) == 2 * dim
     # the one other evaluation is at the chart's base point
     assert all(s is bases[-1] or any(s is t for t in made) for s in seen)
+    # a sym list's columns are all exact; a vector frame's source still takes
+    # central differences
     made.clear()
-    analysis.jacobian_rank(analysis.spectral_values_fn(), sys0)
-    assert len(made) == 2 * 6  # the source tensor's coordinates only
+    analysis.jacobian_rank(analysis.spectral_values_fn(), analysis.seeded_system(0, 0, 2))
+    assert len(made) == 2 * 3  # the source vector's coordinates only
 
 
 def test_frames_decompose_through_the_public_eig_sym(monkeypatch):
