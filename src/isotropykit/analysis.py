@@ -9,12 +9,13 @@ ambient bookkeeping stays exact).  A spectral list codes every argument in a
 frame that only the frame source moves, so each other argument's columns are
 exact: the encoding of its chart directions in the fixed base frame.  A sym
 or gram source's columns are exact too, from its eigenframe's first-order
-motion; a vector or SVD frame's source, and a classical list, take central
-differences.  A check scales each argument but a unit vector by the power of
-two that puts its largest entry in [0.5, 1): every list here is homogeneous
-in each argument, so the rank stays and does not depend on input size.  Rank
-counts singular values above the larger of ``sigma_max * 1e-7 * sqrt(max
-matrix dimension)`` and the round-off of those differences, ``1e3 * eps *
+motion; one array pass writes a chart block's columns.  A vector or SVD
+frame's source, and a classical list, take central differences.  A check
+scales each argument but a unit vector by the power of two that puts its
+largest entry in [0.5, 1): every list here is homogeneous in each argument,
+so the rank stays and does not depend on input size.  Rank counts singular
+values above the larger of ``sigma_max * 1e-7 * sqrt(max matrix
+dimension)`` and the round-off of those differences, ``1e3 * eps *
 max|f(system0)| / step``, so a list of constants has rank 0.
 One base frame is built per check (the list's own, or :func:`build_frame`'s
 for a classical list); its source's eigen- or singular values must stay
@@ -228,11 +229,11 @@ def _jacobian(values_fn, system0: TensorSystem):
     and the list's values at ``system0``.
 
     A spectral list (one that carries its ``build_frame``) is coded in a
-    frame that only its source moves: every chart coordinate gets its exact
-    column from ``_tangent``, the encoding of its direction in the base frame
-    plus, for a sym or gram frame's source, the motion of the frame and its
-    heads.  Central differences remain for a vector or SVD frame's source
-    coordinates and for every coordinate of any other list.
+    frame that only its source moves: one ``_tangent`` call per chart block
+    writes that block's exact columns, the encoding of its directions in the
+    base frame plus, for a sym or gram frame's source, the motion of the
+    frame and its heads.  Central differences remain for a vector or SVD
+    frame's source coordinates and for every coordinate of any other list.
     """
     build = getattr(values_fn, "build_frame", None)
     frame = (build or build_frame)(system0)
@@ -257,8 +258,8 @@ def _jacobian(values_fn, system0: TensorSystem):
         if build is None or (cls, index) == fd_source:
             fd_columns += range(start, stop)
         else:
-            for k, d in enumerate(dirs, start):
-                jac[:, k] = _tangent(system0, frame, cls, index, d.reshape(x.shape))
+            jac[:, start:stop] = _tangent(system0, frame, cls, index,
+                                          dirs.reshape(-1, *x.shape))
     if fd_columns:
         dim, to_system = ambient_chart(system0)
         for k in fd_columns:

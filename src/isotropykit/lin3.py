@@ -99,7 +99,8 @@ def _norm(x) -> float:
     # np.linalg.norm's own arithmetic (one dot of the flattened array, one sqrt)
     # without its dispatch; rescaled where the dot leaves the normal range
     f = x.ravel("K")
-    if ((s := f @ f) == math.inf or s < _FLOOR) and 0.0 < (m := abs(f).max()) < math.inf:
+    s = np.vdot(f, f)  # the numbers of f @ f, without its overflow warning
+    if (s == math.inf or s < _FLOOR) and 0.0 < (m := abs(f).max()) < math.inf:
         return m * _norm(f / m)
     return math.sqrt(s)
 

@@ -111,35 +111,37 @@ def _decode(values, code, v, r=None) -> np.ndarray:
     return v.T @ c @ (v if r is None else r)
 
 
-def _tangent(system, frame, cls, index, dx) -> np.ndarray:
-    """Column of ``frame``'s list at ``system`` along the move ``dx`` of
-    argument ``index`` of class ``cls``.
+def _tangent(system, frame, cls, index, dxs) -> np.ndarray:
+    """The ``(n, K)`` columns of ``frame``'s list at ``system`` along the K
+    moves ``dxs`` (``(K, 3, 3)`` or ``(K, 3)``) of argument ``index`` of ``cls``.
 
     A sym or gram frame's source ``S`` (``A``, or ``H H^T``) moves by ``dS``;
     with ``P = v dS v^T`` its eigenvalues move by ``diag P`` and its frame by
     ``dv = Omega v``, ``Omega_ij = P_ij / (lam_i - lam_j)`` (Magnus 1985).
     Each coded ``v X v^T`` (``v x``) then moves by the product rule, which
-    is ``Omega C + C Omega^T`` (``Omega c``), plus the code of ``dx`` for the
-    moved argument.  Other moves leave the frame put; a vector or SVD
+    is ``Omega C + C Omega^T`` (``Omega c``), plus the code of each ``dx``
+    for the moved argument.  Other moves leave the frame put; a vector or SVD
     frame's source is not moved here.
     """
-    v, u, dv = frame.v, frame.u, None
-    heads = np.zeros(len(_KINDS[frame.kind][0]) + 3 * (frame.kind == "svd"))
+    v, r, dv, k = frame.v, frame.v if frame.u is None else frame.u, None, len(dxs)
+    heads = np.zeros((k, len(_KINDS[frame.kind][0]) + 3 * (frame.kind == "svd")))
     if (cls, index) == (_KINDS[frame.kind][2], 0):
         h = getattr(system, cls)[0]
-        p = v @ (dx if frame.kind == "sym_tensor" else dx @ h.T + h @ dx.T) @ v.T
+        ds = dxs if frame.kind == "sym_tensor" else dxs @ h.T + h @ dxs.swapaxes(1, 2)
+        p = v @ ds @ v.T
         gap = frame.lambdas[:, None] - frame.lambdas
         np.fill_diagonal(gap, np.inf)  # omega_ii = 0
-        heads, dv = np.diagonal(p)[:len(heads)], p / gap @ v
-    column = [heads]
+        heads, dv = np.diagonal(p, 0, 1, 2)[:, :heads.shape[1]], p / gap @ v
+    columns = [heads]
     for _, c, i, code in _layout(frame.kind, system.n_sym, system.nonsym_skew, system.n_vec):
         x = getattr(system, c)[i]
-        d = _encode(dx, code, v, u) if (c, i) == (cls, index) else np.zeros(code.size)
+        d = np.zeros((k, *x.shape))
+        if (c, i) == (cls, index):
+            d += dxs @ v.T if code is _VEC else v @ dxs @ r.T
         if dv is not None:
-            d += _encode(x, code, dv) if code is _VEC else (
-                _encode(x, code, dv, v) + _encode(x, code, v, dv))
-        column.append(d)
-    return np.concatenate(column)
+            d += dv @ x if code is _VEC else dv @ x @ v.T + v @ x @ dv.swapaxes(1, 2)
+        columns.append(d.reshape(k, -1)[:, code.take])
+    return np.concatenate(columns, axis=1).T
 
 
 @functools.lru_cache(maxsize=1024)

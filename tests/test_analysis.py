@@ -25,7 +25,14 @@ from isotropykit.analysis import (
     verify_isotropy,
 )
 from isotropykit.cli import _rank_configs
-from isotropykit.spectral_frame import _SYM, frame_completion, irreducible_count
+from isotropykit.spectral_frame import (
+    _SYM,
+    build_frame,
+    build_svd_frame,
+    extract_invariants,
+    frame_completion,
+    irreducible_count,
+)
 
 
 class TestVerifyIsotropy:
@@ -283,6 +290,14 @@ def _exact_column_gap(system0, svd=False):
             np.abs(jac - fd).max() / (1.0 + np.abs(fd).max()))
 
 
+def _exact_blocks(system0, frame):
+    # the chart blocks whose columns _tangent writes: all but a vector or SVD
+    # frame's source
+    fd_source = (spectral_frame._KINDS[frame.kind][2], 0) \
+        if frame.kind in ("vector", "svd") else None
+    return [b for b in analysis._chart_blocks(system0) if b[:2] != fd_source]
+
+
 def _sweep_cases():
     # every default-sweep configuration with a generic frame, and its SVD
     # variant where a general tensor can carry one
@@ -356,20 +371,62 @@ class TestExactColumns:
         monkeypatch.setattr(_SYM, "dyads", dyads)
         assert _exact_column_gap(sys0, svd=True)[0] > 1e-2
 
-    @pytest.mark.parametrize("old,new", [
-        ("_encode(x, code, dv, v) + _encode(x, code, v, dv)", "_encode(x, code, dv, v)"),
-        ("frame.lambdas[:, None] - frame.lambdas", "frame.lambdas - frame.lambdas[:, None]"),
-    ], ids=["dropped-omega-term", "flipped-gap-sign"])
-    def test_tangent_mutations_are_caught(self, monkeypatch, old, new):
+    @pytest.mark.parametrize("old,new,shapes", [
+        ("dv @ x @ v.T + v @ x @ dv.swapaxes(1, 2)", "dv @ x @ v.T",
+         ((2, 0, 1), (0, 2, 1))),
+        ("frame.lambdas[:, None] - frame.lambdas", "frame.lambdas - frame.lambdas[:, None]",
+         ((2, 0, 1), (0, 2, 1))),
+        ("h @ dxs.swapaxes(1, 2)", "h @ dxs", ((0, 2, 1),)),
+    ], ids=["dropped-omega-term", "flipped-gap-sign", "dropped-gram-transpose"])
+    def test_tangent_mutations_are_caught(self, monkeypatch, old, new, shapes):
         # the oracle rejects a tangent that drops the C Omega^T term of a coded
-        # tensor or turns the frame the wrong way, in a sym and in a gram frame
+        # tensor or turns the frame the wrong way, in a sym and in a gram frame,
+        # and one that moves a gram source by dH H^T + H dH, not + H dH^T
         source = inspect.getsource(spectral_frame._tangent)
         assert source.count(old) == 1
         scope = dict(vars(spectral_frame))
         exec(source.replace(old, new), scope)
         monkeypatch.setattr(analysis, "_tangent", scope["_tangent"])
-        for shape in ((2, 0, 1), (0, 2, 1)):
+        for shape in shapes:
             assert _exact_column_gap(seeded_system(*shape, seed=0))[0] > 1e-2
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_block_call_matches_one_direction_calls(self, seed):
+        # a block's stacked pass gives the columns of one call per direction;
+        # batched matmul may round differently by stack size, hence no bit
+        # equality
+        checked = 0
+        for n, m, p, skew, unit, svd in _sweep_cases():
+            sys0 = analysis._unit_scaled(seeded_system(n, m, p, skew=skew, unit=unit,
+                                                       seed=seed))
+            frame = (build_svd_frame if svd else build_frame)(sys0)
+            for cls, index, x, _, dirs in _exact_blocks(sys0, frame):
+                dxs = dirs.reshape(-1, *x.shape)
+                block = spectral_frame._tangent(sys0, frame, cls, index, dxs)
+                single = np.hstack([spectral_frame._tangent(sys0, frame, cls, index,
+                                                            dxs[k:k + 1])
+                                    for k in range(len(dxs))])
+                assert block.shape == (len(extract_invariants(sys0, frame).entries),
+                                       len(dxs))
+                scale = np.abs(single).max(axis=0)
+                assert (np.abs(block - single).max(axis=0) / scale).max() <= 1e-14, \
+                    (n, m, p, skew, unit, svd, cls, index)
+                checked += 1
+        assert checked == 120 - 14 - 6  # chart blocks, less the SVD and vector sources
+
+    @pytest.mark.parametrize("shape,svd,calls", [
+        ((2, 0, 1), False, 3),
+        ((1, 1, 1), False, 3),
+        ((1, 1, 1), True, 2),
+    ], ids=["N2P1", "N1M1P1", "N1M1P1-svd"])
+    def test_one_tangent_call_per_exact_block(self, monkeypatch, shape, svd, calls):
+        # the SVD frame's source block stays on central differences
+        seen = []
+        original = analysis._tangent
+        monkeypatch.setattr(analysis, "_tangent",
+                            lambda *args: seen.append(args) or original(*args))
+        jacobian_rank(spectral_values_fn(svd), seeded_system(*shape, seed=0))
+        assert len(seen) == calls
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_exact_rank_margins(self, seed):

@@ -10,6 +10,9 @@ that failed when the cut-offs were ``tol * (1 + size)``.
 """
 
 import json
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -173,8 +176,7 @@ def test_isotropy_near_the_double_range(tmp_path, capsys):
     # The spectral and negative-control claims are finite and pass (they
     # read nan when the harness normalized through squares that overflow).
     # Classical items of degree two or more overflow at this size themselves
-    # and stay out of scope; so do the warnings numpy prints for them and for
-    # lin3._norm's handled squares.
+    # and stay out of scope; so do the warnings numpy prints for them.
     with pytest.warns(RuntimeWarning):
         _, claims = _verify_input(tmp_path, "isotropy", [SYM_1E200], [VEC_1E200])
     checked = [c for cid, c in claims.items()
@@ -184,12 +186,26 @@ def test_isotropy_near_the_double_range(tmp_path, capsys):
 
 
 def test_reconstruction_near_the_double_range(tmp_path, capsys):
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # lin3._norm rescales the squares that overflow without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code, claims = _verify_input(tmp_path, "reconstruction", [SYM_1E200], [VEC_1E200])
     assert code == 0
     for k in (0, 1):
         claim = claims[f"reconstruction/input-N1M0P1/arg{k}"]
         assert np.isfinite(claim["value"]) and claim["status"] == "pass"
+
+
+def test_rank_near_the_double_range_prints_no_warning(tmp_path):
+    # the squared norms that overflow here are rescaled, and stderr stays empty
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"version": 1, "sym": [SYM_1E200],
+                                "vecs": [{"v": VEC_1E200}]}))
+    proc = subprocess.run([sys.executable, "-m", "isotropykit.cli", "verify", "rank",
+                           "--input", str(path), "--json", str(tmp_path / "report.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_mirror_checks_are_relative():
