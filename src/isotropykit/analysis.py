@@ -7,16 +7,16 @@ generic point: 6 coordinates per symmetric tensor, 9 per general tensor, 3
 per skew tensor, 3 per vector (2 tangent coordinates for unit vectors, so the
 ambient bookkeeping stays exact).  A spectral list codes every argument in a
 frame that only the frame source moves, so each other argument's columns are
-exact: the encoding of its chart directions in the fixed base frame.  A sym
-or gram source's columns are exact too, from its eigenframe's first-order
-motion; one array pass writes a chart block's columns.  A vector or SVD
-frame's source, and a classical list, take central differences.  A check
-scales each argument but a unit vector by the power of two that puts its
-largest entry in [0.5, 1): every list here is homogeneous in each argument,
-so the rank stays and does not depend on input size.  Rank counts singular
-values above the larger of ``sigma_max * 1e-7 * sqrt(max matrix
-dimension)`` and the round-off of those differences, ``1e3 * eps *
-max|f(system0)| / step``, so a list of constants has rank 0.
+exact: the encoding of its chart directions in the fixed base frame, in that
+argument's own rows.  A sym, gram or vector source's columns are exact too,
+from its frame's first-order motion, in one array pass over the source's
+chart block.  Only an SVD frame's source and a classical list take central
+differences.  A check scales each argument but a unit vector by the power of
+two that puts its largest entry in [0.5, 1): every list here is homogeneous
+in each argument, so the rank stays and does not depend on input size.
+Rank counts singular values above the larger of ``sigma_max * 1e-7 *
+sqrt(max matrix dimension)`` and the round-off of those differences,
+``1e3 * eps * max|f(system0)| / step``, so a list of constants has rank 0.
 One base frame is built per check (the list's own, or :func:`build_frame`'s
 for a classical list); its source's eigen- or singular values must stay
 ``1e-6 * max`` apart (``lin3._GAP_REL``, the gap the spectral gradients need
@@ -41,17 +41,18 @@ from isotropykit.lin3 import (
     TensorSystem,
     _central,
     _degeneracy_groups,
-    _freeze,
+    _norm,
     _norms,
+    _system,
     conjugate,
     haar_rotation,
-    tensor_system,
 )
 from isotropykit.spectral_frame import (
     _FULL,
     _SKEW,
     _KINDS,
     _SYM,
+    _coded,
     _tangent,
     build_frame,
     build_svd_frame,
@@ -83,9 +84,11 @@ def seeded_system(n_sym: int, n_nonsym: int, n_vec: int, *, skew: bool = False,
               for m in rng.standard_normal((n_nonsym, 3, 3))]
     vecs = list(rng.standard_normal((n_vec, 3)))
     if unit:
-        vecs = [x / np.linalg.norm(x) for x in vecs]
-    return tensor_system(sym=sym, nonsym=nonsym, skew=[skew] * n_nonsym,
-                         vecs=vecs, unit=[unit] * n_vec)
+        vecs = [x / _norm(x) for x in vecs]
+        vecs = [x / _norm(x) for x in vecs]  # tensor_system's exact renormalization
+    # exactly symmetric or skew, which tensor_system's re-symmetrization would
+    # return bit for bit: valid by construction, so built without a check
+    return _system(sym, nonsym, (skew,) * n_nonsym, vecs, (unit,) * n_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -173,31 +176,15 @@ def ambient_chart(system0: TensorSystem):
     """
     blocks = _chart_blocks(system0)
     dim = sum(len(dirs) for *_, dirs in blocks)
-    # per block, its member at each all-zero coordinate slice met so far: a
-    # central difference moves one block and leaves the others at +0.0 or
-    # -0.0 (t * e at t < 0); keyed by the slice's bytes, so no -0.0 stands
-    # in for a +0.0
-    unmoved = [{} for _ in blocks]
 
     def to_system(theta):
         theta = np.asarray(theta, dtype=float)
-        raw, size = theta.tobytes(), theta.itemsize
-        pos = 0
-        args = {"sym": [], "nonsym": [], "vecs": []}
-        for (cls, _, base, unit, dirs), known in zip(blocks, unmoved):
-            end = pos + len(dirs)
-            key = raw[pos * size:end * size]
-            x = known.get(key)
-            if x is None:
-                coords = theta[pos:end]
-                # the 0/1 dyads place the coordinates themselves, bit for bit
-                x = base + (coords @ dirs).reshape(base.shape)
-                if unit:
-                    x = x / np.linalg.norm(x)
-                if not coords.any():
-                    known[key] = _freeze(x)
-            pos = end
-            args[cls].append(x)
+        args, pos = {"sym": [], "nonsym": [], "vecs": []}, 0
+        for cls, _, base, unit, dirs in blocks:
+            # the 0/1 dyads place the coordinates themselves, bit for bit
+            x = base + (theta[pos:pos + len(dirs)] @ dirs).reshape(base.shape)
+            args[cls].append(x / np.linalg.norm(x) if unit else x)
+            pos += len(dirs)
         return TensorSystem(tuple(args["sym"]), tuple(args["nonsym"]), system0.nonsym_skew,
                             tuple(args["vecs"]), system0.vec_unit)
 
@@ -229,11 +216,12 @@ def _jacobian(values_fn, system0: TensorSystem):
     and the list's values at ``system0``.
 
     A spectral list (one that carries its ``build_frame``) is coded in a
-    frame that only its source moves: one ``_tangent`` call per chart block
-    writes that block's exact columns, the encoding of its directions in the
-    base frame plus, for a sym or gram frame's source, the motion of the
-    frame and its heads.  Central differences remain for a vector or SVD
-    frame's source coordinates and for every coordinate of any other list.
+    frame that only its source moves.  Each other chart block writes the
+    code of its directions in the base frame into its argument's own rows;
+    one ``_tangent`` call writes a sym, gram or vector source's columns,
+    with the motion of the frame and its heads.  Only an SVD frame's source
+    coordinates and every coordinate of any other list take central
+    differences.
     """
     build = getattr(values_fn, "build_frame", None)
     frame = (build or build_frame)(system0)
@@ -251,15 +239,18 @@ def _jacobian(values_fn, system0: TensorSystem):
     f0 = np.asarray(values_fn(system0) if build is None
                     else extract_invariants(system0, frame).values(), dtype=float)
     jac = np.zeros((len(f0), sum(len(dirs) for *_, dirs in blocks)))
-    fd_source = (_KINDS[frame.kind][2], 0) if frame.kind in ("vector", "svd") else None
+    source = (_KINDS[frame.kind][2], 0)
     fd_columns, stop = [], 0
     for cls, index, x, _, dirs in blocks:
         start, stop = stop, stop + len(dirs)
-        if build is None or (cls, index) == fd_source:
+        dxs = dirs.reshape(-1, *x.shape)
+        if build is None or (cls, index) == source and frame.kind == "svd":
             fd_columns += range(start, stop)
-        else:
-            jac[:, start:stop] = _tangent(system0, frame, cls, index,
-                                          dirs.reshape(-1, *x.shape))
+        elif (cls, index) == source:
+            jac[:, start:stop] = _tangent(system0, frame, cls, index, dxs)
+        else:  # the frame stays put: only the moved argument's own rows change
+            first, rows = _coded(system0, frame, cls, index, dxs)
+            jac[first:first + len(rows), start:stop] = rows
     if fd_columns:
         dim, to_system = ambient_chart(system0)
         for k in fd_columns:
@@ -274,8 +265,8 @@ def jacobian_rank(values_fn, system0: TensorSystem) -> RankReport:
 
     ``values_fn`` maps a system to its value vector.  A list from
     :func:`spectral_values_fn` takes exact columns, except central
-    differences for a vector or SVD frame's source; any other list takes
-    central differences throughout.  The argument scaling, the rank rule and
+    differences for an SVD frame's source; any other list takes central
+    differences throughout.  The argument scaling, the rank rule and
     the base-point check are the module docstring's; nothing is drawn.
     """
     jac, f0 = _jacobian(values_fn, _unit_scaled(system0))
@@ -351,9 +342,13 @@ class VerificationReport:
     configuration: dict = field(default_factory=dict)
     claims: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self._ids = {c.claim_id for c in self.claims}
+
     def add(self, claim: Claim):
-        if any(c.claim_id == claim.claim_id for c in self.claims):
+        if claim.claim_id in self._ids:
             raise ValueError(f"duplicate claim id {claim.claim_id!r}")
+        self._ids.add(claim.claim_id)
         self.claims.append(claim)
 
     def check(self, claim_id, description, value, tolerance, comparator="le"):

@@ -121,6 +121,18 @@ def _flags(entries, key, flag):
     return values
 
 
+def _numbers(value, key):
+    # ``value``, if every leaf of its nested lists is a JSON number: json
+    # reads ``true`` as a bool and ``"1"`` as a str, which numpy takes for 1.0
+    stack = [value]
+    while stack:
+        if isinstance(x := stack.pop(), list):
+            stack += x
+        elif isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f'"{key}" entries must be JSON numbers')
+    return value
+
+
 def load_system_file(path: str):
     """Parse and validate a version-1 system file (JSON)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -135,10 +147,10 @@ def load_system_file(path: str):
     nonsym_entries = _entry_list(data, "nonsym", "matrix")
     vec_entries = _entry_list(data, "vecs", "v")
     return tensor_system(
-        sym=sym,
-        nonsym=[e["matrix"] for e in nonsym_entries],
+        sym=_numbers(sym, "sym"),
+        nonsym=_numbers([e["matrix"] for e in nonsym_entries], "matrix"),
         skew=_flags(nonsym_entries, "nonsym", "skew"),
-        vecs=[e["v"] for e in vec_entries],
+        vecs=_numbers([e["v"] for e in vec_entries], "v"),
         unit=_flags(vec_entries, "vecs", "unit"))
 
 
@@ -342,8 +354,6 @@ def run_rank(seed: int, system=None, n: int = 0, m: int = 0, p: int = 0,
         count = irreducible_count(n, m, p, skew_nonsym=skew, all_vectors_unit=unit)
         for point in range(3):
             cid = f"rank/{tag}/point{point}"
-            sys0 = seeded_system(n, m, p, skew=skew, unit=unit,
-                                 seed=seed + 1000 * point)
             if n == 0 and m >= 1 and skew:
                 # skew-only systems have no generic gram frame (two singular
                 # values always coincide); the rank precondition rejects them
@@ -351,6 +361,7 @@ def run_rank(seed: int, system=None, n: int = 0, m: int = 0, p: int = 0,
                                  "skip", None, None, "le", seed))
                 continue
             expected = count - 3 if (n == 0 and m >= 1) else count
+            sys0 = seeded_system(n, m, p, skew=skew, unit=unit, seed=seed + 1000 * point)
             rep = jacobian_rank(spectral_values_fn(), sys0)
             report.check(cid, f"spectral rank for {tag} (count {count})",
                          rep.rank, expected, comparator="eq")

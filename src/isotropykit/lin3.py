@@ -13,7 +13,8 @@ from :func:`conjugate`, never a non-finite member.
 
 :class:`TensorSystem` is the validation boundary.  Its members are trusted
 to be finite, correctly shaped and exactly symmetric or skew, which holds
-for every system built by :func:`tensor_system`, :func:`conjugate` or
+for every system built by :func:`tensor_system` (validate, then the
+unchecked ``_system``), :func:`conjugate`, ``analysis.seeded_system`` or
 ``analysis.ambient_chart``; code behind the boundary does not check them
 again.  Every public function still validates its own arguments.
 
@@ -77,6 +78,8 @@ def _as_array(x, shape, name):
         a = np.asarray(x, dtype=float)
     except TypeError:
         raise ValueError(f"{name} entries must be numbers") from None
+    except OverflowError:  # an int beyond the double range
+        raise ValueError(f"{name} has non-finite entries") from None
     if a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.isfinite(a).all():
@@ -348,11 +351,9 @@ def tensor_system(sym=(), nonsym=(), skew=None, vecs=(), unit=None) -> TensorSys
         raise ValueError("one unit flag per vector required")
     if not (sym or nonsym or vecs):
         raise ValueError("tensor system must contain at least one argument")
-    out_sym = tuple(_freeze(sym_matrix(a)) for a in sym)
-    out_nonsym = tuple(
-        _freeze(skew_matrix(h) if is_skew else np.array(mat3(h)))
-        for h, is_skew in zip(nonsym, skew)
-    )
+    out_sym = [sym_matrix(a) for a in sym]
+    out_nonsym = [skew_matrix(h) if is_skew else np.array(mat3(h))
+                  for h, is_skew in zip(nonsym, skew)]
     out_vecs = []
     for x, is_unit in zip(vecs, unit):
         x = vec3(x)
@@ -360,8 +361,15 @@ def tensor_system(sym=(), nonsym=(), skew=None, vecs=(), unit=None) -> TensorSys
             n = _norm(x)
             if abs(n - 1.0) > 1e-9:
                 raise ValueError(f"unit-flagged vector has norm {n!r}")
-        out_vecs.append(_freeze(x / n if is_unit else np.array(x)))
-    return TensorSystem(out_sym, out_nonsym, skew, tuple(out_vecs), unit)
+        out_vecs.append(x / n if is_unit else np.array(x))
+    return _system(out_sym, out_nonsym, skew, out_vecs, unit)
+
+
+def _system(sym, nonsym, skew, vecs, unit) -> TensorSystem:
+    # the system of members that nothing else holds and that are valid for
+    # their class and flags, frozen and wrapped without a check
+    return TensorSystem(tuple(map(_freeze, sym)), tuple(map(_freeze, nonsym)), skew,
+                        tuple(map(_freeze, vecs)), unit)
 
 
 def conjugate(q, system: TensorSystem) -> TensorSystem:
@@ -371,8 +379,10 @@ def conjugate(q, system: TensorSystem) -> TensorSystem:
     re-skewed bit-exactly); flags carry over; an overflow is a ``ValueError``.
     """
     q = rotation_matrix(q)
-    sym = tuple(_finite(_resym(q @ a @ q.T)) for a in system.sym)
-    nonsym = tuple(_finite(_resym(q @ h @ q.T, skew=True) if is_skew else q @ h @ q.T)
-                   for h, is_skew in zip(system.nonsym, system.nonsym_skew))
-    vecs = tuple(_finite(q @ a) for a in system.vecs)
+    # an overflow is this function's one-line error, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = tuple(_finite(_resym(q @ a @ q.T)) for a in system.sym)
+        nonsym = tuple(_finite(_resym(q @ h @ q.T, skew=True) if is_skew else q @ h @ q.T)
+                       for h, is_skew in zip(system.nonsym, system.nonsym_skew))
+        vecs = tuple(_finite(q @ a) for a in system.vecs)
     return TensorSystem(sym, nonsym, system.nonsym_skew, vecs, system.vec_unit)

@@ -111,6 +111,19 @@ def _decode(values, code, v, r=None) -> np.ndarray:
     return v.T @ c @ (v if r is None else r)
 
 
+def _coded(system, frame, cls, index, dxs):
+    # the first row and the (size, K) rows of argument ``index`` of ``cls`` in
+    # ``frame``'s list along its K moves ``dxs``, the frame held fixed
+    row = len(_KINDS[frame.kind][0]) + 3 * (frame.kind == "svd")
+    for _, c, i, code in _layout(frame.kind, system.n_sym, system.nonsym_skew, system.n_vec):
+        if (c, i) == (cls, index):
+            v, r = frame.v, frame.v if frame.u is None else frame.u
+            d = dxs @ v.T if code is _VEC else v @ dxs @ r.T
+            return row, d.reshape(len(dxs), -1)[:, code.take].T
+        row += code.size
+    return row, np.zeros((0, len(dxs)))
+
+
 def _tangent(system, frame, cls, index, dxs) -> np.ndarray:
     """The ``(n, K)`` columns of ``frame``'s list at ``system`` along the K
     moves ``dxs`` (``(K, 3, 3)`` or ``(K, 3)``) of argument ``index`` of ``cls``.
@@ -118,14 +131,31 @@ def _tangent(system, frame, cls, index, dxs) -> np.ndarray:
     A sym or gram frame's source ``S`` (``A``, or ``H H^T``) moves by ``dS``;
     with ``P = v dS v^T`` its eigenvalues move by ``diag P`` and its frame by
     ``dv = Omega v``, ``Omega_ij = P_ij / (lam_i - lam_j)`` (Magnus 1985).
-    Each coded ``v X v^T`` (``v x``) then moves by the product rule, which
-    is ``Omega C + C Omega^T`` (``Omega c``), plus the code of each ``dx``
-    for the moved argument.  Other moves leave the frame put; a vector or SVD
-    frame's source is not moved here.
+    A vector frame's source ``a`` moves its head ``a . a`` by ``2 a . da``
+    and its triad by a skew ``Omega``: ``v_1 = a / |a|`` by
+    ``(I - v_1 v_1^T) da / |a|``, ``v_2 = v_1 x e_k / |v_1 x e_k|`` (``k``
+    fixed at the base point) by ``Omega_12 = (dv_1 x e_k) . v_3 / |v_1 x e_k|``
+    and ``v_3 = v_1 x v_2`` by ``dv_1 x v_2 + v_1 x dv_2``, which is row 2 of
+    ``Omega v``.  Each coded ``v X v^T`` (``v x``) then moves by the product
+    rule, ``dv X v^T + v X dv^T`` (``dv x``), and the moved argument's own
+    rows by the code of each ``dx``.  Other moves leave the frame put; an SVD
+    frame's source, which takes central differences, is not moved here.
     """
-    v, r, dv, k = frame.v, frame.v if frame.u is None else frame.u, None, len(dxs)
+    k = len(dxs)
+    v, dv = frame.v, np.zeros((k, 3, 3))
     heads = np.zeros((k, len(_KINDS[frame.kind][0]) + 3 * (frame.kind == "svd")))
-    if (cls, index) == (_KINDS[frame.kind][2], 0):
+    source = (cls, index) == (_KINDS[frame.kind][2], 0)
+    if source and frame.kind == "vector":
+        e = _EYE[np.argmin(np.abs(v[0]))]  # frame_completion's axis
+        omega = np.zeros((k, 3, 3))
+        omega[:, 0, 1:] = dxs @ v[1:].T / np.sqrt(frame.lambdas[0])  # dv_1 . v_j
+        dv1 = omega[:, 0, 1:] @ v[1:]
+        # the v_2 rule: dv_2 . v_3 = (dv_1 x e_k) . v_3 / |v_1 x e_k|
+        omega[:, 1, 2] = dv1 @ _cross(e, v[2]) / _norm(np.array(_cross(v[0], e)))
+        # the head's dot row by row, so a stack rounds as its single moves do
+        heads = 2.0 * (dxs * system.vecs[0]).sum(1, keepdims=True)
+        dv = (omega - omega.swapaxes(1, 2)) @ v
+    elif source:
         h = getattr(system, cls)[0]
         ds = dxs if frame.kind == "sym_tensor" else dxs @ h.T + h @ dxs.swapaxes(1, 2)
         p = v @ ds @ v.T
@@ -135,13 +165,12 @@ def _tangent(system, frame, cls, index, dxs) -> np.ndarray:
     columns = [heads]
     for _, c, i, code in _layout(frame.kind, system.n_sym, system.nonsym_skew, system.n_vec):
         x = getattr(system, c)[i]
-        d = np.zeros((k, *x.shape))
-        if (c, i) == (cls, index):
-            d += dxs @ v.T if code is _VEC else v @ dxs @ r.T
-        if dv is not None:
-            d += dv @ x if code is _VEC else dv @ x @ v.T + v @ x @ dv.swapaxes(1, 2)
+        d = dv @ x if code is _VEC else dv @ x @ v.T + v @ x @ dv.swapaxes(1, 2)
         columns.append(d.reshape(k, -1)[:, code.take])
-    return np.concatenate(columns, axis=1).T
+    out = np.concatenate(columns, axis=1).T
+    first, rows = _coded(system, frame, cls, index, dxs)
+    out[first:first + len(rows)] += rows
+    return out
 
 
 @functools.lru_cache(maxsize=1024)

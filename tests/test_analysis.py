@@ -267,34 +267,35 @@ def _fd_oracle(values, system0, h=1e-6):
 
 
 def _fd_columns(system0, svd):
-    # the chart columns still taken by central differences: those of a vector
-    # frame's source, the first block, or of an SVD frame's, which follows the
-    # symmetric tensors; a sym or gram list has none
+    # the chart columns still taken by central differences: those of an SVD
+    # frame's source, which follows the symmetric tensors; a sym, gram or
+    # vector list has none
     n, m, _ = system0.shape()
     if m and svd:
         return range(6 * n, 6 * n + (3 if system0.nonsym_skew[0] else 9))
-    if n or m:
-        return range(0)
-    return range(0, 2 if system0.vec_unit[0] else 3)
+    return range(0)
 
 
 def _exact_column_gap(system0, svd=False):
     """Largest relative gap between an exactly written column and the
-    oracle's, and the largest gap anywhere against the oracle's scale."""
+    oracle's, and the largest gap anywhere against the oracle's scale.  A
+    column the oracle reads as round-off (each of the N0M0P1-unit list,
+    whose one item is the constant ``|a|^2 = 1``) has no relative gap; the
+    second number still covers it."""
     jac, _ = _jacobian(spectral_values_fn(svd), system0)
     fd = _fd_oracle(spectral_values_fn(svd), system0)
-    exact = [k for k in range(jac.shape[1]) if k not in _fd_columns(system0, svd)]
-    gaps = np.linalg.norm(jac[:, exact] - fd[:, exact], axis=0) \
-        / np.linalg.norm(fd[:, exact], axis=0)
+    norms = np.linalg.norm(fd, axis=0)
+    exact = [k for k in range(jac.shape[1])
+             if k not in _fd_columns(system0, svd) and norms[k] > analysis._ROUND_OFF]
+    gaps = np.linalg.norm(jac[:, exact] - fd[:, exact], axis=0) / norms[exact]
     return (gaps.max() if exact else 0.0,
             np.abs(jac - fd).max() / (1.0 + np.abs(fd).max()))
 
 
 def _exact_blocks(system0, frame):
-    # the chart blocks whose columns _tangent writes: all but a vector or SVD
+    # the chart blocks whose columns _tangent can write: all but an SVD
     # frame's source
-    fd_source = (spectral_frame._KINDS[frame.kind][2], 0) \
-        if frame.kind in ("vector", "svd") else None
+    fd_source = (spectral_frame._KINDS[frame.kind][2], 0) if frame.kind == "svd" else None
     return [b for b in analysis._chart_blocks(system0) if b[:2] != fd_source]
 
 
@@ -352,6 +353,8 @@ class TestAmbientChart:
 class TestExactColumns:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_match_central_differences(self, seed):
+        # every exactly written column, the sym, gram and vector frames'
+        # sources included (N0M0P1-3, free and unit), against the oracle
         checked = 0
         for n, m, p, skew, unit, svd in _sweep_cases():
             sys0 = seeded_system(n, m, p, skew=skew, unit=unit, seed=seed)
@@ -377,11 +380,17 @@ class TestExactColumns:
         ("frame.lambdas[:, None] - frame.lambdas", "frame.lambdas - frame.lambdas[:, None]",
          ((2, 0, 1), (0, 2, 1))),
         ("h @ dxs.swapaxes(1, 2)", "h @ dxs", ((0, 2, 1),)),
-    ], ids=["dropped-omega-term", "flipped-gap-sign", "dropped-gram-transpose"])
+        ("(omega - omega.swapaxes(1, 2)) @ v",
+         "(omega - omega.swapaxes(1, 2)) @ v * [[1.0], [0.0], [1.0]]", ((0, 0, 2), (0, 0, 3))),
+        ("(omega - omega.swapaxes(1, 2)) @ v",
+         "(omega - omega.swapaxes(1, 2)) @ v * [[1.0], [1.0], [0.0]]", ((0, 0, 2), (0, 0, 3))),
+    ], ids=["dropped-omega-term", "flipped-gap-sign", "dropped-gram-transpose",
+            "dropped-dv2", "dropped-dv3"])
     def test_tangent_mutations_are_caught(self, monkeypatch, old, new, shapes):
         # the oracle rejects a tangent that drops the C Omega^T term of a coded
         # tensor or turns the frame the wrong way, in a sym and in a gram frame,
-        # and one that moves a gram source by dH H^T + H dH, not + H dH^T
+        # one that moves a gram source by dH H^T + H dH, not + H dH^T, and one
+        # that holds a vector frame's completion v_2 or v_3 still
         source = inspect.getsource(spectral_frame._tangent)
         assert source.count(old) == 1
         scope = dict(vars(spectral_frame))
@@ -408,19 +417,25 @@ class TestExactColumns:
                                     for k in range(len(dxs))])
                 assert block.shape == (len(extract_invariants(sys0, frame).entries),
                                        len(dxs))
+                # per column, against its largest entry; a zero column (the
+                # N0M0P1-unit list's constant head) must stay exactly zero
                 scale = np.abs(single).max(axis=0)
-                assert (np.abs(block - single).max(axis=0) / scale).max() <= 1e-14, \
+                assert (np.abs(block - single).max(axis=0) <= 1e-14 * scale).all(), \
                     (n, m, p, skew, unit, svd, cls, index)
                 checked += 1
-        assert checked == 120 - 14 - 6  # chart blocks, less the SVD and vector sources
+        assert checked == 120 - 14  # chart blocks, less the SVD sources
 
     @pytest.mark.parametrize("shape,svd,calls", [
-        ((2, 0, 1), False, 3),
-        ((1, 1, 1), False, 3),
-        ((1, 1, 1), True, 2),
-    ], ids=["N2P1", "N1M1P1", "N1M1P1-svd"])
+        ((2, 0, 1), False, 1),
+        ((1, 1, 1), False, 1),
+        ((0, 2, 1), False, 1),
+        ((0, 0, 3), False, 1),
+        ((1, 1, 1), True, 0),
+    ], ids=["N2P1", "N1M1P1", "N0M2P1", "N0M0P3", "N1M1P1-svd"])
     def test_one_tangent_call_per_exact_block(self, monkeypatch, shape, svd, calls):
-        # the SVD frame's source block stays on central differences
+        # only the frame source's block moves the frame, so it alone calls
+        # _tangent; every other block writes its own code rows, and the SVD
+        # frame's source block stays on central differences
         seen = []
         original = analysis._tangent
         monkeypatch.setattr(analysis, "_tangent",
@@ -430,29 +445,31 @@ class TestExactColumns:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_exact_rank_margins(self, seed):
-        # with every column exact, a sym or gram list's dropped singular
-        # values are round-off and its kept ones stand far above the threshold
+        # with every column exact, a sym, gram or vector list's dropped
+        # singular values are round-off and its kept ones stand far above the
+        # threshold (the N0M0P1-unit list keeps none)
         checked = 0
         for n, m, p, skew, unit in _rank_configs():
-            if n == 0 and (m == 0 or skew):
-                continue  # vector frames, and the skew-only gram frames the sweep skips
+            if n == 0 and m >= 1 and skew:
+                continue  # the skew-only gram frames the sweep skips
             for point in range(3):
                 sys0 = seeded_system(n, m, p, skew=skew, unit=unit, seed=seed + 1000 * point)
                 rep = jacobian_rank(spectral_values_fn(), sys0)
                 sv, r = rep.singular_values, rep.rank
-                assert sv[r - 1] >= 1e3 * rep.threshold, (n, m, p, skew, unit, point)
+                assert r == 0 or sv[r - 1] >= 1e3 * rep.threshold, (n, m, p, skew, unit,
+                                                                    point)
                 assert max(sv[r:], default=0.0) <= 1e-6 * rep.threshold, (n, m, p, skew,
                                                                            unit, point)
                 checked += 1
-        assert checked == 3 * 28
+        assert checked == 3 * 34
 
     @pytest.mark.parametrize("shape,skew,unit,svd,builder,calls", [
         ((2, 0, 1), False, False, False, "build_frame", 1),
         ((1, 1, 1), True, False, False, "build_frame", 1),
         ((0, 2, 1), False, False, False, "build_frame", 1),
         ((1, 1, 1), False, False, True, "build_svd_frame", 1 + 2 * 9),
-        ((0, 0, 2), False, False, False, "build_frame", 1 + 2 * 3),
-        ((0, 0, 2), False, True, False, "build_frame", 1 + 2 * 2),
+        ((0, 0, 2), False, False, False, "build_frame", 1),
+        ((0, 0, 2), False, True, False, "build_frame", 1),
     ], ids=["sym", "sym-skew", "gram", "svd", "vector", "unit-vector"])
     def test_frame_built_through_source_only(self, monkeypatch, shape, skew, unit,
                                              svd, builder, calls):
@@ -463,3 +480,35 @@ class TestExactColumns:
         sys0 = seeded_system(*shape, skew=skew, unit=unit, seed=0)
         jacobian_rank(spectral_values_fn(svd), sys0)
         assert len(seen) == calls
+
+
+def test_report_rejects_a_duplicate_claim_id():
+    # by a set of the ids seen, those of claims given at construction included
+    report = analysis.VerificationReport("rank", 0, 100)
+    report.check("rank/a", "first", 1.0, 1.0)
+    report.check("rank/b", "second", 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^duplicate claim id 'rank/a'$"):
+        report.check("rank/a", "again", 1.0, 1.0)
+    assert [c.claim_id for c in report.claims] == ["rank/a", "rank/b"]
+    given = analysis.VerificationReport("rank", 0, 100, claims=list(report.claims))
+    with pytest.raises(ValueError, match=r"^duplicate claim id 'rank/b'$"):
+        given.add(report.claims[1])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1003])
+def test_seeded_system_is_the_validated_draw(seed):
+    # built without a check, a seeded system is bit for bit what
+    # tensor_system makes of the same draws
+    for n, m, p, skew, unit in _rank_configs():
+        rng = np.random.default_rng(np.random.SeedSequence([seed, n, m, p, int(skew),
+                                                            int(unit)]))
+        sym = [0.5 * (a + a.T) for a in rng.standard_normal((n, 3, 3))]
+        nonsym = [0.5 * (h - h.T) if skew else h for h in rng.standard_normal((m, 3, 3))]
+        vecs = [x / np.linalg.norm(x) if unit else x for x in rng.standard_normal((p, 3))]
+        want = tensor_system(sym=sym, nonsym=nonsym, skew=[skew] * m, vecs=vecs,
+                             unit=[unit] * p)
+        got = seeded_system(n, m, p, skew=skew, unit=unit, seed=seed)
+        assert (got.nonsym_skew, got.vec_unit) == (want.nonsym_skew, want.vec_unit)
+        for x, y in zip(got.sym + got.nonsym + got.vecs, want.sym + want.nonsym + want.vecs,
+                        strict=True):
+            assert x.tobytes() == y.tobytes() and not x.flags.writeable

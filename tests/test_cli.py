@@ -342,6 +342,32 @@ class TestSystemFile:
         with pytest.raises(ValueError):
             load_system_file(str(path))
 
+    @pytest.mark.parametrize("command", [
+        ["frame"], ["verify", "isotropy"], ["verify", "reconstruction"], ["verify", "rank"],
+    ], ids=["frame", "isotropy", "reconstruction", "rank"])
+    @pytest.mark.parametrize("doc,key", [
+        ({"sym": [[[3, 0, 0], [0, True, 0], [0, 0, 1]]]}, "sym"),
+        ({"nonsym": [{"matrix": [[3, 0, 0], [0, "1", 0], [0, 0, 1]]}]}, "matrix"),
+        ({"vecs": [{"v": [1, 2, None]}]}, "v"),
+        ({"sym": [np.diag([3.0, 2.0, 1.0]).tolist()], "vecs": [{"v": [1, False, 2]}]}, "v"),
+        ({"vecs": [{"v": [1, [2], 3]}, {"v": [1, 2, {"x": 1}]}]}, "v"),
+    ], ids=["true-in-sym", "string-in-matrix", "null-in-v", "false-in-v", "object-in-v"])
+    def test_only_json_numbers_are_entries(self, tmp_path, capsys, command, doc, key):
+        # json reads true as a bool and "1" as a str, which numpy would take
+        # for 1.0: each is an input error, exit 2 with one error line
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"version": 1, **doc}))
+        assert main([*command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f'error: "{key}" entries must be JSON numbers\n'
+        assert captured.out == ""
+
+    def test_integer_beyond_the_double_range_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "sys.json"
+        path.write_text('{"version": 1, "vecs": [{"v": [1, 2, 1%s]}]}' % ("0" * 400))
+        assert main(["frame", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: vector has non-finite entries\n"
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):

@@ -239,8 +239,19 @@ class TestScaleRobustness:
         assert np.isfinite(sys1.sym[0]).all()
         assert np.array_equal(sys1.sym[0], sys1.sym[0].T)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("system", [
+        tensor_system(nonsym=[np.full((3, 3), 1.5e308)]),
+        tensor_system(nonsym=[np.triu(np.full((3, 3), 1.7e308), 1)
+                              - np.tril(np.full((3, 3), 1.7e308), -1)], skew=[True]),
+        tensor_system(vecs=[[1.7e308] * 3]),
+    ], ids=["nonsym", "skew", "vector"])
+    def test_conjugate_overflow_is_one_error_and_no_warning(self, system):
+        # the one-line error, with no numpy overflow or invalid-value warning
+        # first (a RuntimeWarning is an error here); the symmetric case is
+        # the test below
+        with pytest.raises(ValueError, match=r"^a rotated member is not finite$"):
+            conjugate(haar_rotation(np.random.default_rng(0)), system)
+
     def test_conjugate_rejects_an_overflowing_rotation(self):
         sys0 = tensor_system(sym=[np.full((3, 3), 1.7e308)])
         with pytest.raises(ValueError, match=r"^a rotated member is not finite$"):

@@ -17,6 +17,7 @@ eigendecompositions of a frame at the public ``lin3.eig_sym`` that
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import pkgutil
@@ -117,11 +118,14 @@ def test_chart_pair_carries_every_fd_point(monkeypatch):
     assert len(made) == 2 * dim
     # the one other evaluation is at the chart's base point
     assert all(s is bases[-1] or any(s is t for t in made) for s in seen)
-    # a sym list's columns are all exact; a vector frame's source still takes
-    # central differences
+    # a sym, gram or vector list's columns are all exact; an SVD frame's
+    # source still takes central differences
     made.clear()
     analysis.jacobian_rank(analysis.spectral_values_fn(), analysis.seeded_system(0, 0, 2))
-    assert len(made) == 2 * 3  # the source vector's coordinates only
+    assert not made
+    analysis.jacobian_rank(analysis.spectral_values_fn(svd_variant=True),
+                           analysis.seeded_system(1, 1, 1, seed=0))
+    assert len(made) == 2 * 9  # the source tensor's coordinates only
 
 
 def test_frames_decompose_through_the_public_eig_sym(monkeypatch):
@@ -144,3 +148,37 @@ def test_frames_decompose_through_the_public_eig_sym(monkeypatch):
     assert len(calls) == 1
     spectral_frame.build_frame(lin3.tensor_system(sym=[2.0 * c_mat]))
     assert len(calls) == 2
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_rank_pass_counts(tmp_path, monkeypatch):
+    # the per-pass counts the benchmark's traced verify-rank run reports: one
+    # frame per check (102 spectral, one for the classical list), chart points
+    # for the classical list's 12 coordinates alone, one draw per checked
+    # point (none for the 27 skips) and no re-validation of a drawn system;
+    # each spectral check moves its frame in one _tangent call
+    tangents = []
+    original = analysis._tangent
+    monkeypatch.setattr(analysis, "_tangent",
+                        lambda *args: tangents.append(args) or original(*args))
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        code = isotropykit.cli.main(["verify", "rank", "--seed", "0", "--json",
+                                     str(tmp_path / "rank.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    calls = {name: n for name, (n, _, _) in tracer.summarize(0, len(tracer.start)).items()}
+    assert calls["spectral_frame.build_frame"] == 103
+    assert tracer.counters[tracer_module.CHART_EVALS] == 2 * 12
+    assert calls["analysis.seeded_system"] == 103
+    assert calls.get("lin3.tensor_system", 0) == 0
+    assert len(tangents) == 102
