@@ -136,7 +136,10 @@ def _numbers(value, key):
 def load_system_file(path: str):
     """Parse and validate a version-1 system file (JSON)."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("system file is nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise ValueError("system file must be a JSON object")
     if data.get("version") != 1:
@@ -738,6 +741,7 @@ def cmd_frame(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isotropykit",

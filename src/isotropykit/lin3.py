@@ -208,17 +208,14 @@ def _fix_sign_convention(rows):
     return v, signs
 
 
+# the partitions of {0, 1, 2}, shared by every frame, by which neighbour gaps close
+_PARTITIONS = {(False, False): ((0,), (1,), (2,)), (True, False): ((0, 1), (2,)),
+               (False, True): ((0,), (1, 2)), (True, True): ((0, 1, 2),)}
+
+
 def _degeneracy_groups(lams, tol_rel):
     thr = _thr(tol_rel, max(map(abs, lams)))
-    groups, cur = [], [0]
-    for i in (1, 2):
-        if lams[i - 1] - lams[i] <= thr:
-            cur.append(i)
-        else:
-            groups.append(tuple(cur))
-            cur = [i]
-    groups.append(tuple(cur))
-    return tuple(groups)
+    return _PARTITIONS[lams[0] - lams[1] <= thr, lams[1] - lams[2] <= thr]
 
 
 def eig_sym(a):

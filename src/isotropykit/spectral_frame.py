@@ -180,6 +180,14 @@ def _labels(stem, code) -> tuple:
                  for pair in code.pairs)
 
 
+@functools.lru_cache(maxsize=256)
+def _list_labels(kind, layout) -> tuple:
+    # the label tuple of every list of one layout, and its label -> index map
+    labels = _KINDS[kind][0] + ("u1.v1", "u2.v2", "u3.v3") * (kind == "svd") + sum(
+        (_labels(stem, code) for stem, _, _, code in layout), ())
+    return labels, {label: k for k, label in enumerate(labels)}
+
+
 # per frame kind: the labels of the heads, which carry the frame source by
 # its eigen- or singular values, the first coded (sym, nonsym, vecs) index
 # and the source's argument class; a gram frame does not diagonalize its
@@ -240,35 +248,55 @@ class SpectralFrame:
         return len(self.degeneracy) < 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class SpectralInvariants:
     """Labeled component invariants of a system in its frame.
 
-    ``entries`` keeps the fixed label order; ``count`` is the effective
-    irreducible count (one less per unit-flagged vector, whose components
-    satisfy a norm constraint, and three less per symmetric tensor in the
-    SVD variant, whose nine mixed components carry only six degrees of
-    freedom).  ``len(entries)`` can therefore exceed ``count``.
+    The values are one read-only float64 array in the fixed label order; the
+    label tuple and its label -> index map are shared by every list of one
+    layout (frame kind and system shape).  ``entries`` and :meth:`as_dict`
+    build ``(label, float)`` pairs on demand, :meth:`values` is a fresh array,
+    and lists compare by labels, value bytes, count, kind and flags.
+    ``count`` is the effective irreducible count (one less per unit-flagged
+    vector, whose components satisfy a norm constraint, and three less per
+    symmetric tensor in the SVD variant, whose nine mixed components carry
+    only six degrees of freedom).  ``len(entries)`` can exceed ``count``.
     """
 
-    entries: tuple
+    _values: np.ndarray
+    _labels: tuple
+    _index: dict
     count: int
     frame_kind: str
     n_sym: int
     nonsym_skew: tuple
     vec_unit: tuple
 
-    def labels(self):
-        return tuple(label for label, _ in self.entries)
+    @property
+    def entries(self) -> tuple:
+        return tuple(zip(self._labels, self._values.tolist()))
+
+    def labels(self) -> tuple:
+        return self._labels
 
     def values(self) -> np.ndarray:
-        return np.array([value for _, value in self.entries])
+        return self._values.copy()
 
     def __getitem__(self, label: str) -> float:
-        return self.as_dict()[label]
+        return self._values.item(self._index[label])
 
     def as_dict(self) -> dict:
         return dict(self.entries)
+
+    def _key(self) -> tuple:
+        return (self._labels, self._values.tobytes(), self.count, self.frame_kind,
+                self.n_sym, self.nonsym_skew, self.vec_unit)
+
+    def __eq__(self, other):
+        return isinstance(other, SpectralInvariants) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def frame_completion(v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -424,18 +452,14 @@ def extract_invariants(system: TensorSystem, frame: SpectralFrame) -> SpectralIn
     """
     layout = _layout(frame.kind, system.n_sym, system.nonsym_skew, system.n_vec)
     v, u = frame.v, frame.u
-    entries = list(zip(_KINDS[frame.kind][0], frame.lambdas.tolist()))
+    labels, index = _list_labels(frame.kind, layout)
+    blocks = [frame.lambdas[:len(_KINDS[frame.kind][0])]]
     if frame.kind == "svd":
-        entries += [(f"u{i + 1}.v{i + 1}", float(u[i] @ v[i])) for i in range(3)]
-    for stem, cls, index, code in layout:
-        x = getattr(system, cls)[index]
-        entries += zip(_labels(stem, code), _encode(x, code, v, u).tolist())
-    entries = tuple(entries)
-    count = len(entries) - sum(system.vec_unit)
-    if frame.kind == "svd":
-        count -= 3 * system.n_sym
-    return SpectralInvariants(entries, count, frame.kind, system.n_sym,
-                              system.nonsym_skew, system.vec_unit)
+        blocks.append([u[i] @ v[i] for i in range(3)])
+    blocks += [_encode(getattr(system, cls)[k], code, v, u) for _, cls, k, code in layout]
+    count = len(labels) - sum(system.vec_unit) - 3 * system.n_sym * (frame.kind == "svd")
+    return SpectralInvariants(_freeze(np.concatenate(blocks)), labels, index, count,
+                              frame.kind, system.n_sym, system.nonsym_skew, system.vec_unit)
 
 
 def irreducible_count(N: int, M: int, P: int, *, skew_nonsym: bool = False,
@@ -485,8 +509,8 @@ def rebuild_system(inv: SpectralInvariants, frame: SpectralFrame | None = None) 
         raise ValueError("svd invariants need their frame to rebuild the system")
     v = frame.v if frame is not None else _EYE
     u = frame.u if frame is not None else None
-    data = inv.as_dict()
-    heads = [data[label] for label in _KINDS[inv.frame_kind][0]]
+    heads = inv._values[:len(_KINDS[inv.frame_kind][0])]
+    row = len(heads) + 3 * (inv.frame_kind == "svd")
     args = {"sym": [], "nonsym": [], "vecs": []}
     if inv.frame_kind == "sym_tensor":
         args["sym"].append(_decode(heads, _DIAG, v))
@@ -494,10 +518,10 @@ def rebuild_system(inv: SpectralInvariants, frame: SpectralFrame | None = None) 
         args["vecs"].append(np.sqrt(heads[0]) * v[0])
     elif inv.frame_kind == "svd":
         args["nonsym"].append(_decode(heads, _DIAG, v, u))
-    for stem, cls, _, code in _layout(inv.frame_kind, inv.n_sym, inv.nonsym_skew,
-                                      len(inv.vec_unit)):
-        values = [data[label] for label in _labels(stem, code)]
-        args[cls].append(_decode(values, code, v, u))
+    for _, cls, _, code in _layout(inv.frame_kind, inv.n_sym, inv.nonsym_skew,
+                                   len(inv.vec_unit)):
+        args[cls].append(_decode(inv._values[row:row + code.size], code, v, u))
+        row += code.size
     # tensor_system restores the exact symmetry of the mixed-coded SVD tensors
     return tensor_system(sym=args["sym"], nonsym=args["nonsym"], skew=inv.nonsym_skew,
                          vecs=args["vecs"], unit=inv.vec_unit)

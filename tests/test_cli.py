@@ -368,6 +368,31 @@ class TestSystemFile:
         assert main(["frame", "--input", str(path)]) == 2
         assert capsys.readouterr().err == "error: vector has non-finite entries\n"
 
+    @pytest.mark.parametrize("command", [["frame"], ["verify", "rank"]],
+                             ids=["frame", "rank"])
+    def test_deep_nesting_is_an_input_error(self, tmp_path, capsys, command):
+        # json recurses once per level: a file nested past the recursion
+        # limit is one error line and exit 2, not a RecursionError traceback
+        path = tmp_path / "sys.json"
+        depth = 100_000
+        path.write_text('{"version": 1, "sym": ' + "[" * depth + "]" * depth + "}")
+        assert main([*command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: system file is nested too deeply to parse\n"
+        assert captured.out == ""
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reuse_keeps_defaults(self):
+        # a parse does not leak into the next one through the shared parser
+        first = cli.build_parser().parse_args(["verify", "rank", "--n", "2", "--seed", "3"])
+        second = cli.build_parser().parse_args(["verify", "rank"])
+        assert (first.n, first.seed) == (2, 3)
+        assert (second.n, second.seed, second.system) == (None, None, None)
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):

@@ -1,13 +1,16 @@
 """Frame construction, invariant extraction, counting, reconstruction."""
 
+import gc
 import itertools
 import json
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isotropykit import spectral_frame
+from isotropykit import lin3, spectral_frame
 from isotropykit.analysis import seeded_system
 from isotropykit.lin3 import (
     DegenerateInputError,
@@ -370,6 +373,105 @@ class TestRebuild:
         comp = rebuild_system(extract_invariants(sys0, fr))
         np.testing.assert_allclose(comp.sym[0], np.diag(fr.lambdas), atol=1e-12)
         np.testing.assert_allclose(comp.vecs[0], fr.v @ sys0.vecs[0], atol=1e-12)
+
+
+# (N, M, P) of one system per frame kind, and whether it takes the SVD frame
+FRAME_KINDS = {"sym_tensor": ((2, 1, 1), False), "gram": ((0, 2, 1), False),
+               "vector": ((0, 0, 3), False), "svd": ((1, 2, 1), True)}
+
+
+def kind_system(kind, seed):
+    (n, m, p), svd = FRAME_KINDS[kind]
+    sys0 = random_system(np.random.default_rng(seed), n, m, p)
+    return sys0, build_svd_frame(sys0) if svd else build_frame(sys0)
+
+
+def retained_bytes(make, n=100):
+    """Bytes per object that ``n`` objects ``make()`` returns keep allocated,
+    by tracemalloc, after one warm-up call has filled every cache.  A full
+    collection first empties the free lists, whose reuse tracemalloc does not
+    see; the other allocations in the window are spread over ``n``."""
+    make()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = [make() for _ in range(n)]
+        return tracemalloc.get_traced_memory()[0] / n, kept[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestListStorage:
+    @pytest.mark.parametrize("kind", ["sym_tensor", "svd"])
+    def test_a_list_retains_little_more_than_its_values(self, kind):
+        # 12 entries: 3 heads + 6 + 3 (sym frame), 3 + 3 + 2 * 3 (SVD frame);
+        # one array keeps ~320 bytes (96 of values, the array, the list), a
+        # tuple of (label, float) pairs over 1.2 KB
+        rng = np.random.default_rng(31)
+        n, m, p = (2, 0, 1) if kind == "sym_tensor" else (0, 1, 2)
+        sys0 = random_system(rng, n, m, p)
+        fr = build_svd_frame(sys0) if kind == "svd" else build_frame(sys0)
+        size, inv = retained_bytes(lambda: extract_invariants(sys0, fr))
+        assert len(inv.entries) == 12
+        assert size <= 128 + 32 * 12, size
+
+    @pytest.mark.parametrize("kind", sorted(FRAME_KINDS))
+    def test_lists_of_one_layout_share_their_labels(self, kind):
+        (sys_a, fr_a), (sys_b, fr_b) = kind_system(kind, 41), kind_system(kind, 43)
+        inv_a, inv_b = extract_invariants(sys_a, fr_a), extract_invariants(sys_b, fr_b)
+        assert inv_a.values().tolist() != inv_b.values().tolist()
+        assert inv_a.labels() is inv_b.labels()
+
+    @pytest.mark.parametrize("lams,other,groups", [
+        ([3.0, 2.0, 1.0], [-1.0, -2.0, -5.0], ((0,), (1,), (2,))),
+        ([2.0, 2.0, 1.0], [7.0, 7.0, -7.0], ((0, 1), (2,))),
+        ([2.0, 1.0, 1.0], [1e-9, 0.0, 0.0], ((0,), (1, 2))),
+        ([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], ((0, 1, 2),)),
+    ], ids=["simple", "top-pair", "bottom-pair", "triple"])
+    def test_degeneracy_partitions_are_shared(self, lams, other, groups):
+        first = lin3._degeneracy_groups(lams, lin3._TOL_REL)
+        assert first == groups
+        assert lin3._degeneracy_groups(other, lin3._TOL_REL) is first
+
+
+class TestListContract:
+    @pytest.mark.parametrize("kind", sorted(FRAME_KINDS))
+    def test_entries_lookup_and_as_dict_agree(self, kind):
+        sys0, fr = kind_system(kind, 47)
+        inv = extract_invariants(sys0, fr)
+        assert [label for label, _ in inv.entries] == list(inv.labels())
+        assert all(type(value) is float for _, value in inv.entries)
+        assert [value for _, value in inv.entries] == inv.values().tolist()
+        data = inv.as_dict()
+        for label in inv.labels():
+            assert type(inv[label]) is float
+            assert inv[label] == data[label]
+        with pytest.raises(KeyError):
+            inv["nope"]
+
+    @pytest.mark.parametrize("kind", sorted(FRAME_KINDS))
+    def test_values_is_a_copy(self, kind):
+        sys0, fr = kind_system(kind, 53)
+        inv = extract_invariants(sys0, fr)
+        before = inv.values().tolist()
+        values = inv.values()
+        values[:] = 0.0
+        assert inv.values().tolist() == before
+        assert inv.values() is not inv.values()
+
+    @pytest.mark.parametrize("kind", sorted(FRAME_KINDS))
+    def test_equality_and_hash_by_value(self, kind):
+        sys0, fr = kind_system(kind, 59)
+        inv = extract_invariants(sys0, fr)
+        twin = extract_invariants(*kind_system(kind, 59))
+        assert twin is not inv
+        assert twin == inv and hash(twin) == hash(inv)
+        # the same list with its last value moved by one ulp
+        values = inv.values()
+        values[-1] = np.nextafter(values[-1], np.inf)
+        changed = replace(inv, _values=lin3._freeze(values))
+        assert changed != inv
+        assert inv != inv.entries
 
 
 # extract_invariants on one seeded system per frame kind (a skew and a
