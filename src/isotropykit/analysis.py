@@ -162,9 +162,8 @@ def _unit_scaled(system: TensorSystem) -> TensorSystem:
     # every argument but a unit vector, scaled exactly to a largest entry in [0.5, 1)
     def scaled(x, unit=False):
         return x if unit else np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
-    return TensorSystem(tuple(map(scaled, system.sym)), tuple(map(scaled, system.nonsym)),
-                        system.nonsym_skew, tuple(map(scaled, system.vecs, system.vec_unit)),
-                        system.vec_unit)
+    return _system(map(scaled, system.sym), map(scaled, system.nonsym), system.nonsym_skew,
+                   map(scaled, system.vecs, system.vec_unit), system.vec_unit)
 
 
 def ambient_chart(system0: TensorSystem):
@@ -185,8 +184,8 @@ def ambient_chart(system0: TensorSystem):
             x = base + (theta[pos:pos + len(dirs)] @ dirs).reshape(base.shape)
             args[cls].append(x / np.linalg.norm(x) if unit else x)
             pos += len(dirs)
-        return TensorSystem(tuple(args["sym"]), tuple(args["nonsym"]), system0.nonsym_skew,
-                            tuple(args["vecs"]), system0.vec_unit)
+        return _system(args["sym"], args["nonsym"], system0.nonsym_skew, args["vecs"],
+                       system0.vec_unit)
 
     return dim, to_system
 

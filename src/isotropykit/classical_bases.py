@@ -6,7 +6,9 @@ generators of vector- and symmetric-tensor-valued isotropic functions, listed
 (never counted by closed form) in the stated order.  Each item is its label,
 and a basis runs all its labels as one program over a stack of systems: B
 systems give one ``(B, n, ...)`` array, and one system (B = 1) gives a float
-array or a list of arrays, equal bit for bit to its row in any stack.
+array or a list of arrays, equal bit for bit to its row in any stack.  An
+item on its own runs the one-label program of its label on a stack of one,
+the same steps on the same operands, so it too equals its row bit for bit.
 
 Label grammar
 -------------
@@ -209,20 +211,6 @@ class _Program:
         # a tensor item is returned exactly symmetric
         return 0.5 * (out + out.swapaxes(-1, -2)) if self.kind == "sym_tensor" else out
 
-    def row(self, k, system):
-        """Item ``k`` on one system: its row of a call, from the steps it needs."""
-        values = dict(enumerate(_operands([system], system.shape())))
-
-        def value(slot):
-            if slot not in values:
-                fn, *args = self._steps[slot - 4]
-                values[slot] = fn(*(value(a) for a in args if a is not None))
-            return values[slot]
-
-        out = np.empty((1,) + _SHAPES[self.kind])
-        out[:] = value(self._outputs[k])
-        return (0.5 * (out + out.swapaxes(-1, -2)) if self.kind == "sym_tensor" else out)[0]
-
     def _emit(self, op, *args):
         """Slot of ``op`` on the slots ``args`` (of an operand: on its number)."""
         key = (op, *args)
@@ -295,23 +283,29 @@ class BasisItem:
     fn: Callable
 
 
+@functools.lru_cache(maxsize=1024)
+def _item_program(label, kind):
+    # an item's own program, compiled on its first call
+    return _Program([label], kind)
+
+
 class _Basis:
     """An ordered classical list of the shape ``(n_sym, n_skew, n_vec)``; each
     subclass sets its item ``kind``.  Its labels compile into one program,
-    and an item's evaluator is its row of that program."""
+    and an item's evaluator runs the one-label program of its label."""
 
     def __init__(self, n_sym, n_skew, n_vec, labels):
         self.n_sym, self.n_skew, self.n_vec = n_sym, n_skew, n_vec
-        self.items = tuple(BasisItem(label, self.kind, functools.partial(self._item, k))
-                           for k, label in enumerate(labels))
+        self.items = tuple(BasisItem(label, self.kind, functools.partial(self._item, label))
+                           for label in labels)
         self._by_label = {item.label: item for item in self.items}
         if len(self._by_label) != len(self.items):
             raise AssertionError("duplicate basis labels")
         self._program = _Program(self.labels(), self.kind)
 
-    def _item(self, k, system):
+    def _item(self, label, system):
         self.check_system(system)
-        return self._program.row(k, system)
+        return _item_program(label, self.kind)([system], system.shape())[0, 0]
 
     def __len__(self):
         return len(self.items)

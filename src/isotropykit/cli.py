@@ -142,8 +142,9 @@ def load_system_file(path: str):
             raise ValueError("system file is nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise ValueError("system file must be a JSON object")
-    if data.get("version") != 1:
-        raise ValueError(f"unsupported system file version {data.get('version')!r}")
+    version = data.get("version")
+    if isinstance(version, bool) or version != 1:  # json's true == 1
+        raise ValueError(f"unsupported system file version {version!r}")
     sym = data.get("sym", [])
     if not isinstance(sym, list):
         raise ValueError('"sym" must be a list of matrices')
@@ -161,6 +162,20 @@ def load_system_file(path: str):
 # suite helpers
 
 
+def _tag(n, m, p, skew=False, unit=False):
+    # the claim-id tag of a configuration
+    return f"N{n}M{m}P{p}" + "-skew" * skew + "-unit" * unit
+
+
+def _configs(system, seed, shapes):
+    # ``(tag, system)`` of the input system, or of each seeded ``(n, m, p,
+    # skew)`` of ``shapes``
+    if system is not None:
+        return [("input-" + _tag(*system.shape()), system)]
+    return [(_tag(n, m, p, skew), seeded_system(n, m, p, skew=skew, seed=seed))
+            for n, m, p, skew in shapes]
+
+
 # claim-id word and description of each kind of classical item
 _CLASSICAL_ISOTROPY = {
     "scalar": ("scalar", "classical scalar invariant under rotation"),
@@ -176,22 +191,12 @@ def run_isotropy(seed: int, trials: int = 100, tol: float = 1e-9,
     report = VerificationReport("isotropy", seed, trials,
                                 {"tol": tol, "input": system is not None})
     rng = np.random.default_rng(seed)
-    if system is not None:
-        n, m, p = system.shape()
-        configs = [(f"input-N{n}M{m}P{p}", system,
-                    _classical_bases(n, m, p) if all(system.nonsym_skew) else None)]
-    else:
-        configs = [
-            ("N2M1P2-skew", seeded_system(2, 1, 2, skew=True, seed=seed),
-             _classical_bases(2, 1, 2)),
-            ("N1M0P1", seeded_system(1, 0, 1, seed=seed), _classical_bases(1, 0, 1)),
-            ("N0M1P1", seeded_system(0, 1, 1, seed=seed), None),
-        ]
-    for tag, sys0, bases in configs:
+    shapes = [(2, 1, 2, True), (1, 0, 1, False), (0, 1, 1, False)]
+    for tag, sys0 in _configs(system, seed, shapes):
         rotations = np.array([haar_rotation(rng) for _ in range(trials)])
         conjugated = [conjugate(q, sys0) for q in rotations]
-        if bases is not None:
-            for basis in bases:
+        if all(sys0.nonsym_skew):
+            for basis in _classical_bases(*sys0.shape()):
                 # one run of the basis over the unrotated and every rotated system
                 word, description = _CLASSICAL_ISOTROPY[basis.kind]
                 values = basis.evaluate([sys0] + conjugated)
@@ -226,16 +231,7 @@ def run_reconstruction(seed: int, trials: int = 100, tol: float = 1e-12,
     report = VerificationReport("reconstruction", seed, trials, {"tol": tol})
     rng = np.random.default_rng(seed)
     rel = lambda x, y: _norm(x - y) / (1.0 + _norm(x))
-    if system is not None:
-        n, m, p = system.shape()
-        configs = [(f"input-N{n}M{m}P{p}", system)]
-    else:
-        configs = [
-            ("N2M1P2-skew", seeded_system(2, 1, 2, skew=True, seed=seed)),
-            ("N1M1P1", seeded_system(1, 1, 1, seed=seed)),
-            ("N0M2P1", seeded_system(0, 2, 1, seed=seed)),
-            ("N0M0P2", seeded_system(0, 0, 2, seed=seed)),
-        ]
+    shapes = [(2, 1, 2, True), (1, 1, 1, False), (0, 2, 1, False), (0, 0, 2, False)]
 
     def residuals(sys0, frame):
         # of each argument rebuilt from the frame and the invariants
@@ -243,7 +239,7 @@ def run_reconstruction(seed: int, trials: int = 100, tol: float = 1e-12,
         return list(map(rel, sys0.sym + sys0.nonsym + sys0.vecs,
                         back.sym + back.nonsym + back.vecs))
 
-    for tag, sys0 in configs:
+    for tag, sys0 in _configs(system, seed, shapes):
         for k, res in enumerate(residuals(sys0, build_frame(sys0))):
             report.check(f"reconstruction/{tag}/arg{k}",
                          "argument rebuilt from frame + invariants", res, tol)
@@ -353,7 +349,7 @@ def run_rank(seed: int, system=None, n: int = 0, m: int = 0, p: int = 0,
         report.configuration["summary"] = "; ".join(summary)
         return report
     for n, m, p, skew, unit in _rank_configs():
-        tag = f"N{n}M{m}P{p}" + ("-skew" if skew else "") + ("-unit" if unit else "")
+        tag = _tag(n, m, p, skew, unit)
         count = irreducible_count(n, m, p, skew_nonsym=skew, all_vectors_unit=unit)
         for point in range(3):
             cid = f"rank/{tag}/point{point}"

@@ -12,11 +12,13 @@ trusting the caller.  A rotated member that overflows is a ``ValueError``
 from :func:`conjugate`, never a non-finite member.
 
 :class:`TensorSystem` is the validation boundary.  Its members are trusted
-to be finite, correctly shaped and exactly symmetric or skew, which holds
-for every system built by :func:`tensor_system` (validate, then the
-unchecked ``_system``), :func:`conjugate`, ``analysis.seeded_system`` or
-``analysis.ambient_chart``; code behind the boundary does not check them
-again.  Every public function still validates its own arguments.
+to be finite, correctly shaped and exactly symmetric or skew, and they are
+read-only: every system is built by :func:`tensor_system` (validate, then
+the unchecked ``_system``) or ``_system``, which freezes the members that
+its caller made valid (:func:`conjugate`, the seeded systems, the rank
+chart's points, the gradients' moved systems).  Code behind the boundary
+does not check them again.  Every public function still validates its own
+arguments.
 
 Every "is this number negligible?" cut-off in the package is one rule,
 :func:`_thr`: ``tol * max(size, sys.float_info.min)``, where ``size`` is the
@@ -322,10 +324,10 @@ def _freeze(a):
 
 
 def _finite(a):
-    # ``_freeze`` of an array that an overflow may have made non-finite
+    # ``a``, or a ValueError if an overflow made it non-finite
     if not all(map(math.isfinite, a.ravel().tolist())):
         raise ValueError("a rotated member is not finite")
-    return _freeze(a)
+    return a
 
 
 def tensor_system(sym=(), nonsym=(), skew=None, vecs=(), unit=None) -> TensorSystem:
@@ -378,8 +380,8 @@ def conjugate(q, system: TensorSystem) -> TensorSystem:
     q = rotation_matrix(q)
     # an overflow is this function's one-line error, not numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = tuple(_finite(_resym(q @ a @ q.T)) for a in system.sym)
-        nonsym = tuple(_finite(_resym(q @ h @ q.T, skew=True) if is_skew else q @ h @ q.T)
-                       for h, is_skew in zip(system.nonsym, system.nonsym_skew))
-        vecs = tuple(_finite(q @ a) for a in system.vecs)
-    return TensorSystem(sym, nonsym, system.nonsym_skew, vecs, system.vec_unit)
+        sym = [_finite(_resym(q @ a @ q.T)) for a in system.sym]
+        nonsym = [_finite(_resym(q @ h @ q.T, skew=True) if is_skew else q @ h @ q.T)
+                  for h, is_skew in zip(system.nonsym, system.nonsym_skew)]
+        vecs = [_finite(q @ a) for a in system.vecs]
+    return _system(sym, nonsym, system.nonsym_skew, vecs, system.vec_unit)

@@ -59,6 +59,7 @@ from isotropykit.lin3 import (
     _central,
     _norm,
     _resym,
+    _system,
     _thr,
     eig_sym,
     svd3,
@@ -88,8 +89,8 @@ def _with_arg(system: TensorSystem, kind: str, new: np.ndarray) -> TensorSystem:
     ``"sym"`` or ``"nonsym"``) replaced by ``new``."""
     args = {"sym": system.sym, "nonsym": system.nonsym, "vecs": system.vecs}
     args[kind] = (new,) + args[kind][1:]
-    return TensorSystem(args["sym"], args["nonsym"], system.nonsym_skew, args["vecs"],
-                        system.vec_unit)
+    return _system(args["sym"], args["nonsym"], system.nonsym_skew, args["vecs"],
+                   system.vec_unit)
 
 
 def _rotated(triad: np.ndarray, i: int, j: int, theta: float) -> np.ndarray:

@@ -10,20 +10,20 @@ with the frame eigenvalues, form the invariant list.
 
 Eigenvectors of a single symmetric tensor carry a +- sign ambiguity that no
 convention based on ambient coordinates can resolve equivariantly.
-:func:`build_frame` therefore fixes the residual signs from *probes* that
-rotate with the system (vector projections, off-diagonal components of the
-remaining tensors), which makes the extracted components reproducible under
-simultaneous rotation of all arguments.
+:func:`build_frame` therefore fixes the residual signs from coded entries
+that rotate with the system (vector projections, off-diagonal components of
+the remaining tensors), which makes the extracted components reproducible
+under simultaneous rotation of all arguments.
 
 Every argument is coded the same way, by one codec: :func:`_encode` reads
 the components ``v_i . X r_j`` of a tensor (``r = u`` for the mixed SVD
 components, ``r = v`` otherwise) or ``x . v_i`` of a vector, and
 :func:`_decode` sums them back over the frame dyads.  A *code* is data: the
 index pairs it reads, in slot order, and the sign that mirrors ``c[i, j]``
-into ``c[j, i]``.  :func:`_layout` lists the argument each frame kind codes,
-with its label stem and code, in label order; extraction, reconstruction,
-the gauge probes and the exact Jacobian columns (:func:`_tangent`) all read
-that one list.
+into ``c[j, i]``, and per slot the mask of the frame signs that negate it.
+:func:`_layout` lists the argument each frame kind codes, with its label
+stem and code, in label order; extraction, reconstruction, the sign gauge
+and the exact Jacobian columns (:func:`_tangent`) all read that one list.
 
 Labels are stable strings (``lam1``, ``A2[1,3]``, ``W1[1,2]``, ``a2[3]``;
 mixed-basis components in the SVD variant use parentheses, e.g. ``A1(1,3)``
@@ -33,6 +33,7 @@ for ``v_1 . A_1 u_3``), so invariant lists are diffable across runs.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +72,18 @@ class _Code:
     """How an argument is coded by its frame components: the index pairs it
     reads, in slot order (``(i,)`` for a vector), the sign that mirrors
     ``c[i, j]`` into ``c[j, i]`` (+1 symmetric, -1 skew, None: no mirror)
-    and the brackets around the indices in its labels."""
+    and the brackets around the indices in its labels.
+
+    ``odd`` holds per slot the mask of the frame signs that negate it: bit 1
+    for the sign ``s0`` of ``v[0]``, bit 2 for ``s1`` of ``v[1]`` and 3 for
+    ``v[2]``, whose sign is ``s0 s1`` (``u`` flips with ``v``).  A slot's
+    mask is the XOR of its indices' masks, so a diagonal slot's is 0."""
 
     def __init__(self, pairs, mirror=None, brackets="[]"):
         self.pairs, self.mirror, self.brackets = tuple(pairs), mirror, brackets
         self.size = len(self.pairs)
+        self.odd = tuple(functools.reduce(operator.xor, (k + 1 for k in pair))
+                         for pair in self.pairs)
         shape = (3,) * len(self.pairs[0])
         self.take = np.ravel_multi_index(tuple(zip(*self.pairs)), shape)
         # row k: the flattened components of unit slot k, mirror included
@@ -96,8 +104,9 @@ _DIAG = _Code([(i, i) for i in range(3)])
 def _encode(x, code, v, r=None) -> np.ndarray:
     """Frame components of ``x`` in the slot order of ``code``."""
     if code is _VEC:
-        # one dot per frame vector: the same numbers as the gauge probes
-        return np.array([x @ row for row in v])
+        # one dot per frame vector: the bits the recorded reports hold (a
+        # matvec ``v @ x`` rounds differently in about half of the vectors)
+        return np.array([x.dot(row) for row in v])
     return (v @ x @ (v if r is None else r).T).take(code.take)
 
 
@@ -315,44 +324,29 @@ def frame_completion(v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # equivariant sign gauge
 
 
-def _probe_values(system: TensorSystem, v, u, kind, slot):
-    """Yield (value, size) sign probes for the given eigenvector slot, with
-    the norm of the argument each value comes from.
-
-    A probe must be odd under flipping ``v[slot]`` (jointly with ``u[slot]``
-    for SVD frames) and even under flipping the other allowed sign.  Vector
-    projections ``a . v[slot]`` qualify directly; for tensors, the component
-    pair ``(1, 2)`` responds to the slot-0 sign and ``(0, 2)`` to slot 1,
-    because the third sign is the product of the first two.
-    """
-    i, j = (1, 2) if slot == 0 else (0, 2)
-    for a in system.vecs:
-        yield a @ v[slot], _norm(a)
-    right = v if u is None else u
-    for _, cls, index, code in _layout(kind, system.n_sym, system.nonsym_skew,
-                                       system.n_vec):
-        if code is _VEC:
-            continue
-        x = getattr(system, cls)[index]
-        size = _norm(x)
-        yield v[i] @ x @ right[j], size
-        if code is not _SKEW:
-            yield v[j] @ x @ right[i], size
-
-
 def _frozen_frame(kind, lambdas, v, u, degeneracy) -> SpectralFrame:
     return SpectralFrame(kind, _freeze(lambdas), _freeze(v),
                          None if u is None else _freeze(u), degeneracy)
 
 
 def _apply_equivariant_gauge(system, kind, v, u=None):
-    signs = [1.0, 1.0]
-    for slot in (0, 1):
-        for value, size in _probe_values(system, v, u, kind, slot):
-            if abs(value) > _thr(_TOL_REL, size):
-                signs[slot] = 1.0 if value > 0.0 else -1.0
-                break
-    s0, s1 = signs
+    """``v`` (and ``u``) with the signs ``s0`` of ``v[0]`` and ``s1`` of
+    ``v[1]`` fixed, ``v[2]`` taking ``s0 s1``.  Each sign is taken from the
+    first coded entry, of the vectors and then the tensors in list order,
+    that only its flip negates (``code.odd`` is its bit) and that clears
+    the threshold of its argument's norm; a sign no entry fixes stays +1."""
+    layout = _layout(kind, system.n_sym, system.nonsym_skew, system.n_vec)
+    k = len(layout) - system.n_vec  # a gauged frame codes every vector, last
+    signs = {}
+    for _, cls, index, code in layout[k:] + layout[:k]:
+        x = getattr(system, cls)[index]
+        thr = _thr(_TOL_REL, _norm(x))
+        for value, bit in zip(_encode(x, code, v, u).tolist(), code.odd):
+            if bit in (1, 2) and bit not in signs and abs(value) > thr:
+                signs[bit] = 1.0 if value > 0.0 else -1.0
+        if len(signs) == 2:
+            break
+    s0, s1 = signs.get(1, 1.0), signs.get(2, 1.0)
     full = np.array([[s0], [s1], [s0 * s1]])
     return v * full, None if u is None else u * full
 
@@ -368,7 +362,7 @@ _last_frame = (None, None)
 
 def _content_key(system: TensorSystem) -> tuple:
     # the member counts per class, the flags and the bytes of every member:
-    # the gauge probes read every member, so all of it decides the frame
+    # the gauge may read every member, so all of it decides the frame
     return (len(system.sym), len(system.nonsym), len(system.vecs), system.nonsym_skew,
             system.vec_unit, *(x.tobytes() for x in system.sym + system.nonsym + system.vecs))
 
@@ -412,9 +406,11 @@ def _frame_of(system: TensorSystem) -> SpectralFrame:
         v, _ = _apply_equivariant_gauge(system, "gram", v)
         return _frozen_frame("gram", lams, v, None, groups)
     a = system.vecs[0]
-    lam = float(a @ a)
+    lam = float(np.vdot(a, a))  # an overflow is inf here, with no warning
     if lam < _FLOOR:
         raise DegenerateInputError("frame vector is zero")
+    if lam == np.inf:
+        raise DegenerateInputError("frame vector's squared norm overflows")
     v1 = a / np.sqrt(lam)
     v2, v3 = frame_completion(v1)
     lams = np.array([lam, 0.0, 0.0])

@@ -382,6 +382,31 @@ class TestSystemFile:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("command", [
+        ["frame"], ["verify", "rank"], ["verify", "reconstruction"],
+    ], ids=["frame", "rank", "reconstruction"])
+    def test_overflowing_frame_vector_is_an_input_error(self, tmp_path, capsys, command):
+        # finite entries whose squared norm overflows: one error line and
+        # exit 2, not a NaN component or a warning
+        path = tmp_path / "sys.json"
+        path.write_text('{"version": 1, "vecs": [{"v": [1e308, 1e308, 0]}, {"v": [1, 2, 3]}]}')
+        assert main([*command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: frame vector's squared norm overflows\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [["frame"], ["verify", "isotropy"]],
+                             ids=["frame", "isotropy"])
+    def test_boolean_version_rejected(self, tmp_path, capsys, command):
+        # json reads true as a bool, which equals 1
+        path = tmp_path / "sys.json"
+        path.write_text('{"version": true, "sym": [[[3, 0, 0], [0, 2, 0], [0, 0, 1]]]}')
+        assert main([*command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unsupported system file version True\n"
+        assert captured.out == ""
+
+
 class TestParser:
     def test_built_once_per_process(self):
         assert cli.build_parser() is cli.build_parser()

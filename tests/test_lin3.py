@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from isotropykit import potentials
+from isotropykit.analysis import jacobian_rank, seeded_system
+from isotropykit.classical_bases import boehler_scalars
 from isotropykit.lin3 import (
     _mirror_defect,
     _norm,
@@ -366,6 +369,29 @@ class TestTensorSystem:
         sys0 = tensor_system(sym=[np.eye(3)])
         with pytest.raises(ValueError):
             sys0.sym[0][0, 0] = 5.0
+
+    @pytest.mark.parametrize("caller", [
+        "jacobian_rank", "grad_vector", "grad_sym_tensor", "grad_nonsym_tensor",
+        "fd_grad_vector", "fd_grad_sym_tensor", "fd_grad_nonsym_tensor"])
+    def test_internal_systems_are_read_only(self, caller):
+        # the systems the package builds itself (the rank chart's scaled base
+        # and points, the gradients' moved systems) keep the contract too
+        writable = []
+
+        def seen(s):
+            writable.append(any(x.flags.writeable for x in s.sym + s.nonsym + s.vecs))
+            return s
+
+        if caller == "jacobian_rank":
+            basis = boehler_scalars(1, 1, 1)
+            jacobian_rank(lambda s: basis.evaluate(seen(s)),
+                          seeded_system(1, 1, 1, skew=True, seed=5))
+        else:
+            def energy(s):
+                seen(s)
+                return float(np.sum(s.sym[0] @ s.sym[0] @ s.nonsym[0]) + s.vecs[0] @ s.vecs[0])
+            getattr(potentials, caller)(energy, seeded_system(1, 1, 1, seed=5))
+        assert writable and not any(writable)
 
 
 class TestValidationBoundary:

@@ -502,3 +502,131 @@ class TestGoldenInvariants:
         assert len(args) == len(case["rebuild_residuals"])
         for orig, new in zip(args, back.sym + back.nonsym + back.vecs):
             assert np.linalg.norm(orig - new) <= 1e-14 * np.linalg.norm(orig)
+
+
+# ---------------------------------------------------------------------------
+# the sign gauge reads the codec's masks
+
+
+CODES = {name: code for name, code in vars(spectral_frame).items()
+         if isinstance(code, spectral_frame._Code)}
+# a flip set by its mask: the frame vectors it negates (s0 negates v1 and v3,
+# s1 negates v2 and v3, both negate v1 and v2)
+FLIPS = {1: (-1.0, 1.0, -1.0), 2: (1.0, -1.0, -1.0), 3: (-1.0, -1.0, 1.0)}
+
+
+class TestGaugeMasks:
+    def test_every_code_carries_its_masks(self):
+        assert set(CODES) >= {"_VEC", "_SYM", "_SKEW", "_FULL", "_MIXED", "_DIAG"}
+        assert spectral_frame._VEC.odd == (1, 2, 3)
+        assert spectral_frame._SKEW.odd == (3, 2, 1)
+        for code in CODES.values():
+            assert len(code.odd) == code.size
+
+    @pytest.mark.parametrize("name", sorted(CODES))
+    @pytest.mark.parametrize("flip", sorted(FLIPS))
+    def test_a_flip_negates_the_slots_it_overlaps_oddly(self, name, flip):
+        code = CODES[name]
+        rng = np.random.default_rng(307)
+        x = rng.standard_normal(3 if code is spectral_frame._VEC else (3, 3))
+        v, u = haar_rotation(rng), haar_rotation(rng)
+        r = u if code is spectral_frame._MIXED else None
+        signs = np.array(FLIPS[flip])[:, None]
+        base = spectral_frame._encode(x, code, v, r)
+        flipped = spectral_frame._encode(x, code, signs * v, None if r is None else signs * r)
+        odd = np.array([bin(mask & flip).count("1") % 2 for mask in code.odd])
+        np.testing.assert_array_equal(flipped, np.where(odd == 1, -base, base))
+
+
+def _reference_probes(system, v, u, kind, slot):
+    # the probe walk the mask rule replaced: vector projections, then per
+    # tensor the components (1, 2) and (2, 1) for slot 0, (0, 2) and (2, 0)
+    # for slot 1, the second skipped for a skew tensor
+    i, j = (1, 2) if slot == 0 else (0, 2)
+    for a in system.vecs:
+        yield a @ v[slot], lin3._norm(a)
+    right = v if u is None else u
+    for _, cls, index, code in spectral_frame._layout(kind, system.n_sym,
+                                                      system.nonsym_skew, system.n_vec):
+        if code is spectral_frame._VEC:
+            continue
+        x = getattr(system, cls)[index]
+        size = lin3._norm(x)
+        yield v[i] @ x @ right[j], size
+        if code is not spectral_frame._SKEW:
+            yield v[j] @ x @ right[i], size
+
+
+def _reference_gauge(system, kind, v, u=None):
+    signs = [1.0, 1.0]
+    for slot in (0, 1):
+        for value, size in _reference_probes(system, v, u, kind, slot):
+            if abs(value) > lin3._thr(lin3._TOL_REL, size):
+                signs[slot] = 1.0 if value > 0.0 else -1.0
+                break
+    full = np.array([[signs[0]], [signs[1]], [signs[0] * signs[1]]])
+    return v * full, None if u is None else u * full
+
+
+def _random_members(rng, n, m, p):
+    return rng.standard_normal((n, 3, 3)), rng.standard_normal((m, 3, 3)), \
+        rng.standard_normal((p, 3))
+
+
+def _zeroed(rng, n, m, p):
+    # random members with about half their entries zero, so that many probes
+    # read nothing and the rule falls through to later entries
+    return tuple(x * (rng.random(x.shape) < 0.5) for x in _random_members(rng, n, m, p))
+
+
+def _snapped(rng, n, m, p):
+    # small integers: exact zeros, ties and repeated eigenvalues
+    return tuple(np.round(2.0 * x) for x in _random_members(rng, n, m, p))
+
+
+def _diagonal_source(rng, n, m, p):
+    # the frame source diagonal, so that its frame is the coordinate axes
+    sym, nonsym, vecs = _random_members(rng, n, m, p)
+    source = sym if n else nonsym
+    source[0] = np.diag(rng.standard_normal(3))
+    return sym, nonsym, vecs
+
+
+GAUGE_BUILDERS = {"random": _random_members, "zeroed": _zeroed, "snapped": _snapped,
+                  "diagonal-source": _diagonal_source}
+GAUGE_SHAPES = [(n, m, p, skew) for n, m, p in itertools.product(range(3), repeat=3)
+                if n + m >= 1 and n + m + p <= 4 for skew in ((False, True) if m else (False,))]
+
+
+def _gauge_system(builder, rng, n, m, p, skew):
+    sym, nonsym, vecs = GAUGE_BUILDERS[builder](rng, n, m, p)
+    return tensor_system(sym=[x + x.T for x in sym],
+                         nonsym=[x - x.T if skew else x for x in nonsym],
+                         skew=[skew] * m, vecs=vecs)
+
+
+class TestGaugeReference:
+    @pytest.mark.parametrize("builder", sorted(GAUGE_BUILDERS))
+    def test_frames_equal_the_probe_rule_bit_for_bit(self, builder):
+        rng = np.random.default_rng(311)
+        frames = 0
+        for _ in range(20):
+            for n, m, p, skew in GAUGE_SHAPES:
+                sys0 = _gauge_system(builder, rng, n, m, p, skew)
+                cases = []
+                if n:
+                    cases.append(("sym_tensor", build_frame, eig_sym(sys0.sym[0])[1], None))
+                elif np.abs(sys0.nonsym[0]).max() > 0.0:
+                    h = sys0.nonsym[0]
+                    cases.append(("gram", build_frame, eig_sym(h @ h.T)[1], None))
+                if m and np.abs(sys0.nonsym[0]).max() > 0.0:
+                    cases.append(("svd", build_svd_frame, *svd3(sys0.nonsym[0])[1:]))
+                for kind, build, v, u in cases:
+                    frame = build(sys0)
+                    ref_v, ref_u = _reference_gauge(sys0, kind, v, u)
+                    assert frame.kind == kind
+                    assert frame.v.tobytes() == ref_v.tobytes(), (builder, kind, n, m, p)
+                    if u is not None:
+                        assert frame.u.tobytes() == ref_u.tobytes(), (builder, n, m, p)
+                    frames += 1
+        assert frames >= 1000
