@@ -8,9 +8,10 @@ per skew tensor, 3 per vector (2 tangent coordinates for unit vectors, so the
 ambient bookkeeping stays exact).  A spectral list codes every argument in a
 frame that only the frame source moves, so each other argument's columns are
 exact: the encoding of its chart directions in the fixed base frame, in that
-argument's own rows.  A sym, gram or vector source's columns are exact too,
-from its frame's first-order motion, in one array pass over the source's
-chart block.  Only an SVD frame's source and a classical list take central
+argument's own rows.  The source's columns are exact too, from the
+first-order motion of its frame (eigen- or singular triads, or a vector's
+completion) and heads, and one ``_tangent`` call writes them all.  Only lists
+without a frame (a classical list, or any other callable) take central
 differences.  A check scales each argument but a unit vector by the power of
 two that puts its largest entry in [0.5, 1): every list here is homogeneous
 in each argument, so the rank stays and does not depend on input size.
@@ -50,9 +51,7 @@ from isotropykit.lin3 import (
 from isotropykit.spectral_frame import (
     _FULL,
     _SKEW,
-    _KINDS,
     _SYM,
-    _coded,
     _tangent,
     build_frame,
     build_svd_frame,
@@ -214,13 +213,10 @@ def _jacobian(values_fn, system0: TensorSystem):
     """Jacobian of an invariant list in the chart of :func:`ambient_chart`,
     and the list's values at ``system0``.
 
-    A spectral list (one that carries its ``build_frame``) is coded in a
-    frame that only its source moves.  Each other chart block writes the
-    code of its directions in the base frame into its argument's own rows;
-    one ``_tangent`` call writes a sym, gram or vector source's columns,
-    with the motion of the frame and its heads.  Only an SVD frame's source
-    coordinates and every coordinate of any other list take central
-    differences.
+    A spectral list (one that carries its ``build_frame``) takes every
+    column from one ``_tangent`` call over the chart blocks, exact in its
+    base frame; only a list without a frame takes central differences,
+    through the chart.
     """
     build = getattr(values_fn, "build_frame", None)
     frame = (build or build_frame)(system0)
@@ -234,39 +230,24 @@ def _jacobian(values_fn, system0: TensorSystem):
         raise DegenerateConfigurationError(
             f"the {frame.kind} frame's source has coalescent spectral values; "
             "rank would drop spuriously")
-    blocks = _chart_blocks(system0)
-    f0 = np.asarray(values_fn(system0) if build is None
-                    else extract_invariants(system0, frame).values(), dtype=float)
-    jac = np.zeros((len(f0), sum(len(dirs) for *_, dirs in blocks)))
-    source = (_KINDS[frame.kind][2], 0)
-    fd_columns, stop = [], 0
-    for cls, index, x, _, dirs in blocks:
-        start, stop = stop, stop + len(dirs)
-        dxs = dirs.reshape(-1, *x.shape)
-        if build is None or (cls, index) == source and frame.kind == "svd":
-            fd_columns += range(start, stop)
-        elif (cls, index) == source:
-            jac[:, start:stop] = _tangent(system0, frame, cls, index, dxs)
-        else:  # the frame stays put: only the moved argument's own rows change
-            first, rows = _coded(system0, frame, cls, index, dxs)
-            jac[first:first + len(rows), start:stop] = rows
-    if fd_columns:
-        dim, to_system = ambient_chart(system0)
-        for k in fd_columns:
-            e = np.eye(dim)[k]
-            jac[:, k] = _central(
-                lambda t: np.asarray(values_fn(to_system(t * e)), dtype=float), _FD_STEP)
-    return jac, f0
+    if build is not None:
+        moves = [(cls, index, dirs.reshape(-1, *x.shape))
+                 for cls, index, x, _, dirs in _chart_blocks(system0)]
+        return _tangent(system0, frame, moves), extract_invariants(system0, frame).values()
+    f0 = np.asarray(values_fn(system0), dtype=float)
+    dim, to_system = ambient_chart(system0)
+    columns = [_central(lambda t: np.asarray(values_fn(to_system(t * e)), dtype=float),
+                        _FD_STEP) for e in np.eye(dim)]
+    return np.array(columns).reshape(dim, len(f0)).T, f0
 
 
 def jacobian_rank(values_fn, system0: TensorSystem) -> RankReport:
     """Numerical rank of an invariant list at ``system0``.
 
     ``values_fn`` maps a system to its value vector.  A list from
-    :func:`spectral_values_fn` takes exact columns, except central
-    differences for an SVD frame's source; any other list takes central
-    differences throughout.  The argument scaling, the rank rule and
-    the base-point check are the module docstring's; nothing is drawn.
+    :func:`spectral_values_fn` takes exact columns; only a list without a
+    frame takes central differences.  The argument scaling, the rank rule
+    and the base-point check are the module docstring's; nothing is drawn.
     """
     jac, f0 = _jacobian(values_fn, _unit_scaled(system0))
     n, dim = jac.shape

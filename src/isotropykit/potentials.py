@@ -22,18 +22,18 @@ vectors.  Its steps are ``1e-5`` radians for a rotation or tilt and
 ``1e-5`` of the size for a length, eigen- or singular value (``lin3._thr``),
 so the fallback is as accurate at every scale.  The closed forms divide by
 the gaps, which must exceed ``1e-6`` of the largest absolute eigen- or
-singular value (``lin3._GAP_REL``) unless ``gap_min`` is given.  Each
+singular value (``lin3._GAP_REL``), or ``gap_min`` for a symmetric one.  Each
 gradient also takes one ``partials`` callable that returns all of its
 spectral partials analytically, in which case no finite difference is taken
 and the trivial cases come out exact to roundoff.
 
 Entry-wise finite-difference oracles (``fd_grad_*``) are provided for
 verification; they never touch frames.  All three are one routine: it steps
-the argument along each unit move of its class (the axes, the symmetrized
-dyads, the nine dyads), with step ``1e-5 (1 + |x|)`` unless the symmetric
-oracle is given ``h``, and halves what a symmetric off-diagonal probe picks
-up.  Every finite difference here, spectral or entry-wise, is the one
-central difference ``lin3._central``.
+the argument along each move of the rank chart (the axes or a unit vector's
+two renormalized tangents, the unit symmetric, skew or full dyads), so every
+system ``W`` sees keeps its flags, with step ``1e-5 (1 + |x|)`` unless the
+symmetric oracle is given ``h``, and halves what a two-entry probe picks up.
+Every finite difference here is the one central difference ``lin3._central``.
 
 :func:`hyperelastic_stress` takes the frame coefficients of its two stresses
 straight from the codec (``representation._coefficients``): both are
@@ -49,6 +49,7 @@ from typing import Callable
 
 import numpy as np
 
+from isotropykit.analysis import _chart_blocks
 from isotropykit.lin3 import (
     _EYE,
     _FLOOR,
@@ -66,7 +67,7 @@ from isotropykit.lin3 import (
     tensor_system,
 )
 from isotropykit.representation import _coefficients
-from isotropykit.spectral_frame import _FULL, _SYM, build_frame, frame_completion
+from isotropykit.spectral_frame import build_frame, frame_completion
 
 __all__ = [
     "HyperelasticModel",
@@ -128,8 +129,9 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
     ``partials(lam, v1) -> (dW/dlam, dW/dv1)`` supplies analytic partials;
     otherwise central differences are used: along ``a`` with step
     ``1e-5 |a|``, and tangentially along tilts of ``v1`` by ``1e-5`` radians.
+    A unit-flagged ``a`` keeps its length: its gradient is the tangential part.
     """
-    a = system.vecs[0]
+    a, unit = system.vecs[0], system.vec_unit[0]
     lam = _norm(a)
     if lam < _FLOOR:
         raise DegenerateConfigurationError(
@@ -138,7 +140,7 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
     v2, v3 = frame_completion(v1)
     if partials is not None:
         dlam, dv = partials(lam, v1)
-        dlam, dv = float(dlam), np.asarray(dv, dtype=float)
+        dlam, dv = 0.0 if unit else float(dlam), np.asarray(dv, dtype=float)
         t2, t3 = float(dv @ v2), float(dv @ v3)
     else:
         def w_at(lam_, v1_):
@@ -148,7 +150,7 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
             p = v1 + t * e
             return p / _norm(p)
 
-        dlam = _central(lambda t: w_at(lam + t, v1), _thr(_STEP, lam))
+        dlam = 0.0 if unit else _central(lambda t: w_at(lam + t, v1), _thr(_STEP, lam))
         t2, t3 = (_central(lambda t: w_at(lam, tilted(e, t)), _STEP) for e in (v2, v3))
     return dlam * v1 + (t2 * v2 + t3 * v3) / lam
 
@@ -186,7 +188,7 @@ def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
 
 
 def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
-                       gap_min: float | None = None, partials=None) -> np.ndarray:
+                       partials=None) -> np.ndarray:
     """Gradient of ``W`` with respect to the first non-symmetric tensor
     argument, through its singular triads.
 
@@ -195,7 +197,7 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
     for the left and one for the right triad.
     """
     sv, v, u = svd3(system.nonsym[0])
-    _check_gaps(sv, gap_min, "singular values")
+    _check_gaps(sv, None, "singular values")
     if partials is not None:
         dlam, rv, ru = (np.asarray(x, dtype=float) for x in partials(sv, v, u))
         anti_v = [float(rv[i, j] - rv[j, i]) for i, j in _OFF_PAIRS]
@@ -229,30 +231,29 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
 # finite-difference oracles (frame-free, entry-wise)
 
 
-def _fd_grad(W, system, cls, dirs, h=None):
-    # central differences of W along each row of ``dirs`` (the flattened unit
-    # moves of the first argument of class ``cls``), with step
-    # ``1e-5 (1 + |x|)`` unless ``h`` is given
-    x = getattr(system, cls)[0]
-    if h is None:
-        h = 1e-5 * (1.0 + _norm(x))
-    d = np.array([_central(lambda t: float(W(_with_arg(system, cls, x + t * e))), h)
+def _fd_grad(W, system, cls, h=None):
+    # central differences of W along the rank chart's moves of the first
+    # argument of class ``cls``, with step ``1e-5 (1 + |x|)`` unless ``h`` is given
+    _, _, x, unit, dirs = next(b for b in _chart_blocks(system) if b[:2] == (cls, 0))
+    h = 1e-5 * (1.0 + _norm(x)) if h is None else h
+    at = (lambda y: y / np.linalg.norm(y)) if unit else (lambda y: y)
+    d = np.array([_central(lambda t: float(W(_with_arg(system, cls, at(x + t * e)))), h)
                   for e in dirs.reshape((len(dirs),) + x.shape)])
     # dW = tr(G^T dX): a probe that moves n entries picks up n of them, so a
-    # symmetric off-diagonal probe is halved
+    # symmetric or skew off-diagonal probe is halved
     return ((d / (dirs * dirs).sum(axis=1)) @ dirs).reshape(x.shape)
 
 
 def fd_grad_vector(W, system):
-    return _fd_grad(W, system, "vecs", _EYE)
+    return _fd_grad(W, system, "vecs")
 
 
 def fd_grad_sym_tensor(W, system, h=None):
-    return _fd_grad(W, system, "sym", _SYM.dyads, h)
+    return _fd_grad(W, system, "sym", h)
 
 
 def fd_grad_nonsym_tensor(W, system):
-    return _fd_grad(W, system, "nonsym", _FULL.dyads)
+    return _fd_grad(W, system, "nonsym")
 
 
 def degeneracy_sensitivity(W, system_factory, deltas):

@@ -120,65 +120,80 @@ def _decode(values, code, v, r=None) -> np.ndarray:
     return v.T @ c @ (v if r is None else r)
 
 
-def _coded(system, frame, cls, index, dxs):
-    # the first row and the (size, K) rows of argument ``index`` of ``cls`` in
-    # ``frame``'s list along its K moves ``dxs``, the frame held fixed
-    row = len(_KINDS[frame.kind][0]) + 3 * (frame.kind == "svd")
-    for _, c, i, code in _layout(frame.kind, system.n_sym, system.nonsym_skew, system.n_vec):
-        if (c, i) == (cls, index):
-            v, r = frame.v, frame.v if frame.u is None else frame.u
-            d = dxs @ v.T if code is _VEC else v @ dxs @ r.T
-            return row, d.reshape(len(dxs), -1)[:, code.take].T
-        row += code.size
-    return row, np.zeros((0, len(dxs)))
-
-
-def _tangent(system, frame, cls, index, dxs) -> np.ndarray:
-    """The ``(n, K)`` columns of ``frame``'s list at ``system`` along the K
-    moves ``dxs`` (``(K, 3, 3)`` or ``(K, 3)``) of argument ``index`` of ``cls``.
-
-    A sym or gram frame's source ``S`` (``A``, or ``H H^T``) moves by ``dS``;
-    with ``P = v dS v^T`` its eigenvalues move by ``diag P`` and its frame by
-    ``dv = Omega v``, ``Omega_ij = P_ij / (lam_i - lam_j)`` (Magnus 1985).
-    A vector frame's source ``a`` moves its head ``a . a`` by ``2 a . da``
-    and its triad by a skew ``Omega``: ``v_1 = a / |a|`` by
-    ``(I - v_1 v_1^T) da / |a|``, ``v_2 = v_1 x e_k / |v_1 x e_k|`` (``k``
-    fixed at the base point) by ``Omega_12 = (dv_1 x e_k) . v_3 / |v_1 x e_k|``
-    and ``v_3 = v_1 x v_2`` by ``dv_1 x v_2 + v_1 x dv_2``, which is row 2 of
-    ``Omega v``.  Each coded ``v X v^T`` (``v x``) then moves by the product
-    rule, ``dv X v^T + v X dv^T`` (``dv x``), and the moved argument's own
-    rows by the code of each ``dx``.  Other moves leave the frame put; an SVD
-    frame's source, which takes central differences, is not moved here.
-    """
-    k = len(dxs)
-    v, dv = frame.v, np.zeros((k, 3, 3))
-    heads = np.zeros((k, len(_KINDS[frame.kind][0]) + 3 * (frame.kind == "svd")))
-    source = (cls, index) == (_KINDS[frame.kind][2], 0)
-    if source and frame.kind == "vector":
+def _motion(system, frame, dxs):
+    # the heads' rows, dv and dr (du in an SVD frame) along the source's moves dxs
+    v, u, s = frame.v, frame.u, frame.lambdas
+    if frame.kind == "vector":
         e = _EYE[np.argmin(np.abs(v[0]))]  # frame_completion's axis
-        omega = np.zeros((k, 3, 3))
-        omega[:, 0, 1:] = dxs @ v[1:].T / np.sqrt(frame.lambdas[0])  # dv_1 . v_j
+        omega = np.zeros((len(dxs), 3, 3))
+        omega[:, 0, 1:] = dxs @ v[1:].T / np.sqrt(s[0])  # dv_1 . v_j
         dv1 = omega[:, 0, 1:] @ v[1:]
         # the v_2 rule: dv_2 . v_3 = (dv_1 x e_k) . v_3 / |v_1 x e_k|
         omega[:, 1, 2] = dv1 @ _cross(e, v[2]) / _norm(np.array(_cross(v[0], e)))
-        # the head's dot row by row, so a stack rounds as its single moves do
-        heads = 2.0 * (dxs * system.vecs[0]).sum(1, keepdims=True)
         dv = (omega - omega.swapaxes(1, 2)) @ v
-    elif source:
-        h = getattr(system, cls)[0]
-        ds = dxs if frame.kind == "sym_tensor" else dxs @ h.T + h @ dxs.swapaxes(1, 2)
-        p = v @ ds @ v.T
-        gap = frame.lambdas[:, None] - frame.lambdas
-        np.fill_diagonal(gap, np.inf)  # omega_ii = 0
-        heads, dv = np.diagonal(p, 0, 1, 2)[:, :heads.shape[1]], p / gap @ v
-    columns = [heads]
-    for _, c, i, code in _layout(frame.kind, system.n_sym, system.nonsym_skew, system.n_vec):
-        x = getattr(system, c)[i]
-        d = dv @ x if code is _VEC else dv @ x @ v.T + v @ x @ dv.swapaxes(1, 2)
-        columns.append(d.reshape(k, -1)[:, code.take])
-    out = np.concatenate(columns, axis=1).T
-    first, rows = _coded(system, frame, cls, index, dxs)
-    out[first:first + len(rows)] += rows
+        # the head's dot row by row, so a stack rounds as its single moves do
+        return 2.0 * (dxs * system.vecs[0]).sum(1, keepdims=True), dv, dv
+    h = system.nonsym[0] if frame.kind == "gram" else None
+    ds = dxs if h is None else dxs @ h.T + h @ dxs.swapaxes(1, 2)
+    p = v @ ds @ (v if u is None else u).T
+    q = s if u is None else s ** 2  # eigenvalues, or squared singular values
+    gap = q[:, None] - q
+    np.fill_diagonal(gap, np.inf)  # omega_ii = A_ii = B_ii = 0
+    if u is None:
+        dv = p / gap @ v
+        return np.diagonal(p, 0, 1, 2)[:, :len(_KINDS[frame.kind][0])], dv, dv
+    dv = (s * p + s[:, None] * p.swapaxes(1, 2)) / gap @ v
+    du = (s[:, None] * p + s * p.swapaxes(1, 2)) / gap @ u
+    dots = (du * v).sum(2) + (u * dv).sum(2)
+    return np.concatenate([np.diagonal(p, 0, 1, 2), dots], axis=1), dv, du
+
+
+def _tangent(system, frame, moves) -> np.ndarray:
+    """The ``(n, K)`` Jacobian of ``frame``'s list at ``system`` along the
+    blocks ``(cls, index, dxs)`` of ``moves``, in order: the K_b moves
+    ``dxs`` (``(K_b, 3, 3)`` or ``(K_b, 3)``) of argument ``index`` of ``cls``.
+
+    Only the source moves the frame (:func:`_motion`: the heads' rows, and
+    ``dv`` and ``dr``, which is ``du`` in an SVD frame).  A sym or gram
+    source ``S`` (``A``, or ``H H^T``) moves by ``dS``: with ``P = v dS v^T``,
+    its eigenvalues by ``diag P`` and its frame by ``dv = Omega v``,
+    ``Omega_ij = P_ij / (lam_i - lam_j)`` (Magnus 1985).  An SVD source
+    ``H = sum s_i v_i (x) u_i`` moves by ``dH``: with ``P = v dH u^T``, its
+    singular values by ``diag P``, its triads by ``dv = A v``, ``du = B u``,
+    ``A_ij = (s_j P_ij + s_i P_ji) / (s_i^2 - s_j^2)``, ``B_ij = (s_i P_ij +
+    s_j P_ji) / (s_i^2 - s_j^2)`` (Papadopoulo & Lourakis 2000), and its
+    heads ``u_i . v_i`` by ``du_i . v_i + u_i . dv_i``.  A vector source
+    ``a`` moves its head ``a . a`` by ``2 a . da`` and its triad by a skew
+    ``Omega``: ``v_1 = a / |a|`` by ``(I - v_1 v_1^T) da / |a|``, ``v_2 =
+    v_1 x e_k / |v_1 x e_k|`` (``k`` fixed) by ``Omega_12 = (dv_1 x e_k) .
+    v_3 / |v_1 x e_k|``, ``v_3 = v_1 x v_2`` by row 2 of ``Omega v``.  A
+    coded ``v X r^T`` (``v x``) moves by ``dv X r^T + v X dr^T`` (``dv x``),
+    a moved argument's own rows by the code of each ``dx``.
+    """
+    v = frame.v
+    r = v if frame.u is None else frame.u
+    layout = _layout(frame.kind, system.n_sym, system.nonsym_skew, system.n_vec)
+    rows, row = {}, len(_KINDS[frame.kind][0]) + 3 * (frame.kind == "svd")
+    for _, c, i, code in layout:
+        rows[c, i], row = (row, code), row + code.size
+    out, col = np.zeros((row, sum(len(dxs) for *_, dxs in moves))), 0
+    for cls, index, dxs in moves:
+        k = len(dxs)
+        block, col = out[:, col:col + k], col + k
+        moved = (dxs @ v.T if cls == "vecs" else v @ dxs @ r.T).reshape(k, -1)
+        if (cls, index) != (_KINDS[frame.kind][2], 0):  # the frame stays put
+            start, code = rows[cls, index]
+            block[start:start + code.size] = moved[:, code.take].T
+            continue
+        heads, dv, dr = _motion(system, frame, dxs)
+        columns = [heads]
+        for _, c, i, code in layout:
+            x = getattr(system, c)[i]
+            d = dv @ x if code is _VEC else dv @ x @ r.T + v @ x @ dr.swapaxes(1, 2)
+            d = d.reshape(k, -1)
+            # a gram frame codes its source too
+            columns.append((d + moved if (c, i) == (cls, index) else d)[:, code.take])
+        block[:] = np.concatenate(columns, axis=1).T
     return out
 
 
@@ -334,7 +349,9 @@ def _apply_equivariant_gauge(system, kind, v, u=None):
     ``v[1]`` fixed, ``v[2]`` taking ``s0 s1``.  Each sign is taken from the
     first coded entry, of the vectors and then the tensors in list order,
     that only its flip negates (``code.odd`` is its bit) and that clears
-    the threshold of its argument's norm; a sign no entry fixes stays +1."""
+    the threshold of its argument's norm.  Then a free ``s1``, else a free
+    ``s0``, is taken from the first such entry that both flips negate (mask
+    3, sign ``s0 s1``); a sign left free by every entry stays +1."""
     layout = _layout(kind, system.n_sym, system.nonsym_skew, system.n_vec)
     k = len(layout) - system.n_vec  # a gauged frame codes every vector, last
     signs = {}
@@ -342,11 +359,12 @@ def _apply_equivariant_gauge(system, kind, v, u=None):
         x = getattr(system, cls)[index]
         thr = _thr(_TOL_REL, _norm(x))
         for value, bit in zip(_encode(x, code, v, u).tolist(), code.odd):
-            if bit in (1, 2) and bit not in signs and abs(value) > thr:
+            if bit and bit not in signs and abs(value) > thr:
                 signs[bit] = 1.0 if value > 0.0 else -1.0
-        if len(signs) == 2:
+        if 1 in signs and 2 in signs:
             break
-    s0, s1 = signs.get(1, 1.0), signs.get(2, 1.0)
+    s0 = signs.get(1, signs[3] * signs[2] if 3 in signs and 2 in signs else 1.0)
+    s1 = signs.get(2, signs[3] * s0 if 3 in signs else 1.0)
     full = np.array([[s0], [s1], [s0 * s1]])
     return v * full, None if u is None else u * full
 

@@ -266,16 +266,6 @@ def _fd_oracle(values, system0, h=1e-6):
                          for c, i, d in moves])
 
 
-def _fd_columns(system0, svd):
-    # the chart columns still taken by central differences: those of an SVD
-    # frame's source, which follows the symmetric tensors; a sym, gram or
-    # vector list has none
-    n, m, _ = system0.shape()
-    if m and svd:
-        return range(6 * n, 6 * n + (3 if system0.nonsym_skew[0] else 9))
-    return range(0)
-
-
 def _exact_column_gap(system0, svd=False):
     """Largest relative gap between an exactly written column and the
     oracle's, and the largest gap anywhere against the oracle's scale.  A
@@ -285,18 +275,10 @@ def _exact_column_gap(system0, svd=False):
     jac, _ = _jacobian(spectral_values_fn(svd), system0)
     fd = _fd_oracle(spectral_values_fn(svd), system0)
     norms = np.linalg.norm(fd, axis=0)
-    exact = [k for k in range(jac.shape[1])
-             if k not in _fd_columns(system0, svd) and norms[k] > analysis._ROUND_OFF]
+    exact = [k for k in range(jac.shape[1]) if norms[k] > analysis._ROUND_OFF]
     gaps = np.linalg.norm(jac[:, exact] - fd[:, exact], axis=0) / norms[exact]
     return (gaps.max() if exact else 0.0,
             np.abs(jac - fd).max() / (1.0 + np.abs(fd).max()))
-
-
-def _exact_blocks(system0, frame):
-    # the chart blocks whose columns _tangent can write: all but an SVD
-    # frame's source
-    fd_source = (spectral_frame._KINDS[frame.kind][2], 0) if frame.kind == "svd" else None
-    return [b for b in analysis._chart_blocks(system0) if b[:2] != fd_source]
 
 
 def _sweep_cases():
@@ -353,8 +335,8 @@ class TestAmbientChart:
 class TestExactColumns:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_match_central_differences(self, seed):
-        # every exactly written column, the sym, gram and vector frames'
-        # sources included (N0M0P1-3, free and unit), against the oracle
+        # every column, the frame sources' included (the sym, gram and SVD
+        # tensors and N0M0P1-3, free and unit), against the oracle
         checked = 0
         for n, m, p, skew, unit, svd in _sweep_cases():
             sys0 = seeded_system(n, m, p, skew=skew, unit=unit, seed=seed)
@@ -374,30 +356,43 @@ class TestExactColumns:
         monkeypatch.setattr(_SYM, "dyads", dyads)
         assert _exact_column_gap(sys0, svd=True)[0] > 1e-2
 
-    @pytest.mark.parametrize("old,new,shapes", [
-        ("dv @ x @ v.T + v @ x @ dv.swapaxes(1, 2)", "dv @ x @ v.T",
-         ((2, 0, 1), (0, 2, 1))),
-        ("frame.lambdas[:, None] - frame.lambdas", "frame.lambdas - frame.lambdas[:, None]",
-         ((2, 0, 1), (0, 2, 1))),
-        ("h @ dxs.swapaxes(1, 2)", "h @ dxs", ((0, 2, 1),)),
-        ("(omega - omega.swapaxes(1, 2)) @ v",
-         "(omega - omega.swapaxes(1, 2)) @ v * [[1.0], [0.0], [1.0]]", ((0, 0, 2), (0, 0, 3))),
-        ("(omega - omega.swapaxes(1, 2)) @ v",
-         "(omega - omega.swapaxes(1, 2)) @ v * [[1.0], [1.0], [0.0]]", ((0, 0, 2), (0, 0, 3))),
+    @pytest.mark.parametrize("fn,old,new,cases", [
+        ("_tangent", "dv @ x @ r.T + v @ x @ dr.swapaxes(1, 2)", "dv @ x @ r.T",
+         (((2, 0, 1), False), ((0, 2, 1), False), ((1, 1, 1), True))),
+        ("_motion", "q[:, None] - q", "q - q[:, None]",
+         (((2, 0, 1), False), ((0, 2, 1), False), ((1, 1, 1), True))),
+        ("_motion", "h @ dxs.swapaxes(1, 2)", "h @ dxs", (((0, 2, 1), False),)),
+        ("_motion", "(omega - omega.swapaxes(1, 2)) @ v",
+         "(omega - omega.swapaxes(1, 2)) @ v * [[1.0], [0.0], [1.0]]",
+         (((0, 0, 2), False), ((0, 0, 3), False))),
+        ("_motion", "(omega - omega.swapaxes(1, 2)) @ v",
+         "(omega - omega.swapaxes(1, 2)) @ v * [[1.0], [1.0], [0.0]]",
+         (((0, 0, 2), False), ((0, 0, 3), False))),
+        ("_motion", "(s * p + s[:, None] * p.swapaxes(1, 2)) / gap @ v",
+         "(s[:, None] * p + s * p.swapaxes(1, 2)) / gap @ v",
+         (((1, 1, 1), True), ((0, 2, 1), True))),
+        ("_motion", "(du * v).sum(2) + (u * dv).sum(2)", "(u * dv).sum(2)",
+         (((1, 1, 1), True), ((0, 2, 0), True))),
+        ("_tangent", "v @ x @ dr.swapaxes(1, 2)", "v @ x @ dv.swapaxes(1, 2)",
+         (((1, 1, 1), True), ((0, 2, 1), True))),
     ], ids=["dropped-omega-term", "flipped-gap-sign", "dropped-gram-transpose",
-            "dropped-dv2", "dropped-dv3"])
-    def test_tangent_mutations_are_caught(self, monkeypatch, old, new, shapes):
-        # the oracle rejects a tangent that drops the C Omega^T term of a coded
-        # tensor or turns the frame the wrong way, in a sym and in a gram frame,
-        # one that moves a gram source by dH H^T + H dH, not + H dH^T, and one
-        # that holds a vector frame's completion v_2 or v_3 still
-        source = inspect.getsource(spectral_frame._tangent)
+            "dropped-dv2", "dropped-dv3", "swapped-svd-weights", "dropped-du-head",
+            "dv-for-du"])
+    def test_tangent_mutations_are_caught(self, monkeypatch, fn, old, new, cases):
+        # the oracle rejects a tangent that drops the X dr^T term of a coded
+        # tensor or turns the frame the wrong way, in a sym, a gram and an SVD
+        # frame, one that moves a gram source by dH H^T + H dH, not
+        # + H dH^T, one that holds a vector frame's completion v_2 or v_3
+        # still, and one that weighs A's terms by B's singular values, drops
+        # du_i . v_i from an SVD head or moves a mixed code's u by dv
+        source = inspect.getsource(getattr(spectral_frame, fn))
         assert source.count(old) == 1
         scope = dict(vars(spectral_frame))
         exec(source.replace(old, new), scope)
+        monkeypatch.setattr(spectral_frame, fn, scope[fn])
         monkeypatch.setattr(analysis, "_tangent", scope["_tangent"])
-        for shape in shapes:
-            assert _exact_column_gap(seeded_system(*shape, seed=0))[0] > 1e-2
+        for shape, svd in cases:
+            assert _exact_column_gap(seeded_system(*shape, seed=0), svd)[0] > 1e-2
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_block_call_matches_one_direction_calls(self, seed):
@@ -409,12 +404,11 @@ class TestExactColumns:
             sys0 = analysis._unit_scaled(seeded_system(n, m, p, skew=skew, unit=unit,
                                                        seed=seed))
             frame = (build_svd_frame if svd else build_frame)(sys0)
-            for cls, index, x, _, dirs in _exact_blocks(sys0, frame):
+            for cls, index, x, _, dirs in analysis._chart_blocks(sys0):
                 dxs = dirs.reshape(-1, *x.shape)
-                block = spectral_frame._tangent(sys0, frame, cls, index, dxs)
-                single = np.hstack([spectral_frame._tangent(sys0, frame, cls, index,
-                                                            dxs[k:k + 1])
-                                    for k in range(len(dxs))])
+                block = spectral_frame._tangent(sys0, frame, [(cls, index, dxs)])
+                single = spectral_frame._tangent(
+                    sys0, frame, [(cls, index, dxs[k:k + 1]) for k in range(len(dxs))])
                 assert block.shape == (len(extract_invariants(sys0, frame).entries),
                                        len(dxs))
                 # per column, against its largest entry; a zero column (the
@@ -423,19 +417,18 @@ class TestExactColumns:
                 assert (np.abs(block - single).max(axis=0) <= 1e-14 * scale).all(), \
                     (n, m, p, skew, unit, svd, cls, index)
                 checked += 1
-        assert checked == 120 - 14  # chart blocks, less the SVD sources
+        assert checked == 120  # chart blocks, the SVD sources included
 
     @pytest.mark.parametrize("shape,svd,calls", [
         ((2, 0, 1), False, 1),
         ((1, 1, 1), False, 1),
         ((0, 2, 1), False, 1),
         ((0, 0, 3), False, 1),
-        ((1, 1, 1), True, 0),
+        ((1, 1, 1), True, 1),
     ], ids=["N2P1", "N1M1P1", "N0M2P1", "N0M0P3", "N1M1P1-svd"])
     def test_one_tangent_call_per_exact_block(self, monkeypatch, shape, svd, calls):
-        # only the frame source's block moves the frame, so it alone calls
-        # _tangent; every other block writes its own code rows, and the SVD
-        # frame's source block stays on central differences
+        # one _tangent call writes every column of a spectral list, whatever
+        # its frame kind
         seen = []
         original = analysis._tangent
         monkeypatch.setattr(analysis, "_tangent",
@@ -463,11 +456,32 @@ class TestExactColumns:
                 checked += 1
         assert checked == 3 * 34
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_exact_svd_rank_margins(self, seed):
+        # the SVD lists of every sweep configuration with a general tensor,
+        # now that the source's columns are exact too: each reaches its count,
+        # with the same margins
+        checked = 0
+        for n, m, p, skew, unit in _rank_configs():
+            if not m or skew:
+                continue
+            for point in range(3):
+                sys0 = seeded_system(n, m, p, unit=unit, seed=seed + 1000 * point)
+                rep = jacobian_rank(spectral_values_fn(svd_variant=True), sys0)
+                sv, r = rep.singular_values, rep.rank
+                assert r == irreducible_count(n, m, p, all_vectors_unit=unit,
+                                              svd_variant=True), (n, m, p, unit, point)
+                assert sv[r - 1] >= 1e3 * rep.threshold, (n, m, p, unit, point)
+                assert max(sv[r:], default=0.0) <= 1e-6 * rep.threshold, (n, m, p, unit,
+                                                                           point)
+                checked += 1
+        assert checked == 3 * 14
+
     @pytest.mark.parametrize("shape,skew,unit,svd,builder,calls", [
         ((2, 0, 1), False, False, False, "build_frame", 1),
         ((1, 1, 1), True, False, False, "build_frame", 1),
         ((0, 2, 1), False, False, False, "build_frame", 1),
-        ((1, 1, 1), False, False, True, "build_svd_frame", 1 + 2 * 9),
+        ((1, 1, 1), False, False, True, "build_svd_frame", 1),
         ((0, 0, 2), False, False, False, "build_frame", 1),
         ((0, 0, 2), False, True, False, "build_frame", 1),
     ], ids=["sym", "sym-skew", "gram", "svd", "vector", "unit-vector"])

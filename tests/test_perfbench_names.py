@@ -118,14 +118,12 @@ def test_chart_pair_carries_every_fd_point(monkeypatch):
     assert len(made) == 2 * dim
     # the one other evaluation is at the chart's base point
     assert all(s is bases[-1] or any(s is t for t in made) for s in seen)
-    # a sym, gram or vector list's columns are all exact; an SVD frame's
-    # source still takes central differences
+    # a spectral list's columns are all exact, in every frame kind
     made.clear()
     analysis.jacobian_rank(analysis.spectral_values_fn(), analysis.seeded_system(0, 0, 2))
-    assert not made
     analysis.jacobian_rank(analysis.spectral_values_fn(svd_variant=True),
                            analysis.seeded_system(1, 1, 1, seed=0))
-    assert len(made) == 2 * 9  # the source tensor's coordinates only
+    assert not made
 
 
 def test_frames_decompose_through_the_public_eig_sym(monkeypatch):

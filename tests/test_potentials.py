@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from isotropykit import spectral_frame
+from isotropykit.analysis import seeded_system
 from isotropykit.lin3 import (
     DegenerateConfigurationError,
     conjugate,
@@ -274,6 +275,50 @@ class TestEntrywiseOracles:
                               _loop_grad_sym_tensor(w, sys0, h=2e-6))
         assert np.array_equal(fd_grad_nonsym_tensor(w, sys0),
                               _loop_grad_nonsym_tensor(w, sys0))
+
+
+class TestFlaggedArguments:
+    @staticmethod
+    def _recording(seen):
+        # an energy of every argument that records how far each system it is
+        # handed strays from its flags: a skew-flagged tensor from skew, a
+        # unit-flagged vector from the unit sphere
+        def w(s):
+            seen.append(max([np.abs(h + h.T).max()
+                             for h, skew in zip(s.nonsym, s.nonsym_skew) if skew]
+                            + [abs(np.linalg.norm(a) - 1.0)
+                               for a, unit in zip(s.vecs, s.vec_unit) if unit], default=0.0))
+            a, x = s.sym[0], s.vecs[0]
+            h = s.nonsym[0] if s.nonsym else a
+            return float(np.trace(h @ h.T @ a) + (x @ a @ h @ x) + (x @ a @ x) ** 2)
+        return w
+
+    def test_moves_keep_every_flag(self):
+        seen = []
+        w = self._recording(seen)
+        fd_grad_nonsym_tensor(w, seeded_system(1, 1, 1, skew=True, seed=3))
+        unit = seeded_system(1, 0, 1, unit=True, seed=3)
+        fd_grad_vector(w, unit)
+        grad_vector(w, unit)
+        assert len(seen) == 6 + 4 + 4  # 3 skew dyads, 2 tangents and 2 tilts, no length
+        assert max(seen) <= 1e-15
+
+    def test_flagged_gradient_is_the_projected_one(self):
+        # a skew tensor's gradient is the skew part of the free gradient, a
+        # unit vector's its part normal to the vector
+        w = self._recording([])
+        skew = seeded_system(1, 1, 1, skew=True, seed=3)
+        free = tensor_system(sym=skew.sym, nonsym=skew.nonsym, vecs=skew.vecs)
+        g = fd_grad_nonsym_tensor(w, free)
+        assert rel_err(fd_grad_nonsym_tensor(w, skew), 0.5 * (g - g.T)) <= 1e-8
+        unit = seeded_system(1, 0, 1, unit=True, seed=3)
+        a = unit.vecs[0]
+        g = fd_grad_vector(w, tensor_system(sym=unit.sym, vecs=unit.vecs))
+        tangential = g - (g @ a) * a
+        assert rel_err(fd_grad_vector(w, unit), tangential) <= 1e-8
+        assert rel_err(grad_vector(w, unit), tangential) <= 1e-8
+        exact = grad_vector(w, unit, partials=lambda lam, v1: (1.0e3, np.zeros(3)))
+        assert np.array_equal(exact, np.zeros(3))  # the radial partial is dropped
 
 
 class TestEquivariance:

@@ -46,6 +46,7 @@ EXTRA = (
     ("isotropy", 0, "--input", "input_skew.json"),
     ("rank", 0, "--input", "input_general.json"),
     ("rank", 0, "--input", "input_skew.json"),
+    ("rank", 0, "--input", "input_general.json", "--svd"),
 )
 RUNS = tuple((suite, seed) for suite in SUITES for seed in SEEDS) + EXTRA
 

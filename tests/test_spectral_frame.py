@@ -541,8 +541,9 @@ class TestGaugeMasks:
 def _reference_probes(system, v, u, kind, slot):
     # the probe walk the mask rule replaced: vector projections, then per
     # tensor the components (1, 2) and (2, 1) for slot 0, (0, 2) and (2, 0)
-    # for slot 1, the second skipped for a skew tensor
-    i, j = (1, 2) if slot == 0 else (0, 2)
+    # for slot 1, the second skipped for a skew tensor; slot 2, the sign
+    # s0 s1 of v[2], reads (0, 1) and (1, 0)
+    i, j = ((1, 2), (0, 2), (0, 1))[slot]
     for a in system.vecs:
         yield a @ v[slot], lin3._norm(a)
     right = v if u is None else u
@@ -557,14 +558,23 @@ def _reference_probes(system, v, u, kind, slot):
             yield v[j] @ x @ right[i], size
 
 
-def _reference_gauge(system, kind, v, u=None):
-    signs = [1.0, 1.0]
-    for slot in (0, 1):
+def _reference_gauge(system, kind, v, u=None, fallback=True):
+    # per slot the sign of its first probe that clears the threshold; with
+    # ``fallback``, a free s1 (else a free s0) is taken from slot 2's sign
+    # s0 s1, and a sign still free is +1
+    signs = [None, None, None]
+    for slot in (0, 1, 2) if fallback else (0, 1):
         for value, size in _reference_probes(system, v, u, kind, slot):
             if abs(value) > lin3._thr(lin3._TOL_REL, size):
                 signs[slot] = 1.0 if value > 0.0 else -1.0
                 break
-    full = np.array([[signs[0]], [signs[1]], [signs[0] * signs[1]]])
+    s0, s1, s01 = signs
+    if s01 is not None and s1 is None:
+        s1 = s01 * (1.0 if s0 is None else s0)
+    elif s01 is not None and s0 is None:
+        s0 = s01 * s1
+    s0, s1 = (1.0 if s is None else s for s in (s0, s1))
+    full = np.array([[s0], [s1], [s0 * s1]])
     return v * full, None if u is None else u * full
 
 
@@ -630,3 +640,59 @@ class TestGaugeReference:
                         assert frame.u.tobytes() == ref_u.tobytes(), (builder, n, m, p)
                     frames += 1
         assert frames >= 1000
+
+
+SWITCHING_CASES = {"sym-N2P1": ("sym_tensor", (2, 0, 1)), "sym-N1M1P1": ("sym_tensor", (1, 1, 1)),
+                   "gram-N0M2P1": ("gram", (0, 2, 1)), "svd-N0M2P1": ("svd", (0, 2, 1)),
+                   "svd-N0M2P0": ("svd", (0, 2, 0))}
+
+
+def _switching_system(kind, shape, masks):
+    # a seeded system with each coded entry whose mask is neither 0 nor in
+    # ``masks`` zeroed in its frame; a gram source becomes v^T D R v, R a
+    # turn in the (0, 1) plane, whose entries have masks 0 and 3 and whose
+    # gram frame is still v
+    sys0 = seeded_system(*shape, seed=0)
+    frame = (build_svd_frame if kind == "svd" else build_frame)(sys0)
+    v, u = frame.v, frame.u
+    args = {"sym": list(sys0.sym), "nonsym": list(sys0.nonsym), "vecs": list(sys0.vecs)}
+    for _, cls, index, code in spectral_frame._layout(kind, sys0.n_sym, sys0.nonsym_skew,
+                                                      sys0.n_vec):
+        keep = [mask == 0 or mask in masks for mask in code.odd]
+        values = spectral_frame._encode(args[cls][index], code, v, u) * keep
+        args[cls][index] = spectral_frame._decode(values, code, v, u)
+    if kind == "gram":
+        c, s = np.cos(0.7), np.sin(0.7)
+        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        args["nonsym"][0] = v.T @ np.diag([3.0, 2.0, 1.0]) @ turn @ v
+    return tensor_system(sym=args["sym"], nonsym=args["nonsym"], vecs=args["vecs"])
+
+
+def _switching_deviation(kind, system):
+    # the largest change of the list over 40 rotations, against its largest entry
+    build = build_svd_frame if kind == "svd" else build_frame
+    base = extract_invariants(system, build(system)).values()
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for _ in range(40):
+        rot = conjugate(haar_rotation(rng), system)
+        worst = max(worst, np.abs(extract_invariants(rot, build(rot)).values() - base).max())
+    return worst / np.abs(base).max()
+
+
+class TestGaugeSwitchingSets:
+    # a system whose frame entries of mask 1 or 2 all vanish leaves s0 or s1
+    # to the entries of mask 3, which carry the sign s0 s1: the per-slot rule
+    # left that sign +1 and the list flipped under rotations
+    @pytest.mark.parametrize("masks", [(3,), (1, 3), (2, 3)], ids=["3", "1-3", "2-3"])
+    @pytest.mark.parametrize("case", sorted(SWITCHING_CASES))
+    def test_lists_are_invariant_on_a_switching_set(self, monkeypatch, case, masks):
+        kind, shape = SWITCHING_CASES[case]
+        system = _switching_system(kind, shape, masks)
+        assert build_frame(system).kind == ("sym_tensor" if shape[0] else "gram")
+        assert _switching_deviation(kind, system) <= 1e-12
+        # a copy of the per-slot rule fails the same check
+        monkeypatch.setattr(spectral_frame, "_last_frame", (None, None))
+        monkeypatch.setattr(spectral_frame, "_apply_equivariant_gauge",
+                            lambda *args: _reference_gauge(*args, fallback=False))
+        assert _switching_deviation(kind, system) > 1e-2
