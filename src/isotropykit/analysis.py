@@ -41,11 +41,12 @@ from isotropykit.lin3 import (
     DegenerateConfigurationError,
     TensorSystem,
     _central,
+    _conjugates,
     _degeneracy_groups,
     _norm,
     _norms,
+    _rows,
     _system,
-    conjugate,
     haar_rotation,
 )
 from isotropykit.spectral_frame import (
@@ -127,7 +128,8 @@ def verify_isotropy(fn, kind: str, system: TensorSystem, trials: int = 100,
                     rng=None) -> float:
     """Max normalized deviation of ``fn`` from exact isotropy/equivariance
     over ``trials`` Haar-random rotations (see :func:`rotation_deviation`
-    for ``kind`` and the normalization)."""
+    for ``kind`` and the normalization).  The rotated systems come from one
+    stacked conjugation; ``fn`` runs once per rotation."""
     if kind not in _ACTIONS:
         raise ValueError(f"unknown evaluator kind {kind!r}")
     if trials < 1:
@@ -135,7 +137,7 @@ def verify_isotropy(fn, kind: str, system: TensorSystem, trials: int = 100,
     if rng is None:
         rng = np.random.default_rng(0)
     rotations = np.array([haar_rotation(rng) for _ in range(trials)])
-    values = [[fn(conjugate(q, system))] for q in rotations]
+    values = [[fn(s)] for s in _rows(_conjugates(rotations, system))]
     return float(rotation_deviation(values, rotations, [fn(system)], kind)[0])
 
 

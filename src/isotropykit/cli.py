@@ -53,11 +53,14 @@ from isotropykit.classical_bases import (
     smith_vectors,
 )
 from isotropykit.lin3 import (
+    _conjugates,
+    _eighs,
     _norm,
-    conjugate,
-    eig_sym,
+    _row_norms,
+    _rows,
+    _stack,
+    _svds,
     haar_rotation,
-    svd3,
     tensor_system,
 )
 from isotropykit.potentials import (
@@ -85,6 +88,9 @@ from isotropykit.representation import (
     reconstruct_vector,
 )
 from isotropykit.spectral_frame import (
+    _frame_rows,
+    _frames,
+    _values,
     build_frame,
     build_svd_frame,
     extract_invariants,
@@ -187,26 +193,29 @@ _CLASSICAL_ISOTROPY = {
 def run_isotropy(seed: int, trials: int = 100, tol: float = 1e-9,
                  system=None) -> VerificationReport:
     """Rotation-invariance of every classical item and spectral invariant,
-    plus negative controls on raw coordinates."""
+    plus negative controls on raw coordinates.  Each configuration's rotated
+    systems are one stack: one conjugation, one frame build and one block of
+    lists for all the trials."""
     report = VerificationReport("isotropy", seed, trials,
                                 {"tol": tol, "input": system is not None})
     rng = np.random.default_rng(seed)
     shapes = [(2, 1, 2, True), (1, 0, 1, False), (0, 1, 1, False)]
     for tag, sys0 in _configs(system, seed, shapes):
         rotations = np.array([haar_rotation(rng) for _ in range(trials)])
-        conjugated = [conjugate(q, sys0) for q in rotations]
+        conjugated = _conjugates(rotations, sys0)
         if all(sys0.nonsym_skew):
+            systems = [sys0] + _rows(conjugated)
             for basis in _classical_bases(*sys0.shape()):
                 # one run of the basis over the unrotated and every rotated system
                 word, description = _CLASSICAL_ISOTROPY[basis.kind]
-                values = basis.evaluate([sys0] + conjugated)
+                values = basis.evaluate(systems)
                 worst = rotation_deviation(values[1:], rotations, values[0], basis.kind)
                 for item, dev in zip(basis.items, worst):
                     report.check(f"isotropy/classical-{word}/{tag}/{item.label}",
                                  description, dev, tol)
         frame = build_frame(sys0)
         if not frame.is_degenerate:
-            values = [extract_invariants(s, build_frame(s)).values() for s in conjugated]
+            values = _values(conjugated, *_frames(conjugated))
             inv = extract_invariants(sys0, frame)
             worst = rotation_deviation(values, rotations, inv.values(), "scalar")
             for label, dev in zip(inv.labels(), worst):
@@ -215,8 +224,8 @@ def run_isotropy(seed: int, trials: int = 100, tol: float = 1e-9,
     # negative controls: raw ambient coordinates must NOT look isotropic
     control = seeded_system(1, 0, 1, seed=seed)
     rotations = np.array([haar_rotation(rng) for _ in range(trials)])
-    raw = lambda s: (s.sym[0][0, 0], s.vecs[0][0])
-    worst = rotation_deviation([raw(conjugate(q, control)) for q in rotations],
+    raw = lambda s: (s.sym[0][..., 0, 0], s.vecs[0][..., 0])
+    worst = rotation_deviation(np.transpose(raw(_conjugates(rotations, control))),
                                rotations, raw(control), "scalar")
     for cid, dev in zip(("sym-entry", "vec-entry"), worst):
         report.check(f"isotropy/negative-control/{cid}",
@@ -247,21 +256,21 @@ def run_reconstruction(seed: int, trials: int = 100, tol: float = 1e-12,
             report.check(f"reconstruction/{tag}/svd-variant",
                          "argument rebuilt through the SVD frame",
                          max(residuals(sys0, build_svd_frame(sys0))), tol)
-    # factorization self-residuals
-    worst_eig = worst_svd = 0.0
-    for _ in range(trials):
-        m = rng.standard_normal((3, 3))
-        a = 0.5 * (m + m.T)
-        lams, v, _ = eig_sym(a)
-        rebuilt = sum(lams[i] * np.outer(v[i], v[i]) for i in range(3))
-        worst_eig = max(worst_eig, rel(a, rebuilt))
-        f = rng.standard_normal((3, 3))
-        sv, vv, uu = svd3(f)
-        rebuilt = sum(sv[i] * np.outer(vv[i], uu[i]) for i in range(3))
-        worst_svd = max(worst_svd, rel(f, rebuilt))
+    # factorization self-residuals: each trial's symmetric and general draw,
+    # in trial order, as one stack of each
+    def self_residual(x, s, v, u):
+        # the largest rel of x against its rebuilt sum_i s_i v_i (x) u_i
+        dyads = s[..., None, None] * (v[..., None] * u[..., None, :])
+        rebuilt = (dyads[:, 0] + dyads[:, 1] + dyads[:, 2]).reshape(-1, 9)
+        x = x.reshape(-1, 9)
+        return max(0.0, float((_row_norms(x - rebuilt) / (1.0 + _row_norms(x))).max()))
+
+    m, f = rng.standard_normal((trials, 2, 3, 3)).swapaxes(0, 1)
+    a = 0.5 * (m + m.swapaxes(1, 2))
+    lams, v = _eighs(a)
     report.check("reconstruction/eig-sym", "eigendecomposition self-residual",
-                 worst_eig, tol)
-    report.check("reconstruction/svd3", "SVD self-residual", worst_svd, tol)
+                 self_residual(a, lams, v, v), tol)
+    report.check("reconstruction/svd3", "SVD self-residual", self_residual(f, *_svds(f)), tol)
     # spanning: random generator combinations reproduced by 3/6/9/3 elements
     scalars, vectors, tensors = _classical_bases(2, 0, 2)
     # every trial's system and coefficient noise, drawn in trial order, then
@@ -272,9 +281,9 @@ def run_reconstruction(seed: int, trials: int = 100, tol: float = 1e-12,
               rng.standard_normal((len(tensors), len(scalars))))
              for _ in range(trials)]
     values = [basis.evaluate([d[0] for d in draws]) for basis in (scalars, vectors, tensors)]
+    frames = _frame_rows(*_frames(_stack([d[0] for d in draws])))
     worst = {"vector3": 0.0, "sym6": 0.0, "full9": 0.0, "skew3": 0.0}
-    for (sys0, noise_v, noise_t), svals, gvecs, gtens in zip(draws, *values):
-        frame = build_frame(sys0)
+    for (sys0, noise_v, noise_t), svals, gvecs, gtens, frame in zip(draws, *values, frames):
         # a combination of each list, its coefficients scaled to at most 1
         g, t = (sum(c * item for c, item in zip(cs / (1.0 + np.abs(cs).max()), items))
                 for cs, items in ((noise_v @ svals, gvecs), (noise_t @ svals, gtens)))

@@ -26,6 +26,16 @@ norm, or the largest absolute eigen- or singular value, of the argument the
 number is judged against.  Results therefore do not depend on the caller's
 units; the one absolute floor is the smallest normal double, below which a
 size is not trusted (a vector whose squared norm falls there is zero).
+
+The public functions take one system or one tensor.  The verify sweeps hold
+their T rotated or drawn systems as one *stack*: a :class:`TensorSystem`
+whose members carry a leading axis of T (``_conjugates``, ``_stack``;
+``_rows`` splits one back into systems).  The private stacked kernels
+(``_conjugates``, ``_eighs``, ``_svds``, ``_row_norms``) give every row the
+bits of the one-system function: each product is the matmul form that
+rounds as the single call does.  Both paths stay because the bulk callers
+ask for one system at a time, where the stacked code costs about 1.6 times
+as much (conjugation) and 2.3 times as much (a frame and its list).
 """
 
 from __future__ import annotations
@@ -110,6 +120,17 @@ def _norm(x) -> float:
     return math.sqrt(s)
 
 
+def _row_norms(x) -> np.ndarray:
+    # :func:`_norm` of each row of a (T, k) stack, bit for bit: a (1, k) @ (k, 1)
+    # product is the dot that vdot takes
+    with np.errstate(over="ignore"):
+        s = (x[:, None] @ x[..., None])[:, 0, 0]
+    r = np.sqrt(s)
+    for t in np.flatnonzero((s == math.inf) | (s < _FLOOR)):
+        r[t] = _norm(x[t])
+    return r
+
+
 def _norms(x) -> np.ndarray:
     # np.linalg.norm over the last axis, with :func:`_norm`'s rescale of each
     # row whose squares overflow
@@ -141,7 +162,8 @@ def _mirror_defect(a, sign):
 def _resym(a, skew=False):
     # the symmetric (skew) part of ``a``, halved first to stay in the double range
     h = 0.5 * a
-    return h - h.T if skew else h + h.T
+    ht = h.swapaxes(-1, -2)
+    return h - ht if skew else h + ht
 
 
 def _check_mirror(a, sign, message):
@@ -210,6 +232,19 @@ def _fix_sign_convention(rows):
     return v, signs
 
 
+def _fix_signs(rows):
+    # :func:`_fix_sign_convention` over a (T, 3, 3) stack of triads, bit for
+    # bit, with the (T, 3) signs taken
+    head = rows[:, :2]
+    big = np.take_along_axis(head, np.abs(head).argmax(2)[..., None], 2)
+    signs = np.where(big < 0.0, -1.0, 1.0)
+    a, b = (head * signs).swapaxes(0, 1)
+    w = np.stack(_cross(a.T, b.T), 1)
+    third = np.where((w * rows[:, 2]).sum(1) < 0.0, -1.0, 1.0)  # any order: +-1
+    w /= np.sqrt(w[:, None] @ w[..., None])[:, 0]
+    return np.stack([a, b, w], 1), np.concatenate([signs[..., 0], third[:, None]], 1)
+
+
 # the partitions of {0, 1, 2}, shared by every frame, by which neighbour gaps close
 _PARTITIONS = {(False, False): ((0,), (1,), (2,)), (True, False): ((0, 1), (2,)),
                (False, True): ((0,), (1, 2)), (True, True): ((0, 1, 2),)}
@@ -257,6 +292,20 @@ def svd3(f):
     left, sv, right_t = np.linalg.svd(f)
     v, signs = _fix_sign_convention(left.T.tolist())
     return sv, v, right_t * np.array(signs)[:, None]
+
+
+def _eighs(a):
+    # the eigenvalues (T, 3) and triads (T, 3, 3) of :func:`eig_sym` on a
+    # stack of finite symmetric tensors, bit for bit, without the groups
+    lams, w = np.linalg.eigh(_resym(a))
+    return lams[:, ::-1], _fix_signs(w.swapaxes(1, 2)[:, ::-1])[0]
+
+
+def _svds(f):
+    # :func:`svd3` on a (T, 3, 3) stack of finite tensors, bit for bit
+    left, sv, right_t = np.linalg.svd(f)
+    v, signs = _fix_signs(left.swapaxes(1, 2))
+    return sv, v, right_t * signs[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +426,46 @@ def conjugate(q, system: TensorSystem) -> TensorSystem:
     Symmetry classes are preserved exactly (outputs are re-symmetrized /
     re-skewed bit-exactly); flags carry over; an overflow is a ``ValueError``.
     """
-    q = rotation_matrix(q)
-    # an overflow is this function's one-line error, not numpy's warnings
+    return _conjugated(rotation_matrix(q), system)
+
+
+def _conjugates(rotations, system: TensorSystem) -> TensorSystem:
+    # the stack of :func:`conjugate` by each rotation of the (T, 3, 3) stack
+    # ``rotations``, bit for bit and with its ValueErrors: one matmul per member
+    q = _as_array(rotations, np.shape(rotations)[:1] + (3, 3), "tensor")
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = [_finite(_resym(q @ a @ q.T)) for a in system.sym]
-        nonsym = [_finite(_resym(q @ h @ q.T, skew=True) if is_skew else q @ h @ q.T)
+        orth = _row_norms((q @ q.swapaxes(1, 2) - _EYE).reshape(-1, 9)) > _CLASS_TOL
+        bad = orth | (abs(np.linalg.det(q) - 1.0) > _CLASS_TOL)
+    if bad.any():
+        raise ValueError("matrix is not orthogonal" if orth[bad.argmax()]
+                         else "matrix is not a proper rotation (det != 1)")
+    return _conjugated(q, system)
+
+
+def _conjugated(q, system):
+    # ``system`` rotated by a valid rotation ``q``, or stacked by a stack of them
+    qt = q.swapaxes(-1, -2)
+    # an overflow is conjugate's one-line error, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = [_finite(_resym(q @ a @ qt)) for a in system.sym]
+        nonsym = [_finite(_resym(q @ h @ qt, skew=True) if is_skew else q @ h @ qt)
                   for h, is_skew in zip(system.nonsym, system.nonsym_skew)]
         vecs = [_finite(q @ a) for a in system.vecs]
     return _system(sym, nonsym, system.nonsym_skew, vecs, system.vec_unit)
+
+
+def _stack(systems) -> TensorSystem:
+    # the stack of systems of one shape and flags
+    def members(cls):
+        return [np.array(xs) for xs in zip(*(getattr(s, cls) for s in systems))]
+    return _system(members("sym"), members("nonsym"), systems[0].nonsym_skew,
+                   members("vecs"), systems[0].vec_unit)
+
+
+def _rows(stack: TensorSystem) -> list:
+    # the systems of a stack, in order
+    t = len((stack.sym + stack.nonsym + stack.vecs)[0])
+    sym, nonsym, vecs = (list(zip(*xs)) or [()] * t
+                         for xs in (stack.sym, stack.nonsym, stack.vecs))
+    return [TensorSystem(a, h, stack.nonsym_skew, x, stack.vec_unit)
+            for a, h, x in zip(sym, nonsym, vecs)]

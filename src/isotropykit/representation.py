@@ -8,7 +8,9 @@ those bases, the projection/reconstruction round trips, spectral re-evaluation
 of classical items, and numerical checks for coaxiality, eigenvalue
 coalescence, and eigenvector-gauge independence (the latter being the
 well-posedness requirement any function of spectral components must satisfy
-at degenerate eigenvalues).
+at degenerate eigenvalues).  :func:`regauge_frame` turns one frame;
+:func:`check_p_property` draws its trials' turns in the same order and codes
+the turned frames as one stack.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ from isotropykit.spectral_frame import (
     _Code,
     _decode,
     _encode,
+    _invariants,
     _labels,
+    _values,
     build_frame,
     extract_invariants,
     rebuild_system,
@@ -337,15 +341,24 @@ def regauge_frame(frame: SpectralFrame, group, rng) -> SpectralFrame:
     """Replace the eigenvectors of a degenerate group by a random rotation of
     themselves (uniform angle for a pair, Haar for a triple)."""
     idx = list(_slots(group, (2, 3), "a gauge group"))
+    rot = _turns(rng, len(idx), 1)[0]
     v = frame.v.copy()
-    if len(idx) == 2:
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        c, s = np.cos(theta), np.sin(theta)
-        rot = np.array([[c, -s], [s, c]])
-    else:
-        rot = haar_rotation(rng)
     v[idx] = rot @ v[idx]
-    return replace(frame, v=v)
+    if frame.u is None:
+        return replace(frame, v=v)
+    u = frame.u.copy()  # an SVD frame's u turns with v, so it still factors H1
+    u[idx] = rot @ u[idx]
+    return replace(frame, v=v, u=u)
+
+
+def _turns(rng, size, trials):
+    # ``trials`` random rotations (trials, size, size) of a gauge group of
+    # ``size`` slots, in draw order: a uniform angle per pair, Haar per triple
+    if size == 3:
+        return np.array([haar_rotation(rng) for _ in range(trials)])
+    theta = rng.uniform(0.0, 2.0 * np.pi, trials)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], 1), np.stack([s, c], 1)], 1)
 
 
 def check_p_property(w_hat, system_template: TensorSystem, degeneracy_case: str,
@@ -358,10 +371,14 @@ def check_p_property(w_hat, system_template: TensorSystem, degeneracy_case: str,
     (``"pair"``: one double eigenvalue, ``"triple"``: all equal); it is a
     construction input, not something detected here.  ``w_hat`` maps a
     :class:`SpectralInvariants` to a float.  Deviations are normalized by
-    ``1 + |value|``.
+    ``1 + |value|``.  The ``trials`` re-gauged frames are drawn as by
+    :func:`regauge_frame` and coded as one stack; ``w_hat`` runs once per
+    frame.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if rng is None:
         rng = np.random.default_rng(0)
     frame = build_frame(system_template)
@@ -382,10 +399,13 @@ def check_p_property(w_hat, system_template: TensorSystem, degeneracy_case: str,
     for perm in ((1, 0, 2), (2, 1, 0)):
         val = float(w_hat(extract_invariants(system_template, permute_frame(frame, perm))))
         perm_dev = max(perm_dev, abs(val - base) / norm)
+    idx = list(group)
+    v = np.repeat(frame.v[None], trials, 0)
+    v[:, idx] = _turns(rng, len(idx), trials) @ frame.v[idx]
+    lams = np.broadcast_to(frame.lambdas, (trials, 3))
     gauge_dev = 0.0
-    for _ in range(trials):
-        gauged = regauge_frame(frame, group, rng)
-        val = float(w_hat(extract_invariants(system_template, gauged)))
+    for values in _values(system_template, frame.kind, lams, v):
+        val = float(w_hat(_invariants(system_template, frame.kind, values)))
         gauge_dev = max(gauge_dev, abs(val - base) / norm)
     return PPropertyReport(perm_dev, gauge_dev, tol, trials)
 

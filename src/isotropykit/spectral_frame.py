@@ -28,6 +28,15 @@ and the exact Jacobian columns (:func:`_tangent`) all read that one list.
 Labels are stable strings (``lam1``, ``A2[1,3]``, ``W1[1,2]``, ``a2[3]``;
 mixed-basis components in the SVD variant use parentheses, e.g. ``A1(1,3)``
 for ``v_1 . A_1 u_3``), so invariant lists are diffable across runs.
+
+:func:`build_frame`, :func:`build_svd_frame` and :func:`extract_invariants`
+take one system.  A verify sweep codes a stack of T systems (see
+:mod:`isotropykit.lin3`) in one pass: :func:`_frames` builds their sym or
+gram frames, with the sign gauge as masked array code over ``_Code.odd``
+(:func:`_gauged`), and :func:`_values` returns their lists as one ``(T,
+n)`` block under the layout's shared labels.  The codec and ``_values``
+take one frame or a stack alike; every row has the bits of the one-system
+call.
 """
 
 from __future__ import annotations
@@ -46,10 +55,13 @@ from isotropykit.lin3 import (
     _TOL_REL,
     DegenerateInputError,
     TensorSystem,
+    _as_array,
     _cross,
     _degeneracy_groups,
+    _eighs,
     _freeze,
     _norm,
+    _row_norms,
     _thr,
     eig_sym,
     svd3,
@@ -102,12 +114,16 @@ _DIAG = _Code([(i, i) for i in range(3)])
 
 
 def _encode(x, code, v, r=None) -> np.ndarray:
-    """Frame components of ``x`` in the slot order of ``code``."""
+    """Frame components of ``x`` in the slot order of ``code``: in one frame,
+    or as a ``(T, size)`` block in a stack of T frames (``v``, ``r``: ``(T, 3,
+    3)``), ``x`` one for all or stacked alike."""
     if code is _VEC:
-        # one dot per frame vector: the bits the recorded reports hold (a
-        # matvec ``v @ x`` rounds differently in about half of the vectors)
-        return np.array([x.dot(row) for row in v])
-    return (v @ x @ (v if r is None else r).T).take(code.take)
+        # one (1, 3) @ (3, 1) dot per frame vector: the bits the recorded
+        # reports hold (a matvec ``v @ x`` rounds differently in about half
+        # of the vectors)
+        return (x[..., None, None, :] @ v[..., None])[..., 0, 0]
+    c = v @ x @ (v if r is None else r).swapaxes(-1, -2)
+    return c.take(code.take) if c.ndim == 2 else c.reshape(len(c), 9)[:, code.take]
 
 
 def _decode(values, code, v, r=None) -> np.ndarray:
@@ -369,6 +385,28 @@ def _apply_equivariant_gauge(system, kind, v, u=None):
     return v * full, None if u is None else u * full
 
 
+def _gauged(system, kind, v):
+    # :func:`_apply_equivariant_gauge` on a stack (members and triads ``v``
+    # with a leading axis of T), bit for bit: the same walk as masked array
+    # code, with per mask bit the sign of each row's first clearing entry, 0
+    # while none has cleared
+    layout = _layout(kind, system.n_sym, system.nonsym_skew, system.n_vec)
+    k = len(layout) - system.n_vec
+    sign = np.zeros((4, len(v)))
+    for _, cls, index, code in layout[k:] + layout[:k]:
+        x = getattr(system, cls)[index]
+        thr = _TOL_REL * np.maximum(_row_norms(x.reshape(len(x), -1)), _FLOOR)
+        for value, bit in zip(_encode(x, code, v).T, code.odd):
+            first = (sign[bit] == 0.0) & (np.abs(value) > thr)
+            sign[bit, first] = np.sign(value[first])
+        if sign[1].all() and sign[2].all():
+            break
+    either = lambda a, b: np.where(a != 0.0, a, b)
+    s0 = either(sign[1], either(sign[3] * sign[2], 1.0))
+    s1 = either(sign[2], either(sign[3] * s0, 1.0))
+    return v * np.stack([s0, s1, s0 * s1], 1)[..., None]
+
+
 # ---------------------------------------------------------------------------
 # frame construction
 
@@ -408,6 +446,30 @@ def build_frame(system: TensorSystem) -> SpectralFrame:
     frame = _frame_of(system)
     _last_frame = (key, frame)
     return frame
+
+
+def _frames(stack: TensorSystem):
+    """The kind, eigenvalues ``(T, 3)`` and triads ``(T, 3, 3)`` that
+    :func:`build_frame` gives each system of a stack with a symmetric or a
+    non-symmetric tensor, bit for bit and with its errors.  The sweeps stack
+    no vector-only system: its frame is always degenerate."""
+    if stack.n_sym >= 1:
+        kind, (lams, v) = "sym_tensor", _eighs(stack.sym[0])
+    else:
+        h = stack.nonsym[0]
+        if (np.abs(h).max((1, 2)) == 0.0).any():
+            raise DegenerateInputError("frame tensor is zero")
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = h @ h.swapaxes(1, 2)
+        lams, v = _eighs(_as_array(g, g.shape, "tensor"))
+        kind, lams = "gram", np.clip(lams, 0.0, None)
+    return kind, lams, _gauged(stack, kind, v)
+
+
+def _frame_rows(kind, lambdas, v) -> list:
+    # the SpectralFrame of each row of :func:`_frames`
+    return [_frozen_frame(kind, lam, vt, None, _degeneracy_groups(lam.tolist(), _TOL_REL))
+            for lam, vt in zip(lambdas, v)]
 
 
 def _frame_of(system: TensorSystem) -> SpectralFrame:
@@ -464,16 +526,29 @@ def extract_invariants(system: TensorSystem, frame: SpectralFrame) -> SpectralIn
     all nine components appear (the gram eigenvalues are their row sums of
     squares and are omitted).
     """
-    layout = _layout(frame.kind, system.n_sym, system.nonsym_skew, system.n_vec)
-    v, u = frame.v, frame.u
-    labels, index = _list_labels(frame.kind, layout)
-    blocks = [frame.lambdas[:len(_KINDS[frame.kind][0])]]
-    if frame.kind == "svd":
-        blocks.append([u[i] @ v[i] for i in range(3)])
+    return _invariants(system, frame.kind,
+                       _values(system, frame.kind, frame.lambdas, frame.v, frame.u))
+
+
+def _values(system, kind, lambdas, v, u=None) -> np.ndarray:
+    # the values of :func:`extract_invariants` in one frame of ``kind``, or
+    # the (T, n) block in a stack of T frames; the system's members are one
+    # for all or stacked alike
+    layout = _layout(kind, system.n_sym, system.nonsym_skew, system.n_vec)
+    blocks = [lambdas[..., :len(_KINDS[kind][0])]]
+    if kind == "svd":
+        blocks.append((u[..., None, :] @ v[..., None])[..., 0, 0])  # u_i . v_i
     blocks += [_encode(getattr(system, cls)[k], code, v, u) for _, cls, k, code in layout]
-    count = len(labels) - sum(system.vec_unit) - 3 * system.n_sym * (frame.kind == "svd")
-    return SpectralInvariants(_freeze(np.concatenate(blocks)), labels, index, count,
-                              frame.kind, system.n_sym, system.nonsym_skew, system.vec_unit)
+    return np.concatenate(blocks, axis=-1)
+
+
+def _invariants(system, kind, values) -> SpectralInvariants:
+    # the list of one row of values of a frame of ``kind``, which it freezes
+    labels, index = _list_labels(kind, _layout(kind, system.n_sym, system.nonsym_skew,
+                                               system.n_vec))
+    count = len(labels) - sum(system.vec_unit) - 3 * system.n_sym * (kind == "svd")
+    return SpectralInvariants(_freeze(values), labels, index, count, kind, system.n_sym,
+                              system.nonsym_skew, system.vec_unit)
 
 
 def irreducible_count(N: int, M: int, P: int, *, skew_nonsym: bool = False,

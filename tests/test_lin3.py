@@ -1,9 +1,11 @@
 """Core 3x3 kernels checked against numpy.linalg and self-residuals."""
 
+import re
+
 import numpy as np
 import pytest
 
-from isotropykit import potentials
+from isotropykit import lin3, potentials
 from isotropykit.analysis import jacobian_rank, seeded_system
 from isotropykit.classical_bases import boehler_scalars
 from isotropykit.lin3 import (
@@ -452,3 +454,71 @@ class TestValidationBoundary:
             for x in (scale * rng.standard_normal(3), scale * rng.standard_normal((3, 3))):
                 for y in (x, x.T, x[::-1]):
                     assert _norm(y) == np.linalg.norm(y)
+
+
+class TestStackedKernels:
+    # the stacked kernels of the verify sweeps against the single-system
+    # functions, bit for bit; batched matmul may round differently by stack
+    # size, hence several sizes
+    SIZES = (1, 2, 7, 100)
+
+    @staticmethod
+    def draws(rng, size):
+        # general tensors over the double range, with small-integer ties
+        scale = 10.0 ** rng.uniform(-150.0, 150.0, (size, 1, 1))
+        m = rng.standard_normal((size, 3, 3))
+        return np.where(rng.random((size, 1, 1)) < 0.3, np.round(2.0 * m), m * scale)
+
+    def test_eighs_and_svds_equal_the_single_calls(self):
+        rng = np.random.default_rng(401)
+        for size in self.SIZES:
+            for _ in range(5):
+                f = self.draws(rng, size)
+                a = f + f.swapaxes(1, 2)
+                lams, v = lin3._eighs(a)
+                sv, vv, uu = lin3._svds(f)
+                for k in range(size):
+                    want = eig_sym(a[k])
+                    assert (lams[k].tobytes(), v[k].tobytes()) == \
+                        (want[0].tobytes(), want[1].tobytes())
+                    assert b"".join(x.tobytes() for x in (sv[k], vv[k], uu[k])) == \
+                        b"".join(x.tobytes() for x in svd3(f[k]))
+
+    def test_row_norms_equal_norm(self):
+        rng = np.random.default_rng(409)
+        x = rng.standard_normal((200, 9)) * 10.0 ** rng.integers(-320, 308, (200, 1))
+        x[:3] = np.array([[0.0], [np.inf], [1e-320]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = lin3._row_norms(x)
+            assert [float(r) for r in got] == [_norm(row) for row in x]
+
+    def test_conjugates_equal_conjugate(self):
+        rng = np.random.default_rng(419)
+        w = rng.standard_normal((3, 3))
+        system = tensor_system(sym=[random_sym(rng)], nonsym=[w, w - w.T],
+                               skew=[False, True], vecs=[rng.standard_normal(3)])
+        for size in self.SIZES:
+            rotations = np.array([haar_rotation(rng) for _ in range(size)])
+            for row, q in zip(lin3._rows(lin3._conjugates(rotations, system)), rotations):
+                one = conjugate(q, system)
+                assert row.shape() == one.shape()
+                for x, y in zip(row.sym + row.nonsym + row.vecs, one.sym + one.nonsym + one.vecs):
+                    assert x.tobytes() == y.tobytes() and not x.flags.writeable
+
+    @pytest.mark.parametrize("bad,system", [
+        (2.0 * np.eye(3), tensor_system(sym=[np.eye(3)])),
+        (np.diag([1.0, 1.0, -1.0]), tensor_system(sym=[np.eye(3)])),
+        (np.diag([1e200, 1e-200, 1.0]), tensor_system(sym=[np.eye(3)])),
+        (np.full((3, 3), np.nan), tensor_system(sym=[np.eye(3)])),
+        (None, tensor_system(nonsym=[np.full((3, 3), 1.5e308)])),
+        (None, tensor_system(vecs=[[1.7e308] * 3])),
+    ], ids=["scaled", "reflection", "overflowing-gram", "nan", "overflow", "vector-overflow"])
+    def test_conjugates_raise_the_errors_of_conjugate(self, bad, system):
+        rotations = [haar_rotation(np.random.default_rng(k)) for k in range(5)]
+        if bad is not None:
+            rotations[3] = bad
+        with pytest.raises(ValueError) as one, np.errstate(over="ignore", invalid="ignore"):
+            for q in rotations:
+                conjugate(q, system)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(one.value))}$"):
+            lin3._conjugates(np.array(rotations), system)

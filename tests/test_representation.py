@@ -26,7 +26,7 @@ from isotropykit.representation import (
     reconstruct_vector,
     regauge_frame,
 )
-from isotropykit.spectral_frame import build_frame, extract_invariants
+from isotropykit.spectral_frame import build_frame, build_svd_frame, extract_invariants
 
 
 def random_system(rng, n_sym, n_skew, n_vec):
@@ -407,6 +407,20 @@ class TestFrameSlots:
             regauge_frame(self.frame(), group, np.random.default_rng(0))
         assert "\n" not in str(err.value)
 
+    def test_regauged_svd_frame_still_factors_its_tensor(self):
+        # u turns with v: with v alone turned the relative factor residual
+        # of H1 = q diag(2, 2, 0.5) r^T went from 1.4e-15 to 0.52
+        rng = np.random.default_rng(0)
+        q, r = haar_rotation(rng), haar_rotation(rng)
+        h = q @ np.diag([2.0, 2.0, 0.5]) @ r.T
+        frame = build_svd_frame(tensor_system(nonsym=[h]))
+        assert frame.degeneracy == ((0, 1), (2,))
+        gauged = regauge_frame(frame, (0, 1), np.random.default_rng(3))
+        assert not np.allclose(gauged.v, frame.v)
+        rebuilt = sum(s * np.outer(v, u) for s, v, u in zip(gauged.lambdas, gauged.v, gauged.u))
+        assert np.linalg.norm(rebuilt - h) <= 1e-14 * np.linalg.norm(h)
+        np.testing.assert_array_equal(gauged.u[2], frame.u[2])
+
     def test_distinct_slots_keep_the_frame_orthonormal(self):
         rng = np.random.default_rng(5)
         for group in ((0, 1), (2, 0), (0, 1, 2)):
@@ -475,6 +489,14 @@ class TestPProperty:
         sys0 = self.pair_template(np.random.default_rng(263))
         with pytest.raises(ValueError, match="trials"):
             check_p_property(lambda inv: inv["a1[1]"], sys0, "pair", trials=0)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # unchecked, NaN or -1 silently gave a failing report
+        sys0 = self.pair_template(np.random.default_rng(263))
+        with pytest.raises(ValueError, match="^tol must be finite and positive") as err:
+            check_p_property(dyad_energy, sys0, "pair", tol=tol)
+        assert "\n" not in str(err.value)
 
     def test_template_without_degeneracy_rejected(self):
         sys0 = tensor_system(sym=[np.diag([3.0, 2.0, 1.0])], vecs=[[1.0, 0, 0]],

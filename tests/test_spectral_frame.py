@@ -1,6 +1,7 @@
 """Frame construction, invariant extraction, counting, reconstruction."""
 
 import gc
+import inspect
 import itertools
 import json
 import tracemalloc
@@ -696,3 +697,103 @@ class TestGaugeSwitchingSets:
         monkeypatch.setattr(spectral_frame, "_apply_equivariant_gauge",
                             lambda *args: _reference_gauge(*args, fallback=False))
         assert _switching_deviation(kind, system) > 1e-2
+
+
+def _stacked_lists(system):
+    # the frames and lists of a stacked system through the stacked kernels
+    kind, lams, v = spectral_frame._frames(system)
+    return kind, lams, v, spectral_frame._values(system, kind, lams, v)
+
+
+def _single_bits(system):
+    # the kind and the bytes of the eigenvalues, triad and list of one system
+    frame = build_frame(system)
+    return (frame.kind, frame.lambdas.tobytes(), frame.v.tobytes(),
+            extract_invariants(system, frame).values().tobytes())
+
+
+def _assert_stack_matches(systems, want=None):
+    # the stacked frames and lists of ``systems`` equal, row by row and bit
+    # for bit, build_frame's and extract_invariants' on each system (or
+    # their recorded ``want``)
+    kind, lams, v, values = _stacked_lists(lin3._stack(systems))
+    got = [(kind, *(x.tobytes() for x in row)) for row in zip(lams, v, values)]
+    assert got == (want or list(map(_single_bits, systems)))
+
+
+class TestStackedPath:
+    # the sweeps' stacked kernels against the single-system path, bit for
+    # bit: batched matmul may round differently by stack size, hence sizes 1,
+    # 2, 7 and 100
+    SIZES = (1, 2, 7, 100)
+
+    def test_gauge_corpus_stacks_equal_single_frames(self):
+        rng = np.random.default_rng(311)
+        corpus = {}
+        for builder in sorted(GAUGE_BUILDERS):
+            for _ in range(20):
+                for n, m, p, skew in GAUGE_SHAPES:
+                    system = _gauge_system(builder, rng, n, m, p, skew)
+                    if n or np.abs(system.nonsym[0]).max() > 0.0:
+                        corpus.setdefault((n, m, p, skew), []).append(system)
+        assert sum(map(len, corpus.values())) >= 1000
+        for systems in corpus.values():
+            want = list(map(_single_bits, systems))
+            for size in self.SIZES:
+                cycle = 1 + size // len(systems)
+                for start in range(0, len(systems), size):
+                    _assert_stack_matches((systems * cycle)[start:start + size],
+                                          (want * cycle)[start:start + size])
+
+    @pytest.mark.parametrize("k", [-300, -150, 0, 150, 300])
+    def test_scaled_stacks_equal_single_frames(self, k):
+        # scaled by 10^k: a gram source's H H^T overflows at 10^300 and both
+        # paths raise the one error; vector norms take _norm's rescale
+        rng = np.random.default_rng(331)
+        for n, m, p, skew in GAUGE_SHAPES:
+            sym, nonsym, vecs = _random_members(rng, n, m, p)
+            system = tensor_system(sym=[10.0 ** k * (x + x.T) for x in sym],
+                                   nonsym=[10.0 ** k * (x - x.T if skew else x) for x in nonsym],
+                                   skew=[skew] * m, vecs=[10.0 ** k * x for x in vecs])
+            rotations = np.array([haar_rotation(rng) for _ in range(7)])
+            stack = lin3._conjugates(rotations, system)
+            systems = [conjugate(q, system) for q in rotations]
+            assert all(x.tobytes() == y.tobytes()
+                       for s, t in zip(lin3._rows(stack), systems)
+                       for x, y in zip(s.sym + s.nonsym + s.vecs, t.sym + t.nonsym + t.vecs))
+            try:
+                with np.errstate(over="ignore"):
+                    build_frame(systems[0])
+            except ValueError as err:
+                with pytest.raises(ValueError, match=f"^{err}$"):
+                    spectral_frame._frames(stack)
+                continue
+            _assert_stack_matches(systems)
+
+    @pytest.mark.parametrize("masks", [(3,), (1, 3), (2, 3)], ids=["3", "1-3", "2-3"])
+    @pytest.mark.parametrize("case", ["sym-N2P1", "sym-N1M1P1", "gram-N0M2P1"])
+    def test_switching_sets_under_rotation(self, monkeypatch, case, masks):
+        kind, shape = SWITCHING_CASES[case]
+        system = _switching_system(kind, shape, masks)
+        rng = np.random.default_rng(17)
+        rotations = np.array([haar_rotation(rng) for _ in range(40)])
+        stack = lin3._conjugates(rotations, system)
+        _assert_stack_matches(lin3._rows(stack))
+        base = extract_invariants(system, build_frame(system)).values()
+
+        def deviation():
+            return np.abs(_stacked_lists(stack)[3] - base).max() / np.abs(base).max()
+        assert deviation() <= 1e-12
+        # a mutant of the stacked gauge without the mask-3 fallback fails it
+        source = inspect.getsource(spectral_frame._gauged)
+        assert source.count("sign[3]") == 2
+        scope = dict(vars(spectral_frame))
+        exec(source.replace("sign[3]", "0.0"), scope)
+        monkeypatch.setattr(spectral_frame, "_gauged", scope["_gauged"])
+        assert deviation() > 1e-2
+
+    def test_a_zero_gram_source_in_a_stack_is_the_single_error(self):
+        h = seeded_system(0, 1, 1, seed=0)
+        zero = tensor_system(nonsym=[np.zeros((3, 3))], vecs=[h.vecs[0]])
+        with pytest.raises(DegenerateInputError, match="^frame tensor is zero$"):
+            spectral_frame._frames(lin3._stack([h, zero]))
