@@ -5,19 +5,18 @@ functional independence via Jacobian rank.
 the invariant list with respect to a smooth ambient parameterization at a
 generic point: 6 coordinates per symmetric tensor, 9 per general tensor, 3
 per skew tensor, 3 per vector (2 tangent coordinates for unit vectors, so the
-ambient bookkeeping stays exact).  A spectral list codes every argument in a
-frame that only the frame source moves, so each other argument's columns are
-exact: the encoding of its chart directions in the fixed base frame, in that
-argument's own rows.  The source's columns are exact too, from the
-first-order motion of its frame (eigen- or singular triads, or a vector's
-completion) and heads, and one ``_tangent`` call writes them all.  Only lists
-without a frame (a classical list, or any other callable) take central
-differences.  A check scales each argument but a unit vector by the power of
-two that puts its largest entry in [0.5, 1): every list here is homogeneous
-in each argument, so the rank stays and does not depend on input size.
-Rank counts singular values above the larger of ``sigma_max * 1e-7 *
-sqrt(max matrix dimension)`` and the round-off of those differences,
-``1e3 * eps * max|f(system0)| / step``, so a list of constants has rank 0.
+ambient bookkeeping stays exact).  Every column is exact.  A spectral list
+codes every argument in a frame that only its source moves, and one
+``_tangent`` call writes the other arguments' chart directions in their own
+rows and the source's from the first-order motion of its frame and heads.  A
+classical scalar basis runs its program once in forward mode, on a jet of the
+base system and its chart directions.  A check scales each argument but a
+unit vector by the power of two that puts its largest entry in [0.5, 1): every
+list here is homogeneous in each argument, so the rank does not depend on
+input size.  Rank counts singular values above the larger of ``sigma_max *
+1e-7 * sqrt(max matrix dimension)`` and the round-off floor ``1e9 * eps *
+max|f(system0)|``: a unit vector's chart tangents are orthogonal to it only to
+round-off, so the column of a constant such as ``a1.a1`` is ~1e-16, not 0.
 One base frame is built per check (the list's own, or :func:`build_frame`'s
 for a classical list); its source's eigen- or singular values must stay
 ``1e-6 * max`` apart (``lin3._GAP_REL``, the gap the spectral gradients need
@@ -31,16 +30,16 @@ gauge rather than an equivariant construction (ROADMAP item 9).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from isotropykit.classical_bases import ClassicalScalarBasis
 from isotropykit.lin3 import (
     _EYE,
     _GAP_REL,
     DegenerateConfigurationError,
     TensorSystem,
-    _central,
     _conjugates,
     _degeneracy_groups,
     _norm,
@@ -64,7 +63,6 @@ __all__ = [
     "Claim",
     "RankReport",
     "VerificationReport",
-    "ambient_chart",
     "jacobian_rank",
     "rotation_deviation",
     "seeded_system",
@@ -167,28 +165,19 @@ def _unit_scaled(system: TensorSystem) -> TensorSystem:
                    map(scaled, system.vecs, system.vec_unit), system.vec_unit)
 
 
-def ambient_chart(system0: TensorSystem):
-    """Smooth chart ``theta -> TensorSystem`` around a base system.
-
-    Returns ``(dim, to_system)``.  Unit vectors move along two tangent
-    directions and are renormalized, so their coordinates contribute exactly
-    2 to the ambient dimension.
-    """
+def _forward(basis, system0: TensorSystem) -> np.ndarray:
+    # a classical basis's values at system0 (row 0) and exact derivatives along
+    # the K chart directions (rows 1..K), from one run of its program on a jet
     blocks = _chart_blocks(system0)
-    dim = sum(len(dirs) for *_, dirs in blocks)
-
-    def to_system(theta):
-        theta = np.asarray(theta, dtype=float)
-        args, pos = {"sym": [], "nonsym": [], "vecs": []}, 0
-        for cls, _, base, unit, dirs in blocks:
-            # the 0/1 dyads place the coordinates themselves, bit for bit
-            x = base + (theta[pos:pos + len(dirs)] @ dirs).reshape(base.shape)
-            args[cls].append(x / np.linalg.norm(x) if unit else x)
-            pos += len(dirs)
-        return _system(args["sym"], args["nonsym"], system0.nonsym_skew, args["vecs"],
-                       system0.vec_unit)
-
-    return dim, to_system
+    k = sum(len(dirs) for *_, dirs in blocks)
+    members, row = {"sym": [], "nonsym": [], "vecs": []}, 1
+    for cls, _, x, _, dirs in blocks:
+        jet = np.zeros((1 + k,) + x.shape)
+        jet[0], jet[row:row + len(dirs)] = x, dirs.reshape(-1, *x.shape)
+        members[cls].append(jet)
+        row += len(dirs)
+    return basis._run(_system(members["sym"], members["nonsym"], system0.nonsym_skew,
+                              members["vecs"], system0.vec_unit), jet=True)
 
 
 @dataclass(frozen=True)
@@ -203,24 +192,25 @@ class RankReport:
     threshold: float
 
 
-# central-difference step in chart coordinates, the relative singular-value
-# threshold of the rank (scaled by sqrt of the larger Jacobian dimension) and
-# its round-off floor per unit of max|f(system0)|
-_FD_STEP = 1e-6
+# the relative singular-value threshold of the rank (scaled by sqrt of the
+# larger Jacobian dimension) and its round-off floor per unit of
+# max|f(system0)|, which keeps a constant's exact column out (module docstring)
 _RANK_THRESHOLD = 1e-7
-_ROUND_OFF = 1e3 * np.finfo(float).eps / _FD_STEP
+_ROUND_OFF = 1e9 * np.finfo(float).eps
 
 
 def _jacobian(values_fn, system0: TensorSystem):
-    """Jacobian of an invariant list in the chart of :func:`ambient_chart`,
-    and the list's values at ``system0``.
-
-    A spectral list (one that carries its ``build_frame``) takes every
-    column from one ``_tangent`` call over the chart blocks, exact in its
-    base frame; only a list without a frame takes central differences,
-    through the chart.
-    """
+    """Exact Jacobian of an invariant list along the chart directions of
+    :func:`_chart_blocks`, and the list's values at ``system0``: one
+    ``_tangent`` call for a spectral list (one that carries its
+    ``build_frame``), or :func:`_forward` for a classical scalar basis's
+    ``evaluate``.  Any other callable is a ``TypeError``."""
     build = getattr(values_fn, "build_frame", None)
+    basis = getattr(values_fn, "__self__", None)
+    if build is None and not (isinstance(basis, ClassicalScalarBasis)
+                              and values_fn.__name__ == "evaluate"):
+        raise TypeError("jacobian_rank takes a spectral_values_fn list or the evaluate "
+                        f"of a classical scalar basis, not {values_fn!r}")
     frame = (build or build_frame)(system0)
     # the frame source must stay away from coalescence for the chart-composed
     # invariant functions to be smooth: its singular values (the square roots
@@ -232,24 +222,21 @@ def _jacobian(values_fn, system0: TensorSystem):
         raise DegenerateConfigurationError(
             f"the {frame.kind} frame's source has coalescent spectral values; "
             "rank would drop spuriously")
-    if build is not None:
-        moves = [(cls, index, dirs.reshape(-1, *x.shape))
-                 for cls, index, x, _, dirs in _chart_blocks(system0)]
-        return _tangent(system0, frame, moves), extract_invariants(system0, frame).values()
-    f0 = np.asarray(values_fn(system0), dtype=float)
-    dim, to_system = ambient_chart(system0)
-    columns = [_central(lambda t: np.asarray(values_fn(to_system(t * e)), dtype=float),
-                        _FD_STEP) for e in np.eye(dim)]
-    return np.array(columns).reshape(dim, len(f0)).T, f0
+    if build is None:
+        jet = _forward(basis, system0)
+        return jet[1:].T, jet[0]
+    moves = [(cls, index, dirs.reshape(-1, *x.shape))
+             for cls, index, x, _, dirs in _chart_blocks(system0)]
+    return _tangent(system0, frame, moves), extract_invariants(system0, frame).values()
 
 
 def jacobian_rank(values_fn, system0: TensorSystem) -> RankReport:
     """Numerical rank of an invariant list at ``system0``.
 
-    ``values_fn`` maps a system to its value vector.  A list from
-    :func:`spectral_values_fn` takes exact columns; only a list without a
-    frame takes central differences.  The argument scaling, the rank rule
-    and the base-point check are the module docstring's; nothing is drawn.
+    ``values_fn`` is a list from :func:`spectral_values_fn` or the
+    ``evaluate`` of a classical scalar basis; both take exact columns
+    (:func:`_jacobian`).  The argument scaling, the rank rule and the
+    base-point check are the module docstring's; nothing is drawn.
     """
     jac, f0 = _jacobian(values_fn, _unit_scaled(system0))
     n, dim = jac.shape
@@ -262,9 +249,8 @@ def jacobian_rank(values_fn, system0: TensorSystem) -> RankReport:
 
 
 def spectral_values_fn(svd_variant: bool = False):
-    """Invariant-vector evaluator for the spectral list (frame rebuilt per
-    call, so the chart composition stays smooth at generic points).  It
-    carries its frame builder as ``build_frame``."""
+    """Invariant-vector evaluator for the spectral list, its frame rebuilt per
+    call; it carries its frame builder as ``build_frame``."""
     build = build_svd_frame if svd_variant else build_frame
 
     def values(system):
@@ -303,15 +289,8 @@ class Claim:
                    value, tolerance, comparator, seed)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.claim_id,
-            "description": self.description,
-            "status": self.status,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "comparator": self.comparator,
-            "seed": self.seed,
-        }
+        fields = asdict(self)  # in field order, the id first
+        return {"id": fields.pop("claim_id"), **fields}
 
 
 @dataclass

@@ -4,11 +4,18 @@ These are the comparison targets for every reduction claim: the classical
 scalar invariants of symmetric tensors, skew tensors and vectors, and the Smith
 generators of vector- and symmetric-tensor-valued isotropic functions, listed
 (never counted by closed form) in the stated order.  Each item is its label,
-and a basis runs all its labels as one program over a stack of systems: B
-systems give one ``(B, n, ...)`` array, and one system (B = 1) gives a float
-array or a list of arrays, equal bit for bit to its row in any stack.  An
-item on its own runs the one-label program of its label on a stack of one,
+and a basis runs all its labels as one program over a ``lin3`` stack of B
+systems, which gives one ``(B, n, ...)`` array; one system (B = 1) gives a
+float array or a list of arrays, equal bit for bit to its row in any stack.
+An item on its own runs the one-label program of its label on a stack of one,
 the same steps on the same operands, so it too equals its row bit for bit.
+
+Every step is linear (an operand pick, ``tr``, ``sym``, ``add``, ``sub``) or
+bilinear (``mul``, ``outer``), so a program also runs in forward mode
+(Griewank & Walther 2008) on a *jet*: a stack of a system (row 0) and K
+tangents at it.  A bilinear step writes ``f(x0, y0)`` on row 0 and ``f(dx,
+y0) + f(x0, dy)`` below it, any other step maps the whole stack, and row k of
+the result is the items' exact derivative along tangent k.
 
 Label grammar
 -------------
@@ -36,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from isotropykit.lin3 import _EYE, TensorSystem
+from isotropykit.lin3 import _EYE, TensorSystem, _stack
 
 __all__ = ["BasisItem", "ClassicalScalarBasis", "ClassicalTensorBasis",
            "ClassicalVectorBasis", "boehler_scalars", "smith_sym_tensors",
@@ -151,7 +158,8 @@ _FUNCTIONS = {
     "anti": lambda emit, x, y: emit("add", emit("mul", x, y), emit("mul", y, x)),
     "alt": lambda emit, x, y: emit("sub", emit("outer", x, y), emit("outer", y, x)),
 }
-# the first slots of every program, with their ranks: 0 scalar, 1 vector, 2 tensor
+# the first slots of every program (a stack's members by class, and I), with
+# their ranks: 0 scalar, 1 vector, 2 tensor
 _OPERANDS = {"A": (0, 2), "W": (1, 2), "a": (2, 1), "I": (3, 2)}
 # every op on its arguments' ranks: its form on stacks of values (leading
 # batch axis) and the rank of its result
@@ -169,20 +177,14 @@ _OPS = {
 _SHAPES = {"scalar": (), "vector": (3,), "sym_tensor": (3, 3)}  # of one item
 
 
-def _operands(systems, shape):
-    b, (n, m, p) = len(systems), shape
-    return [np.array([x for s in systems for x in s.sym]).reshape(b, n, 3, 3),
-            np.array([x for s in systems for x in s.nonsym]).reshape(b, m, 3, 3),
-            np.array([x for s in systems for x in s.vecs]).reshape(b, p, 3), _EYE]
-
-
 class _Program:
     """Labels of one kind parsed into one straight-line program of steps
-    ``(fn, slot, slot or None)``, one per distinct subterm, so a subterm that
-    several labels share (``A1^2``, ``A1.a1``) is computed once per call on
-    a whole stack of systems; each step's op is bound to its arguments' ranks.
-    A call writes each item as soon as its slot is computed and drops every
-    slot after its last use, so only the live subterms are held."""
+    ``(fn, slot, slot or None, bilinear)``, one per distinct subterm, so a
+    subterm that several labels share (``A1^2``, ``A1.a1``) is computed once
+    per call on a whole stack of systems; each step's op is bound to its
+    arguments' ranks.  A call writes each item as soon as its slot is
+    computed and drops every slot after its last use, so only the live
+    subterms are held."""
 
     def __init__(self, labels, kind):
         self._steps, self._slots, self._ranks = [], {}, [None, None, None, 2]  # stacks, I
@@ -196,14 +198,22 @@ class _Program:
         for slot, last in enumerate(self._last):
             self._after[last][1].append(slot)
 
-    def __call__(self, systems, shape):
-        """Item values, ``(B, n, ...)``, on a stack of systems of ``shape`` (N, M, P)."""
-        values = _operands(systems, shape)
-        out = np.empty((len(systems), len(self._outputs)) + _SHAPES[self.kind])
+    def __call__(self, stack, jet=False):
+        """Item values, ``(B, n, ...)``, on a stack of B systems, or their
+        values and K derivatives on a jet of ``B = 1 + K`` rows."""
+        b = len((stack.sym + stack.nonsym + stack.vecs)[0])
+        eye = _EYE * (np.arange(b) == 0)[:, None, None] if jet else _EYE  # I: no tangent
+        values = [stack.sym, stack.nonsym, stack.vecs, eye]
+        out = np.empty((b, len(self._outputs)) + _SHAPES[self.kind])
         for slot, (items, dead) in enumerate(self._after):
             if slot >= 4:
-                fn, a, c = self._steps[slot - 4]
-                values.append(fn(values[a]) if c is None else fn(values[a], values[c]))
+                fn, a, c, bilinear = self._steps[slot - 4]
+                x, y = values[a], None if c is None else values[c]
+                if jet and bilinear:  # the product rule below row 0
+                    values.append(np.concatenate([fn(x[:1], y[:1]),
+                                                  fn(x[1:], y[:1]) + fn(x[:1], y[1:])]))
+                else:
+                    values.append(fn(x) if y is None else fn(x, y))
             for k in items:
                 out[:, k] = values[slot]
             for d in dead:
@@ -216,19 +226,20 @@ class _Program:
         key = (op, *args)
         if key not in self._slots:
             if op in _OPERANDS:
-                slot, rank = _OPERANDS[op]  # operand k: row k of a stack
-                step = (operator.itemgetter((slice(None), *args)), slot, None)
+                slot, rank = _OPERANDS[op]  # operand k: member k of its class
+                step = (operator.itemgetter(*args), slot, None, False)
             else:
                 ranks = tuple(self._ranks[a] for a in args)
                 if (op, *ranks) not in _OPS:
                     raise ValueError(f"malformed basis label: {op} of ranks {ranks}")
                 fn, rank = _OPS[op, *ranks]
-                step = (fn, *args, None)[:3]  # unary ops: second slot None
+                # unary ops: second slot None
+                step = (fn, *args, None)[:3] + (op in ("mul", "outer"),)
             self._steps.append(step)
             self._ranks.append(rank)
             self._slots[key] = new = len(self._ranks) - 1
             self._last.append(new)
-            for a in step[1:]:
+            for a in step[1:3]:
                 if a is not None:
                     self._last[a] = new
         return self._slots[key]
@@ -305,7 +316,7 @@ class _Basis:
 
     def _item(self, label, system):
         self.check_system(system)
-        return _item_program(label, self.kind)([system], system.shape())[0, 0]
+        return _item_program(label, self.kind)(_stack([system]))[0, 0]
 
     def __len__(self):
         return len(self.items)
@@ -323,18 +334,26 @@ class _Basis:
         if not all(system.nonsym_skew):
             raise ValueError("classical bases cover skew tensors only")
 
+    def _run(self, stack, jet=False):
+        # the program on a stack (or a jet) of the basis shape
+        self.check_system(stack)
+        return self._program(stack, jet)
+
     def evaluate(self, systems):
         """Every item on one system, as a float array for a scalar list and a
-        list of arrays otherwise, or on a sequence of B systems of the basis
-        shape, as one ``(B, n)``, ``(B, n, 3)`` or ``(B, n, 3, 3)`` array."""
-        single = isinstance(systems, TensorSystem)
-        stack = [systems] if single else systems
-        for system in stack:
-            self.check_system(system)
-        values = self._program(stack, (self.n_sym, self.n_skew, self.n_vec))
-        if not single:
-            return values
-        return values[0] if self.kind == "scalar" else list(values[0])
+        list of arrays otherwise, or on B systems of the basis shape, given as
+        a sequence or as one stack, as one ``(B, n)``, ``(B, n, 3)`` or
+        ``(B, n, 3, 3)`` array."""
+        if not isinstance(systems, TensorSystem):
+            for system in systems:
+                self.check_system(system)
+            empty = np.empty((0, len(self)) + _SHAPES[self.kind])  # nothing to stack
+            return self._run(_stack(systems)) if systems else empty
+        first = (systems.vecs + systems.sym + systems.nonsym)[0]
+        if first.ndim > (1 if systems.vecs else 2):  # a stack: members carry a leading axis
+            return self._run(systems)
+        values = self._run(_stack([systems]))[0]
+        return values if self.kind == "scalar" else list(values)
 
 
 class ClassicalScalarBasis(_Basis):

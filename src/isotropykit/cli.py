@@ -57,7 +57,6 @@ from isotropykit.lin3 import (
     _eighs,
     _norm,
     _row_norms,
-    _rows,
     _stack,
     _svds,
     haar_rotation,
@@ -204,12 +203,11 @@ def run_isotropy(seed: int, trials: int = 100, tol: float = 1e-9,
         rotations = np.array([haar_rotation(rng) for _ in range(trials)])
         conjugated = _conjugates(rotations, sys0)
         if all(sys0.nonsym_skew):
-            systems = [sys0] + _rows(conjugated)
             for basis in _classical_bases(*sys0.shape()):
-                # one run of the basis over the unrotated and every rotated system
+                # one run of the basis over the unrotated system, one over the stack
                 word, description = _CLASSICAL_ISOTROPY[basis.kind]
-                values = basis.evaluate(systems)
-                worst = rotation_deviation(values[1:], rotations, values[0], basis.kind)
+                worst = rotation_deviation(basis.evaluate(conjugated), rotations,
+                                           basis.evaluate(sys0), basis.kind)
                 for item, dev in zip(basis.items, worst):
                     report.check(f"isotropy/classical-{word}/{tag}/{item.label}",
                                  description, dev, tol)
@@ -280,8 +278,9 @@ def run_reconstruction(seed: int, trials: int = 100, tol: float = 1e-12,
               rng.standard_normal((len(vectors), len(scalars))),
               rng.standard_normal((len(tensors), len(scalars))))
              for _ in range(trials)]
-    values = [basis.evaluate([d[0] for d in draws]) for basis in (scalars, vectors, tensors)]
-    frames = _frame_rows(*_frames(_stack([d[0] for d in draws])))
+    stack = _stack([d[0] for d in draws])
+    values = [basis.evaluate(stack) for basis in (scalars, vectors, tensors)]
+    frames = _frame_rows(*_frames(stack))
     worst = {"vector3": 0.0, "sym6": 0.0, "full9": 0.0, "skew3": 0.0}
     for (sys0, noise_v, noise_t), svals, gvecs, gtens, frame in zip(draws, *values, frames):
         # a combination of each list, its coefficients scaled to at most 1

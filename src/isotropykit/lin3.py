@@ -16,7 +16,7 @@ to be finite, correctly shaped and exactly symmetric or skew, and they are
 read-only: every system is built by :func:`tensor_system` (validate, then
 the unchecked ``_system``) or ``_system``, which freezes the members that
 its caller made valid (:func:`conjugate`, the seeded systems, the rank
-chart's points, the gradients' moved systems).  Code behind the boundary
+check's scaled base and jet, the gradients' moved systems).  Code behind the boundary
 does not check them again.  Every public function still validates its own
 arguments.
 

@@ -481,7 +481,9 @@ def _frame_of(system: TensorSystem) -> SpectralFrame:
         h = system.nonsym[0]
         if np.abs(h).max() == 0.0:
             raise DegenerateInputError("frame tensor is zero")
-        lams, v, groups = eig_sym(h @ h.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # eig_sym rejects an inf
+            g = h @ h.T
+        lams, v, groups = eig_sym(g)
         lams = np.clip(lams, 0.0, None)
         v, _ = _apply_equivariant_gauge(system, "gram", v)
         return _frozen_frame("gram", lams, v, None, groups)

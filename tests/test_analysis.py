@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from isotropykit import analysis, spectral_frame
+from isotropykit import analysis, classical_bases, spectral_frame
 from isotropykit.lin3 import (
     _OFF_PAIRS,
     _SYM_PAIRS,
@@ -15,7 +15,7 @@ from isotropykit.lin3 import (
     haar_rotation,
     tensor_system,
 )
-from isotropykit.classical_bases import boehler_scalars
+from isotropykit.classical_bases import boehler_scalars, smith_sym_tensors, smith_vectors
 from isotropykit.analysis import (
     _jacobian,
     jacobian_rank,
@@ -126,11 +126,23 @@ class TestJacobianRank:
         assert report.rank == 15
 
     def test_constant_list_has_rank_zero(self):
-        # |a|^2 of a unit vector is the constant 1: its FD column is round-off
-        # alone, which the floor keeps out of the rank
+        # a1.a1 of a unit vector is the constant 1, yet its exact column is
+        # not 0: the chart's tangents at a1 are orthogonal to it only to
+        # round-off (~1e-16).  The rank's round-off floor keeps that column
+        # out; without it the rank reads 1
         sys0 = seeded_system(0, 0, 1, unit=True, seed=0)
-        report = jacobian_rank(lambda s: np.array([s.vecs[0] @ s.vecs[0]]), sys0)
+        report = jacobian_rank(boehler_scalars(0, 0, 1).evaluate, sys0)
+        assert report.n_invariants == 1 and report.ambient_dim == 2
+        assert 0.0 < report.singular_values[0] <= 1e-6 * report.threshold
         assert report.rank == 0
+
+    @pytest.mark.parametrize("fn", [lambda s: np.array([np.trace(s.sym[0])]),
+                                    boehler_scalars(1, 0, 0).labels],
+                             ids=["lambda", "other-basis-method"])
+    def test_other_callable_rejected(self, fn):
+        # a rank has two exact routes; nothing else is differenced
+        with pytest.raises(TypeError, match="spectral_values_fn list or the evaluate"):
+            jacobian_rank(fn, seeded_system(1, 0, 0, seed=0))
 
     @pytest.mark.parametrize("skew,fn", [
         (False, spectral_values_fn()), (False, spectral_values_fn(True)),
@@ -188,6 +200,24 @@ class TestJacobianRank:
         assert jacobian_rank(spectral_values_fn(), sys0).rank == rank \
             == irreducible_count(n, m, p, skew_nonsym=skew)
 
+    @pytest.mark.parametrize("sym,vecs,rank,items", [
+        ([np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 5.0, 2.0])], [], 6, 10),
+        ([np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 5.0, 2.0]) + 1e-6 * (1.0 - np.eye(3))],
+         [], 6, 10),
+        ([np.diag([3.0, 2.0, 1.0])], [[1.0, 2.0, 0.0]], 5, 6),
+        ([], [[1.0, 2.0, 0.0], [0.5, -1.0, 0.0], [2.0, 0.3, 0.0]], 5, 6),
+        ([np.diag([3.0, 2.0, 1.0])], [[1.0, 2.0, 0.5]], 6, 6),
+    ], ids=["commuting", "near-commuting", "vector-in-a-mirror-plane", "coplanar-vectors",
+            "generic-twin"])
+    def test_classical_rank_off_the_generic_set(self, sym, vecs, rank, items):
+        # points fixed by a pi-rotation or a reflection fold the classical
+        # quotient, and the near-commuting pair's folded singular values
+        # (~1e-7) fall under the threshold: the exact route reads the ranks
+        # that central differences read
+        sys0 = tensor_system(sym=sym, vecs=vecs)
+        report = jacobian_rank(boehler_scalars(*sys0.shape()).evaluate, sys0)
+        assert (report.rank, report.n_invariants) == (rank, items)
+
     def test_general_nonsym_spectral_rank(self):
         sys0 = seeded_system(1, 1, 0, seed=3)
         assert jacobian_rank(spectral_values_fn(), sys0).rank == 12 \
@@ -225,7 +255,8 @@ class TestJacobianRank:
 
 
 # ---------------------------------------------------------------------------
-# exact columns in the fixed frame against the central-difference Jacobian
+# exact columns (in the fixed frame, or forward mode through the classical
+# program) against the central-difference Jacobian
 
 
 def _unit_dyads(pairs, mirror):
@@ -266,19 +297,36 @@ def _fd_oracle(values, system0, h=1e-6):
                          for c, i, d in moves])
 
 
-def _exact_column_gap(system0, svd=False):
+def _column_gaps(jac, fd):
     """Largest relative gap between an exactly written column and the
     oracle's, and the largest gap anywhere against the oracle's scale.  A
-    column the oracle reads as round-off (each of the N0M0P1-unit list,
-    whose one item is the constant ``|a|^2 = 1``) has no relative gap; the
-    second number still covers it."""
-    jac, _ = _jacobian(spectral_values_fn(svd), system0)
-    fd = _fd_oracle(spectral_values_fn(svd), system0)
+    column the oracle reads as round-off (each of an N0M0P1-unit list,
+    whose one scalar item is the constant ``|a|^2 = 1``) has no relative
+    gap; the second number still covers it, and an empty list has none."""
     norms = np.linalg.norm(fd, axis=0)
     exact = [k for k in range(jac.shape[1]) if norms[k] > analysis._ROUND_OFF]
     gaps = np.linalg.norm(jac[:, exact] - fd[:, exact], axis=0) / norms[exact]
     return (gaps.max() if exact else 0.0,
-            np.abs(jac - fd).max() / (1.0 + np.abs(fd).max()))
+            np.abs(jac - fd).max(initial=0.0) / (1.0 + np.abs(fd).max(initial=0.0)))
+
+
+def _exact_column_gap(system0, svd=False):
+    jac, _ = _jacobian(spectral_values_fn(svd), system0)
+    return _column_gaps(jac, _fd_oracle(spectral_values_fn(svd), system0))
+
+
+def _classical_column_gap(basis, system0):
+    # of every entry of every item, a vector's or a tensor's flattened
+    jet = analysis._forward(basis, system0)
+    jac = jet[1:].reshape(len(jet) - 1, -1).T
+    return _column_gaps(jac, _fd_oracle(lambda s: np.ravel(basis.evaluate([s])), system0))
+
+
+def _classical_cases():
+    # every default-sweep configuration a classical list covers: no
+    # general tensor
+    return [(n, m, p, skew, unit) for n, m, p, skew, unit in _rank_configs()
+            if skew or not m]
 
 
 def _sweep_cases():
@@ -290,46 +338,6 @@ def _sweep_cases():
         yield n, m, p, skew, unit, False
         if m and not skew:
             yield n, m, p, skew, unit, True
-
-
-def _chart_point(system0, theta):
-    # the chart as one formula: every block at ``base + coords @ dirs``, a
-    # unit vector renormalized
-    members, pos = [], 0
-    for _, _, base, unit, dirs in analysis._chart_blocks(system0):
-        x = base + (theta[pos:pos + len(dirs)] @ dirs).reshape(base.shape)
-        members.append(x / np.linalg.norm(x) if unit else x)
-        pos += len(dirs)
-    return members
-
-
-class TestAmbientChart:
-    @staticmethod
-    def _signed_zero_base():
-        # -0.0 in a symmetric and a general tensor and in a vector
-        a = np.diag([3.0, 2.0, 1.0])
-        a[0, 1] = a[1, 0] = -0.0
-        h = np.arange(9.0).reshape(3, 3) - 4.0
-        h[2, 0] = -0.0
-        return tensor_system(sym=[a], nonsym=[h], vecs=[[1.0, -0.0, 2.0]])
-
-    def test_every_fd_point_is_the_chart_formula(self):
-        # each central-difference point, and the points again, bit for bit,
-        # signed zeros and renormalized unit vectors included
-        bases = [analysis._unit_scaled(seeded_system(n, m, p, skew=skew, unit=unit,
-                                                     seed=0))
-                 for n, m, p, skew, unit in _rank_configs()]
-        for sys0 in bases + [self._signed_zero_base()]:
-            dim, to_system = analysis.ambient_chart(sys0)
-            points = [t * e for _ in range(2) for e in np.eye(dim)
-                      for t in (analysis._FD_STEP, -analysis._FD_STEP)]
-            for theta in points + [np.zeros(dim), -np.zeros(dim)]:
-                got = to_system(theta)
-                members = got.sym + got.nonsym + got.vecs
-                ref = _chart_point(sys0, theta)
-                assert [x.tobytes() for x in members] == [x.tobytes() for x in ref]
-                assert got.nonsym_skew == sys0.nonsym_skew
-                assert got.vec_unit == sys0.vec_unit
 
 
 class TestExactColumns:
@@ -345,6 +353,41 @@ class TestExactColumns:
             assert gap <= 1e-7, (n, m, p, skew, unit, svd, gap)
             checked += 1
         assert checked == 48  # 34 configurations, 14 of them also in SVD frames
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_classical_match_central_differences(self, seed):
+        # every forward-mode column of the Boehler, Smith-vector and
+        # Smith-tensor programs (the Smith lists alone run outer, sym and I)
+        checked = 0
+        for n, m, p, skew, unit in _classical_cases():
+            sys0 = seeded_system(n, m, p, skew=skew, unit=unit, seed=seed)
+            for make in (boehler_scalars, smith_vectors, smith_sym_tensors):
+                exact_gap, gap = _classical_column_gap(make(n, m, p), sys0)
+                assert exact_gap <= 1e-7, (make.__name__, n, m, p, skew, unit, exact_gap)
+                assert gap <= 1e-7, (make.__name__, n, m, p, skew, unit, gap)
+                checked += 1
+        assert checked == 3 * 29  # 29 configurations, every skew flag set
+
+    def test_classical_jet_row_zero_is_the_values(self):
+        # row 0 of a jet is the basis on the system itself, bit for bit
+        sys0 = seeded_system(2, 1, 2, skew=True, seed=0)
+        for make in (boehler_scalars, smith_vectors, smith_sym_tensors):
+            basis = make(2, 1, 2)
+            assert np.array_equal(analysis._forward(basis, sys0)[0],
+                                  basis.evaluate([sys0])[0])
+
+    def test_dropped_product_term_is_caught(self, monkeypatch):
+        # a forward pass without f(x0, dy) moves only each product's left factor
+        old = "fn(x[1:], y[:1]) + fn(x[:1], y[1:])"
+        source = inspect.getsource(classical_bases._Program)
+        assert source.count(old) == 1
+        scope = dict(vars(classical_bases))
+        exec(source.replace(old, "fn(x[1:], y[:1])"), scope)
+        monkeypatch.setattr(classical_bases._Program, "__call__", scope["_Program"].__call__)
+        for make, shape in ((boehler_scalars, (1, 1, 1)), (smith_vectors, (2, 0, 1)),
+                            (smith_sym_tensors, (0, 0, 2))):
+            sys0 = seeded_system(*shape, skew=True, seed=0)
+            assert _classical_column_gap(make(*shape), sys0)[0] > 1e-2, make.__name__
 
     def test_dropped_mirror_is_caught(self, monkeypatch):
         # a symmetric dyad without its mirror entry moves only the upper

@@ -208,6 +208,12 @@ class TestStackedEvaluation:
         assert basis.evaluate(systems).shape == (4, 0, 3)
         assert basis.evaluate(systems[0]) == []
 
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_no_systems_give_an_empty_stack(self, kind):
+        basis = BUILDERS[kind](1, 0, 1)
+        assert basis.evaluate([]).shape == (0, len(basis)) + {
+            "scalar": (), "vector": (3,), "sym_tensor": (3, 3)}[kind]
+
     def test_mixed_stack_rejected(self):
         rng = np.random.default_rng(211)
         basis = boehler_scalars(1, 1, 1)

@@ -395,6 +395,15 @@ class TestSystemFile:
         assert captured.err == "error: frame vector's squared norm overflows\n"
         assert captured.out == ""
 
+    def test_overflowing_gram_source_is_an_input_error(self, tmp_path, capsys):
+        # finite entries whose H H^T overflows: one error line and exit 2
+        path = write_system(tmp_path / "sys.json", nonsym=[
+            (1e300 * np.random.default_rng(0).standard_normal((3, 3)), False)])
+        assert main(["frame", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: tensor has non-finite entries\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", [["frame"], ["verify", "isotropy"]],
                              ids=["frame", "isotropy"])
     def test_boolean_version_rejected(self, tmp_path, capsys, command):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from isotropykit import lin3, potentials
+from isotropykit import analysis, lin3, potentials
 from isotropykit.analysis import jacobian_rank, seeded_system
 from isotropykit.classical_bases import boehler_scalars
 from isotropykit.lin3 import (
@@ -375,9 +375,10 @@ class TestTensorSystem:
     @pytest.mark.parametrize("caller", [
         "jacobian_rank", "grad_vector", "grad_sym_tensor", "grad_nonsym_tensor",
         "fd_grad_vector", "fd_grad_sym_tensor", "fd_grad_nonsym_tensor"])
-    def test_internal_systems_are_read_only(self, caller):
-        # the systems the package builds itself (the rank chart's scaled base
-        # and points, the gradients' moved systems) keep the contract too
+    def test_internal_systems_are_read_only(self, caller, monkeypatch):
+        # the systems the package builds itself (the rank check's scaled base
+        # and the jet its classical list runs on, the gradients' moved
+        # systems) keep the contract too
         writable = []
 
         def seen(s):
@@ -386,8 +387,11 @@ class TestTensorSystem:
 
         if caller == "jacobian_rank":
             basis = boehler_scalars(1, 1, 1)
-            jacobian_rank(lambda s: basis.evaluate(seen(s)),
-                          seeded_system(1, 1, 1, skew=True, seed=5))
+            build, check = analysis.build_frame, basis.check_system
+            monkeypatch.setattr(analysis, "build_frame", lambda s: build(seen(s)))
+            monkeypatch.setattr(basis, "check_system", lambda s: check(seen(s)))
+            jacobian_rank(basis.evaluate, seeded_system(1, 1, 1, skew=True, seed=5))
+            assert len(writable) == 2
         else:
             def energy(s):
                 seen(s)

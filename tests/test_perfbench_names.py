@@ -9,8 +9,8 @@ The benchmark also gates every verify suite on the claim ids and skips listed
 in ``perfbench/claims_manifest.json``, which is read here and never written;
 the reports come from the session fixture ``verify_report`` of ``conftest.py``.
 The tracer counts the chart evaluations of ``analysis.jacobian_rank`` through
-the ``(dim, to_system)`` pair of ``analysis.ambient_chart``, counts the
-eigendecompositions of a frame at the public ``lin3.eig_sym`` that
+``analysis.ambient_chart``, which no longer exists, so it reads none; it counts
+the eigendecompositions of a frame at the public ``lin3.eig_sym`` that
 ``spectral_frame`` imports, and looks up every name in a traced module's
 ``__all__``.
 """
@@ -27,10 +27,9 @@ import numpy as np
 import pytest
 
 import isotropykit
-from isotropykit import analysis, lin3, potentials, spectral_frame
+from isotropykit import analysis, classical_bases, lin3, potentials, spectral_frame
 from isotropykit.classical_bases import boehler_scalars
 from isotropykit.cli import SUITES
-from isotropykit.lin3 import TensorSystem
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -97,33 +96,28 @@ def test_claim_ids_match_manifest(verify_report, suite, seed):
 
 
 
-def test_chart_pair_carries_every_fd_point(monkeypatch):
-    # ``tracer.py`` unpacks ``ambient_chart``'s ``(dim, to_system)`` and counts
-    # the calls of ``to_system`` as the chart evaluations of ``jacobian_rank``;
-    # every central-difference point must be made by that ``to_system``
-    sys0 = analysis.seeded_system(2, 0, 1, seed=0)
-    dim, to_system = analysis.ambient_chart(sys0)
-    assert dim == 15 and isinstance(to_system(np.zeros(dim)), TensorSystem)
-
-    made, bases, original = [], [], analysis.ambient_chart
-
-    def counted_chart(system0):
-        bases.append(system0)
-        dim, to_system = original(system0)
-        return dim, lambda theta: made.append(to_system(theta)) or made[-1]
-
-    monkeypatch.setattr(analysis, "ambient_chart", counted_chart)
-    seen, basis = [], boehler_scalars(2, 0, 1)
-    analysis.jacobian_rank(lambda s: seen.append(s) or basis.evaluate(s), sys0)
-    assert len(made) == 2 * dim
-    # the one other evaluation is at the chart's base point
-    assert all(s is bases[-1] or any(s is t for t in made) for s in seen)
-    # a spectral list's columns are all exact, in every frame kind
-    made.clear()
-    analysis.jacobian_rank(analysis.spectral_values_fn(), analysis.seeded_system(0, 0, 2))
-    analysis.jacobian_rank(analysis.spectral_values_fn(svd_variant=True),
-                           analysis.seeded_system(1, 1, 1, seed=0))
-    assert not made
+def test_no_rank_check_builds_a_chart_point(monkeypatch):
+    # ``tracer.py`` counts chart points through ``analysis.ambient_chart``,
+    # which is gone: both routes of a rank are exact, so no check evaluates
+    # a list at a moved system.  The classical list runs its program once,
+    # on one jet; a spectral list builds no system at all
+    built, runs = [], []
+    system, run = analysis._system, classical_bases._Basis._run
+    monkeypatch.setattr(analysis, "_system", lambda *a: built.append(system(*a)) or built[-1])
+    monkeypatch.setattr(classical_bases._Basis, "_run",
+                        lambda self, stack, jet=False: runs.append(jet) or run(self, stack, jet))
+    for shape, skew, dim in (((2, 0, 1), False, 15), ((1, 1, 1), True, 12)):
+        sys0 = analysis.seeded_system(*shape, skew=skew, seed=0)
+        built.clear()
+        analysis.jacobian_rank(boehler_scalars(*shape).evaluate, sys0)
+        scaled, jet = built  # the scaled base and the jet, and nothing else
+        assert scaled.sym[0].shape == (3, 3) and jet.sym[0].shape == (1 + dim, 3, 3)
+    assert runs == [True] * 2
+    systems = [analysis.seeded_system(0, 0, 2), analysis.seeded_system(1, 1, 1, seed=0)]
+    built.clear()
+    analysis.jacobian_rank(analysis.spectral_values_fn(), systems[0])
+    analysis.jacobian_rank(analysis.spectral_values_fn(svd_variant=True), systems[1])
+    assert len(built) == 2 and runs == [True] * 2  # the two scaled bases
 
 
 def test_frames_decompose_through_the_public_eig_sym(monkeypatch):
@@ -157,10 +151,10 @@ def _load_tracer():
 
 def test_verify_rank_pass_counts(tmp_path, monkeypatch):
     # the per-pass counts the benchmark's traced verify-rank run reports: one
-    # frame per check (102 spectral, one for the classical list), chart points
-    # for the classical list's 12 coordinates alone, one draw per checked
-    # point (none for the 27 skips) and no re-validation of a drawn system;
-    # each spectral check moves its frame in one _tangent call
+    # frame per check (102 spectral, one for the classical list), no chart
+    # point (every column is exact), one draw per checked point (none for
+    # the 27 skips) and no re-validation of a drawn system; each spectral
+    # check moves its frame in one _tangent call
     tangents = []
     original = analysis._tangent
     monkeypatch.setattr(analysis, "_tangent",
@@ -176,7 +170,7 @@ def test_verify_rank_pass_counts(tmp_path, monkeypatch):
     assert code == 0
     calls = {name: n for name, (n, _, _) in tracer.summarize(0, len(tracer.start)).items()}
     assert calls["spectral_frame.build_frame"] == 103
-    assert tracer.counters[tracer_module.CHART_EVALS] == 2 * 12
+    assert tracer.counters.get(tracer_module.CHART_EVALS, 0) == 0
     assert calls["analysis.seeded_system"] == 103
     assert calls.get("lin3.tensor_system", 0) == 0
     assert len(tangents) == 102

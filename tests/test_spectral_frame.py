@@ -80,6 +80,13 @@ class TestBuildFrame:
         with pytest.raises(DegenerateInputError):
             build_frame(sys0)
 
+    def test_overflowing_gram_source_is_one_error(self):
+        # H H^T overflows: the one ValueError, and no overflow warning first
+        # (the suite turns a RuntimeWarning into an error)
+        h = 1e300 * np.random.default_rng(0).standard_normal((3, 3))
+        with pytest.raises(ValueError, match="^tensor has non-finite entries$"):
+            build_frame(tensor_system(nonsym=[h]))
+
 
 def _hex(frame):
     arrays = (frame.lambdas, frame.v) + (() if frame.u is None else (frame.u,))
@@ -762,8 +769,7 @@ class TestStackedPath:
                        for s, t in zip(lin3._rows(stack), systems)
                        for x, y in zip(s.sym + s.nonsym + s.vecs, t.sym + t.nonsym + t.vecs))
             try:
-                with np.errstate(over="ignore"):
-                    build_frame(systems[0])
+                build_frame(systems[0])
             except ValueError as err:
                 with pytest.raises(ValueError, match=f"^{err}$"):
                     spectral_frame._frames(stack)
