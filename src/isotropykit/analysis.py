@@ -5,22 +5,23 @@ functional independence via Jacobian rank.
 the invariant list with respect to a smooth ambient parameterization at a
 generic point: 6 coordinates per symmetric tensor, 9 per general tensor, 3
 per skew tensor, 3 per vector (2 tangent coordinates for unit vectors, so the
-ambient bookkeeping stays exact).  Every column is exact.  A spectral list
-codes every argument in a frame that only its source moves, and one
-``_tangent`` call writes the other arguments' chart directions in their own
-rows and the source's from the first-order motion of its frame and heads.  A
-classical scalar basis runs its program once in forward mode, on a jet of the
-base system and its chart directions.  A check scales each argument but a
-unit vector by the power of two that puts its largest entry in [0.5, 1): every
-list here is homogeneous in each argument, so the rank does not depend on
+ambient bookkeeping stays exact).  :func:`jacobian_rank` takes the list
+itself, a spectral list as its frame builder (``build_frame`` or
+``build_svd_frame``) and a classical one as its ``ClassicalScalarBasis``, and
+every column is exact.  One ``_tangent`` call writes a spectral list's: the
+chart directions of each argument but the frame source, coded in its own
+rows, and the source's from the first-order motion of its frame and heads.
+A classical basis runs its program once in forward mode, on a jet of the
+base system and its chart directions.  Each argument but a unit vector is
+first scaled by the power of two that puts its largest entry in [0.5, 1):
+every list is homogeneous in each argument, so the rank does not depend on
 input size.  Rank counts singular values above the larger of ``sigma_max *
 1e-7 * sqrt(max matrix dimension)`` and the round-off floor ``1e9 * eps *
 max|f(system0)|``: a unit vector's chart tangents are orthogonal to it only to
 round-off, so the column of a constant such as ``a1.a1`` is ~1e-16, not 0.
-One base frame is built per check (the list's own, or :func:`build_frame`'s
-for a classical list); its source's eigen- or singular values must stay
-``1e-6 * max`` apart (``lin3._GAP_REL``, the gap the spectral gradients need
-too), or the check raises ``DegenerateConfigurationError``.
+The base frame (the builder's, or :func:`build_frame`'s for a classical list)
+must keep its source's eigen- or singular values ``1e-6 * max`` apart
+(``lin3._GAP_REL``), or the check raises ``DegenerateConfigurationError``.
 
 Vector-only spectral lists reach rank ``3P - 2``, above the ``ambient - 3``
 of rotation-invariant functions, because their frame completion is a fixed
@@ -52,9 +53,9 @@ from isotropykit.spectral_frame import (
     _FULL,
     _SKEW,
     _SYM,
+    SpectralFrame,
     _tangent,
     build_frame,
-    build_svd_frame,
     extract_invariants,
     frame_completion,
 )
@@ -66,7 +67,6 @@ __all__ = [
     "jacobian_rank",
     "rotation_deviation",
     "seeded_system",
-    "spectral_values_fn",
     "verify_isotropy",
 ]
 
@@ -199,19 +199,17 @@ _RANK_THRESHOLD = 1e-7
 _ROUND_OFF = 1e9 * np.finfo(float).eps
 
 
-def _jacobian(values_fn, system0: TensorSystem):
+def _jacobian(lst, system0: TensorSystem):
     """Exact Jacobian of an invariant list along the chart directions of
     :func:`_chart_blocks`, and the list's values at ``system0``: one
-    ``_tangent`` call for a spectral list (one that carries its
-    ``build_frame``), or :func:`_forward` for a classical scalar basis's
-    ``evaluate``.  Any other callable is a ``TypeError``."""
-    build = getattr(values_fn, "build_frame", None)
-    basis = getattr(values_fn, "__self__", None)
-    if build is None and not (isinstance(basis, ClassicalScalarBasis)
-                              and values_fn.__name__ == "evaluate"):
-        raise TypeError("jacobian_rank takes a spectral_values_fn list or the evaluate "
-                        f"of a classical scalar basis, not {values_fn!r}")
-    frame = (build or build_frame)(system0)
+    ``_tangent`` call in the frame of a spectral list's builder, or
+    :func:`_forward` for a classical scalar basis.  Anything else is a
+    ``TypeError``."""
+    classical = isinstance(lst, ClassicalScalarBasis)
+    frame = (build_frame if classical else lst)(system0)
+    if not isinstance(frame, SpectralFrame):
+        raise TypeError("jacobian_rank takes a frame builder (build_frame or "
+                        f"build_svd_frame) or a classical scalar basis, not {lst!r}")
     # the frame source must stay away from coalescence for the chart-composed
     # invariant functions to be smooth: its singular values (the square roots
     # of a gram frame's eigenvalues; |a|, 0, 0 for a vector frame, whose zeros
@@ -222,23 +220,23 @@ def _jacobian(values_fn, system0: TensorSystem):
         raise DegenerateConfigurationError(
             f"the {frame.kind} frame's source has coalescent spectral values; "
             "rank would drop spuriously")
-    if build is None:
-        jet = _forward(basis, system0)
+    if classical:
+        jet = _forward(lst, system0)
         return jet[1:].T, jet[0]
     moves = [(cls, index, dirs.reshape(-1, *x.shape))
              for cls, index, x, _, dirs in _chart_blocks(system0)]
     return _tangent(system0, frame, moves), extract_invariants(system0, frame).values()
 
 
-def jacobian_rank(values_fn, system0: TensorSystem) -> RankReport:
+def jacobian_rank(lst, system0: TensorSystem) -> RankReport:
     """Numerical rank of an invariant list at ``system0``.
 
-    ``values_fn`` is a list from :func:`spectral_values_fn` or the
-    ``evaluate`` of a classical scalar basis; both take exact columns
+    ``lst`` is a spectral list's frame builder (``build_frame`` or
+    ``build_svd_frame``) or a classical scalar basis; both take exact columns
     (:func:`_jacobian`).  The argument scaling, the rank rule and the
     base-point check are the module docstring's; nothing is drawn.
     """
-    jac, f0 = _jacobian(values_fn, _unit_scaled(system0))
+    jac, f0 = _jacobian(lst, _unit_scaled(system0))
     n, dim = jac.shape
     sv = np.linalg.svd(jac, compute_uv=False) if n and dim else np.zeros(0)
     threshold = max(np.max(sv, initial=0.0) * _RANK_THRESHOLD * np.sqrt(max(n, dim)),
@@ -246,18 +244,6 @@ def jacobian_rank(values_fn, system0: TensorSystem) -> RankReport:
     return RankReport(ambient_dim=dim, n_invariants=n,
                       singular_values=tuple(float(s) for s in sv),
                       rank=int(np.sum(sv > threshold)), threshold=float(threshold))
-
-
-def spectral_values_fn(svd_variant: bool = False):
-    """Invariant-vector evaluator for the spectral list, its frame rebuilt per
-    call; it carries its frame builder as ``build_frame``."""
-    build = build_svd_frame if svd_variant else build_frame
-
-    def values(system):
-        return extract_invariants(system, build(system)).values()
-
-    values.build_frame = build
-    return values
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ These are the comparison targets for every reduction claim: the classical
 scalar invariants of symmetric tensors, skew tensors and vectors, and the Smith
 generators of vector- and symmetric-tensor-valued isotropic functions, listed
 (never counted by closed form) in the stated order.  Each item is its label,
-and a basis runs all its labels as one program over a ``lin3`` stack of B
-systems, which gives one ``(B, n, ...)`` array; one system (B = 1) gives a
-float array or a list of arrays, equal bit for bit to its row in any stack.
-An item on its own runs the one-label program of its label on a stack of one,
-the same steps on the same operands, so it too equals its row bit for bit.
+and a basis runs all its labels as one program.  ``evaluate`` takes one
+system, giving an ``(n,)``, ``(n, 3)`` or ``(n, 3, 3)`` array, or a ``lin3``
+stack of B systems, giving one ``(B, n, ...)`` array; one system's values
+equal bit for bit its row in any stack.  An item on its own is its row of
+the basis program on a stack of one.
 
 Every step is linear (an operand pick, ``tr``, ``sym``, ``add``, ``sub``) or
 bilinear (``mul``, ``outer``), so a program also runs in forward mode
@@ -294,29 +294,22 @@ class BasisItem:
     fn: Callable
 
 
-@functools.lru_cache(maxsize=1024)
-def _item_program(label, kind):
-    # an item's own program, compiled on its first call
-    return _Program([label], kind)
-
-
 class _Basis:
     """An ordered classical list of the shape ``(n_sym, n_skew, n_vec)``; each
     subclass sets its item ``kind``.  Its labels compile into one program,
-    and an item's evaluator runs the one-label program of its label."""
+    and an item's evaluator is its row of that program's values."""
 
     def __init__(self, n_sym, n_skew, n_vec, labels):
         self.n_sym, self.n_skew, self.n_vec = n_sym, n_skew, n_vec
-        self.items = tuple(BasisItem(label, self.kind, functools.partial(self._item, label))
-                           for label in labels)
+        self.items = tuple(BasisItem(label, self.kind, functools.partial(self._item, k))
+                           for k, label in enumerate(labels))
         self._by_label = {item.label: item for item in self.items}
         if len(self._by_label) != len(self.items):
             raise AssertionError("duplicate basis labels")
         self._program = _Program(self.labels(), self.kind)
 
-    def _item(self, label, system):
-        self.check_system(system)
-        return _item_program(label, self.kind)(_stack([system]))[0, 0]
+    def _item(self, k, system):
+        return self._run(_stack([system]))[0, k]
 
     def __len__(self):
         return len(self.items)
@@ -339,21 +332,15 @@ class _Basis:
         self.check_system(stack)
         return self._program(stack, jet)
 
-    def evaluate(self, systems):
-        """Every item on one system, as a float array for a scalar list and a
-        list of arrays otherwise, or on B systems of the basis shape, given as
-        a sequence or as one stack, as one ``(B, n)``, ``(B, n, 3)`` or
-        ``(B, n, 3, 3)`` array."""
-        if not isinstance(systems, TensorSystem):
-            for system in systems:
-                self.check_system(system)
-            empty = np.empty((0, len(self)) + _SHAPES[self.kind])  # nothing to stack
-            return self._run(_stack(systems)) if systems else empty
-        first = (systems.vecs + systems.sym + systems.nonsym)[0]
-        if first.ndim > (1 if systems.vecs else 2):  # a stack: members carry a leading axis
-            return self._run(systems)
-        values = self._run(_stack([systems]))[0]
-        return values if self.kind == "scalar" else list(values)
+    def evaluate(self, system):
+        """Every item on one system, as one ``(n,)``, ``(n, 3)`` or ``(n, 3,
+        3)`` array, or on a stack of B systems of the basis shape (one
+        ``TensorSystem`` whose members carry a leading axis), as one ``(B,
+        n, ...)`` array."""
+        first = (system.vecs + system.sym + system.nonsym)[0]
+        if first.ndim > (1 if system.vecs else 2):  # a stack
+            return self._run(system)
+        return self._run(_stack([system]))[0]
 
 
 class ClassicalScalarBasis(_Basis):

@@ -44,7 +44,6 @@ from isotropykit.analysis import (
     jacobian_rank,
     rotation_deviation,
     seeded_system,
-    spectral_values_fn,
     verify_isotropy,
 )
 from isotropykit.classical_bases import (
@@ -110,11 +109,20 @@ LITERATURE_VISCOELASTIC = {"scalars": 37, "tensors": 36}
 # system files
 
 
-def _entry_list(data, key, field):
+def _known_keys(obj, keys, where):
+    # a key the format does not define is an error, not silently dropped data
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f'unknown key "{key}" in {where}')
+
+
+def _entry_list(data, key, field, flag):
     entries = data.get(key, [])
     if not isinstance(entries, list) or not all(
             isinstance(e, dict) and field in e for e in entries):
         raise ValueError(f'"{key}" must be a list of objects with a "{field}" field')
+    for e in entries:
+        _known_keys(e, (field, flag), f'"{key}" entries')
     return entries
 
 
@@ -150,11 +158,12 @@ def load_system_file(path: str):
     version = data.get("version")
     if isinstance(version, bool) or version != 1:  # json's true == 1
         raise ValueError(f"unsupported system file version {version!r}")
+    _known_keys(data, ("version", "sym", "nonsym", "vecs"), "system file")
     sym = data.get("sym", [])
     if not isinstance(sym, list):
         raise ValueError('"sym" must be a list of matrices')
-    nonsym_entries = _entry_list(data, "nonsym", "matrix")
-    vec_entries = _entry_list(data, "vecs", "v")
+    nonsym_entries = _entry_list(data, "nonsym", "matrix", "skew")
+    vec_entries = _entry_list(data, "vecs", "v", "unit")
     return tensor_system(
         sym=_numbers(sym, "sym"),
         nonsym=_numbers([e["matrix"] for e in nonsym_entries], "matrix"),
@@ -333,6 +342,10 @@ def run_rank(seed: int, system=None, n: int = 0, m: int = 0, p: int = 0,
         # the sweep already runs each flag; it would drop this one
         flag = "--skew" if skew else "--unit-vectors"
         raise ValueError(f"{flag} needs an explicit --n/--m/--p configuration")
+    # the gram list (no symmetric tensor) carries exactly the three-fold
+    # orbit redundancy that the SVD frame removes
+    expected = lambda count, n, m: count - 3 if n == 0 and m >= 1 and not svd else count
+    build = build_svd_frame if svd else build_frame
     if system is not None or config is not None:
         if system is None:
             system = seeded_system(n, m, p, skew=skew, unit=unit_vectors, seed=seed)
@@ -341,18 +354,17 @@ def run_rank(seed: int, system=None, n: int = 0, m: int = 0, p: int = 0,
         else:
             # the extraction's effective count also covers mixed flags
             n, m, p = system.shape()
-            frame = build_svd_frame(system) if svd else build_frame(system)
-            count = extract_invariants(system, frame).count
-        expected = count - 3 if (n == 0 and m >= 1 and not svd) else count
-        lists = {"spectral": spectral_values_fn(svd)}
+            count = extract_invariants(system, build(system)).count
+        want = expected(count, n, m)
+        lists = {"spectral": build}
         if all(system.nonsym_skew) and not svd:
-            lists = {"classical": boehler_scalars(n, m, p).evaluate, **lists}
+            lists = {"classical": boehler_scalars(n, m, p), **lists}
         summary = []
-        for name, values_fn in lists.items():
-            rep = jacobian_rank(values_fn, system)
+        for name, lst in lists.items():
+            rep = jacobian_rank(lst, system)
             report.check(f"rank/{name}",
-                         f"{name} rank (expected {expected}, {rep.n_invariants} items)",
-                         rep.rank, expected, comparator="eq")
+                         f"{name} rank (expected {want}, {rep.n_invariants} items)",
+                         rep.rank, want, comparator="eq")
             summary.append(f"{name} rank {rep.rank} / {rep.n_invariants} items")
         report.configuration["summary"] = "; ".join(summary)
         return report
@@ -367,13 +379,11 @@ def run_rank(seed: int, system=None, n: int = 0, m: int = 0, p: int = 0,
                 report.add(Claim(cid, "skew-only gram frame is never generic",
                                  "skip", None, None, "le", seed))
                 continue
-            expected = count - 3 if (n == 0 and m >= 1) else count
             sys0 = seeded_system(n, m, p, skew=skew, unit=unit, seed=seed + 1000 * point)
-            rep = jacobian_rank(spectral_values_fn(), sys0)
+            rep = jacobian_rank(build_frame, sys0)
             report.check(cid, f"spectral rank for {tag} (count {count})",
-                         rep.rank, expected, comparator="eq")
-    boe = jacobian_rank(boehler_scalars(2, 0, 0).evaluate,
-                        seeded_system(2, 0, 0, seed=seed))
+                         rep.rank, expected(count, n, m), comparator="eq")
+    boe = jacobian_rank(boehler_scalars(2, 0, 0), seeded_system(2, 0, 0, seed=seed))
     report.check("rank/boehler-redundancy",
                  "classical list for two symmetric tensors: 10 items, rank 9",
                  boe.rank, 9, comparator="eq")

@@ -191,7 +191,9 @@ def skew_matrix(x) -> np.ndarray:
 def rotation_matrix(x) -> np.ndarray:
     """Validate a proper rotation: ||Q Q^T - I|| and |det Q - 1| at most 1e-12."""
     q = mat3(x)
-    if _norm(q @ q.T - _EYE) > _CLASS_TOL:
+    # ||Q|| > 2 puts ||Q Q^T - I|| above 0.5, and below it Q Q^T cannot
+    # overflow: the error comes without a numpy warning and without an errstate
+    if _norm(q) > 2.0 or _norm(q @ q.T - _EYE) > _CLASS_TOL:
         raise ValueError("matrix is not orthogonal")
     if abs(np.linalg.det(q) - 1.0) > _CLASS_TOL:
         raise ValueError("matrix is not a proper rotation (det != 1)")

@@ -21,7 +21,6 @@ from isotropykit.analysis import (
     jacobian_rank,
     rotation_deviation,
     seeded_system,
-    spectral_values_fn,
     verify_isotropy,
 )
 from isotropykit.cli import _rank_configs
@@ -106,21 +105,21 @@ class TestVerifyIsotropy:
 class TestJacobianRank:
     def test_boehler_one_tensor_one_vector(self):
         sys0 = seeded_system(1, 0, 1, seed=13)
-        report = jacobian_rank(boehler_scalars(1, 0, 1).evaluate, sys0)
+        report = jacobian_rank(boehler_scalars(1, 0, 1), sys0)
         assert report.ambient_dim == 9
         assert report.n_invariants == 6
         assert report.rank == 6
 
     def test_boehler_two_tensors_redundant(self):
         sys0 = seeded_system(2, 0, 0, seed=17)
-        report = jacobian_rank(boehler_scalars(2, 0, 0).evaluate, sys0)
+        report = jacobian_rank(boehler_scalars(2, 0, 0), sys0)
         assert report.n_invariants == 10
         assert report.ambient_dim == 12
         assert report.rank == 9
 
     def test_spectral_two_tensors_two_vectors_full(self):
         sys0 = seeded_system(2, 0, 2, seed=19)
-        report = jacobian_rank(spectral_values_fn(), sys0)
+        report = jacobian_rank(build_frame, sys0)
         assert report.n_invariants == 15
         assert report.ambient_dim == 18
         assert report.rank == 15
@@ -131,22 +130,27 @@ class TestJacobianRank:
         # round-off (~1e-16).  The rank's round-off floor keeps that column
         # out; without it the rank reads 1
         sys0 = seeded_system(0, 0, 1, unit=True, seed=0)
-        report = jacobian_rank(boehler_scalars(0, 0, 1).evaluate, sys0)
+        report = jacobian_rank(boehler_scalars(0, 0, 1), sys0)
         assert report.n_invariants == 1 and report.ambient_dim == 2
         assert 0.0 < report.singular_values[0] <= 1e-6 * report.threshold
         assert report.rank == 0
 
-    @pytest.mark.parametrize("fn", [lambda s: np.array([np.trace(s.sym[0])]),
-                                    boehler_scalars(1, 0, 0).labels],
-                             ids=["lambda", "other-basis-method"])
+    @pytest.mark.parametrize("fn", [
+        lambda s: np.array([np.trace(s.sym[0])]),
+        boehler_scalars(1, 0, 0).evaluate,
+        lambda s: extract_invariants(s, build_frame(s)).values(),
+        lambda s: None,
+    ], ids=["lambda", "other-basis-method", "values-callable", "no-frame"])
     def test_other_callable_rejected(self, fn):
-        # a rank has two exact routes; nothing else is differenced
-        with pytest.raises(TypeError, match="spectral_values_fn list or the evaluate"):
+        # a rank has two exact routes, a frame builder's and a classical
+        # basis's; a values callable, a basis's method and a callable that
+        # builds no frame are refused
+        with pytest.raises(TypeError, match="frame builder .* or a classical scalar basis"):
             jacobian_rank(fn, seeded_system(1, 0, 0, seed=0))
 
     @pytest.mark.parametrize("skew,fn", [
-        (False, spectral_values_fn()), (False, spectral_values_fn(True)),
-        (True, boehler_scalars(1, 1, 1).evaluate)])
+        (False, build_frame), (False, build_svd_frame), (True, boehler_scalars(1, 1, 1)),
+    ], ids=["False-values0", "False-values1", "True-evaluate"])
     def test_power_of_two_scaling_leaves_report(self, skew, fn):
         # every list is homogeneous in each argument: the report at a system
         # whose arguments are scaled by powers of two is the same, bit for bit
@@ -159,7 +163,7 @@ class TestJacobianRank:
     def test_degenerate_base_point_rejected(self):
         sys0 = tensor_system(sym=[np.eye(3)])
         with pytest.raises(DegenerateConfigurationError):
-            jacobian_rank(spectral_values_fn(), sys0)
+            jacobian_rank(build_frame, sys0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_exhaustive_small_configurations(self, seed):
@@ -179,9 +183,9 @@ class TestJacobianRank:
                                          seed=seed)
                     if n == 0 and m >= 1 and skew:
                         with pytest.raises(DegenerateConfigurationError):
-                            jacobian_rank(spectral_values_fn(), sys0)
+                            jacobian_rank(build_frame, sys0)
                         continue
-                    report = jacobian_rank(spectral_values_fn(), sys0)
+                    report = jacobian_rank(build_frame, sys0)
                     if n == 0 and m >= 1:
                         expected = count - 3
                     else:
@@ -196,8 +200,8 @@ class TestJacobianRank:
         sys0 = seeded_system(n, m, p, skew=skew, seed=3)
         basis = boehler_scalars(n, m, p)
         assert len(basis) == items
-        assert jacobian_rank(basis.evaluate, sys0).rank == rank
-        assert jacobian_rank(spectral_values_fn(), sys0).rank == rank \
+        assert jacobian_rank(basis, sys0).rank == rank
+        assert jacobian_rank(build_frame, sys0).rank == rank \
             == irreducible_count(n, m, p, skew_nonsym=skew)
 
     @pytest.mark.parametrize("sym,vecs,rank,items", [
@@ -215,17 +219,17 @@ class TestJacobianRank:
         # (~1e-7) fall under the threshold: the exact route reads the ranks
         # that central differences read
         sys0 = tensor_system(sym=sym, vecs=vecs)
-        report = jacobian_rank(boehler_scalars(*sys0.shape()).evaluate, sys0)
+        report = jacobian_rank(boehler_scalars(*sys0.shape()), sys0)
         assert (report.rank, report.n_invariants) == (rank, items)
 
     def test_general_nonsym_spectral_rank(self):
         sys0 = seeded_system(1, 1, 0, seed=3)
-        assert jacobian_rank(spectral_values_fn(), sys0).rank == 12 \
+        assert jacobian_rank(build_frame, sys0).rank == 12 \
             == irreducible_count(1, 1, 0)
 
     def test_svd_variant_rank(self):
         sys0 = seeded_system(1, 1, 1, seed=23)
-        report = jacobian_rank(spectral_values_fn(svd_variant=True), sys0)
+        report = jacobian_rank(build_svd_frame, sys0)
         assert report.rank == irreducible_count(1, 1, 1, svd_variant=True)
 
     def test_svd_variant_judges_its_own_source(self):
@@ -234,7 +238,7 @@ class TestJacobianRank:
         rng = np.random.default_rng(5)
         sys0 = tensor_system(sym=[np.eye(3)], nonsym=[rng.standard_normal((3, 3))],
                              vecs=[rng.standard_normal(3)])
-        report = jacobian_rank(spectral_values_fn(svd_variant=True), sys0)
+        report = jacobian_rank(build_svd_frame, sys0)
         assert report.rank == 15 == irreducible_count(1, 1, 1, svd_variant=True)
 
     def test_svd_variant_coalescent_source_rejected(self):
@@ -245,11 +249,11 @@ class TestJacobianRank:
         a = rng.standard_normal((3, 3))
         sys0 = tensor_system(sym=[0.5 * (a + a.T)], nonsym=[h])
         with pytest.raises(DegenerateConfigurationError, match="svd frame"):
-            jacobian_rank(spectral_values_fn(svd_variant=True), sys0)
+            jacobian_rank(build_svd_frame, sys0)
 
     def test_gram_general_rank(self):
         sys0 = seeded_system(0, 2, 1, seed=29)
-        report = jacobian_rank(spectral_values_fn(), sys0)
+        report = jacobian_rank(build_frame, sys0)
         assert report.n_invariants == 21
         assert report.rank == 18  # ambient 21 minus the rotation orbit
 
@@ -311,15 +315,17 @@ def _column_gaps(jac, fd):
 
 
 def _exact_column_gap(system0, svd=False):
-    jac, _ = _jacobian(spectral_values_fn(svd), system0)
-    return _column_gaps(jac, _fd_oracle(spectral_values_fn(svd), system0))
+    build = build_svd_frame if svd else build_frame
+    jac, _ = _jacobian(build, system0)
+    return _column_gaps(jac, _fd_oracle(lambda s: extract_invariants(s, build(s)).values(),
+                                        system0))
 
 
 def _classical_column_gap(basis, system0):
     # of every entry of every item, a vector's or a tensor's flattened
     jet = analysis._forward(basis, system0)
     jac = jet[1:].reshape(len(jet) - 1, -1).T
-    return _column_gaps(jac, _fd_oracle(lambda s: np.ravel(basis.evaluate([s])), system0))
+    return _column_gaps(jac, _fd_oracle(lambda s: np.ravel(basis.evaluate(s)), system0))
 
 
 def _classical_cases():
@@ -374,7 +380,7 @@ class TestExactColumns:
         for make in (boehler_scalars, smith_vectors, smith_sym_tensors):
             basis = make(2, 1, 2)
             assert np.array_equal(analysis._forward(basis, sys0)[0],
-                                  basis.evaluate([sys0])[0])
+                                  basis.evaluate(sys0))
 
     def test_dropped_product_term_is_caught(self, monkeypatch):
         # a forward pass without f(x0, dy) moves only each product's left factor
@@ -476,7 +482,7 @@ class TestExactColumns:
         original = analysis._tangent
         monkeypatch.setattr(analysis, "_tangent",
                             lambda *args: seen.append(args) or original(*args))
-        jacobian_rank(spectral_values_fn(svd), seeded_system(*shape, seed=0))
+        jacobian_rank(build_svd_frame if svd else build_frame, seeded_system(*shape, seed=0))
         assert len(seen) == calls
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -490,7 +496,7 @@ class TestExactColumns:
                 continue  # the skew-only gram frames the sweep skips
             for point in range(3):
                 sys0 = seeded_system(n, m, p, skew=skew, unit=unit, seed=seed + 1000 * point)
-                rep = jacobian_rank(spectral_values_fn(), sys0)
+                rep = jacobian_rank(build_frame, sys0)
                 sv, r = rep.singular_values, rep.rank
                 assert r == 0 or sv[r - 1] >= 1e3 * rep.threshold, (n, m, p, skew, unit,
                                                                     point)
@@ -510,7 +516,7 @@ class TestExactColumns:
                 continue
             for point in range(3):
                 sys0 = seeded_system(n, m, p, unit=unit, seed=seed + 1000 * point)
-                rep = jacobian_rank(spectral_values_fn(svd_variant=True), sys0)
+                rep = jacobian_rank(build_svd_frame, sys0)
                 sv, r = rep.singular_values, rep.rank
                 assert r == irreducible_count(n, m, p, all_vectors_unit=unit,
                                               svd_variant=True), (n, m, p, unit, point)
@@ -520,22 +526,19 @@ class TestExactColumns:
                 checked += 1
         assert checked == 3 * 14
 
-    @pytest.mark.parametrize("shape,skew,unit,svd,builder,calls", [
-        ((2, 0, 1), False, False, False, "build_frame", 1),
-        ((1, 1, 1), True, False, False, "build_frame", 1),
-        ((0, 2, 1), False, False, False, "build_frame", 1),
-        ((1, 1, 1), False, False, True, "build_svd_frame", 1),
-        ((0, 0, 2), False, False, False, "build_frame", 1),
-        ((0, 0, 2), False, True, False, "build_frame", 1),
+    @pytest.mark.parametrize("shape,skew,unit,builder,calls", [
+        ((2, 0, 1), False, False, build_frame, 1),
+        ((1, 1, 1), True, False, build_frame, 1),
+        ((0, 2, 1), False, False, build_frame, 1),
+        ((1, 1, 1), False, False, build_svd_frame, 1),
+        ((0, 0, 2), False, False, build_frame, 1),
+        ((0, 0, 2), False, True, build_frame, 1),
     ], ids=["sym", "sym-skew", "gram", "svd", "vector", "unit-vector"])
-    def test_frame_built_through_source_only(self, monkeypatch, shape, skew, unit,
-                                             svd, builder, calls):
+    def test_frame_built_through_source_only(self, shape, skew, unit, builder, calls):
+        # the list's builder runs once, on the base system, whatever moves
         seen = []
-        original = getattr(analysis, builder)
-        monkeypatch.setattr(analysis, builder,
-                            lambda s: seen.append(s) or original(s))
         sys0 = seeded_system(*shape, skew=skew, unit=unit, seed=0)
-        jacobian_rank(spectral_values_fn(svd), sys0)
+        jacobian_rank(lambda s: seen.append(s) or builder(s), sys0)
         assert len(seen) == calls
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isotropykit.lin3 import conjugate, haar_rotation, tensor_system
+from isotropykit.lin3 import _stack, conjugate, haar_rotation, tensor_system
 from isotropykit.classical_bases import (
     _Program,
     boehler_scalars,
@@ -134,6 +134,7 @@ class TestTensorEnumeration:
 GOLDEN = json.loads((Path(__file__).parent / "data" / "classical_3_3_3.json").read_text())
 BUILDERS = {"scalar": boehler_scalars, "vector": smith_vectors,
             "sym_tensor": smith_sym_tensors}
+SHAPES = {"scalar": (), "vector": (3,), "sym_tensor": (3, 3)}  # of one item
 
 
 class TestGoldenLists:
@@ -182,48 +183,43 @@ class TestStackedEvaluation:
         sys0 = golden_system()
         systems = [sys0] + [conjugate(haar_rotation(rng), sys0) for _ in range(20)]
         basis = BUILDERS[kind](3, 3, 3)
-        stacked = basis.evaluate(systems)
-        assert stacked.shape == (21, len(basis)) + {"scalar": (), "vector": (3,),
-                                                    "sym_tensor": (3, 3)}[kind]
+        stacked = basis.evaluate(_stack(systems))
+        assert stacked.shape == (21, len(basis)) + SHAPES[kind]
         for row, system in zip(stacked, systems):
-            assert np.array_equal(row, np.asarray(basis.evaluate(system)))
+            assert np.array_equal(row, basis.evaluate(system))
         # the unrotated row against the recorded values, item by item
         for value, (label, ref) in zip(stacked[0], GOLDEN[kind]):
             ref = np.asarray(ref)
             assert np.linalg.norm(value - ref) <= 1e-12 * np.linalg.norm(ref), label
 
     def test_single_system_keeps_its_types(self):
+        # one system gives one array of its items, of every kind
         sys0 = golden_system()
-        assert isinstance(boehler_scalars(3, 3, 3).evaluate(sys0), np.ndarray)
-        for make in (smith_vectors, smith_sym_tensors):
-            values = make(3, 3, 3).evaluate(sys0)
-            assert isinstance(values, list)
-            assert all(isinstance(v, np.ndarray) for v in values)
+        for kind, make in BUILDERS.items():
+            basis = make(3, 3, 3)
+            values = basis.evaluate(sys0)
+            assert isinstance(values, np.ndarray)
+            assert values.shape == (len(basis),) + SHAPES[kind]
 
     def test_empty_basis_shape(self):
         rng = np.random.default_rng(199)
         systems = [random_system(rng, 2, 0, 0) for _ in range(4)]
         basis = smith_vectors(2, 0, 0)
         assert len(basis) == 0
-        assert basis.evaluate(systems).shape == (4, 0, 3)
-        assert basis.evaluate(systems[0]) == []
+        assert basis.evaluate(_stack(systems)).shape == (4, 0, 3)
+        values = basis.evaluate(systems[0])
+        assert isinstance(values, np.ndarray) and values.shape == (0, 3)
 
-    @pytest.mark.parametrize("kind", list(BUILDERS))
-    def test_no_systems_give_an_empty_stack(self, kind):
-        basis = BUILDERS[kind](1, 0, 1)
-        assert basis.evaluate([]).shape == (0, len(basis)) + {
-            "scalar": (), "vector": (3,), "sym_tensor": (3, 3)}[kind]
-
-    def test_mixed_stack_rejected(self):
+    def test_stack_of_another_shape_rejected(self):
+        # a stack is checked as one system is: by its shape and skew flags
         rng = np.random.default_rng(211)
         basis = boehler_scalars(1, 1, 1)
         good = random_system(rng, 1, 1, 1)
-        other_shape = random_system(rng, 1, 0, 1)
         general = tensor_system(sym=good.sym, nonsym=good.nonsym, skew=[False],
                                 vecs=good.vecs)
-        for bad in (other_shape, general):
+        for bad in (random_system(rng, 1, 0, 1), general):
             with pytest.raises(ValueError):
-                basis.evaluate([good, bad])
+                basis.evaluate(_stack([bad, bad]))
 
     def test_item_is_its_row_of_the_basis(self):
         sys0 = golden_system()

@@ -168,6 +168,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["frame"], ["verify", "rank"]],
+                             ids=["frame", "rank"])
+    @pytest.mark.parametrize("doc,message", [
+        ({"vec": [{"v": [1, 2, 3]}]}, 'unknown key "vec" in system file'),
+        ({"sym": [np.diag([3.0, 2.0, 1.0]).tolist()],
+          "vecs": [{"v": [0.6, 0.8, 0], "units": True}]},
+         'unknown key "units" in "vecs" entries'),
+        ({"nonsym": [{"matrix": np.eye(3).tolist(), "skw": True}]},
+         'unknown key "skw" in "nonsym" entries'),
+    ], ids=["top-level", "vector-entry", "matrix-entry"])
+    def test_unknown_keys_rejected(self, tmp_path, capsys, command, doc, message):
+        # a misspelled key would drop its vector or flag without a word
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"version": 1, **doc}))
+        assert main([*command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "sys.json"
         path.write_text(json.dumps({"version": 2, "sym": []}))

@@ -286,11 +286,20 @@ class TestScaleRobustness:
         assert _norm(np.array([np.inf, 0.0, 0.0])) == np.inf
         assert _norm(np.array([-np.inf, 1e200, 1.0])) == np.inf
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     def test_rotation_matrix_rejects_a_q_whose_gram_overflows(self):
-        # q q^T - I is diag(inf, -1, 0), and det(q) rounds to about 1
+        # q q^T - I would be diag(inf, -1, 0), and det(q) rounds to about 1
         with pytest.raises(ValueError, match="matrix is not orthogonal"):
             rotation_matrix(np.diag([1e200, 1e-200, 1.0]))
+
+    def test_rotation_check_raises_without_a_warning(self):
+        # a q whose q q^T overflows is refused by its norm before the product
+        # is formed: the one error, and no numpy warning first (a
+        # RuntimeWarning is an error here)
+        q = np.full((3, 3), 1e200)
+        with pytest.raises(ValueError, match=r"^matrix is not orthogonal$"):
+            rotation_matrix(q)
+        with pytest.raises(ValueError, match=r"^matrix is not orthogonal$"):
+            conjugate(q, tensor_system(sym=[np.eye(3)]))
 
 
 class TestHaarRotation:
@@ -390,7 +399,7 @@ class TestTensorSystem:
             build, check = analysis.build_frame, basis.check_system
             monkeypatch.setattr(analysis, "build_frame", lambda s: build(seen(s)))
             monkeypatch.setattr(basis, "check_system", lambda s: check(seen(s)))
-            jacobian_rank(basis.evaluate, seeded_system(1, 1, 1, skew=True, seed=5))
+            jacobian_rank(basis, seeded_system(1, 1, 1, skew=True, seed=5))
             assert len(writable) == 2
         else:
             def energy(s):
@@ -521,7 +530,7 @@ class TestStackedKernels:
         rotations = [haar_rotation(np.random.default_rng(k)) for k in range(5)]
         if bad is not None:
             rotations[3] = bad
-        with pytest.raises(ValueError) as one, np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as one:
             for q in rotations:
                 conjugate(q, system)
         with pytest.raises(ValueError, match=f"^{re.escape(str(one.value))}$"):

@@ -3,8 +3,10 @@
 ``tests/data/options.json`` holds, for every function named in a module's
 ``__all__`` and for the constructor and every public method of every class
 named there, the name and the default (its ``repr``) of each parameter that
-has one, read with ``inspect.signature``.  A change that adds, removes,
-renames or re-defaults an option shows up here and in the diff of that file.
+has one, read with ``inspect.signature``; a callable without options is
+recorded as ``{}``.  A change that adds, removes, renames or re-defaults an
+option, or adds or removes a public callable, shows up here and in the diff
+of that file.
 
 Regenerate (only when a change of options is intended) with
 ``PYTHONPATH=src python tests/test_options.py``.
@@ -39,11 +41,9 @@ def record():
     for info in sorted(pkgutil.iter_modules(isotropykit.__path__), key=lambda m: m.name):
         mod = importlib.import_module(f"isotropykit.{info.name}")
         for name, fn in _callables(mod):
-            options = {p.name: repr(p.default)
-                       for p in inspect.signature(fn).parameters.values()
-                       if p.default is not inspect.Parameter.empty}
-            if options:
-                out[f"{info.name}.{name}"] = options
+            out[f"{info.name}.{name}"] = {
+                p.name: repr(p.default) for p in inspect.signature(fn).parameters.values()
+                if p.default is not inspect.Parameter.empty}
     return out
 
 

@@ -109,14 +109,14 @@ def test_no_rank_check_builds_a_chart_point(monkeypatch):
     for shape, skew, dim in (((2, 0, 1), False, 15), ((1, 1, 1), True, 12)):
         sys0 = analysis.seeded_system(*shape, skew=skew, seed=0)
         built.clear()
-        analysis.jacobian_rank(boehler_scalars(*shape).evaluate, sys0)
+        analysis.jacobian_rank(boehler_scalars(*shape), sys0)
         scaled, jet = built  # the scaled base and the jet, and nothing else
         assert scaled.sym[0].shape == (3, 3) and jet.sym[0].shape == (1 + dim, 3, 3)
     assert runs == [True] * 2
     systems = [analysis.seeded_system(0, 0, 2), analysis.seeded_system(1, 1, 1, seed=0)]
     built.clear()
-    analysis.jacobian_rank(analysis.spectral_values_fn(), systems[0])
-    analysis.jacobian_rank(analysis.spectral_values_fn(svd_variant=True), systems[1])
+    analysis.jacobian_rank(spectral_frame.build_frame, systems[0])
+    analysis.jacobian_rank(spectral_frame.build_svd_frame, systems[1])
     assert len(built) == 2 and runs == [True] * 2  # the two scaled bases
 
 
