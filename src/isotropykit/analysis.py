@@ -31,7 +31,7 @@ gauge rather than an equivariant construction (ROADMAP item 9).
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -265,18 +265,11 @@ class Claim:
     comparator: str = "le"  # "le": value <= tol passes; "ge": value >= tol
     seed: int = 0
 
-    @classmethod
-    def check(cls, claim_id, description, value, tolerance, comparator="le",
-              seed=0):
-        if comparator not in _COMPARATORS:
-            raise ValueError(f"unknown comparator {comparator!r}")
-        ok = _COMPARATORS[comparator](value, tolerance)
-        return cls(claim_id, description, "pass" if ok else "fail",
-                   value, tolerance, comparator, seed)
-
     def to_dict(self) -> dict:
-        fields = asdict(self)  # in field order, the id first
-        return {"id": fields.pop("claim_id"), **fields}
+        # in field order, the id first
+        return {"id": self.claim_id, "description": self.description,
+                "status": self.status, "value": self.value, "tolerance": self.tolerance,
+                "comparator": self.comparator, "seed": self.seed}
 
 
 @dataclass
@@ -301,8 +294,12 @@ class VerificationReport:
     def check(self, claim_id, description, value, tolerance, comparator="le"):
         """Record ``value`` (as a float) against ``tolerance`` under this
         report's seed."""
-        self.add(Claim.check(claim_id, description, float(value), tolerance,
-                             comparator, self.seed))
+        if comparator not in _COMPARATORS:
+            raise ValueError(f"unknown comparator {comparator!r}")
+        value = float(value)
+        status = "pass" if _COMPARATORS[comparator](value, tolerance) else "fail"
+        self.add(Claim(claim_id, description, status, value, tolerance, comparator,
+                       self.seed))
 
     def sorted_claims(self):
         return sorted(self.claims, key=lambda c: c.claim_id)

@@ -3,12 +3,12 @@
 These are the comparison targets for every reduction claim: the classical
 scalar invariants of symmetric tensors, skew tensors and vectors, and the Smith
 generators of vector- and symmetric-tensor-valued isotropic functions, listed
-(never counted by closed form) in the stated order.  Each item is its label,
-and a basis runs all its labels as one program.  ``evaluate`` takes one
-system, giving an ``(n,)``, ``(n, 3)`` or ``(n, 3, 3)`` array, or a ``lin3``
-stack of B systems, giving one ``(B, n, ...)`` array; one system's values
-equal bit for bit its row in any stack.  An item on its own is its row of
-the basis program on a stack of one.
+(never counted by closed form) in the stated order.  A basis is its shape,
+its labels and one program compiled from them, whose row k is the item
+labelled ``labels()[k]``.  ``evaluate`` takes one system, giving an ``(n,)``,
+``(n, 3)`` or ``(n, 3, 3)`` array, or a ``lin3`` stack of B systems, giving
+one ``(B, n, ...)`` array; one system's values equal bit for bit its row in
+any stack.
 
 Every step is linear (an operand pick, ``tr``, ``sym``, ``add``, ``sub``) or
 bilinear (``mul``, ``outer``), so a program also runs in forward mode
@@ -34,18 +34,15 @@ incomplete without it and the skew-extended list states it explicitly.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from isotropykit.lin3 import _EYE, TensorSystem, _stack
 
-__all__ = ["BasisItem", "ClassicalScalarBasis", "ClassicalTensorBasis",
+__all__ = ["ClassicalScalarBasis", "ClassicalTensorBasis",
            "ClassicalVectorBasis", "boehler_scalars", "smith_sym_tensors",
            "smith_vectors"]
 
@@ -182,21 +179,12 @@ class _Program:
     ``(fn, slot, slot or None, bilinear)``, one per distinct subterm, so a
     subterm that several labels share (``A1^2``, ``A1.a1``) is computed once
     per call on a whole stack of systems; each step's op is bound to its
-    arguments' ranks.  A call writes each item as soon as its slot is
-    computed and drops every slot after its last use, so only the live
-    subterms are held."""
+    arguments' ranks."""
 
     def __init__(self, labels, kind):
         self._steps, self._slots, self._ranks = [], {}, [None, None, None, 2]  # stacks, I
-        self._last = [0, 1, 2, 3]  # per slot: the last slot computed from it
         self.kind = kind
         self._outputs = [self._parse(label) for label in labels]
-        # per slot, once computed: the items it fills and the slots then dead
-        self._after = [([], []) for _ in self._ranks]
-        for k, slot in enumerate(self._outputs):
-            self._after[slot][0].append(k)
-        for slot, last in enumerate(self._last):
-            self._after[last][1].append(slot)
 
     def __call__(self, stack, jet=False):
         """Item values, ``(B, n, ...)``, on a stack of B systems, or their
@@ -204,20 +192,16 @@ class _Program:
         b = len((stack.sym + stack.nonsym + stack.vecs)[0])
         eye = _EYE * (np.arange(b) == 0)[:, None, None] if jet else _EYE  # I: no tangent
         values = [stack.sym, stack.nonsym, stack.vecs, eye]
+        for fn, a, c, bilinear in self._steps:
+            x, y = values[a], None if c is None else values[c]
+            if jet and bilinear:  # the product rule below row 0
+                values.append(np.concatenate([fn(x[:1], y[:1]),
+                                              fn(x[1:], y[:1]) + fn(x[:1], y[1:])]))
+            else:
+                values.append(fn(x) if y is None else fn(x, y))
         out = np.empty((b, len(self._outputs)) + _SHAPES[self.kind])
-        for slot, (items, dead) in enumerate(self._after):
-            if slot >= 4:
-                fn, a, c, bilinear = self._steps[slot - 4]
-                x, y = values[a], None if c is None else values[c]
-                if jet and bilinear:  # the product rule below row 0
-                    values.append(np.concatenate([fn(x[:1], y[:1]),
-                                                  fn(x[1:], y[:1]) + fn(x[:1], y[1:])]))
-                else:
-                    values.append(fn(x) if y is None else fn(x, y))
-            for k in items:
-                out[:, k] = values[slot]
-            for d in dead:
-                values[d] = None
+        for k, slot in enumerate(self._outputs):
+            out[:, k] = values[slot]
         # a tensor item is returned exactly symmetric
         return 0.5 * (out + out.swapaxes(-1, -2)) if self.kind == "sym_tensor" else out
 
@@ -237,11 +221,7 @@ class _Program:
                 step = (fn, *args, None)[:3] + (op in ("mul", "outer"),)
             self._steps.append(step)
             self._ranks.append(rank)
-            self._slots[key] = new = len(self._ranks) - 1
-            self._last.append(new)
-            for a in step[1:3]:
-                if a is not None:
-                    self._last[a] = new
+            self._slots[key] = len(self._ranks) - 1
         return self._slots[key]
 
     def _parse(self, label):
@@ -287,38 +267,23 @@ class _Program:
         return slot
 
 
-@dataclass(frozen=True)
-class BasisItem:
-    label: str
-    kind: str  # "scalar" | "vector" | "sym_tensor"
-    fn: Callable
-
-
 class _Basis:
     """An ordered classical list of the shape ``(n_sym, n_skew, n_vec)``; each
     subclass sets its item ``kind``.  Its labels compile into one program,
-    and an item's evaluator is its row of that program's values."""
+    whose row k is the item labelled ``labels()[k]``."""
 
     def __init__(self, n_sym, n_skew, n_vec, labels):
         self.n_sym, self.n_skew, self.n_vec = n_sym, n_skew, n_vec
-        self.items = tuple(BasisItem(label, self.kind, functools.partial(self._item, k))
-                           for k, label in enumerate(labels))
-        self._by_label = {item.label: item for item in self.items}
-        if len(self._by_label) != len(self.items):
+        self._labels = tuple(labels)
+        if len(set(self._labels)) != len(self._labels):
             raise AssertionError("duplicate basis labels")
-        self._program = _Program(self.labels(), self.kind)
-
-    def _item(self, k, system):
-        return self._run(_stack([system]))[0, k]
+        self._program = _Program(self._labels, self.kind)
 
     def __len__(self):
-        return len(self.items)
+        return len(self._labels)
 
     def labels(self):
-        return tuple(item.label for item in self.items)
-
-    def __getitem__(self, label: str) -> BasisItem:
-        return self._by_label[label]
+        return self._labels
 
     def check_system(self, system: TensorSystem):
         if system.shape() != (self.n_sym, self.n_skew, self.n_vec):

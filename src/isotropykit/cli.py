@@ -217,8 +217,8 @@ def run_isotropy(seed: int, trials: int = 100, tol: float = 1e-9,
                 word, description = _CLASSICAL_ISOTROPY[basis.kind]
                 worst = rotation_deviation(basis.evaluate(conjugated), rotations,
                                            basis.evaluate(sys0), basis.kind)
-                for item, dev in zip(basis.items, worst):
-                    report.check(f"isotropy/classical-{word}/{tag}/{item.label}",
+                for label, dev in zip(basis.labels(), worst):
+                    report.check(f"isotropy/classical-{word}/{tag}/{label}",
                                  description, dev, tol)
         frame = build_frame(sys0)
         if not frame.is_degenerate:

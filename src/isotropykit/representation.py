@@ -183,18 +183,14 @@ def expand_classical(item_label: str, system: TensorSystem, frame: SpectralFrame
     """
     if frame.kind == "svd":
         raise ValueError("classical items are expanded in non-SVD frames")
-    scalars, vectors, tensors = _classical_bases(*system.shape())
     comp = rebuild_system(extract_invariants(system, frame))
-    for basis in (scalars, vectors, tensors):
-        try:
-            item = basis[item_label]
-        except KeyError:
-            continue
-        value = item.fn(comp)
-        if item.kind == "scalar":
-            return float(value)
-        # the component system lives in the identity frame
-        return _coefficients("vector3" if item.kind == "vector" else "sym6", value, _EYE)
+    for basis in _classical_bases(*system.shape()):
+        if item_label in basis.labels():
+            value = basis.evaluate(comp)[basis.labels().index(item_label)]
+            if basis.kind == "scalar":
+                return float(value)
+            # the component system lives in the identity frame
+            return _coefficients("vector3" if basis.kind == "vector" else "sym6", value, _EYE)
     raise KeyError(f"unknown classical item {item_label!r}")
 
 

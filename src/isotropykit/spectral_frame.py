@@ -562,7 +562,9 @@ def irreducible_count(N: int, M: int, P: int, *, skew_nonsym: bool = False,
     gram frame gives ``9M + 3P`` (complete but with a three-fold redundancy;
     the SVD variant achieves ``9M + 6N + 3P - 3``), and a vector-only system
     gives ``3P - 2``.  Each unit vector loses one invariant to its norm
-    constraint.
+    constraint.  The SVD variant needs general tensors: a skew tensor's
+    singular values are ``(s, s, 0)``, so its SVD frame is never generic,
+    and ``skew_nonsym`` with ``svd_variant`` is a ``ValueError``.
     """
     if N < 0 or M < 0 or P < 0 or (N == 0 and M == 0 and P == 0):
         raise ValueError("need non-negative N, M, P with at least one argument")
@@ -570,6 +572,9 @@ def irreducible_count(N: int, M: int, P: int, *, skew_nonsym: bool = False,
         raise ValueError("skew_nonsym flag requires M >= 1")
     if svd_variant and M == 0:
         raise ValueError("svd_variant requires M >= 1")
+    if svd_variant and skew_nonsym:
+        raise ValueError("svd_variant requires general tensors: a skew tensor's "
+                         "singular values (s, s, 0) never give a generic SVD frame")
     unit_loss = P if all_vectors_unit else 0
     if svd_variant:
         return 9 * M + 6 * N + 3 * P - 3 - unit_loss

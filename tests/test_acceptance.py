@@ -14,6 +14,7 @@ import pytest
 from isotropykit.analysis import (
     _unit_scaled,
     jacobian_rank,
+    rotation_deviation,
     seeded_system,
     verify_isotropy,
 )
@@ -100,23 +101,19 @@ def test_criterion_02_spectral_expressibility():
             continue
         sys0 = seeded_system(n, m, p, skew=True, seed=SEED)
         frame = build_frame(sys0)
-        for item in boehler_scalars(n, m, p).items:
-            direct = item.fn(sys0)
-            spectral = expand_classical(item.label, sys0, frame)
-            assert abs(spectral - direct) <= tol * (1.0 + abs(direct)), item.label
+        basis = boehler_scalars(n, m, p)
+        for label, direct in zip(basis.labels(), basis.evaluate(sys0)):
+            spectral = expand_classical(label, sys0, frame)
+            assert abs(spectral - direct) <= tol * (1.0 + abs(direct)), label
             evaluations += 1
-        for item in smith_vectors(n, m, p).items:
-            direct = item.fn(sys0)
-            back = reconstruct_vector(expand_classical(item.label, sys0, frame), frame)
-            assert np.linalg.norm(back - direct) \
-                <= tol * (1.0 + np.linalg.norm(direct)), item.label
-            evaluations += 1
-        for item in smith_sym_tensors(n, m, p).items:
-            direct = item.fn(sys0)
-            back = reconstruct_tensor(expand_classical(item.label, sys0, frame), frame)
-            assert np.linalg.norm(back - direct) \
-                <= tol * (1.0 + np.linalg.norm(direct)), item.label
-            evaluations += 1
+        for make, reconstruct in ((smith_vectors, reconstruct_vector),
+                                  (smith_sym_tensors, reconstruct_tensor)):
+            basis = make(n, m, p)
+            for label, direct in zip(basis.labels(), basis.evaluate(sys0)):
+                back = reconstruct(expand_classical(label, sys0, frame), frame)
+                assert np.linalg.norm(back - direct) \
+                    <= tol * (1.0 + np.linalg.norm(direct)), label
+                evaluations += 1
     assert evaluations >= 500, evaluations
     announce(2, f"{evaluations} classical items re-evaluated from spectral data "
              f"within 1e-10", time.perf_counter() - start, 10.0)
@@ -205,18 +202,14 @@ def test_criterion_05_isotropy_harness():
     start = time.perf_counter()
     rng = np.random.default_rng(SEED)
     sys0 = seeded_system(2, 1, 2, skew=True, seed=SEED)
-    for item in boehler_scalars(2, 1, 2).items:
-        dev = verify_isotropy(item.fn, "scalar", sys0, trials=100,
-                              rng=np.random.default_rng(SEED))
-        assert dev <= 1e-9, item.label
-    for item in smith_vectors(2, 1, 2).items:
-        dev = verify_isotropy(item.fn, "vector", sys0, trials=100,
-                              rng=np.random.default_rng(SEED))
-        assert dev <= 1e-9, item.label
-    for item in smith_sym_tensors(2, 1, 2).items:
-        dev = verify_isotropy(item.fn, "sym_tensor", sys0, trials=100,
-                              rng=np.random.default_rng(SEED))
-        assert dev <= 1e-9, item.label
+    # every classical item, each basis run once per rotated system
+    draws = np.random.default_rng(SEED)
+    rotations = np.array([haar_rotation(draws) for _ in range(100)])
+    for basis in (boehler_scalars(2, 1, 2), smith_vectors(2, 1, 2),
+                  smith_sym_tensors(2, 1, 2)):
+        values = [basis.evaluate(conjugate(q, sys0)) for q in rotations]
+        dev = rotation_deviation(values, rotations, basis.evaluate(sys0), basis.kind)
+        assert dev.max() <= 1e-9, basis.labels()[int(np.argmax(dev))]
     for tag, system in (("sym", sys0),
                         ("gram", seeded_system(0, 1, 1, seed=SEED))):
         frame = build_frame(system)

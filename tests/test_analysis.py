@@ -1,5 +1,6 @@
 """Isotropy harness and Jacobian rank."""
 
+import dataclasses
 import inspect
 import itertools
 
@@ -553,6 +554,23 @@ def test_report_rejects_a_duplicate_claim_id():
     given = analysis.VerificationReport("rank", 0, 100, claims=list(report.claims))
     with pytest.raises(ValueError, match=r"^duplicate claim id 'rank/b'$"):
         given.add(report.claims[1])
+
+
+def test_claim_record_is_every_field_in_order():
+    # the report's claim record names every field of ``Claim``, the id first
+    report = analysis.VerificationReport("rank", 7, 100)
+    report.check("rank/a", "at most", 2, 1.0)
+    report.check("rank/b", "at least", 2, 1.0, comparator="ge")
+    with pytest.raises(ValueError, match=r"^unknown comparator 'lt'$"):
+        report.check("rank/c", "bogus", 2, 1.0, comparator="lt")
+    names = [f.name for f in dataclasses.fields(analysis.Claim)]
+    assert [list(c.to_dict()) for c in report.claims] == [["id"] + names[1:]] * 2
+    assert [c.to_dict() for c in report.claims] == [
+        {"id": "rank/a", "description": "at most", "status": "fail", "value": 2.0,
+         "tolerance": 1.0, "comparator": "le", "seed": 7},
+        {"id": "rank/b", "description": "at least", "status": "pass", "value": 2.0,
+         "tolerance": 1.0, "comparator": "ge", "seed": 7}]
+    assert type(report.claims[0].value) is float
 
 
 @pytest.mark.parametrize("seed", [0, 7, 1003])

@@ -78,6 +78,17 @@ class TestCounts:
     def test_empty_configuration_is_usage_error(self, capsys):
         assert main(["counts"]) == 2
 
+    @pytest.mark.parametrize("argv", [["--n", "1", "--m", "1"], ["--m", "1"]])
+    def test_skew_svd_is_usage_error(self, capsys, argv):
+        # the SVD count would be 12 for N1M1 skew (9 coordinates) and 6 for
+        # a lone skew tensor (3 coordinates)
+        assert main(["counts", *argv, "--skew", "--svd"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: svd_variant requires general tensors: a skew tensor's singular "
+            "values (s, s, 0) never give a generic SVD frame\n")
+
 
 class TestExitCodes:
     def test_pass_is_zero(self):
@@ -241,12 +252,13 @@ class TestExitCodes:
     def test_skew_svd_source_is_two(self, capsys):
         # a skew tensor's singular values are (s, s, 0), so it never carries a
         # generic SVD frame; judging the symmetric tensor instead, the check
-        # passed and the rank suite failed with an arbitrary rank (exit 1)
+        # passed and the rank suite failed with an arbitrary rank (exit 1).
+        # The count is refused before any rank is taken
         argv = ["verify", "rank", "--n", "1", "--m", "1", "--skew", "--seed", "0", "--svd"]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "error: the svd frame's source has coalescent spectral values; "
-            "rank would drop spuriously\n")
+            "error: svd_variant requires general tensors: a skew tensor's singular "
+            "values (s, s, 0) never give a generic SVD frame\n")
 
     def test_input_rejected_for_suites_without_one(self, tmp_path):
         path = write_system(tmp_path / "sys.json", sym=[np.diag([3.0, 2.0, 1.0])])

@@ -12,7 +12,8 @@ The tracer counts the chart evaluations of ``analysis.jacobian_rank`` through
 ``analysis.ambient_chart``, which no longer exists, so it reads none; it counts
 the eigendecompositions of a frame at the public ``lin3.eig_sym`` that
 ``spectral_frame`` imports, and looks up every name in a traced module's
-``__all__``.
+``__all__``.  It also replaces ``cli.json`` by a namespace of a few names,
+read here from ``tracer.py``, which must hold every ``json.<name>`` of ``cli``.
 """
 
 import ast
@@ -46,6 +47,20 @@ PER_LAYER_FUNCTIONS = _literal(PERFBENCH / "run.py", "PER_LAYER_FUNCTIONS")
 BASIS_CLASSES = _literal(PERFBENCH / "tracer.py", "BASIS_CLASSES")
 
 
+def _json_namespace(path):
+    # the keywords of the ``types.SimpleNamespace(...)`` assigned to ``cli.json``
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Attribute) and t.attr == "json"
+                and isinstance(t.value, ast.Name) and t.value.id == "cli"
+                for t in node.targets):
+            call = node.value
+            assert isinstance(call, ast.Call) and ast.unparse(call.func) == \
+                "types.SimpleNamespace", ast.unparse(call)
+            return {kw.arg for kw in call.keywords}
+    raise AssertionError(f"no cli.json namespace in {path}")
+
+
 def test_lists_are_not_empty():
     assert PER_LAYER_FUNCTIONS and BASIS_CLASSES
 
@@ -71,6 +86,16 @@ def test_basis_classes_exist():
     for cls_name in BASIS_CLASSES.values():
         cls = getattr(bases, cls_name)
         assert inspect.isclass(cls) and callable(cls.evaluate), cls_name
+
+
+def test_cli_json_names_are_in_the_traced_namespace():
+    # a traced run swaps ``cli.json`` for a namespace of the names below, so
+    # any other ``json.<name>`` in ``cli`` would crash every traced run
+    cli_path = Path(isotropykit.__file__).parent / "cli.py"
+    used = {node.attr for node in ast.walk(ast.parse(cli_path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "json"}
+    assert used and used <= _json_namespace(PERFBENCH / "tracer.py"), used
 
 
 @pytest.mark.parametrize("module", sorted(

@@ -256,20 +256,15 @@ class TestExpandClassical:
         sys0 = random_system(rng, 2, 1, 2)
         fr = build_frame(sys0)
         scalars = boehler_scalars(2, 1, 2)
-        for item in scalars.items:
-            direct = item.fn(sys0)
-            spectral = expand_classical(item.label, sys0, fr)
-            assert abs(spectral - direct) <= 1e-10 * (1.0 + abs(direct)), item.label
-        for item in smith_vectors(2, 1, 2).items:
-            direct = item.fn(sys0)
-            back = reconstruct_vector(expand_classical(item.label, sys0, fr), fr)
-            scale = 1.0 + np.linalg.norm(direct)
-            assert np.linalg.norm(back - direct) <= 1e-10 * scale, item.label
-        for item in smith_sym_tensors(2, 1, 2).items:
-            direct = item.fn(sys0)
-            back = reconstruct_tensor(expand_classical(item.label, sys0, fr), fr)
-            scale = 1.0 + np.linalg.norm(direct)
-            assert np.linalg.norm(back - direct) <= 1e-10 * scale, item.label
+        for label, direct in zip(scalars.labels(), scalars.evaluate(sys0)):
+            spectral = expand_classical(label, sys0, fr)
+            assert abs(spectral - direct) <= 1e-10 * (1.0 + abs(direct)), label
+        for basis, reconstruct in ((smith_vectors(2, 1, 2), reconstruct_vector),
+                                   (smith_sym_tensors(2, 1, 2), reconstruct_tensor)):
+            for label, direct in zip(basis.labels(), basis.evaluate(sys0)):
+                back = reconstruct(expand_classical(label, sys0, fr), fr)
+                scale = 1.0 + np.linalg.norm(direct)
+                assert np.linalg.norm(back - direct) <= 1e-10 * scale, label
 
     def test_unknown_label(self):
         sys0 = tensor_system(sym=[np.eye(3)])

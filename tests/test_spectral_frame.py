@@ -313,6 +313,13 @@ class TestCounts:
         with pytest.raises(ValueError):
             irreducible_count(1, 0, 0, skew_nonsym=True)
 
+    @pytest.mark.parametrize("n,m,p", [(1, 1, 0), (0, 1, 0), (1, 1, 1), (2, 2, 1)])
+    def test_svd_variant_rejects_skew_tensors(self, n, m, p):
+        # a skew tensor's singular values are (s, s, 0): its SVD frame is
+        # never generic, so the SVD count has no skew case
+        with pytest.raises(ValueError, match="skew tensor's singular values"):
+            irreducible_count(n, m, p, skew_nonsym=True, svd_variant=True)
+
     def test_count_law_exhaustive(self):
         # list length equals the closed-form count for every configuration
         # with N + M + P <= 4 (free vectors; skew and general tensor variants)
