@@ -20,8 +20,9 @@ input size.  Rank counts singular values above the larger of ``sigma_max *
 max|f(system0)|``: a unit vector's chart tangents are orthogonal to it only to
 round-off, so the column of a constant such as ``a1.a1`` is ~1e-16, not 0.
 The base frame (the builder's, or :func:`build_frame`'s for a classical list)
-must keep its source's eigen- or singular values ``1e-6 * max`` apart
-(``lin3._GAP_REL``), or the check raises ``DegenerateConfigurationError``.
+must keep its source's eigen- or singular values ``1e-6 * max`` apart, by the
+tensor gradients' rule (``lin3._require_gaps``), or the check raises
+``DegenerateConfigurationError`` naming the pair, the gap and the threshold.
 
 Vector-only spectral lists reach rank ``3P - 2``, above the ``ambient - 3``
 of rotation-invariant functions, because their frame completion is a fixed
@@ -38,13 +39,11 @@ import numpy as np
 from isotropykit.classical_bases import ClassicalScalarBasis
 from isotropykit.lin3 import (
     _EYE,
-    _GAP_REL,
-    DegenerateConfigurationError,
     TensorSystem,
-    _conjugates,
-    _degeneracy_groups,
+    _conjugated,
     _norm,
     _norms,
+    _require_gaps,
     _rows,
     _system,
     haar_rotation,
@@ -135,7 +134,7 @@ def verify_isotropy(fn, kind: str, system: TensorSystem, trials: int = 100,
     if rng is None:
         rng = np.random.default_rng(0)
     rotations = np.array([haar_rotation(rng) for _ in range(trials)])
-    values = [[fn(s)] for s in _rows(_conjugates(rotations, system))]
+    values = [[fn(s)] for s in _rows(_conjugated(rotations, system))]
     return float(rotation_deviation(values, rotations, [fn(system)], kind)[0])
 
 
@@ -210,16 +209,12 @@ def _jacobian(lst, system0: TensorSystem):
     if not isinstance(frame, SpectralFrame):
         raise TypeError("jacobian_rank takes a frame builder (build_frame or "
                         f"build_svd_frame) or a classical scalar basis, not {lst!r}")
-    # the frame source must stay away from coalescence for the chart-composed
-    # invariant functions to be smooth: its singular values (the square roots
-    # of a gram frame's eigenvalues; |a|, 0, 0 for a vector frame, whose zeros
-    # always group) must fall into as many groups as at a generic point
-    heads = np.sqrt(frame.lambdas) if frame.kind in ("gram", "vector") else frame.lambdas
-    generic = 2 if frame.kind == "vector" else 3
-    if len(_degeneracy_groups(heads.tolist(), _GAP_REL)) < generic:
-        raise DegenerateConfigurationError(
-            f"the {frame.kind} frame's source has coalescent spectral values; "
-            "rank would drop spuriously")
+    # the chart-composed invariant functions are smooth only away from the
+    # source's coalescence (a gram frame's singular values are the roots of its
+    # eigenvalues); a vector frame's one length cannot coalesce
+    if frame.kind != "vector":
+        _require_gaps(np.sqrt(frame.lambdas) if frame.kind == "gram" else frame.lambdas,
+                      f"the {frame.kind} frame's source values")
     if classical:
         jet = _forward(lst, system0)
         return jet[1:].T, jet[0]

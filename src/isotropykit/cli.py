@@ -52,7 +52,7 @@ from isotropykit.classical_bases import (
     smith_vectors,
 )
 from isotropykit.lin3 import (
-    _conjugates,
+    _conjugated,
     _eighs,
     _norm,
     _row_norms,
@@ -210,7 +210,7 @@ def run_isotropy(seed: int, trials: int = 100, tol: float = 1e-9,
     shapes = [(2, 1, 2, True), (1, 0, 1, False), (0, 1, 1, False)]
     for tag, sys0 in _configs(system, seed, shapes):
         rotations = np.array([haar_rotation(rng) for _ in range(trials)])
-        conjugated = _conjugates(rotations, sys0)
+        conjugated = _conjugated(rotations, sys0)
         if all(sys0.nonsym_skew):
             for basis in _classical_bases(*sys0.shape()):
                 # one run of the basis over the unrotated system, one over the stack
@@ -232,7 +232,7 @@ def run_isotropy(seed: int, trials: int = 100, tol: float = 1e-9,
     control = seeded_system(1, 0, 1, seed=seed)
     rotations = np.array([haar_rotation(rng) for _ in range(trials)])
     raw = lambda s: (s.sym[0][..., 0, 0], s.vecs[0][..., 0])
-    worst = rotation_deviation(np.transpose(raw(_conjugates(rotations, control))),
+    worst = rotation_deviation(np.transpose(raw(_conjugated(rotations, control))),
                                rotations, raw(control), "scalar")
     for cid, dev in zip(("sym-entry", "vec-entry"), worst):
         report.check(f"isotropy/negative-control/{cid}",
@@ -322,6 +322,15 @@ def _rank_configs():
             for unit in ((False, True) if p else (False,))]
 
 
+def _check_count_flags(m, skew, svd):
+    # irreducible_count's refusals of --skew and --svd, named by their flags
+    if (skew or svd) and m < 1:
+        raise ValueError(f"{'--skew' if skew else '--svd'} needs --m >= 1")
+    if skew and svd:
+        raise ValueError("--svd needs general tensors, not --skew: a skew tensor's "
+                         "singular values (s, s, 0) never give a generic SVD frame")
+
+
 def run_rank(seed: int, system=None, n: int = 0, m: int = 0, p: int = 0,
              skew: bool = False, unit_vectors: bool = False,
              svd: bool = False) -> VerificationReport:
@@ -348,6 +357,7 @@ def run_rank(seed: int, system=None, n: int = 0, m: int = 0, p: int = 0,
     build = build_svd_frame if svd else build_frame
     if system is not None or config is not None:
         if system is None:
+            _check_count_flags(m, skew, svd)
             system = seeded_system(n, m, p, skew=skew, unit=unit_vectors, seed=seed)
             count = irreducible_count(n, m, p, skew_nonsym=skew,
                                       all_vectors_unit=unit_vectors, svd_variant=svd)
@@ -658,6 +668,7 @@ def run_hyperelastic(seed: int, trials: int = 100,
 def cmd_counts(args) -> int:
     n, m, p = args.n, args.m, args.p
     skew, unit, svd = args.skew, args.unit_vectors, args.svd
+    _check_count_flags(m, skew, svd)
     spectral = irreducible_count(n, m, p, skew_nonsym=skew,
                                  all_vectors_unit=unit, svd_variant=svd)
     flags = [word for word, on in (("skew", skew), ("unit vectors", unit),

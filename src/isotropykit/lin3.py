@@ -17,8 +17,11 @@ read-only: every system is built by :func:`tensor_system` (validate, then
 the unchecked ``_system``) or ``_system``, which freezes the members that
 its caller made valid (:func:`conjugate`, the seeded systems, the rank
 check's scaled base and jet, the gradients' moved systems).  Code behind the boundary
-does not check them again.  Every public function still validates its own
-arguments.
+does not check them again, except that frame builds and both tensor
+gradients factor through the public :func:`eig_sym` or :func:`svd3`, which
+validate once more: the benchmark's tracer counts frames at the public
+``eig_sym`` (``tests/test_perfbench_names.py``).  Every public function
+still validates its own arguments.
 
 Every "is this number negligible?" cut-off in the package is one rule,
 :func:`_thr`: ``tol * max(size, sys.float_info.min)``, where ``size`` is the
@@ -29,13 +32,14 @@ size is not trusted (a vector whose squared norm falls there is zero).
 
 The public functions take one system or one tensor.  The verify sweeps hold
 their T rotated or drawn systems as one *stack*: a :class:`TensorSystem`
-whose members carry a leading axis of T (``_conjugates``, ``_stack``;
+whose members carry a leading axis of T (``_conjugated``, ``_stack``;
 ``_rows`` splits one back into systems).  The private stacked kernels
-(``_conjugates``, ``_eighs``, ``_svds``, ``_row_norms``) give every row the
+(``_conjugated``, ``_eighs``, ``_svds``, ``_row_norms``) give every row the
 bits of the one-system function: each product is the matmul form that
 rounds as the single call does.  Both paths stay because the bulk callers
 ask for one system at a time, where the stacked code costs about 1.6 times
 as much (conjugation) and 2.3 times as much (a frame and its list).
+``_conjugated`` checks no rotation: its callers draw their own Haar ones.
 """
 
 from __future__ import annotations
@@ -257,6 +261,18 @@ def _degeneracy_groups(lams, tol_rel):
     return _PARTITIONS[lams[0] - lams[1] <= thr, lams[1] - lams[2] <= thr]
 
 
+def _require_gaps(values, what, gap=None):
+    # the one refusal of every formula that divides by a gap of the descending
+    # eigen- or singular ``values`` (the rank check's and the gradients'): the
+    # first neighbour gap at most ``gap``, by default _GAP_REL of max |value|
+    v = list(map(float, values))
+    gap = _thr(_GAP_REL, max(map(abs, v))) if gap is None else gap
+    for i in (0, 1):
+        if (d := v[i] - v[i + 1]) <= gap:
+            raise DegenerateConfigurationError(
+                f"{what} {i + 1} and {i + 2} coalesce (gap {d:.3e} <= {gap:.3e})")
+
+
 def eig_sym(a):
     """Eigendecomposition of a symmetric 3x3 tensor.
 
@@ -429,19 +445,6 @@ def conjugate(q, system: TensorSystem) -> TensorSystem:
     re-skewed bit-exactly); flags carry over; an overflow is a ``ValueError``.
     """
     return _conjugated(rotation_matrix(q), system)
-
-
-def _conjugates(rotations, system: TensorSystem) -> TensorSystem:
-    # the stack of :func:`conjugate` by each rotation of the (T, 3, 3) stack
-    # ``rotations``, bit for bit and with its ValueErrors: one matmul per member
-    q = _as_array(rotations, np.shape(rotations)[:1] + (3, 3), "tensor")
-    with np.errstate(over="ignore", invalid="ignore"):
-        orth = _row_norms((q @ q.swapaxes(1, 2) - _EYE).reshape(-1, 9)) > _CLASS_TOL
-        bad = orth | (abs(np.linalg.det(q) - 1.0) > _CLASS_TOL)
-    if bad.any():
-        raise ValueError("matrix is not orthogonal" if orth[bad.argmax()]
-                         else "matrix is not a proper rotation (det != 1)")
-    return _conjugated(q, system)
 
 
 def _conjugated(q, system):

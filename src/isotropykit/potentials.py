@@ -22,7 +22,8 @@ vectors.  Its steps are ``1e-5`` radians for a rotation or tilt and
 ``1e-5`` of the size for a length, eigen- or singular value (``lin3._thr``),
 so the fallback is as accurate at every scale.  The closed forms divide by
 the gaps, which must exceed ``1e-6`` of the largest absolute eigen- or
-singular value (``lin3._GAP_REL``), or ``gap_min`` for a symmetric one.  Each
+singular value, or ``gap_min`` for a symmetric one (the rank check's rule,
+``lin3._require_gaps``, whose error names the pair, gap and threshold).  Each
 gradient also takes one ``partials`` callable that returns all of its
 spectral partials analytically, in which case no finite difference is taken
 and the trivial cases come out exact to roundoff.
@@ -53,12 +54,12 @@ from isotropykit.analysis import _chart_blocks
 from isotropykit.lin3 import (
     _EYE,
     _FLOOR,
-    _GAP_REL,
     _OFF_PAIRS,
     DegenerateConfigurationError,
     TensorSystem,
     _central,
     _norm,
+    _require_gaps,
     _resym,
     _system,
     _thr,
@@ -111,17 +112,6 @@ def _rotated(triad: np.ndarray, i: int, j: int, theta: float) -> np.ndarray:
 _STEP = 1e-5
 
 
-def _check_gaps(values, gap_min, word):
-    # the off-diagonal terms divide by the pairwise gaps of ``values``
-    if gap_min is None:
-        gap_min = _thr(_GAP_REL, np.abs(values).max())
-    for i, j in _OFF_PAIRS:
-        if values[i] - values[j] <= gap_min:
-            raise DegenerateConfigurationError(
-                f"{word} {i + 1} and {j + 1} coalesce "
-                f"(gap {values[i] - values[j]:.3e} <= {gap_min:.3e})")
-
-
 def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
                 partials=None) -> np.ndarray:
     """Gradient of ``W`` with respect to the first vector argument ``a``.
@@ -164,7 +154,7 @@ def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
     ``r[i, j] = dW/dv_i . v_j`` supplies the analytic partials.
     """
     lams, v, _ = eig_sym(system.sym[0])
-    _check_gaps(lams, gap_min, "eigenvalues")
+    _require_gaps(lams, "eigenvalues", gap_min)
     if partials is not None:
         dlam, r = (np.asarray(x, dtype=float) for x in partials(lams, v))
         anti = [float(r[i, j] - r[j, i]) for i, j in _OFF_PAIRS]
@@ -197,7 +187,7 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
     for the left and one for the right triad.
     """
     sv, v, u = svd3(system.nonsym[0])
-    _check_gaps(sv, None, "singular values")
+    _require_gaps(sv, "singular values")
     if partials is not None:
         dlam, rv, ru = (np.asarray(x, dtype=float) for x in partials(sv, v, u))
         anti_v = [float(rv[i, j] - rv[j, i]) for i, j in _OFF_PAIRS]

@@ -25,6 +25,7 @@ from isotropykit.analysis import (
     verify_isotropy,
 )
 from isotropykit.cli import _rank_configs
+from isotropykit.potentials import grad_sym_tensor
 from isotropykit.spectral_frame import (
     _SYM,
     build_frame,
@@ -249,8 +250,28 @@ class TestJacobianRank:
         h = haar_rotation(rng) @ np.diag([2.0, 2.0, 1.0]) @ haar_rotation(rng).T
         a = rng.standard_normal((3, 3))
         sys0 = tensor_system(sym=[0.5 * (a + a.T)], nonsym=[h])
-        with pytest.raises(DegenerateConfigurationError, match="svd frame"):
+        with pytest.raises(DegenerateConfigurationError,
+                           match=r"^the svd frame's source values 1 and 2 coalesce \(gap "):
             jacobian_rank(build_svd_frame, sys0)
+
+    @pytest.mark.parametrize("g,refused", [(1e-7, True), (1e-5, False)])
+    def test_rank_and_gradient_share_one_coalescence_rule(self, g, refused):
+        # eigenvalues (3, 1 + g, 1): the rank check and the symmetric
+        # gradient refuse the same pair at the same relative gap
+        rng = np.random.default_rng(61)
+        q = haar_rotation(rng)
+        sys0 = tensor_system(sym=[q @ np.diag([3.0, 1.0 + g, 1.0]) @ q.T],
+                             vecs=[rng.standard_normal(3)])
+        calls = (lambda: jacobian_rank(build_frame, sys0),
+                 lambda: grad_sym_tensor(lambda s: float(np.trace(s.sym[0])), sys0))
+        for call in calls:
+            if refused:
+                with pytest.raises(DegenerateConfigurationError,
+                                   match=r"values 2 and 3 coalesce \(gap .* <= .*\)$"):
+                    call()
+            else:
+                call()
+        assert not build_frame(sys0).is_degenerate  # the frames' grouping is finer
 
     def test_gram_general_rank(self):
         sys0 = seeded_system(0, 2, 1, seed=29)

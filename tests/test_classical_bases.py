@@ -237,3 +237,11 @@ class TestStackedEvaluation:
     def test_rank_mismatch_rejected(self, label, kind):
         with pytest.raises(ValueError, match="malformed basis label"):
             _Program([label], kind)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: boehler_scalars(-1, 0, 0), "counts must be non-negative"),
+], ids=["boehler-negative-count"])
+def test_public_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

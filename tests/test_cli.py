@@ -11,6 +11,7 @@ import pytest
 from isotropykit import cli
 from isotropykit.analysis import VerificationReport
 from isotropykit.cli import SUITES, load_system_file, main
+from isotropykit.lin3 import haar_rotation
 from isotropykit.spectral_frame import build_frame, extract_invariants
 
 
@@ -86,8 +87,17 @@ class TestCounts:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: svd_variant requires general tensors: a skew tensor's singular "
+            "error: --svd needs general tensors, not --skew: a skew tensor's singular "
             "values (s, s, 0) never give a generic SVD frame\n")
+
+    @pytest.mark.parametrize("command", [["counts"], ["verify", "rank"]])
+    @pytest.mark.parametrize("flag", ["--svd", "--skew"])
+    def test_count_errors_name_the_flag(self, capsys, command, flag):
+        # the library's keywords (svd_variant, skew_nonsym) are not CLI flags
+        assert main([*command, "--n", "1", flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} needs --m >= 1\n"
 
 
 class TestExitCodes:
@@ -257,8 +267,20 @@ class TestExitCodes:
         argv = ["verify", "rank", "--n", "1", "--m", "1", "--skew", "--seed", "0", "--svd"]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "error: svd_variant requires general tensors: a skew tensor's singular "
+            "error: --svd needs general tensors, not --skew: a skew tensor's singular "
             "values (s, s, 0) never give a generic SVD frame\n")
+
+    def test_coalescent_input_rank_is_two(self, tmp_path, capsys):
+        # eigenvalues (3, 1 + 1e-7, 1): the rank check names the pair and the gap
+        q = haar_rotation(np.random.default_rng(61))
+        path = write_system(tmp_path / "sys.json",
+                            sym=[q @ np.diag([3.0, 1.0 + 1e-7, 1.0]) @ q.T],
+                            vecs=[([0.3, -1.2, 0.8], False)])
+        assert main(["verify", "rank", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: the sym_tensor frame's source values 2 and 3 "
+                              "coalesce (gap ")
 
     def test_input_rejected_for_suites_without_one(self, tmp_path):
         path = write_system(tmp_path / "sys.json", sym=[np.diag([3.0, 2.0, 1.0])])
@@ -445,6 +467,21 @@ class TestSystemFile:
         captured = capsys.readouterr()
         assert captured.err == "error: unsupported system file version True\n"
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["frame", "--input"], "[1, 2]", "system file must be a JSON object"),
+    (["frame", "--input"], '{"version": 1, "sym": 3}', '"sym" must be a list of matrices'),
+    (["verify", "rank", "--svd"], None,
+     "the SVD rank variant needs --input or an explicit --n/--m/--p configuration"),
+], ids=["frame-not-an-object", "frame-sym-number", "rank-svd-no-configuration"])
+def test_public_errors(tmp_path, capsys, argv, text, message):
+    if text is not None:
+        path = tmp_path / "sys.json"
+        path.write_text(text)
+        argv = [*argv, str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestParser:

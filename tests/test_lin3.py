@@ -512,26 +512,38 @@ class TestStackedKernels:
                                skew=[False, True], vecs=[rng.standard_normal(3)])
         for size in self.SIZES:
             rotations = np.array([haar_rotation(rng) for _ in range(size)])
-            for row, q in zip(lin3._rows(lin3._conjugates(rotations, system)), rotations):
+            for row, q in zip(lin3._rows(lin3._conjugated(rotations, system)), rotations):
                 one = conjugate(q, system)
                 assert row.shape() == one.shape()
                 for x, y in zip(row.sym + row.nonsym + row.vecs, one.sym + one.nonsym + one.vecs):
                     assert x.tobytes() == y.tobytes() and not x.flags.writeable
 
-    @pytest.mark.parametrize("bad,system", [
-        (2.0 * np.eye(3), tensor_system(sym=[np.eye(3)])),
-        (np.diag([1.0, 1.0, -1.0]), tensor_system(sym=[np.eye(3)])),
-        (np.diag([1e200, 1e-200, 1.0]), tensor_system(sym=[np.eye(3)])),
-        (np.full((3, 3), np.nan), tensor_system(sym=[np.eye(3)])),
-        (None, tensor_system(nonsym=[np.full((3, 3), 1.5e308)])),
-        (None, tensor_system(vecs=[[1.7e308] * 3])),
-    ], ids=["scaled", "reflection", "overflowing-gram", "nan", "overflow", "vector-overflow"])
-    def test_conjugates_raise_the_errors_of_conjugate(self, bad, system):
+    @pytest.mark.parametrize("system", [
+        tensor_system(nonsym=[np.full((3, 3), 1.5e308)]),
+        tensor_system(vecs=[[1.7e308] * 3]),
+    ], ids=["overflow", "vector-overflow"])
+    def test_conjugates_raise_the_errors_of_conjugate(self, system):
+        # a stack of valid rotations (``_conjugated`` checks none) keeps
+        # conjugate's one-line overflow error
         rotations = [haar_rotation(np.random.default_rng(k)) for k in range(5)]
-        if bad is not None:
-            rotations[3] = bad
         with pytest.raises(ValueError) as one:
             for q in rotations:
                 conjugate(q, system)
         with pytest.raises(ValueError, match=f"^{re.escape(str(one.value))}$"):
-            lin3._conjugates(np.array(rotations), system)
+            lin3._conjugated(np.array(rotations), system)
+
+
+# ---------------------------------------------------------------------------
+# public errors
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: vec3([1.0, {}, 2.0]), "vector entries must be numbers"),
+    (lambda: vec3([10 ** 400, 0.0, 0.0]), "vector has non-finite entries"),
+    (lambda: tensor_system(nonsym=[np.eye(3)], skew=[False, True]),
+     "one skew flag per non-symmetric tensor required"),
+    (lambda: tensor_system(vecs=[[1.0, 0.0, 0.0]], unit=[]), "one unit flag per vector required"),
+], ids=["vec3-not-a-number", "vec3-int-beyond-double", "skew-flag-count", "unit-flag-count"])
+def test_public_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -10,8 +10,13 @@ of that file.
 
 Regenerate (only when a change of options is intended) with
 ``PYTHONPATH=src python tests/test_options.py``.
+
+A second surface check stands in for a linter: no module under
+``src/isotropykit`` imports a name it never uses (``__init__.py`` imports
+only to re-export).
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -49,6 +54,29 @@ def record():
 
 def test_options_match_record():
     assert record() == json.loads(PATH.read_text())
+
+
+def _unused_imports(tree):
+    # the names a module imports and never reads
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    unused = {path.name: names
+              for path in sorted(Path(isotropykit.__file__).parent.glob("*.py"))
+              if path.name != "__init__.py"
+              and (names := _unused_imports(ast.parse(path.read_text())))}
+    assert unused == {}
 
 
 if __name__ == "__main__":

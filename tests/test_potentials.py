@@ -1,5 +1,6 @@
 """Spectral gradient formulas against entry-wise finite-difference oracles."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -522,3 +523,11 @@ class TestHyperelastic:
         c[0, 0] = np.inf
         with pytest.raises(ValueError, match="tensor has non-finite entries"):
             hyperelastic_stress(model, c, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: polynomial_ti_model([1.0] * 7), "polynomial model takes 8 coefficients"),
+], ids=["polynomial-seven-coefficients"])
+def test_public_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,8 @@
 """Projection round trips, spectral expansion, coaxiality, coalescence,
 and eigenvector-gauge independence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from isotropykit.lin3 import (
 )
 from isotropykit.classical_bases import boehler_scalars, smith_sym_tensors, smith_vectors
 from isotropykit.representation import (
+    Coefficients,
     check_coaxiality,
     check_p_property,
     coalescence_structure,
@@ -540,3 +543,40 @@ class TestExampleTwo:
         assert vals[2] == pytest.approx(np.trace(u @ u @ u), abs=1e-12)
         assert vals[3] == pytest.approx(a @ u @ a, abs=1e-12)
         assert vals[4] == pytest.approx(a @ u @ u @ a, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# public errors
+
+
+def _frame():
+    return build_frame(tensor_system(sym=[np.diag([3.0, 2.0, 1.0])]))
+
+
+def _svd_case():
+    system = tensor_system(nonsym=[[[2.0, 1.0, 0.0], [0.0, 1.5, 0.5], [1.0, 0.0, 1.0]]])
+    return system, build_svd_frame(system)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: project_tensor(np.eye(3), _frame(), "vector3"), "unknown projection kind 'vector3'"),
+    (lambda: project_tensor(np.eye(3), _frame(), "bogus"), "unknown projection kind 'bogus'"),
+    (lambda: reconstruct_tensor(Coefficients("bogus", (1.0,) * 6), _frame()),
+     "unknown basis kind 'bogus'"),
+    (lambda: generator_basis(_frame(), "bogus"), "unknown basis kind 'bogus'"),
+    (lambda: expand_classical("tr(A1)", *_svd_case()),
+     "classical items are expanded in non-SVD frames"),
+    (lambda: coalescence_structure(lambda lams: lams, "quad", [1.0, 1.0, 3.0]),
+     "unknown case 'quad'"),
+    (lambda: check_p_property(lambda inv: 0.0, tensor_system(sym=[np.diag([3.0, 2.0, 1.0])]),
+                              "pair"),
+     "template does not have exactly one double eigenvalue"),
+    (lambda: check_p_property(lambda inv: 0.0, tensor_system(sym=[np.diag([2.0, 2.0, 1.0])]),
+                              "triple"),
+     "template does not have a triple eigenvalue"),
+], ids=["project-vector3", "project-unknown", "reconstruct-unknown", "basis-unknown",
+        "expand-svd-frame", "coalescence-unknown-case", "p-property-no-pair",
+        "p-property-no-triple"])
+def test_public_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

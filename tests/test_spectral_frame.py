@@ -4,6 +4,7 @@ import gc
 import inspect
 import itertools
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -770,7 +771,7 @@ class TestStackedPath:
                                    nonsym=[10.0 ** k * (x - x.T if skew else x) for x in nonsym],
                                    skew=[skew] * m, vecs=[10.0 ** k * x for x in vecs])
             rotations = np.array([haar_rotation(rng) for _ in range(7)])
-            stack = lin3._conjugates(rotations, system)
+            stack = lin3._conjugated(rotations, system)
             systems = [conjugate(q, system) for q in rotations]
             assert all(x.tobytes() == y.tobytes()
                        for s, t in zip(lin3._rows(stack), systems)
@@ -790,7 +791,7 @@ class TestStackedPath:
         system = _switching_system(kind, shape, masks)
         rng = np.random.default_rng(17)
         rotations = np.array([haar_rotation(rng) for _ in range(40)])
-        stack = lin3._conjugates(rotations, system)
+        stack = lin3._conjugated(rotations, system)
         _assert_stack_matches(lin3._rows(stack))
         base = extract_invariants(system, build_frame(system)).values()
 
@@ -810,3 +811,49 @@ class TestStackedPath:
         zero = tensor_system(nonsym=[np.zeros((3, 3))], vecs=[h.vecs[0]])
         with pytest.raises(DegenerateInputError, match="^frame tensor is zero$"):
             spectral_frame._frames(lin3._stack([h, zero]))
+
+
+# ---------------------------------------------------------------------------
+# public errors
+
+
+def _frame(kind):
+    # a frame of ``kind`` with no source behind it, for the layout checks
+    return SpectralFrame(kind, np.array([3.0, 2.0, 1.0]), np.eye(3),
+                         np.eye(3) if kind == "svd" else None)
+
+
+def _sym_system():
+    return tensor_system(sym=[np.diag([3.0, 2.0, 1.0])], vecs=[[1.0, 2.0, 3.0]])
+
+
+def _nonsym_system():
+    return tensor_system(nonsym=[[[2.0, 1.0, 0.0], [0.0, 1.5, 0.5], [1.0, 0.0, 1.0]]],
+                         vecs=[[1.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: extract_invariants(tensor_system(vecs=[[1.0, 2.0, 3.0]]), _frame("sym_tensor")),
+     "sym_tensor frame requires a symmetric argument"),
+    (lambda: extract_invariants(_sym_system(), _frame("gram")),
+     "gram frame applies to systems with no symmetric tensor"),
+    (lambda: extract_invariants(_nonsym_system(), _frame("vector")),
+     "vector frame applies to vector-only systems"),
+    (lambda: extract_invariants(_sym_system(), _frame("svd")),
+     "svd frame requires a non-symmetric argument"),
+    (lambda: extract_invariants(_sym_system(), _frame("bogus")), "unknown frame kind 'bogus'"),
+    (lambda: rebuild_system(extract_invariants(_sym_system(), build_frame(_sym_system())),
+                            build_svd_frame(_nonsym_system())),
+     "frame kind 'svd' does not match invariants ('sym_tensor')"),
+    (lambda: rebuild_system(extract_invariants(_nonsym_system(),
+                                               build_svd_frame(_nonsym_system()))),
+     "svd invariants need their frame to rebuild the system"),
+    (lambda: build_svd_frame(_sym_system()),
+     "SVD frame needs at least one non-symmetric tensor"),
+    (lambda: irreducible_count(1, 0, 0, svd_variant=True), "svd_variant requires M >= 1"),
+], ids=["extract-sym_tensor", "extract-gram", "extract-vector", "extract-svd",
+        "extract-unknown", "rebuild-other-kind", "rebuild-svd-no-frame",
+        "svd-frame-no-nonsym", "count-svd-no-m"])
+def test_public_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
