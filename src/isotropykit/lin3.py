@@ -16,12 +16,12 @@ to be finite, correctly shaped and exactly symmetric or skew, and they are
 read-only: every system is built by :func:`tensor_system` (validate, then
 the unchecked ``_system``) or ``_system``, which freezes the members that
 its caller made valid (:func:`conjugate`, the seeded systems, the rank
-check's scaled base and jet, the gradients' moved systems).  Code behind the boundary
-does not check them again, except that frame builds and both tensor
-gradients factor through the public :func:`eig_sym` or :func:`svd3`, which
-validate once more: the benchmark's tracer counts frames at the public
-``eig_sym`` (``tests/test_perfbench_names.py``).  Every public function
-still validates its own arguments.
+check's scaled base and jet), or is a row of a frozen stack (``_rows``, the
+gradients' probes).  Code behind the boundary does not check them again,
+except that frame builds and both tensor gradients factor through the public
+:func:`eig_sym` or :func:`svd3`, which validate once more: the benchmark's
+tracer counts frames at the public ``eig_sym`` (``tests/test_perfbench_names.py``).
+Every public function still validates its own arguments.
 
 Every "is this number negligible?" cut-off in the package is one rule,
 :func:`_thr`: ``tol * max(size, sys.float_info.min)``, where ``size`` is the
@@ -92,7 +92,7 @@ class DegenerateConfigurationError(ValueError):
 def _as_array(x, shape, name):
     try:
         a = np.asarray(x, dtype=float)
-    except TypeError:
+    except (TypeError, ValueError):  # a string, or a ragged nesting
         raise ValueError(f"{name} entries must be numbers") from None
     except OverflowError:  # an int beyond the double range
         raise ValueError(f"{name} has non-finite entries") from None
@@ -106,12 +106,6 @@ def _as_array(x, shape, name):
 def _thr(tol, size):
     # the cut-off below which a number is negligible against ``size``
     return tol * max(size, _FLOOR)
-
-
-def _central(f, h):
-    # the central difference of ``f`` at 0 with step ``h``; ``f(t)`` perturbs
-    # as ``x + t * e``, so ``f(-h)`` evaluates exactly at ``x - h * e``
-    return (f(h) - f(-h)) / (2.0 * h)
 
 
 def _norm(x) -> float:

@@ -34,7 +34,8 @@ the argument along each move of the rank chart (the axes or a unit vector's
 two renormalized tangents, the unit symmetric, skew or full dyads), so every
 system ``W`` sees keeps its flags, with step ``1e-5 (1 + |x|)`` unless the
 symmetric oracle is given ``h``, and halves what a two-entry probe picks up.
-Every finite difference here is the one central difference ``lin3._central``.
+Every gradient here builds its probes as one stack and runs ``W`` once per
+probe; a ``W`` that is not finite at a probe is a ``ValueError``.
 
 :func:`hyperelastic_stress` takes the frame coefficients of its two stresses
 straight from the codec (``representation._coefficients``): both are
@@ -54,14 +55,14 @@ from isotropykit.analysis import _chart_blocks
 from isotropykit.lin3 import (
     _EYE,
     _FLOOR,
+    _freeze,
     _OFF_PAIRS,
     DegenerateConfigurationError,
     TensorSystem,
-    _central,
     _norm,
     _require_gaps,
     _resym,
-    _system,
+    _row_norms,
     _thr,
     eig_sym,
     svd3,
@@ -86,21 +87,28 @@ __all__ = [
 ]
 
 
-def _with_arg(system: TensorSystem, kind: str, new: np.ndarray) -> TensorSystem:
-    """``system`` with the first argument of class ``kind`` (``"vecs"``,
-    ``"sym"`` or ``"nonsym"``) replaced by ``new``."""
-    args = {"sym": system.sym, "nonsym": system.nonsym, "vecs": system.vecs}
-    args[kind] = (new,) + args[kind][1:]
-    return _system(args["sym"], args["nonsym"], system.nonsym_skew, args["vecs"],
-                   system.vec_unit)
+def _energies(W, system, cls, probes, fn):
+    # W at ``system`` with its first argument of class ``cls`` set to each row
+    # of the stack ``probes``, in order (the rows of a frozen stack are frozen)
+    args = {"sym": system.sym, "nonsym": system.nonsym, "nonsym_skew": system.nonsym_skew,
+            "vecs": system.vecs, "vec_unit": system.vec_unit}
+    rest = args.pop(cls)[1:]
+    values = [float(W(TensorSystem(**args, **{cls: (p,) + rest}))) for p in _freeze(probes)]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{fn}: W is not finite at a probe")
+    return values
 
 
-def _rotated(triad: np.ndarray, i: int, j: int, theta: float) -> np.ndarray:
-    out = triad.copy()
-    c, s = np.cos(theta), np.sin(theta)
-    out[i] = c * triad[i] + s * triad[j]
-    out[j] = -s * triad[i] + c * triad[j]
-    return out
+def _centrals(values, steps):
+    # (f(+h) - f(-h)) / (2 h) for each step h, from the values at +h and -h
+    return np.subtract(values[::2], values[1::2]) / (2.0 * np.array(steps))
+
+
+def _dyad_sums(w, a, b):
+    # (stacks of) sum(w[i] * np.outer(a[i], b[i])), bit for bit: the same
+    # products, summed left to right from 0.0 as sum's 0 (which makes -0.0 0.0)
+    p = w[..., None, None] * (a[..., :, None] * b[..., None, :])
+    return 0.0 + p[..., 0, :, :] + p[..., 1, :, :] + p[..., 2, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +118,27 @@ def _rotated(triad: np.ndarray, i: int, j: int, theta: float) -> np.ndarray:
 # the central-difference step of the spectral gradients: radians for a frame
 # rotation, and relative (through ``_thr``) for a length, eigen- or singular value
 _STEP = 1e-5
+# the six turns of a triad, by +-_STEP in each plane (i, j) of _OFF_PAIRS, and
+# the rows of ``_turned`` per probe: the frame for six value shifts, then turns
+_TURN_I, _TURN_J = [0, 0, 0, 0, 1, 1], [1, 1, 2, 2, 2, 2]
+_COS, _SIN = (f(np.array([_STEP, -_STEP] * 3))[:, None] for f in (np.cos, np.sin))
+_SYM_PROBES = [0] * 6 + [1, 2, 3, 4, 5, 6]
+_V_PROBES = [0] * 6 + [1, 2, 0, 0, 3, 4, 0, 0, 5, 6, 0, 0]
+_U_PROBES = [0] * 6 + [0, 0, 1, 2, 0, 0, 3, 4, 0, 0, 5, 6]
+
+
+def _turned(t):
+    # ``t``, then its six turns: rows i, j made c t_i + s t_j and -s t_i + c t_j
+    out, ti, tj = t[None].repeat(7, 0), t[_TURN_I], t[_TURN_J]
+    out[range(1, 7), _TURN_I] = _COS * ti + _SIN * tj
+    out[range(1, 7), _TURN_J] = -_SIN * ti + _COS * tj
+    return out
+
+
+def _shifted(x, h, n):
+    # x + h e_k and x - h e_k for each axis k of the three values ``x``, then n x
+    return np.concatenate([x + (np.array([[h], [-h]]) * _EYE[:, None]).reshape(6, 3),
+                           x[None].repeat(n, 0)])
 
 
 def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
@@ -133,15 +162,14 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
         dlam, dv = 0.0 if unit else float(dlam), np.asarray(dv, dtype=float)
         t2, t3 = float(dv @ v2), float(dv @ v3)
     else:
-        def w_at(lam_, v1_):
-            return float(W(_with_arg(system, "vecs", lam_ * v1_)))
-
-        def tilted(e, t):
-            p = v1 + t * e
-            return p / _norm(p)
-
-        dlam = 0.0 if unit else _central(lambda t: w_at(lam + t, v1), _thr(_STEP, lam))
-        t2, t3 = (_central(lambda t: w_at(lam, tilted(e, t)), _STEP) for e in (v2, v3))
+        # the length moves (none for a unit vector), then the tilts of v1 by
+        # +-_STEP toward v2 and v3
+        h = _thr(_STEP, lam)
+        p = v1 + np.array([_STEP, -_STEP] * 2)[:, None] * np.array([v2, v2, v3, v3])
+        probes = [(lam + np.array([h, -h]))[:, None] * v1, lam * (p / _row_norms(p)[:, None])]
+        d = _centrals(_energies(W, system, "vecs", np.concatenate(probes[unit:]), "grad_vector"),
+                      [h, _STEP, _STEP][unit:])
+        dlam, t2, t3 = 0.0 if unit else d[0], d[-2], d[-1]
     return dlam * v1 + (t2 * v2 + t3 * v3) / lam
 
 
@@ -159,21 +187,18 @@ def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
         dlam, r = (np.asarray(x, dtype=float) for x in partials(lams, v))
         anti = [float(r[i, j] - r[j, i]) for i, j in _OFF_PAIRS]
     else:
+        # the eigenvalue shifts, then the turns of the triad: the derivative
+        # along the (i, j) plane rotation equals dW/dv_i . v_j - dW/dv_j . v_i
         h = _thr(_STEP, np.abs(lams).max())
-
-        def w_at(lams_, v_):
-            m = sum(lams_[i] * np.outer(v_[i], v_[i]) for i in range(3))
-            return float(W(_with_arg(system, "sym", m)))
-
-        dlam = np.array([_central(lambda t: w_at(lams + t * e, v), h) for e in _EYE])
-        # the derivative along the (i, j) plane rotation of the triad equals
-        # dW/dv_i . v_j - dW/dv_j . v_i
-        anti = [_central(lambda t: w_at(lams, _rotated(v, i, j, t)), _STEP)
-                for i, j in _OFF_PAIRS]
-    out = sum(dlam[i] * np.outer(v[i], v[i]) for i in range(3))
+        triads = _turned(v)[_SYM_PROBES]
+        probes = _dyad_sums(_shifted(lams, h, 6), triads, triads)
+        d = _centrals(_energies(W, system, "sym", probes, "grad_sym_tensor"),
+                      [h] * 3 + [_STEP] * 3)
+        dlam, anti = d[:3], d[3:]
+    out = _dyad_sums(dlam, v, v)
     for (i, j), anti_ij in zip(_OFF_PAIRS, anti):
         c = anti_ij / (2.0 * (lams[i] - lams[j]))
-        out = out + c * (np.outer(v[i], v[j]) + np.outer(v[j], v[i]))
+        out = out + c * (v[i, :, None] * v[j] + v[j, :, None] * v[i])
     return _resym(out)
 
 
@@ -193,27 +218,23 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
         anti_v = [float(rv[i, j] - rv[j, i]) for i, j in _OFF_PAIRS]
         anti_u = [float(ru[i, j] - ru[j, i]) for i, j in _OFF_PAIRS]
     else:
+        # the singular-value shifts, then per plane the turns of v and of u
         h = _thr(_STEP, sv[0])
-
-        def w_at(sv_, v_, u_):
-            m = sum(sv_[i] * np.outer(v_[i], u_[i]) for i in range(3))
-            return float(W(_with_arg(system, "nonsym", m)))
-
-        dlam = np.array([_central(lambda t: w_at(sv + t * e, v, u), h) for e in _EYE])
-        anti_v, anti_u = [], []
-        for i, j in _OFF_PAIRS:
-            anti_v.append(_central(lambda t: w_at(sv, _rotated(v, i, j, t), u), _STEP))
-            anti_u.append(_central(lambda t: w_at(sv, v, _rotated(u, i, j, t)), _STEP))
-    out = sum(dlam[i] * np.outer(v[i], u[i]) for i in range(3))
-    # the off-diagonal coefficients are homogeneous of degree -1 in sv; where
-    # a square could leave the double range they are taken at sv scaled by
-    # the power of two ``s`` that puts sv[0] in [0.5, 1), and scaled back
-    s = 1.0 if 1e-150 < sv[0] < 1e150 else 2.0 ** -math.frexp(sv[0])[1]
+        probes = _dyad_sums(_shifted(sv, h, 12), _turned(v)[_V_PROBES],
+                            _turned(u)[_U_PROBES])
+        d = _centrals(_energies(W, system, "nonsym", probes, "grad_nonsym_tensor"),
+                      [h] * 3 + [_STEP] * 6)
+        dlam, anti_v, anti_u = d[:3], d[3::2], d[4::2]
+    out = _dyad_sums(dlam, v, u)
+    # the off-diagonal coefficients are homogeneous of degree -1 in sv: they are
+    # taken at sv scaled by the power of two ``s`` that puts sv[0] in [0.5, 1),
+    # and scaled back (exactly), so no square or product leaves the double range
+    s = 2.0 ** -math.frexp(sv[0])[1]
     w = sv * s
     for (i, j), av, au in zip(_OFF_PAIRS, anti_v, anti_u):
         denom = w[i] ** 2 - w[j] ** 2
-        out = out + ((w[i] * au + w[j] * av) / denom * s) * np.outer(v[i], u[j])
-        out = out + ((w[j] * au + w[i] * av) / denom * s) * np.outer(v[j], u[i])
+        out = out + ((w[i] * au + w[j] * av) / denom * s) * (v[i, :, None] * u[j])
+        out = out + ((w[j] * au + w[i] * av) / denom * s) * (v[j, :, None] * u[i])
     return out
 
 
@@ -221,29 +242,29 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
 # finite-difference oracles (frame-free, entry-wise)
 
 
-def _fd_grad(W, system, cls, h=None):
+def _fd_grad(W, system, cls, fn, h=None):
     # central differences of W along the rank chart's moves of the first
     # argument of class ``cls``, with step ``1e-5 (1 + |x|)`` unless ``h`` is given
     _, _, x, unit, dirs = next(b for b in _chart_blocks(system) if b[:2] == (cls, 0))
     h = 1e-5 * (1.0 + _norm(x)) if h is None else h
-    at = (lambda y: y / np.linalg.norm(y)) if unit else (lambda y: y)
-    d = np.array([_central(lambda t: float(W(_with_arg(system, cls, at(x + t * e)))), h)
-                  for e in dirs.reshape((len(dirs),) + x.shape)])
+    probes = x + (np.array([[h], [-h]]) * dirs[:, None]).reshape((-1,) + x.shape)
+    probes = probes / _row_norms(probes)[:, None] if unit else probes
+    d = _centrals(_energies(W, system, cls, probes, fn), [h] * len(dirs))
     # dW = tr(G^T dX): a probe that moves n entries picks up n of them, so a
     # symmetric or skew off-diagonal probe is halved
     return ((d / (dirs * dirs).sum(axis=1)) @ dirs).reshape(x.shape)
 
 
 def fd_grad_vector(W, system):
-    return _fd_grad(W, system, "vecs")
+    return _fd_grad(W, system, "vecs", "fd_grad_vector")
 
 
 def fd_grad_sym_tensor(W, system, h=None):
-    return _fd_grad(W, system, "sym", h)
+    return _fd_grad(W, system, "sym", "fd_grad_sym_tensor", h)
 
 
 def fd_grad_nonsym_tensor(W, system):
-    return _fd_grad(W, system, "nonsym")
+    return _fd_grad(W, system, "nonsym", "fd_grad_nonsym_tensor")
 
 
 def degeneracy_sensitivity(W, system_factory, deltas):

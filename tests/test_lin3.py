@@ -14,6 +14,7 @@ from isotropykit.lin3 import (
     conjugate,
     eig_sym,
     haar_rotation,
+    mat3,
     rotation_matrix,
     skew_matrix,
     svd3,
@@ -539,11 +540,17 @@ class TestStackedKernels:
 
 @pytest.mark.parametrize("call,message", [
     (lambda: vec3([1.0, {}, 2.0]), "vector entries must be numbers"),
+    # numpy's own ValueError named no argument for a string or a ragged nesting
+    (lambda: vec3(["a", 1, 2]), "vector entries must be numbers"),
+    (lambda: mat3([[1, 2, 3], [4, "x", 6], [7, 8, 9]]), "tensor entries must be numbers"),
+    (lambda: tensor_system(vecs=[[1, "b", 2]]), "vector entries must be numbers"),
+    (lambda: vec3([[1, 2], [3]]), "vector entries must be numbers"),
     (lambda: vec3([10 ** 400, 0.0, 0.0]), "vector has non-finite entries"),
     (lambda: tensor_system(nonsym=[np.eye(3)], skew=[False, True]),
      "one skew flag per non-symmetric tensor required"),
     (lambda: tensor_system(vecs=[[1.0, 0.0, 0.0]], unit=[]), "one unit flag per vector required"),
-], ids=["vec3-not-a-number", "vec3-int-beyond-double", "skew-flag-count", "unit-flag-count"])
+], ids=["vec3-not-a-number", "vec3-string", "mat3-string", "system-vector-string",
+        "vec3-ragged", "vec3-int-beyond-double", "skew-flag-count", "unit-flag-count"])
 def test_public_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
