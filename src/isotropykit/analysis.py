@@ -53,10 +53,10 @@ from isotropykit.spectral_frame import (
     _SKEW,
     _SYM,
     SpectralFrame,
+    _frame_completion,
     _tangent,
     build_frame,
     extract_invariants,
-    frame_completion,
 )
 
 __all__ = [
@@ -102,6 +102,13 @@ _ACTIONS = {
 _ACTIONS["full_tensor"] = _ACTIONS["sym_tensor"]
 
 
+def _action(kind):
+    # the action of a rotation on values of ``kind``; the one check of a kind
+    if kind not in _ACTIONS:
+        raise ValueError(f"unknown evaluator kind {kind!r}")
+    return _ACTIONS[kind]
+
+
 def rotation_deviation(values, rotations, base, kind: str) -> np.ndarray:
     """Per item, the max over rotations of ``||g(Q s) - Q.g(s)|| / (1 + ||g(s)||)``.
 
@@ -112,7 +119,7 @@ def rotation_deviation(values, rotations, base, kind: str) -> np.ndarray:
     ``Q g``, ``"sym_tensor"``/``"full_tensor"`` as ``Q G Q^T``.  The norms
     are rescaled where their squares overflow the double range.
     """
-    act = _ACTIONS[kind]
+    act = _action(kind)
     base = np.asarray(base, dtype=float)
     if not (n := len(base)):
         return np.zeros(0)
@@ -127,8 +134,7 @@ def verify_isotropy(fn, kind: str, system: TensorSystem, trials: int = 100,
     over ``trials`` Haar-random rotations (see :func:`rotation_deviation`
     for ``kind`` and the normalization).  The rotated systems come from one
     stacked conjugation; ``fn`` runs once per rotation."""
-    if kind not in _ACTIONS:
-        raise ValueError(f"unknown evaluator kind {kind!r}")
+    _action(kind)  # before any work
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if rng is None:
@@ -151,7 +157,7 @@ def _chart_blocks(system0: TensorSystem):
     blocks += [("nonsym", t, h, False, (_SKEW if is_skew else _FULL).dyads)
                for t, (h, is_skew) in enumerate(zip(system0.nonsym, system0.nonsym_skew))]
     for s, (x, is_unit) in enumerate(zip(system0.vecs, system0.vec_unit)):
-        dirs = np.array(frame_completion(x / np.linalg.norm(x))) if is_unit else _EYE
+        dirs = np.array(_frame_completion(x / np.linalg.norm(x))) if is_unit else _EYE
         blocks.append(("vecs", s, x, is_unit, dirs))
     return blocks
 

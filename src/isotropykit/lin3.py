@@ -35,11 +35,15 @@ their T rotated or drawn systems as one *stack*: a :class:`TensorSystem`
 whose members carry a leading axis of T (``_conjugated``, ``_stack``;
 ``_rows`` splits one back into systems).  The private stacked kernels
 (``_conjugated``, ``_eighs``, ``_svds``, ``_row_norms``) give every row the
-bits of the one-system function: each product is the matmul form that
-rounds as the single call does.  Both paths stay because the bulk callers
-ask for one system at a time, where the stacked code costs about 1.6 times
-as much (conjugation) and 2.3 times as much (a frame and its list).
-``_conjugated`` checks no rotation: its callers draw their own Haar ones.
+bits of the one-system function: each product is the matmul form that rounds
+as the single call does.  The sign rule keeps a list form for the bulk
+callers' one triad (``_fix_sign_convention``: 4.6 µs, 460 for 100) and an
+array form for stacks (``_fix_signs``: 30 µs for one, 47 for 100; 2 shared
+CPUs, numpy 2.4.6), so ``eig_sym``/``_eighs`` and ``svd3``/``_svds`` stay
+twins; the frames' sign gauge, one array read per entry and a few
+comparisons per row, is one function for both (7 µs a frame, 110 for
+100).  ``_conjugated`` checks no rotation: its callers draw their own Haar
+ones.
 """
 
 from __future__ import annotations

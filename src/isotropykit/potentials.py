@@ -35,7 +35,8 @@ two renormalized tangents, the unit symmetric, skew or full dyads), so every
 system ``W`` sees keeps its flags, with step ``1e-5 (1 + |x|)`` unless the
 symmetric oracle is given ``h``, and halves what a two-entry probe picks up.
 Every gradient here builds its probes as one stack and runs ``W`` once per
-probe; a ``W`` that is not finite at a probe is a ``ValueError``.
+probe; a ``W`` that is not finite at a probe is a ``ValueError``, and so is a
+partial, or a tensor gradient, beyond the double range.
 
 :func:`hyperelastic_stress` takes the frame coefficients of its two stresses
 straight from the codec (``representation._coefficients``): both are
@@ -69,7 +70,7 @@ from isotropykit.lin3 import (
     tensor_system,
 )
 from isotropykit.representation import _coefficients
-from isotropykit.spectral_frame import build_frame, frame_completion
+from isotropykit.spectral_frame import _frame_completion, build_frame
 
 __all__ = [
     "HyperelasticModel",
@@ -87,21 +88,26 @@ __all__ = [
 ]
 
 
-def _energies(W, system, cls, probes, fn):
-    # W at ``system`` with its first argument of class ``cls`` set to each row
-    # of the stack ``probes``, in order (the rows of a frozen stack are frozen)
+def _centrals(W, system, cls, probes, steps, fn):
+    # (W(+h) - W(-h)) / (2 h) for each step h, with W at ``system`` whose first
+    # argument of class ``cls`` is set to each row of the stack ``probes``, in
+    # order (+h, -h per step; the rows of a frozen stack are frozen); on Python
+    # floats, where a difference or quotient beyond the double range is inf
     args = {"sym": system.sym, "nonsym": system.nonsym, "nonsym_skew": system.nonsym_skew,
             "vecs": system.vecs, "vec_unit": system.vec_unit}
     rest = args.pop(cls)[1:]
     values = [float(W(TensorSystem(**args, **{cls: (p,) + rest}))) for p in _freeze(probes)]
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{fn}: W is not finite at a probe")
-    return values
+    return _representable(np.array([(a - b) / (2.0 * h) for a, b, h
+                                    in zip(values[::2], values[1::2], steps)]), fn)
 
 
-def _centrals(values, steps):
-    # (f(+h) - f(-h)) / (2 h) for each step h, from the values at +h and -h
-    return np.subtract(values[::2], values[1::2]) / (2.0 * np.array(steps))
+def _representable(x, fn):
+    # the partials or the gradient ``x``, or a ValueError where they overflowed
+    if not all(map(math.isfinite, x.ravel().tolist())):
+        raise ValueError(f"{fn}: a partial or the gradient overflows the double range")
+    return x
 
 
 def _dyad_sums(w, a, b):
@@ -156,7 +162,7 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
         raise DegenerateConfigurationError(
             "vector argument is zero; the spectral gradient divides by |a|")
     v1 = a / lam
-    v2, v3 = frame_completion(v1)
+    v2, v3 = _frame_completion(v1)
     if partials is not None:
         dlam, dv = partials(lam, v1)
         dlam, dv = 0.0 if unit else float(dlam), np.asarray(dv, dtype=float)
@@ -167,8 +173,8 @@ def grad_vector(W: Callable[[TensorSystem], float], system: TensorSystem,
         h = _thr(_STEP, lam)
         p = v1 + np.array([_STEP, -_STEP] * 2)[:, None] * np.array([v2, v2, v3, v3])
         probes = [(lam + np.array([h, -h]))[:, None] * v1, lam * (p / _row_norms(p)[:, None])]
-        d = _centrals(_energies(W, system, "vecs", np.concatenate(probes[unit:]), "grad_vector"),
-                      [h, _STEP, _STEP][unit:])
+        d = _centrals(W, system, "vecs", np.concatenate(probes[unit:]),
+                      [h, _STEP, _STEP][unit:], "grad_vector")
         dlam, t2, t3 = 0.0 if unit else d[0], d[-2], d[-1]
     return dlam * v1 + (t2 * v2 + t3 * v3) / lam
 
@@ -192,14 +198,14 @@ def grad_sym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
         h = _thr(_STEP, np.abs(lams).max())
         triads = _turned(v)[_SYM_PROBES]
         probes = _dyad_sums(_shifted(lams, h, 6), triads, triads)
-        d = _centrals(_energies(W, system, "sym", probes, "grad_sym_tensor"),
-                      [h] * 3 + [_STEP] * 3)
+        d = _centrals(W, system, "sym", probes, [h] * 3 + [_STEP] * 3, "grad_sym_tensor")
         dlam, anti = d[:3], d[3:]
     out = _dyad_sums(dlam, v, v)
+    # anti / (2 (lam_i - lam_j)) from exact halves: no gap overflows where c does not
     for (i, j), anti_ij in zip(_OFF_PAIRS, anti):
-        c = anti_ij / (2.0 * (lams[i] - lams[j]))
+        c = 0.25 * anti_ij / (0.5 * lams[i] - 0.5 * lams[j])
         out = out + c * (v[i, :, None] * v[j] + v[j, :, None] * v[i])
-    return _resym(out)
+    return _representable(_resym(out), "grad_sym_tensor")
 
 
 def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
@@ -222,20 +228,20 @@ def grad_nonsym_tensor(W: Callable[[TensorSystem], float], system: TensorSystem,
         h = _thr(_STEP, sv[0])
         probes = _dyad_sums(_shifted(sv, h, 12), _turned(v)[_V_PROBES],
                             _turned(u)[_U_PROBES])
-        d = _centrals(_energies(W, system, "nonsym", probes, "grad_nonsym_tensor"),
-                      [h] * 3 + [_STEP] * 6)
+        d = _centrals(W, system, "nonsym", probes, [h] * 3 + [_STEP] * 6, "grad_nonsym_tensor")
         dlam, anti_v, anti_u = d[:3], d[3::2], d[4::2]
     out = _dyad_sums(dlam, v, u)
     # the off-diagonal coefficients are homogeneous of degree -1 in sv: they are
     # taken at sv scaled by the power of two ``s`` that puts sv[0] in [0.5, 1),
-    # and scaled back (exactly), so no square or product leaves the double range
+    # and scaled back (exactly), so no square or product leaves the double range;
+    # the partials are halved (exact) before they are summed, and doubled back by 2 s
     s = 2.0 ** -math.frexp(sv[0])[1]
-    w = sv * s
+    w, s2 = sv * s, 2.0 * s
     for (i, j), av, au in zip(_OFF_PAIRS, anti_v, anti_u):
-        denom = w[i] ** 2 - w[j] ** 2
-        out = out + ((w[i] * au + w[j] * av) / denom * s) * (v[i, :, None] * u[j])
-        out = out + ((w[j] * au + w[i] * av) / denom * s) * (v[j, :, None] * u[i])
-    return out
+        au, av, denom = 0.5 * au, 0.5 * av, w[i] ** 2 - w[j] ** 2
+        out = out + ((w[i] * au + w[j] * av) / denom * s2) * (v[i, :, None] * u[j])
+        out = out + ((w[j] * au + w[i] * av) / denom * s2) * (v[j, :, None] * u[i])
+    return _representable(out, "grad_nonsym_tensor")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +255,7 @@ def _fd_grad(W, system, cls, fn, h=None):
     h = 1e-5 * (1.0 + _norm(x)) if h is None else h
     probes = x + (np.array([[h], [-h]]) * dirs[:, None]).reshape((-1,) + x.shape)
     probes = probes / _row_norms(probes)[:, None] if unit else probes
-    d = _centrals(_energies(W, system, cls, probes, fn), [h] * len(dirs))
+    d = _centrals(W, system, cls, probes, [h] * len(dirs), fn)
     # dW = tr(G^T dX): a probe that moves n entries picks up n of them, so a
     # symmetric or skew off-diagonal probe is halved
     return ((d / (dirs * dirs).sum(axis=1)) @ dirs).reshape(x.shape)

@@ -32,11 +32,11 @@ for ``v_1 . A_1 u_3``), so invariant lists are diffable across runs.
 :func:`build_frame`, :func:`build_svd_frame` and :func:`extract_invariants`
 take one system.  A verify sweep codes a stack of T systems (see
 :mod:`isotropykit.lin3`) in one pass: :func:`_frames` builds their sym or
-gram frames, with the sign gauge as masked array code over ``_Code.odd``
-(:func:`_gauged`), and :func:`_values` returns their lists as one ``(T,
-n)`` block under the layout's shared labels.  The codec and ``_values``
-take one frame or a stack alike; every row has the bits of the one-system
-call.
+gram frames, and :func:`_values` returns their lists as one ``(T, n)`` block
+under the layout's shared labels.  Every frame comes from one source step
+(:func:`_source`: the kind, the zero check, ``H H^T``) and one sign gauge
+(:func:`_gauge`), which, like the codec and ``_values``, takes one frame or
+a stack alike; every row has the bits of the one-system call.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ __all__ = [
     "build_frame",
     "build_svd_frame",
     "extract_invariants",
-    "frame_completion",
     "irreducible_count",
     "rebuild_system",
 ]
@@ -140,7 +139,7 @@ def _motion(system, frame, dxs):
     # the heads' rows, dv and dr (du in an SVD frame) along the source's moves dxs
     v, u, s = frame.v, frame.u, frame.lambdas
     if frame.kind == "vector":
-        e = _EYE[np.argmin(np.abs(v[0]))]  # frame_completion's axis
+        e = _EYE[np.argmin(np.abs(v[0]))]  # _frame_completion's axis
         omega = np.zeros((len(dxs), 3, 3))
         omega[:, 0, 1:] = dxs @ v[1:].T / np.sqrt(s[0])  # dv_1 . v_j
         dv1 = omega[:, 0, 1:] @ v[1:]
@@ -239,10 +238,11 @@ _KINDS = {"sym_tensor": (("lam1", "lam2", "lam3"), (1, 0, 0), "sym"),
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(kind, n_sym, skew_flags, n_vec) -> tuple:
+def _layout(kind, n_sym, skew_flags, n_vec, gauge=False) -> tuple:
     """``(label stem, argument class, index, code)`` of every argument a frame
-    of ``kind`` codes, in label order; ``ValueError`` if the system's shape
-    cannot carry a frame of that kind."""
+    of ``kind`` codes, in label order, or with ``gauge`` in the order the sign
+    gauge reads them: the vectors first, which a gauged frame codes all of;
+    ``ValueError`` if the system's shape cannot carry a frame of that kind."""
     n_nonsym = len(skew_flags)
     if kind == "sym_tensor" and n_sym < 1:
         raise ValueError("sym_tensor frame requires a symmetric argument")
@@ -262,7 +262,7 @@ def _layout(kind, n_sym, skew_flags, n_vec) -> tuple:
         code = _MIXED if mixed else _SKEW if skew_flags[t] else _FULL
         layout.append((f"{'W' if code is _SKEW else 'H'}{t + 1}", "nonsym", t, code))
     layout += [(f"a{s + 1}", "vecs", s, _VEC) for s in range(first_vec, n_vec)]
-    return tuple(layout)
+    return tuple(layout[-n_vec:] + layout[:-n_vec] if gauge else layout)
 
 
 @dataclass(frozen=True)
@@ -339,12 +339,10 @@ class SpectralInvariants:
         return hash(self._key())
 
 
-def frame_completion(v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two unit vectors completing ``v1`` to a right-handed triad.
-
-    ``v2`` is ``v1`` crossed with the coordinate axis least aligned with it
-    (the best-conditioned choice), ``v3 = v1 x v2``.
-    """
+def _frame_completion(v1):
+    # two unit vectors completing the unit ``v1`` to a right-handed triad: ``v2``
+    # is ``v1`` crossed with the coordinate axis least aligned with it (the
+    # best-conditioned choice), ``v3 = v1 x v2``
     k = int(np.argmin(np.abs(v1)))
     v2 = np.array(_cross(v1, _EYE[k]))
     v2 /= _norm(v2)
@@ -360,51 +358,37 @@ def _frozen_frame(kind, lambdas, v, u, degeneracy) -> SpectralFrame:
                          None if u is None else _freeze(u), degeneracy)
 
 
-def _apply_equivariant_gauge(system, kind, v, u=None):
+def _gauge(system, kind, v, u=None):
     """``v`` (and ``u``) with the signs ``s0`` of ``v[0]`` and ``s1`` of
-    ``v[1]`` fixed, ``v[2]`` taking ``s0 s1``.  Each sign is taken from the
-    first coded entry, of the vectors and then the tensors in list order,
-    that only its flip negates (``code.odd`` is its bit) and that clears
-    the threshold of its argument's norm.  Then a free ``s1``, else a free
-    ``s0``, is taken from the first such entry that both flips negate (mask
-    3, sign ``s0 s1``); a sign left free by every entry stays +1."""
-    layout = _layout(kind, system.n_sym, system.nonsym_skew, system.n_vec)
-    k = len(layout) - system.n_vec  # a gauged frame codes every vector, last
-    signs = {}
-    for _, cls, index, code in layout[k:] + layout[:k]:
+    ``v[1]`` fixed, ``v[2]`` taking ``s0 s1``, in one frame or in each of a
+    stack of T (members and triads with a leading axis of T).  Each sign is
+    taken from the first coded entry, of the vectors and then the tensors in
+    list order, that only its flip negates (``code.odd`` is its bit) and that
+    clears the threshold of its argument's norm.  Then a free ``s1``, else a
+    free ``s0``, is taken from the first such entry that both flips negate
+    (mask 3, sign ``s0 s1``); a sign left free by every entry stays +1."""
+    stacked = v.ndim == 3
+    n = len(v) if stacked else 1
+    # per mask bit 1, 2 and 3 (index 0 unused) the sign of each row, 0.0 while free
+    sign = [[0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n]
+    for _, cls, index, code in _layout(kind, system.n_sym, system.nonsym_skew,
+                                       system.n_vec, gauge=True):
         x = getattr(system, cls)[index]
-        thr = _thr(_TOL_REL, _norm(x))
-        for value, bit in zip(_encode(x, code, v, u).tolist(), code.odd):
-            if bit and bit not in signs and abs(value) > thr:
-                signs[bit] = 1.0 if value > 0.0 else -1.0
-        if 1 in signs and 2 in signs:
+        sizes = _row_norms(x.reshape(n, -1)).tolist() if stacked else [_norm(x)]
+        for t, row in enumerate(_encode(x, code, v, u).reshape(n, -1).tolist()):
+            thr = _thr(_TOL_REL, sizes[t])
+            for value, bit in zip(row, code.odd):
+                if bit and not sign[bit][t] and abs(value) > thr:
+                    sign[bit][t] = 1.0 if value > 0.0 else -1.0
+        if all(sign[1]) and all(sign[2]):
             break
-    s0 = signs.get(1, signs[3] * signs[2] if 3 in signs and 2 in signs else 1.0)
-    s1 = signs.get(2, signs[3] * s0 if 3 in signs else 1.0)
-    full = np.array([[s0], [s1], [s0 * s1]])
+    full = []
+    for s0, s1, s01 in zip(sign[1], sign[2], sign[3]):
+        s0 = s0 or s01 * s1 or 1.0  # s01 s1 is 0.0 unless both are fixed
+        s1 = s1 or s01 * s0 or 1.0
+        full += (s0, s1, s0 * s1)
+    full = np.array(full).reshape(v.shape[:-1] + (1,))
     return v * full, None if u is None else u * full
-
-
-def _gauged(system, kind, v):
-    # :func:`_apply_equivariant_gauge` on a stack (members and triads ``v``
-    # with a leading axis of T), bit for bit: the same walk as masked array
-    # code, with per mask bit the sign of each row's first clearing entry, 0
-    # while none has cleared
-    layout = _layout(kind, system.n_sym, system.nonsym_skew, system.n_vec)
-    k = len(layout) - system.n_vec
-    sign = np.zeros((4, len(v)))
-    for _, cls, index, code in layout[k:] + layout[:k]:
-        x = getattr(system, cls)[index]
-        thr = _TOL_REL * np.maximum(_row_norms(x.reshape(len(x), -1)), _FLOOR)
-        for value, bit in zip(_encode(x, code, v).T, code.odd):
-            first = (sign[bit] == 0.0) & (np.abs(value) > thr)
-            sign[bit, first] = np.sign(value[first])
-        if sign[1].all() and sign[2].all():
-            break
-    either = lambda a, b: np.where(a != 0.0, a, b)
-    s0 = either(sign[1], either(sign[3] * sign[2], 1.0))
-    s1 = either(sign[2], either(sign[3] * s0, 1.0))
-    return v * np.stack([s0, s1, s0 * s1], 1)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -448,22 +432,35 @@ def build_frame(system: TensorSystem) -> SpectralFrame:
     return frame
 
 
+def _source(system, svd=False):
+    """The kind of frame a system or a stack gets from :func:`build_frame`, or
+    with ``svd`` from :func:`build_svd_frame`, and what the frame factors: the
+    first symmetric tensor, ``H H^T`` of the first non-symmetric ``H`` (``H``
+    itself with ``svd``), or the first vector."""
+    if svd and system.n_nonsym < 1:
+        raise ValueError("SVD frame needs at least one non-symmetric tensor")
+    if not svd and system.n_sym >= 1:
+        return "sym_tensor", system.sym[0]
+    if not svd and system.n_nonsym < 1:
+        return "vector", system.vecs[0]
+    h = system.nonsym[0]
+    if not h.reshape(-1, 9).any(1).all():  # a zero tensor, or a stack with one
+        raise DegenerateInputError("frame tensor is zero")
+    if svd:
+        return "svd", h
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf fails the input check
+        return "gram", h @ h.swapaxes(-1, -2)
+
+
 def _frames(stack: TensorSystem):
     """The kind, eigenvalues ``(T, 3)`` and triads ``(T, 3, 3)`` that
     :func:`build_frame` gives each system of a stack with a symmetric or a
     non-symmetric tensor, bit for bit and with its errors.  The sweeps stack
     no vector-only system: its frame is always degenerate."""
-    if stack.n_sym >= 1:
-        kind, (lams, v) = "sym_tensor", _eighs(stack.sym[0])
-    else:
-        h = stack.nonsym[0]
-        if (np.abs(h).max((1, 2)) == 0.0).any():
-            raise DegenerateInputError("frame tensor is zero")
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = h @ h.swapaxes(1, 2)
-        lams, v = _eighs(_as_array(g, g.shape, "tensor"))
-        kind, lams = "gram", np.clip(lams, 0.0, None)
-    return kind, lams, _gauged(stack, kind, v)
+    kind, source = _source(stack)
+    lams, v = _eighs(_as_array(source, source.shape, "tensor"))
+    lams = np.clip(lams, 0.0, None) if kind == "gram" else lams
+    return kind, lams, _gauge(stack, kind, v)[0]
 
 
 def _frame_rows(kind, lambdas, v) -> list:
@@ -473,28 +470,18 @@ def _frame_rows(kind, lambdas, v) -> list:
 
 
 def _frame_of(system: TensorSystem) -> SpectralFrame:
-    if system.n_sym >= 1:
-        lams, v, groups = eig_sym(system.sym[0])
-        v, _ = _apply_equivariant_gauge(system, "sym_tensor", v)
-        return _frozen_frame("sym_tensor", lams, v, None, groups)
-    if system.n_nonsym >= 1:
-        h = system.nonsym[0]
-        if np.abs(h).max() == 0.0:
-            raise DegenerateInputError("frame tensor is zero")
-        with np.errstate(over="ignore", invalid="ignore"):  # eig_sym rejects an inf
-            g = h @ h.T
-        lams, v, groups = eig_sym(g)
-        lams = np.clip(lams, 0.0, None)
-        v, _ = _apply_equivariant_gauge(system, "gram", v)
-        return _frozen_frame("gram", lams, v, None, groups)
-    a = system.vecs[0]
-    lam = float(np.vdot(a, a))  # an overflow is inf here, with no warning
+    kind, source = _source(system)
+    if kind != "vector":
+        lams, v, groups = eig_sym(source)
+        lams = np.clip(lams, 0.0, None) if kind == "gram" else lams
+        return _frozen_frame(kind, lams, _gauge(system, kind, v)[0], None, groups)
+    lam = float(np.vdot(source, source))  # an overflow is inf here, with no warning
     if lam < _FLOOR:
         raise DegenerateInputError("frame vector is zero")
     if lam == np.inf:
         raise DegenerateInputError("frame vector's squared norm overflows")
-    v1 = a / np.sqrt(lam)
-    v2, v3 = frame_completion(v1)
+    v1 = source / np.sqrt(lam)
+    v2, v3 = _frame_completion(v1)
     lams = np.array([lam, 0.0, 0.0])
     return _frozen_frame("vector", lams, np.array([v1, v2, v3]), None,
                          _degeneracy_groups(lams.tolist(), _TOL_REL))
@@ -503,14 +490,10 @@ def _frame_of(system: TensorSystem) -> SpectralFrame:
 def build_svd_frame(system: TensorSystem) -> SpectralFrame:
     """Frame from the singular value decomposition of the first non-symmetric
     tensor; subsequent extraction uses mixed components ``v_i . X u_j``."""
-    if system.n_nonsym < 1:
-        raise ValueError("SVD frame needs at least one non-symmetric tensor")
-    h = system.nonsym[0]
-    if np.abs(h).max() == 0.0:
-        raise DegenerateInputError("frame tensor is zero")
-    sv, v, u = svd3(h)
-    v, u = _apply_equivariant_gauge(system, "svd", v, u)
-    return _frozen_frame("svd", sv, v, u, _degeneracy_groups(sv.tolist(), _TOL_REL))
+    kind, source = _source(system, svd=True)
+    sv, v, u = svd3(source)
+    v, u = _gauge(system, kind, v, u)
+    return _frozen_frame(kind, sv, v, u, _degeneracy_groups(sv.tolist(), _TOL_REL))
 
 
 # ---------------------------------------------------------------------------

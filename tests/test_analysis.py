@@ -28,10 +28,10 @@ from isotropykit.cli import _rank_configs
 from isotropykit.potentials import grad_sym_tensor
 from isotropykit.spectral_frame import (
     _SYM,
+    _frame_completion,
     build_frame,
     build_svd_frame,
     extract_invariants,
-    frame_completion,
     irreducible_count,
 )
 
@@ -102,6 +102,12 @@ class TestVerifyIsotropy:
             verify_isotropy(lambda s: calls.append(s) or 0.0, "bogus", sys0,
                             trials=trials)
         assert calls == []
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rotation_deviation_rejects_an_unknown_kind(self, n):
+        # the one check and message of verify_isotropy, with or without items
+        with pytest.raises(ValueError, match="^unknown evaluator kind 'bogus'$"):
+            rotation_deviation(np.zeros((1, n)), np.eye(3)[None], np.zeros(n), "bogus")
 
 
 class TestJacobianRank:
@@ -306,7 +312,7 @@ def _fd_oracle(values, system0, h=1e-6):
         pairs = _OFF_PAIRS if skew else list(itertools.product(range(3), repeat=2))
         moves += [("nonsym", t, d) for d in _unit_dyads(pairs, -1.0 if skew else None)]
     for k, (x, unit) in enumerate(zip(system0.vecs, system0.vec_unit)):
-        moves += [("vecs", k, d) for d in (frame_completion(x) if unit else np.eye(3))]
+        moves += [("vecs", k, d) for d in (_frame_completion(x) if unit else np.eye(3))]
 
     def at(cls, index, step):
         args = {"sym": list(system0.sym), "nonsym": list(system0.nonsym),

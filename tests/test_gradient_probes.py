@@ -38,7 +38,7 @@ from isotropykit.potentials import (
     grad_sym_tensor,
     grad_vector,
 )
-from isotropykit.spectral_frame import frame_completion
+from isotropykit.spectral_frame import _frame_completion
 
 # ---------------------------------------------------------------------------
 # the per-probe loops: one closure call, one ``np.outer`` sum and one rotated
@@ -68,7 +68,7 @@ def ref_grad_vector(W, system):
     a, unit = system.vecs[0], system.vec_unit[0]
     lam = _norm(a)
     v1 = a / lam
-    v2, v3 = frame_completion(v1)
+    v2, v3 = _frame_completion(v1)
 
     def w_at(lam_, v1_):
         return float(W(_with_arg(system, "vecs", lam_ * v1_)))

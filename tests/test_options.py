@@ -11,9 +11,10 @@ of that file.
 Regenerate (only when a change of options is intended) with
 ``PYTHONPATH=src python tests/test_options.py``.
 
-A second surface check stands in for a linter: no module under
+Two more surface checks stand in for a linter: no module under
 ``src/isotropykit`` imports a name it never uses (``__init__.py`` imports
-only to re-export).
+only to re-export), and every module-level private function, class and
+constant is read somewhere in the package beyond its own definition.
 """
 
 import ast
@@ -77,6 +78,47 @@ def test_no_unused_imports():
               if path.name != "__init__.py"
               and (names := _unused_imports(ast.parse(path.read_text())))}
     assert unused == {}
+
+
+def _private_definitions(tree):
+    # name -> the module-level statement that defines it, for every private
+    # function, class and constant of a module
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.update((name, node) for name in names
+                   if name.startswith("_") and not name.startswith("__"))
+    return out
+
+
+def _reads(node):
+    # the names a statement reads, as a name or as an attribute
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+
+
+def test_no_unreferenced_private_names():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(isotropykit.__file__).parent.glob("*.py"))}
+    # per module and top-level statement, the names it reads
+    reads = [(module, node, _reads(node)) for module, tree in trees.items()
+             for node in tree.body]
+    checked, unread = 0, []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree).items():
+            checked += 1
+            if not any(name in names for m, node, names in reads
+                       if (m, node) != (module, definition)):
+                unread.append(f"{module}:{name}")
+    assert checked >= 100
+    assert unread == []
 
 
 if __name__ == "__main__":

@@ -202,6 +202,46 @@ class TestGradNonsymTensor:
         assert rel_err(fd, np.eye(3)) <= 1e-6
 
 
+def _near_overflow(cls, seed, spectrum):
+    # Q diag(spectrum) Q^T (Q diag(spectrum) R^T for a non-symmetric tensor),
+    # Haar Q and R, with the linear W = sum X o B, B standard normal, whose
+    # gradient is B (its symmetric part for a symmetric tensor); W's own
+    # products overflow at some probes, which it reports as inf
+    rng = np.random.default_rng(seed)
+    q, r, b = haar_rotation(rng), haar_rotation(rng), rng.standard_normal((3, 3))
+    x = q @ np.diag(spectrum) @ (q if cls == "sym" else r).T
+
+    def w(s):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float((getattr(s, cls)[0] * b).sum())
+    return tensor_system(**{cls: [x]}), w, 0.5 * (b + b.T) if cls == "sym" else b
+
+
+class TestNearOverflow:
+    # each gradient is right or a ValueError, with no numpy warning before it
+    def test_sym_doubled_gap_overflows(self):
+        # 2 (lam_1 - lam_3) overflowed: the (1,3) coefficient read 0, 0.11 off
+        sys0, w, want = _near_overflow("sym", 0, [6e307, 1.8e307, -6e307])
+        assert rel_err(grad_sym_tensor(w, sys0), want) <= 1e-9
+
+    def test_nonsym_summed_partials_overflow(self):
+        # the sum of two weighted partials overflowed: the gradient read inf
+        sys0, w, want = _near_overflow("nonsym", 2, [1.2e308, 3.6e307, 1.2e307])
+        assert rel_err(grad_nonsym_tensor(w, sys0), want) <= 1e-9
+
+    @pytest.mark.parametrize("cls,seed,spectrum", [
+        ("sym", 2, [1.2e308, 3.6e307, -1.2e308]),
+        ("nonsym", 0, [1.2e308, 3.6e307, 1.2e307]),
+    ], ids=["sym", "nonsym"])
+    def test_partials_beyond_the_double_range(self, cls, seed, spectrum):
+        # a rotation partial of W is beyond the double range: the gradient read nan
+        sys0, w, _ = _near_overflow(cls, seed, spectrum)
+        grad = grad_sym_tensor if cls == "sym" else grad_nonsym_tensor
+        with pytest.raises(ValueError, match=f"^{grad.__name__}: a partial or the gradient "
+                                             "overflows the double range$"):
+            grad(w, sys0)
+
+
 # the entry-wise oracles as three loops over the entries, without the codec:
 # the reference the one shared oracle must reproduce bit for bit
 
@@ -368,8 +408,8 @@ class TestSpectralChain:
         a = sys0.vecs[0]
         lam = np.linalg.norm(a)
         v1 = a / lam
-        from isotropykit.spectral_frame import frame_completion
-        v2, v3 = frame_completion(v1)
+        from isotropykit.spectral_frame import _frame_completion
+        v2, v3 = _frame_completion(v1)
         g_ref = fd_grad_vector(w, sys0)
         h = 1e-5 * (1.0 + lam)
 

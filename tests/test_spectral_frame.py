@@ -709,7 +709,7 @@ class TestGaugeSwitchingSets:
         assert _switching_deviation(kind, system) <= 1e-12
         # a copy of the per-slot rule fails the same check
         monkeypatch.setattr(spectral_frame, "_last_frame", (None, None))
-        monkeypatch.setattr(spectral_frame, "_apply_equivariant_gauge",
+        monkeypatch.setattr(spectral_frame, "_gauge",
                             lambda *args: _reference_gauge(*args, fallback=False))
         assert _switching_deviation(kind, system) > 1e-2
 
@@ -798,12 +798,12 @@ class TestStackedPath:
         def deviation():
             return np.abs(_stacked_lists(stack)[3] - base).max() / np.abs(base).max()
         assert deviation() <= 1e-12
-        # a mutant of the stacked gauge without the mask-3 fallback fails it
-        source = inspect.getsource(spectral_frame._gauged)
-        assert source.count("sign[3]") == 2
+        # a mutant of the gauge without the mask-3 fallback fails it
+        source = inspect.getsource(spectral_frame._gauge)
+        assert source.count("s01 *") == 2
         scope = dict(vars(spectral_frame))
-        exec(source.replace("sign[3]", "0.0"), scope)
-        monkeypatch.setattr(spectral_frame, "_gauged", scope["_gauged"])
+        exec(source.replace("s01 *", "0.0 *"), scope)
+        monkeypatch.setattr(spectral_frame, "_gauge", scope["_gauge"])
         assert deviation() > 1e-2
 
     def test_a_zero_gram_source_in_a_stack_is_the_single_error(self):
